@@ -1,23 +1,29 @@
 """Minimal cut sets over monotone fault-tree DAGs.
 
-The engine combines cut-set families bottom-up with memoization, so shared
-subtrees are computed once: OR nodes union their children's families, AND
-nodes cross-combine them, and every intermediate family is minimized by
-subset absorption.  An optional order bound prunes supersets during
+The engine works on integer bitsets: each basic event reachable from the
+root gets one bit, numbered in canonical (category, id) order, so a cut set
+is an ``int`` and a family a ``set[int]``.  Families combine bottom-up with
+memoization, so shared subtrees are computed once: OR nodes union their
+children's families (a lone non-empty child's family passes through), AND
+nodes cross-combine them with ``a | b``, and each new family is minimized by
+absorbing sets into strictly smaller kept ones, singletons through one
+OR-mask.  An optional order bound prunes sets by ``int.bit_count`` during
 combination, which is sound for monotone trees (dropping a set can never
 create a new minimal set at or below the bound); without a bound the result
-is exact.
+is exact.  Sets become member tuples only at the end, sorted by order and
+then by bit indices, which is the canonical (order, members) order.
 
 ``brute_force_oracle`` recomputes the same answer from the definition by
 evaluating the tree on every event assignment, packed as truth-table
-bit-integers so the cost is one big-int operation per node.
+bit-integers so the cost is one big-int operation per node.  It numbers
+events the same way and shares the final conversion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ftree import BasicEvent, EventCategory, FaultTree, Gate, GateOp
+from .ftree import BasicEvent, EventCategory, FaultTree, GateOp
 from .model import ModelError
 
 ORACLE_EVENT_BOUND = 24
@@ -71,70 +77,85 @@ class CutSetCollection:
         return [cut[0] for cut in self.sets if len(cut) == 1]
 
 
-def _minimize(families: set[frozenset[str]], max_order: int | None) -> set[frozenset[str]]:
-    if max_order is not None:
-        families = {s for s in families if len(s) <= max_order}
-    kept: list[frozenset[str]] = []
-    single_members: set[str] = set()
-    for candidate in sorted(families, key=len):
-        if len(candidate) == 1:
-            kept.append(candidate)
-            single_members.update(candidate)
-            continue
-        if not single_members.isdisjoint(candidate):
-            continue
-        if any(t <= candidate for t in kept if 1 < len(t) < len(candidate)):
-            continue
-        kept.append(candidate)
-    return set(kept)
+def _numbered_events(tree: FaultTree, order: list[str]) -> list[str]:
+    """Reachable basic events in canonical order; event i owns bit ``1 << i``."""
+    events = [node_id for node_id in order if isinstance(tree.nodes[node_id], BasicEvent)]
+    return sorted(events, key=event_sort_key(tree))
 
 
-def _and_combine(
-    left: set[frozenset[str]], right: set[frozenset[str]], max_order: int | None
-) -> set[frozenset[str]]:
-    out: set[frozenset[str]] = set()
-    for a in left:
-        for b in right:
-            union = a | b
-            if max_order is None or len(union) <= max_order:
-                out.add(union)
-    return _minimize(out, max_order)
+def _minimize(family: set[int], bound: int) -> set[int]:
+    """Drop sets above the bound and every set that contains a smaller one."""
+    singles: list[int] = []
+    buckets: dict[int, list[int]] = {}
+    for cut in family:
+        size = cut.bit_count()
+        if size == 1:
+            singles.append(cut)
+        elif size <= bound:
+            buckets.setdefault(size, []).append(cut)
+    # Distinct single bits, so their sum is their OR.
+    single_mask = sum(singles)
+    kept = set(singles)
+    # Kept sets of order two and up, all smaller than the bucket in hand.
+    smaller: list[int] = []
+    for size in sorted(buckets):
+        fresh = [cut for cut in buckets[size] if not cut & single_mask]
+        if smaller:
+            fresh = [cut for cut in fresh if not any(t & cut == t for t in smaller)]
+        kept.update(fresh)
+        smaller.extend(fresh)
+    return kept
+
+
+def _and_combine(left: set[int], right: set[int], bound: int) -> set[int]:
+    return _minimize({u for a in left for b in right if (u := a | b).bit_count() <= bound}, bound)
 
 
 def _collection_from(
-    tree: FaultTree, families: set[frozenset[str]], max_order: int | None
+    events: list[str], family: set[int], max_order: int | None
 ) -> CutSetCollection:
-    key = event_sort_key(tree)
-    ordered = [tuple(sorted(s, key=key)) for s in families]
-    ordered.sort(key=lambda cut: (len(cut), [key(m) for m in cut]))
-    return CutSetCollection(sets=ordered, truncation_order=max_order)
+    rows = []
+    for cut in family:
+        bits = []
+        while cut:
+            low = cut & -cut
+            bits.append(low.bit_length() - 1)
+            cut ^= low
+        rows.append(bits)
+    rows.sort(key=lambda bits: (len(bits), bits))
+    sets = [tuple(events[i] for i in bits) for bits in rows]
+    return CutSetCollection(sets=sets, truncation_order=max_order)
 
 
 def minimal_cut_sets(tree: FaultTree, max_order: int | None = None) -> CutSetCollection:
     """Minimal cut sets of the root, optionally truncated to an order bound."""
     if max_order is not None and max_order < 1:
         raise ModelError(f"max_order must be at least 1, got {max_order}")
-    tree.check_structure()
-    memo: dict[str, set[frozenset[str]]] = {}
-    for node_id in tree.topological_nodes():
+    order = tree.check_structure()
+    events = _numbered_events(tree, order)
+    # No set has more members than there are events.
+    bound = len(events) if max_order is None else max_order
+    memo: dict[str, set[int]] = {event_id: {1 << i} for i, event_id in enumerate(events)}
+    for node_id in order:
         node = tree.nodes[node_id]
         if isinstance(node, BasicEvent):
-            memo[node_id] = {frozenset({node_id})}
             continue
-        child_families = [memo[c] for c in node.children if c in memo]
+        child_families = [memo[c] for c in node.children]
         if node.op is GateOp.OR:
-            union: set[frozenset[str]] = set()
-            for family in child_families:
-                union |= family
-            memo[node_id] = _minimize(union, max_order)
+            live = [family for family in child_families if family]
+            if len(live) == 1:
+                # Already minimal and within the bound.
+                memo[node_id] = live[0]
+            else:
+                memo[node_id] = _minimize(set().union(*live), bound)
         else:
-            acc: set[frozenset[str]] = {frozenset()}
-            for family in child_families:
-                acc = _and_combine(acc, family, max_order)
+            acc = child_families[0]
+            for family in child_families[1:]:
                 if not acc:
                     break
+                acc = _and_combine(acc, family, bound)
             memo[node_id] = acc
-    return _collection_from(tree, memo[tree.root], max_order)
+    return _collection_from(events, memo[tree.root], max_order)
 
 
 @dataclass
@@ -165,8 +186,8 @@ def brute_force_oracle(tree: FaultTree, max_events: int = ORACLE_EVENT_BOUND) ->
     member stops the failure, which is sufficient by monotonicity.  Refuses
     trees with more than ``max_events`` distinct reachable basic events.
     """
-    tree.check_structure()
-    events = sorted((e.id for e in tree.reachable_events()), key=event_sort_key(tree))
+    order = tree.check_structure()
+    events = _numbered_events(tree, order)
     n = len(events)
     if n > max_events:
         raise ModelError(
@@ -174,11 +195,10 @@ def brute_force_oracle(tree: FaultTree, max_events: int = ORACLE_EVENT_BOUND) ->
             "use minimal_cut_sets for larger trees"
         )
     total = 1 << n
-    bit_of = {event_id: i for i, event_id in enumerate(events)}
 
     # tables[i] has bit b set iff event i is failed in assignment b.
     tables: dict[str, int] = {}
-    for event_id, i in bit_of.items():
+    for i, event_id in enumerate(events):
         block = ((1 << (1 << i)) - 1) << (1 << i)
         span = 1 << (i + 1)
         pattern = block
@@ -189,7 +209,7 @@ def brute_force_oracle(tree: FaultTree, max_events: int = ORACLE_EVENT_BOUND) ->
 
     full = (1 << total) - 1
     node_table: dict[str, int] = {}
-    for node_id in tree.topological_nodes():
+    for node_id in order:
         node = tree.nodes[node_id]
         if isinstance(node, BasicEvent):
             node_table[node_id] = tables[node_id]
@@ -205,7 +225,7 @@ def brute_force_oracle(tree: FaultTree, max_events: int = ORACLE_EVENT_BOUND) ->
             node_table[node_id] = acc
 
     root_table = node_table[tree.root]
-    found: set[frozenset[str]] = set()
+    found: set[int] = set()
     for mask in range(total):
         if not (root_table >> mask) & 1:
             continue
@@ -218,5 +238,5 @@ def brute_force_oracle(tree: FaultTree, max_events: int = ORACLE_EVENT_BOUND) ->
                 break
             probe ^= low
         if minimal:
-            found.add(frozenset(events[i] for i in range(n) if (mask >> i) & 1))
-    return _collection_from(tree, found, None)
+            found.add(mask)
+    return _collection_from(events, found, None)

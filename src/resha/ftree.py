@@ -138,20 +138,24 @@ class FaultTree:
     def reachable_events(self) -> list[BasicEvent]:
         return [n for n in map(self.nodes.get, self.reachable()) if isinstance(n, BasicEvent)]
 
-    def check_structure(self) -> None:
+    def check_structure(self) -> list[str]:
         """Raise ModelError on dangling children, a non-gate root, cycles,
-        or empty gates that are not software placeholders."""
+        or empty gates other than software placeholders (OR gates with
+        ``placeholder_for``); return ``topological_nodes()``."""
         if self.root not in self.nodes:
             raise ModelError(f"root '{self.root}' is not in the tree")
         if not isinstance(self.nodes[self.root], Gate):
             raise ModelError("root must be a gate")
         for gate in self.gates():
-            if not gate.children and gate.placeholder_for is None:
-                raise ModelError(f"gate '{gate.id}' is empty and not a software placeholder")
+            if not gate.children and (gate.placeholder_for is None or gate.op is not GateOp.OR):
+                raise ModelError(
+                    f"gate '{gate.id}' is empty and not a software placeholder "
+                    "(only an OR gate with placeholder_for may be empty)"
+                )
             for child in gate.children:
                 if child not in self.nodes:
                     raise ModelError(f"gate '{gate.id}' references unknown node '{child}'")
-        self.topological_nodes()
+        return self.topological_nodes()
 
     def topological_nodes(self) -> list[str]:
         """Children-first order over reachable nodes; raises on cycles."""
@@ -181,7 +185,7 @@ class FaultTree:
         """Monotone evaluation: does the root fail when these events have?
 
         Empty OR gates (unresolved placeholders) evaluate False; empty AND
-        gates evaluate True, though synthesis never produces one.
+        gates evaluate True, though ``check_structure`` rejects them.
         """
         memo: dict[str, bool] = {}
         for node_id in self.topological_nodes():

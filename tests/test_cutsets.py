@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -17,6 +18,8 @@ from resha.cutsets import (
 )
 from resha.ftree import BasicEvent, EventCategory, FaultTree, Gate, GateOp
 from resha.model import ModelError
+from resha.pipeline import PipelineOptions, analyze_text
+from reference_cutsets import reference_minimal_cut_sets
 
 
 def sets_of(tree: FaultTree, max_order: int | None = None) -> set[frozenset[str]]:
@@ -170,3 +173,86 @@ def test_truncated_engine_is_sound(seed, bound):
     exact = brute_force_oracle(tree).as_frozensets()
     truncated = minimal_cut_sets(tree, bound).as_frozensets()
     assert truncated == {s for s in exact if len(s) <= bound}
+
+
+def covering_random_tree(rng: random.Random, min_events: int, max_events: int) -> FaultTree:
+    """A random monotone DAG in which every event is reachable from the root.
+
+    Each gate takes one to three nodes no gate has taken yet, plus up to two
+    shared ones; the last open node becomes the root.
+    """
+    tree = FaultTree(model_name="random", root="")
+    pool: list[str] = []
+    categories = list(EventCategory)
+    for i in range(rng.randint(min_events, max_events)):
+        category = rng.choice(categories)
+        software = category in (EventCategory.SW_UCA, EventCategory.SW_UIF, EventCategory.CCF)
+        tree.add(BasicEvent(f"e{i}", category, software=software))
+        pool.append(f"e{i}")
+    open_ids = list(pool)
+    while len(open_ids) > 1:
+        take = min(len(open_ids), rng.randint(1, 3))
+        children = [open_ids.pop(rng.randrange(len(open_ids))) for _ in range(take)]
+        children += [c for c in rng.sample(pool, rng.randint(0, 2)) if c not in children]
+        gate = Gate(f"g{len(pool)}", rng.choice((GateOp.AND, GateOp.OR)), children)
+        tree.add(gate)
+        open_ids.append(gate.id)
+        pool.append(gate.id)
+    tree.root = open_ids[0]
+    return tree
+
+
+def test_engine_matches_reference_on_qiasp(qiasp_result):
+    tree = qiasp_result.injected_tree
+    assert qiasp_result.collection.sets == reference_minimal_cut_sets(tree).sets
+
+
+def test_engine_matches_reference_on_three_divisions_at_order_2(qiasp_text):
+    # The three edits that add a replicated division C to the bundled model.
+    text = qiasp_text
+    for old, new in (
+        ("division B replicates A\n", "division B replicates A\ndivision C replicates A\n"),
+        ("members: A, B", "members: A, B, C"),
+        (
+            "inputs: display_interface, display_interface__B",
+            "inputs: display_interface, display_interface__B, display_interface__C",
+        ),
+    ):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    result = analyze_text(text, "qiasp3.resha", PipelineOptions(max_order=2))
+    assert {i.division for i in result.instances} == {"A", "B", "C"}
+    reference = reference_minimal_cut_sets(result.injected_tree, max_order=2)
+    assert result.collection.sets == reference.sets
+    assert result.collection.order_index() == {1: 44}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_engine_matches_reference_past_the_oracle_bound(seed):
+    tree = covering_random_tree(random.Random(seed), 30, 40)
+    assert len(tree.reachable_events()) > ORACLE_EVENT_BOUND
+    for bound in (None, 1, 2, 3):
+        engine = minimal_cut_sets(tree, bound)
+        assert engine.sets == reference_minimal_cut_sets(tree, bound).sets
+
+
+def _permuted(tree: FaultTree, rng: random.Random) -> FaultTree:
+    """The same tree with shuffled node insertion order and gate child order."""
+    out = FaultTree(model_name=tree.model_name, root=tree.root)
+    for node_id in rng.sample(list(tree.nodes), len(tree.nodes)):
+        node = tree.nodes[node_id]
+        if isinstance(node, Gate):
+            node = dataclasses.replace(node, children=rng.sample(node.children, len(node.children)))
+        out.add(node)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.sampled_from([None, 1, 2, 3]))
+def test_result_is_independent_of_node_and_child_order(seed, bound):
+    rng = random.Random(seed)
+    tree = random_tree(rng, max_events=16, max_gates=10)
+    expected = minimal_cut_sets(tree, bound).sets
+    for _ in range(3):
+        assert minimal_cut_sets(_permuted(tree, rng), bound).sets == expected

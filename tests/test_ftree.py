@@ -201,6 +201,26 @@ def test_check_structure_rejects_empty_gate():
         tree.check_structure()
 
 
+def test_check_structure_rejects_empty_and_placeholder():
+    # Empty, an AND placeholder would fail always: the engine would report
+    # the empty cut set and the oracle would not.
+    tree = mk_tree(("or", "a"))
+    tree.add(Gate("ph", GateOp.AND, placeholder_for="ghost"))
+    tree.gate(tree.root).children.append("ph")
+    with pytest.raises(ModelError, match="gate 'ph' is empty and not a software placeholder"):
+        tree.check_structure()
+
+
+def test_check_structure_accepts_empty_or_placeholder_and_returns_order():
+    tree = mk_tree(("or", "a", ("and", "b", "c")))
+    tree.add(Gate("ph", GateOp.OR, placeholder_for="ghost"))
+    tree.gate(tree.root).children.append("ph")
+    order = tree.check_structure()
+    assert order == tree.topological_nodes()
+    assert order[-1] == tree.root
+    assert set(order) == set(tree.reachable())
+
+
 def test_check_structure_rejects_dangling_child():
     tree = FaultTree(model_name="t", root="g")
     tree.add(Gate("g", GateOp.OR, children=["missing"]))

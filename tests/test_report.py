@@ -172,6 +172,18 @@ def test_import_rejects_bad_documents():
         import_ft(bad_kind)
 
 
+def test_import_rejects_empty_and_placeholder():
+    doc = (
+        '{"schema": "resha/1", "root": "top", "nodes": ['
+        '{"id": "top", "kind": "gate", "op": "or", "children": ["a", "ph"]},'
+        '{"id": "a", "kind": "event", "category": "hw_stochastic"},'
+        '{"id": "ph", "kind": "gate", "op": "and", "children": [], "placeholder_for": "c"}]}'
+    )
+    with pytest.raises(ModelError, match="gate 'ph' is empty and not a software placeholder"):
+        import_ft(doc)
+    assert import_ft(doc.replace('"op": "and"', '"op": "or"')).gate("ph").unresolved
+
+
 def test_cutsets_csv(qiasp_result):
     text = cutsets_csv(qiasp_result.collection, qiasp_result.injected_tree)
     rows = list(csv.reader(io.StringIO(text)))
