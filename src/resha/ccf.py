@@ -16,7 +16,6 @@ independent failure event, so one group can defeat redundancy on its own.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 from .ftree import BasicEvent, EventCategory, FaultTree, Gate
@@ -208,7 +207,7 @@ def inject_ccf_events(tree: FaultTree, groups: list[CcfGroup]) -> FaultTree:
     component's failure gate.  A shared node with several parents models the
     common cause: the one event fails every member at once.
     """
-    out = copy.deepcopy(tree)
+    out = tree.copy()
     containing: dict[str, list[str]] = {}
     for gate in out.gates():
         for child in gate.children:

@@ -22,8 +22,7 @@ filled by :func:`integrate_software`.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Iterator, Union
 
@@ -110,6 +109,15 @@ class FaultTree:
             raise ModelError(f"duplicate node id '{node.id}'")
         self.nodes[node.id] = node
         return node
+
+    def copy(self) -> FaultTree:
+        """A tree whose gates and child lists are new and whose basic events
+        are shared; no stage mutates a basic event."""
+        nodes: dict[str, Node] = {
+            node_id: replace(node, children=list(node.children)) if isinstance(node, Gate) else node
+            for node_id, node in self.nodes.items()
+        }
+        return FaultTree(self.model_name, self.root, nodes, self.include_hw_design)
 
     def parents_of(self) -> dict[str, list[str]]:
         parents: dict[str, list[str]] = {node_id: [] for node_id in self.nodes}
@@ -379,7 +387,7 @@ def integrate_software(tree: FaultTree, instances: list["UcaUifInstance"]) -> Fa
     Each instance becomes a software basic event under its owner's
     software-design placeholder gate.  The input tree is not modified.
     """
-    out = copy.deepcopy(tree)
+    out = tree.copy()
     placeholders = {
         gate.placeholder_for: gate for gate in out.gates() if gate.placeholder_for is not None
     }

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import re
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator
@@ -265,7 +266,12 @@ def base_id(component_id: str) -> str:
 
 
 class ModelIndex:
-    """Lookup tables over a model; duplicate ids keep the first occurrence."""
+    """Lookup tables over a model; duplicate ids keep the first occurrence.
+
+    The index is a snapshot taken when it is built: it must not outlive a
+    change to its model.  Links are grouped by target once, and the
+    downstream adjacency is built at most once, on first use.
+    """
 
     def __init__(self, model: SystemModel):
         self.model = model
@@ -278,6 +284,9 @@ class ModelIndex:
         self.resources: dict[str, SharedResource] = {}
         self.groups: dict[str, RedundancyGroup] = {}
         self.division_of: dict[str, str] = {}
+        # target id -> links naming it, in model.links() order, each once.
+        self._targeting: dict[str, list[Link]] = {}
+        self._downstream: dict[str, list[str]] | None = None
         for loss in model.losses:
             self.losses.setdefault(loss.id, loss)
         for hazard in model.hazards:
@@ -291,6 +300,8 @@ class ModelIndex:
                 self.division_of.setdefault(component.id, division.id)
                 for link in component.links:
                     self.links.setdefault(link.id, link)
+                    for target in dict.fromkeys(link.targets):
+                        self._targeting.setdefault(target, []).append(link)
         for resource in model.shared_resources:
             self.resources.setdefault(resource.id, resource)
         for group in model.redundancy_groups:
@@ -301,7 +312,7 @@ class ModelIndex:
         return found[0] if found else None
 
     def links_targeting(self, component_id: str) -> list[Link]:
-        return [link for link in self.model.links() if component_id in link.targets]
+        return list(self._targeting.get(component_id, ()))
 
     def is_feedback_edge(self, consumer: Component, source_id: str, port: str | None) -> bool:
         for ref in consumer.feedback_inputs:
@@ -329,13 +340,18 @@ class ModelIndex:
         return {c.id: self.dependency_sources(c) for c in self.model.components()}
 
     def downstream_adjacency(self) -> dict[str, list[str]]:
-        """source id -> ordered consumer ids (inverse of dependency edges)."""
-        down: dict[str, list[str]] = {c.id: [] for c in self.model.components()}
-        for consumer in self.model.components():
-            for source in self.dependency_sources(consumer):
-                if source in down and consumer.id not in down[source]:
-                    down[source].append(consumer.id)
-        return down
+        """source id -> ordered consumer ids (inverse of dependency edges).
+
+        Built on the first call and shared by later ones; do not mutate it.
+        """
+        if self._downstream is None:
+            down: dict[str, list[str]] = {c.id: [] for c in self.model.components()}
+            for consumer in self.model.components():
+                for source in self.dependency_sources(consumer):
+                    if source in down and consumer.id not in down[source]:
+                        down[source].append(consumer.id)
+            self._downstream = down
+        return self._downstream
 
     def transitive_digital_dependents(self, component_id: str) -> list[str]:
         """Digital components in the same division reachable downstream.
@@ -346,10 +362,10 @@ class ModelIndex:
         division = self.division_of.get(component_id)
         down = self.downstream_adjacency()
         seen: set[str] = {component_id}
-        frontier = [component_id]
+        frontier = deque([component_id])
         collected: list[str] = []
         while frontier:
-            current = frontier.pop(0)
+            current = frontier.popleft()
             for nxt in down.get(current, []):
                 if nxt in seen:
                     continue
@@ -538,9 +554,18 @@ def topological_order(model: SystemModel) -> list[str]:
 def validate_model(model: SystemModel) -> ValidationReport:
     """Structural validation.  Total: collects violations, never raises.
 
-    Reference and cycle checks run against a throwaway replication-expanded
-    copy so that documents may reference replica components (``x__B``)
-    before expansion.
+    Reference and cycle checks run against a replication-expanded copy so
+    that documents may reference replica components (``x__B``) before
+    expansion.
+    """
+    return _validate_and_expand(model)[0]
+
+
+def _validate_and_expand(model: SystemModel) -> tuple[ValidationReport, SystemModel]:
+    """``validate_model`` plus the expanded copy it checked.
+
+    When expansion fails the report says so and the authored model is
+    returned in its place.
     """
     report = ValidationReport()
     _validate_declarations(model, report)
@@ -553,7 +578,7 @@ def validate_model(model: SystemModel) -> ValidationReport:
         report.violations.append(Violation("replication", "replication expansion recursed"))
         expanded = model
     _validate_references(expanded, report)
-    return report
+    return report, expanded
 
 
 def _validate_declarations(model: SystemModel, report: ValidationReport) -> None:
@@ -630,6 +655,8 @@ def _validate_references(model: SystemModel, report: ValidationReport) -> None:
     for op in operators:
         if op.tech is not Technology.HUMAN:
             bad("operator-tech", f"operator '{op.id}' must have tech human", op.span)
+        if not idx.dependency_sources(op):
+            bad("operator-no-sources", f"operator '{op.id}' has no information sources", op.span)
 
     for component in model.components():
         if component.design_class not in idx.design_classes:

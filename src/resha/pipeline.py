@@ -21,7 +21,7 @@ from .ftree import (
     integrate_software,
     synthesize_hardware_ft,
 )
-from .model import SystemModel, ValidationReport, expand_replication, validate_model
+from .model import SystemModel, ValidationReport, _validate_and_expand
 from .report import (
     GuidanceReport,
     SummaryInput,
@@ -104,10 +104,9 @@ def analyze_model(model: SystemModel, options: PipelineOptions | None = None) ->
     all later stages run on the replication-expanded model.
     """
     options = options or PipelineOptions()
-    validation = validate_model(model)
+    validation, expanded = _validate_and_expand(model)
     if not validation.ok:
         raise ValidationFailed(validation)
-    expanded = expand_replication(model)
     structure = extract_control_structure(expanded)
     candidates = enumerate_candidates(structure)
     instances = apply_applicability(candidates, expanded)

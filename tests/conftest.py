@@ -61,6 +61,29 @@ division MAIN {
 """
 
 
+def scaled_qiasp(text: str, divisions: int) -> str:
+    """The bundled model with replicas C, D, ... of division A, up to
+    ``divisions`` divisions, added by three text edits: one ``replicates``
+    line per replica, the replica in the redundancy group's ``members:``,
+    and its ``display_interface`` in the operator terminal's ``inputs:``."""
+    extra = string.ascii_uppercase[2:divisions]
+    for old, new in (
+        (
+            "division B replicates A\n",
+            "division B replicates A\n" + "".join(f"division {d} replicates A\n" for d in extra),
+        ),
+        ("members: A, B", "members: A, B" + "".join(f", {d}" for d in extra)),
+        (
+            "inputs: display_interface, display_interface__B",
+            "inputs: display_interface, display_interface__B"
+            + "".join(f", display_interface__{d}" for d in extra),
+        ),
+    ):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    return text
+
+
 @pytest.fixture(scope="session")
 def qiasp_text() -> str:
     return bundled_model_path().read_text(encoding="utf-8")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import MINI_MODEL, mk_tree
+from conftest import MINI_MODEL, mk_tree, scaled_qiasp
 from resha.ccf import (
     CcfGroup,
     classify_ccf_type,
@@ -13,13 +13,16 @@ from resha.ccf import (
     inject_ccf_events,
 )
 from resha.dsl import parse_model
-from resha.ftree import EventCategory, synthesize_hardware_ft
+from resha.ftree import EventCategory, FaultTree, Gate, integrate_software, synthesize_hardware_ft
 from resha.model import (
     FailureModeType,
     ModelError,
     RedundancyLevel,
+    SystemModel,
     expand_replication,
 )
+from resha.pipeline import PipelineOptions, analyze_text
+from resha.report import export_ft
 from resha.stpa import apply_applicability, enumerate_candidates, extract_control_structure
 
 MULTI_TARGET = """\
@@ -269,3 +272,51 @@ def test_injection_is_idempotent(qiasp_result):
     twice = inject_ccf_events(once, qiasp_result.groups)
     assert list(twice.nodes) == list(once.nodes)
     assert [g.children for g in twice.gates()] == [g.children for g in once.gates()]
+
+
+def test_detection_scans_the_links_a_constant_number_of_times(qiasp_text, monkeypatch):
+    result = analyze_text(scaled_qiasp(qiasp_text, 8), "qiasp8.resha", PipelineOptions(max_order=1))
+    n_links = sum(1 for _ in result.expanded.links())
+    calls = steps = 0
+    plain_links = SystemModel.links
+
+    def counted_links(self):
+        nonlocal calls, steps
+        calls += 1
+        for link in plain_links(self):
+            steps += 1
+            yield link
+
+    monkeypatch.setattr(SystemModel, "links", counted_links)
+    groups = detect_ccf_groups(result.expanded, result.instances)
+    assert groups == result.groups
+    assert calls <= 2
+    assert steps <= 2 * n_links
+
+
+def _assert_copied(before: FaultTree, after: FaultTree) -> None:
+    """``after`` shares no gate and no child list with ``before``."""
+    for gate in before.gates():
+        copy = after.nodes[gate.id]
+        assert isinstance(copy, Gate)
+        assert copy is not gate
+        assert copy.children is not gate.children
+
+
+def test_integration_and_injection_leave_their_input_tree_unchanged(qiasp_result):
+    hardware = qiasp_result.hardware_tree
+    hardware_bytes = export_ft(hardware)
+    integrated = integrate_software(hardware, qiasp_result.instances)
+    assert export_ft(hardware) == hardware_bytes
+    _assert_copied(hardware, integrated)
+
+    integrated_bytes = export_ft(integrated)
+    injected = inject_ccf_events(integrated, qiasp_result.groups)
+    assert export_ft(integrated) == integrated_bytes
+    _assert_copied(integrated, injected)
+    assert export_ft(injected) == export_ft(qiasp_result.injected_tree)
+
+
+def test_trees_before_injection_hold_no_ccf_events(qiasp_result):
+    for tree in (qiasp_result.hardware_tree, qiasp_result.integrated_tree):
+        assert not [e for e in tree.events() if e.category is EventCategory.CCF]

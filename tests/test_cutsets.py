@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mk_tree, random_tree
+from conftest import mk_tree, random_tree, scaled_qiasp
 from resha.cutsets import (
     ORACLE_EVENT_BOUND,
     brute_force_oracle,
@@ -208,18 +208,7 @@ def test_engine_matches_reference_on_qiasp(qiasp_result):
 
 
 def test_engine_matches_reference_on_three_divisions_at_order_2(qiasp_text):
-    # The three edits that add a replicated division C to the bundled model.
-    text = qiasp_text
-    for old, new in (
-        ("division B replicates A\n", "division B replicates A\ndivision C replicates A\n"),
-        ("members: A, B", "members: A, B, C"),
-        (
-            "inputs: display_interface, display_interface__B",
-            "inputs: display_interface, display_interface__B, display_interface__C",
-        ),
-    ):
-        assert text.count(old) == 1
-        text = text.replace(old, new)
+    text = scaled_qiasp(qiasp_text, 3)
     result = analyze_text(text, "qiasp3.resha", PipelineOptions(max_order=2))
     assert {i.division for i in result.instances} == {"A", "B", "C"}
     reference = reference_minimal_cut_sets(result.injected_tree, max_order=2)

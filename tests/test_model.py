@@ -30,6 +30,7 @@ from resha.model import (
     topological_order,
     validate_model,
 )
+from resha.pipeline import ValidationFailed, analyze_text
 
 
 def _codes(model: SystemModel) -> set[str]:
@@ -108,6 +109,18 @@ def test_operator_must_be_human():
     op = _operator()
     op.tech = Technology.DIGITAL
     assert "operator-tech" in _codes(_shell(op))
+
+
+def test_operator_without_sources_flagged_at_its_span(qiasp_text):
+    text = qiasp_text.replace("    inputs: operator_terminal\n", "", 1)
+    assert text != qiasp_text
+    report = validate_model(parse_model(text, "qiasp.resha"))
+    [violation] = [v for v in report.violations if v.code == "operator-no-sources"]
+    assert "control_room_operator" in violation.message
+    assert str(violation.span).startswith("qiasp.resha:146:")
+    assert report.violations == [violation]
+    with pytest.raises(ValidationFailed):
+        analyze_text(text, "qiasp.resha")
 
 
 def test_unknown_references_flagged():
