@@ -3,15 +3,23 @@
 The engine works on integer bitsets: each basic event reachable from the
 root gets one bit, numbered in canonical (category, id) order, so a cut set
 is an ``int`` and a family a ``set[int]``.  Families combine bottom-up with
-memoization, so shared subtrees are computed once: OR nodes union their
-children's families (a lone non-empty child's family passes through), AND
-nodes cross-combine them with ``a | b``, and each new family is minimized by
-absorbing sets into strictly smaller kept ones, singletons through one
-OR-mask.  An optional order bound prunes sets by ``int.bit_count`` during
-combination, which is sound for monotone trees (dropping a set can never
-create a new minimal set at or below the bound); without a bound the result
-is exact.  Sets become member tuples only at the end, sorted by order and
-then by bit indices, which is the canonical (order, members) order.
+memoization, so shared subtrees are computed once.  OR nodes union their
+children's families (a lone non-empty child's family passes through) and
+minimize the union by absorbing sets into strictly smaller kept ones,
+singletons through one OR-mask.  AND nodes fold their children pairwise, and
+each pair is factored first: a singleton found in both families is a
+minimal set of the product and, the families being minimal, no other set of
+either holds its event, so it passes straight through.  When what remains
+of the two families has disjoint supports (independent modules, as the
+divisions under an ``all_must_fail`` gate are once their shared CCF events
+pass through), every union ``a | b`` is already minimal and has order
+``|a| + |b|``, so only the pairs within the bound are built and nothing is
+minimized; otherwise the remainders are crossed and minimized.  An optional
+order bound prunes sets by ``int.bit_count`` during combination, which is
+sound for monotone trees (dropping a set can never create a new minimal set
+at or below the bound); without a bound the result is exact.  Sets become
+member tuples only at the end, sorted by order and then by bit indices,
+which is the canonical (order, members) order.
 
 ``brute_force_oracle`` recomputes the same answer from the definition by
 evaluating the tree on every event assignment, packed as truth-table
@@ -108,7 +116,35 @@ def _minimize(family: set[int], bound: int) -> set[int]:
 
 
 def _and_combine(left: set[int], right: set[int], bound: int) -> set[int]:
-    return _minimize({u for a in left for b in right if (u := a | b).bit_count() <= bound}, bound)
+    """Minimal sets of ``{a | b}`` over two minimal families within the bound."""
+    # A singleton in both inputs is a minimal set of the product, and since
+    # each input is minimal no other set of either input holds its event.
+    common = {cut for cut in left & right if cut.bit_count() == 1}
+    if common:
+        left = left - common
+        right = right - common
+    left_mask = right_mask = 0
+    for cut in left:
+        left_mask |= cut
+    for cut in right:
+        right_mask |= cut
+    if left_mask & right_mask:
+        return common | _minimize(
+            {u for a in left for b in right if (u := a | b).bit_count() <= bound}, bound
+        )
+    # Disjoint supports: every union is minimal and its order is the sum of
+    # its parts' orders, so build only the pairs within the bound.
+    by_order: dict[int, list[int]] = {}
+    for b in right:
+        by_order.setdefault(b.bit_count(), []).append(b)
+    sizes = sorted(by_order)
+    for a in left:
+        room = bound - a.bit_count()
+        for size in sizes:
+            if size > room:
+                break
+            common.update(a | b for b in by_order[size])
+    return common
 
 
 def _collection_from(

@@ -166,27 +166,36 @@ class FaultTree:
         return self.topological_nodes()
 
     def topological_nodes(self) -> list[str]:
-        """Children-first order over reachable nodes; raises on cycles."""
-        WHITE, GREY, BLACK = 0, 1, 2
-        color: dict[str, int] = {}
-        order: list[str] = []
+        """Children-first order over reachable nodes; raises on cycles.
 
-        def visit(node_id: str) -> None:
-            state = color.get(node_id, WHITE)
-            if state == BLACK:
-                return
-            if state == GREY:
-                raise ModelError(f"fault tree contains a cycle through '{node_id}'")
-            color[node_id] = GREY
+        A depth-first walk with an explicit stack, so a tree of any depth
+        is ordered without recursion."""
+        GREY, BLACK = 1, 2
+
+        def frame(node_id: str) -> tuple[str, Iterator[str]]:
+            # A node on the current path and its children not yet looked at.
             node = self.nodes[node_id]
-            if isinstance(node, Gate):
-                for child in node.children:
-                    if child in self.nodes:
-                        visit(child)
-            color[node_id] = BLACK
-            order.append(node_id)
+            return node_id, iter(node.children if isinstance(node, Gate) else ())
 
-        visit(self.root)
+        color: dict[str, int] = {self.root: GREY}
+        order: list[str] = []
+        stack = [frame(self.root)]
+        while stack:
+            node_id, children = stack[-1]
+            for child in children:
+                if child not in self.nodes:
+                    continue
+                state = color.get(child)
+                if state == GREY:
+                    raise ModelError(f"fault tree contains a cycle through '{child}'")
+                if state is None:
+                    color[child] = GREY
+                    stack.append(frame(child))
+                    break
+            else:
+                stack.pop()
+                color[node_id] = BLACK
+                order.append(node_id)
         return order
 
     def evaluate(self, failed: set[str]) -> bool:

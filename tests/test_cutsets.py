@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import random
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mk_tree, random_tree, scaled_qiasp
+from resha import cutsets
 from resha.cutsets import (
     ORACLE_EVENT_BOUND,
     brute_force_oracle,
@@ -50,6 +54,15 @@ def test_diamond():
 def test_nested_diamond():
     spec = ("or", ("and", "a", "b"), ("and", "a", "b", "c"), ("and", "d", ("or", "a", "d")))
     assert sets_of(mk_tree(spec)) == {frozenset({"a", "b"}), frozenset({"d"})}
+
+
+def test_and_of_families_sharing_a_larger_set():
+    # {x, y} is in both families; {x, p} x {y, q} gives {x, y, p, q}, which
+    # {x, y} absorbs.
+    left = ("or", ("and", "x", "y"), ("and", "x", "p"))
+    right = ("or", ("and", "x", "y"), ("and", "y", "q"))
+    tree = mk_tree(("and", left, right))
+    assert sets_of(tree) == {frozenset({"x", "y"})}
 
 
 def test_three_way_redundancy():
@@ -176,30 +189,36 @@ def test_truncated_engine_is_sound(seed, bound):
 
 
 def covering_random_tree(rng: random.Random, min_events: int, max_events: int) -> FaultTree:
-    """A random monotone DAG in which every event is reachable from the root.
+    """A random monotone DAG in which every event is reachable from the root."""
+    tree = FaultTree(model_name="random", root="")
+    tree.root = add_covering_subtree(tree, rng, "", rng.randint(min_events, max_events))
+    return tree
+
+
+def add_covering_subtree(tree: FaultTree, rng: random.Random, prefix: str, n_events: int) -> str:
+    """Add ``n_events`` fresh events and random gates over them, all reachable
+    from the returned node id; ids start with ``prefix``.
 
     Each gate takes one to three nodes no gate has taken yet, plus up to two
-    shared ones; the last open node becomes the root.
+    shared ones; the last open node is the subtree's root.
     """
-    tree = FaultTree(model_name="random", root="")
     pool: list[str] = []
     categories = list(EventCategory)
-    for i in range(rng.randint(min_events, max_events)):
+    for i in range(n_events):
         category = rng.choice(categories)
         software = category in (EventCategory.SW_UCA, EventCategory.SW_UIF, EventCategory.CCF)
-        tree.add(BasicEvent(f"e{i}", category, software=software))
-        pool.append(f"e{i}")
+        tree.add(BasicEvent(f"{prefix}e{i}", category, software=software))
+        pool.append(f"{prefix}e{i}")
     open_ids = list(pool)
     while len(open_ids) > 1:
         take = min(len(open_ids), rng.randint(1, 3))
         children = [open_ids.pop(rng.randrange(len(open_ids))) for _ in range(take)]
         children += [c for c in rng.sample(pool, rng.randint(0, 2)) if c not in children]
-        gate = Gate(f"g{len(pool)}", rng.choice((GateOp.AND, GateOp.OR)), children)
+        gate = Gate(f"{prefix}g{len(pool)}", rng.choice((GateOp.AND, GateOp.OR)), children)
         tree.add(gate)
         open_ids.append(gate.id)
         pool.append(gate.id)
-    tree.root = open_ids[0]
-    return tree
+    return open_ids[0]
 
 
 def test_engine_matches_reference_on_qiasp(qiasp_result):
@@ -245,3 +264,103 @@ def test_result_is_independent_of_node_and_child_order(seed, bound):
     expected = minimal_cut_sets(tree, bound).sets
     for _ in range(3):
         assert minimal_cut_sets(_permuted(tree, rng), bound).sets == expected
+
+
+@contextlib.contextmanager
+def spied_engine():
+    """Record the path each ``_and_combine`` call takes ("fallback" when it
+    minimizes a cross product, "disjoint" when it does not) and the size of
+    every family ``_minimize`` receives."""
+    seen = SimpleNamespace(paths=[], sizes=[])
+    minimized: list[bool] = []
+    and_combine, minimize = cutsets._and_combine, cutsets._minimize
+
+    def spy_minimize(family, bound):
+        seen.sizes.append(len(family))
+        if minimized:
+            minimized[-1] = True
+        return minimize(family, bound)
+
+    def spy_and_combine(left, right, bound):
+        minimized.append(False)
+        try:
+            return and_combine(left, right, bound)
+        finally:
+            seen.paths.append("fallback" if minimized.pop() else "disjoint")
+
+    with mock.patch.object(cutsets, "_minimize", spy_minimize), mock.patch.object(
+        cutsets, "_and_combine", spy_and_combine
+    ):
+        yield seen
+
+
+def redundant_branches_tree(rng: random.Random, shared_inside: bool) -> FaultTree:
+    """An AND over two or three branches with private events and subtrees.
+
+    Without ``shared_inside``, one to two common events are ORed into every
+    branch, as CCF injection does, so the branches share only singletons.
+    With it, every branch also holds ``AND(s, x)`` for a shared event ``s``
+    and a fresh ``x``, so the branches share an event inside larger sets;
+    with two shared events, half of the time every branch also holds
+    ``AND(s0, s1)``, a larger set found in every family.  Common singletons
+    are added half of the time.
+    """
+    tree = FaultTree(model_name="branches", root="top")
+    shared = [f"s{i}" for i in range(rng.randint(1, 2))] if shared_inside else []
+    common = [f"c{i}" for i in range(rng.randint(1, 2))]
+    if shared_inside and rng.random() < 0.5:
+        common = []
+    for event_id in shared + common:
+        tree.add(BasicEvent(event_id, EventCategory.CCF, software=True))
+    if len(shared) == 2 and rng.random() < 0.5:
+        tree.add(Gate("pair", GateOp.AND, list(shared)))
+        common.append("pair")
+    branches = []
+    for b in range(rng.randint(2, 3)):
+        n_private = rng.randint(1, 2 if shared_inside else 3)
+        children = [add_covering_subtree(tree, rng, f"b{b}", n_private)]
+        for s in shared:
+            tree.add(BasicEvent(f"b{b}x{s}", EventCategory.HW_STOCHASTIC))
+            tree.add(Gate(f"b{b}and{s}", GateOp.AND, [s, f"b{b}x{s}"]))
+            children.append(f"b{b}and{s}")
+        tree.add(Gate(f"b{b}", GateOp.OR, children + common))
+        branches.append(f"b{b}")
+    tree.add(Gate("top", GateOp.AND, branches))
+    return tree
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_and_paths_match_reference_and_oracle(seed):
+    rng = random.Random(seed)
+    taken: set[str] = set()
+    for shared_inside in (False, True):
+        tree = redundant_branches_tree(rng, shared_inside)
+        assert len(tree.reachable_events()) <= 16
+        exact = brute_force_oracle(tree).sets
+        for bound in (None, 1, 2, 3):
+            with spied_engine() as seen:
+                engine = minimal_cut_sets(tree, bound)
+            if bound is None:
+                taken.update(seen.paths)
+            assert engine.sets == reference_minimal_cut_sets(tree, bound).sets
+            assert engine.sets == [s for s in exact if bound is None or len(s) <= bound]
+    assert taken == {"disjoint", "fallback"}
+
+
+def test_division_and_minimizes_no_large_family(qiasp_result, qiasp_text):
+    # Both reached 7378 sets when the division AND minimized its full product.
+    with spied_engine() as seen:
+        minimal_cut_sets(qiasp_result.injected_tree)
+    assert max(seen.sizes) < 3000
+    three = analyze_text(scaled_qiasp(qiasp_text, 3), "qiasp3.resha", PipelineOptions(max_order=2))
+    with spied_engine() as seen:
+        minimal_cut_sets(three.injected_tree, 2)
+    assert max(seen.sizes) < 3000
+
+
+def test_four_divisions_at_order_3_equal_order_2(qiasp_text):
+    text = scaled_qiasp(qiasp_text, 4)
+    result = analyze_text(text, "qiasp4.resha", PipelineOptions(max_order=2))
+    assert result.collection.order_index() == {1: 44}
+    assert minimal_cut_sets(result.injected_tree, 3).sets == result.collection.sets

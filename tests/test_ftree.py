@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import MINI_MODEL, mk_tree
+from resha.cutsets import minimal_cut_sets
 from resha.dsl import parse_model
 from resha.ftree import (
     BasicEvent,
@@ -18,6 +19,7 @@ from resha.ftree import (
     unresolved_placeholders,
 )
 from resha.model import ModelError, expand_replication
+from resha.report import export_ft, import_ft
 from resha.stpa import UcaUifInstance, Flavor
 from resha.model import FailureModeType
 
@@ -234,6 +236,65 @@ def test_check_structure_rejects_cycle():
     tree.add(Gate("b", GateOp.OR, children=["a"]))
     with pytest.raises(ModelError, match="cycle"):
         tree.check_structure()
+
+
+def deep_chain(depth: int, back_to: str | None = None) -> FaultTree:
+    """``g0 = OR(g1, e0)``, ``g1 = OR(g2)``, ... down to ``AND(a, b)``, with
+    an event every 1000 levels; ``back_to`` closes a cycle at the bottom."""
+    tree = FaultTree(model_name="deep", root="g0")
+    for i in range(depth - 1):
+        children = [f"g{i + 1}"]
+        if i % 1000 == 0:
+            children.append(f"e{i}")
+            tree.add(BasicEvent(f"e{i}", EventCategory.HW_STOCHASTIC))
+        tree.add(Gate(f"g{i}", GateOp.OR, children))
+    bottom = ["a", "b"] + ([back_to] if back_to else [])
+    tree.add(Gate(f"g{depth - 1}", GateOp.AND, bottom))
+    tree.add(BasicEvent("a", EventCategory.HW_STOCHASTIC))
+    tree.add(BasicEvent("b", EventCategory.HW_STOCHASTIC))
+    return tree
+
+
+def test_deep_imported_chain_is_ordered_and_cut():
+    tree = import_ft(export_ft(deep_chain(5000)))
+    order = tree.topological_nodes()
+    assert order[0] == "a" and order[-1] == "g0"
+    assert len(order) == 5000 + 2 + 5
+    collection = minimal_cut_sets(tree)
+    assert collection.order_index() == {1: 5, 2: 1}
+    assert ("a", "b") in collection.sets
+
+
+def test_deep_cycle_is_a_model_error():
+    text = export_ft(deep_chain(5000, back_to="g2500"))
+    with pytest.raises(ModelError, match="^fault tree contains a cycle through 'g2500'$"):
+        import_ft(text)
+
+
+def recursive_topological_nodes(tree: FaultTree) -> list[str]:
+    """The children-first order by plain recursion, for shallow trees."""
+    order: list[str] = []
+    done: set[str] = set()
+
+    def visit(node_id: str) -> None:
+        if node_id in done:
+            return
+        done.add(node_id)
+        node = tree.nodes[node_id]
+        if isinstance(node, Gate):
+            for child in node.children:
+                if child in tree.nodes:
+                    visit(child)
+        order.append(node_id)
+
+    visit(tree.root)
+    return order
+
+
+def test_topological_order_matches_recursive_reference(qiasp_result):
+    result = qiasp_result
+    for tree in (result.hardware_tree, result.integrated_tree, result.injected_tree):
+        assert tree.topological_nodes() == recursive_topological_nodes(tree)
 
 
 def test_check_structure_rejects_event_root():
