@@ -1,6 +1,6 @@
 """Model-driven hazard analysis for redundant digital control architectures."""
 
-from .ccf import CcfGroup, classify_ccf_type, detect_ccf_groups, inject_ccf_events
+from .ccf import CcfGroup, detect_ccf_groups, inject_ccf_events
 from .cutsets import (
     CutSetCollection,
     FirstOrderReport,
@@ -75,7 +75,6 @@ __all__ = [
     "apply_applicability",
     "branch_census",
     "brute_force_oracle",
-    "classify_ccf_type",
     "detect_ccf_groups",
     "enumerate_candidates",
     "expand_replication",

@@ -1,4 +1,4 @@
-"""Software common cause failure detection, classification, and injection.
+"""Software common cause failure detection and injection.
 
 Four trigger patterns are recognized:
 
@@ -162,37 +162,8 @@ def detect_ccf_groups(model: SystemModel, instances: list[UcaUifInstance]) -> li
     )
 
 
-def classify_ccf_type(trigger: str, model: SystemModel) -> int:
-    """Classify a trigger id into a CCF type; ambiguity is an error."""
-    idx = ModelIndex(model)
-    matches: list[tuple[int, str]] = []
-    if trigger in idx.design_classes:
-        matches.append((4, "design class shared across divisions"))
-    resource = idx.resources.get(trigger)
-    if resource is not None:
-        if resource.scope is ResourceScope.EXTERNAL:
-            matches.append((3, "shared external resource"))
-        else:
-            matches.append((2, "shared internal resource"))
-    component = idx.components.get(trigger)
-    if component is not None:
-        commands = any(
-            link.kind is LinkKind.CONTROL_ACTION and len(set(link.targets)) >= 2
-            for link in component.links
-        )
-        if commands:
-            matches.append((1, "controller commanding multiple targets"))
-        if len(idx.transitive_digital_dependents(trigger)) >= 2:
-            matches.append((2, "output feeding multiple digital components"))
-    if not matches:
-        raise ModelError(f"trigger '{trigger}' matches no common cause failure rule")
-    if len(matches) > 1:
-        listed = "; ".join(f"Type {t} ({why})" for t, why in matches)
-        raise ModelError(f"trigger '{trigger}' is ambiguous: {listed}")
-    return matches[0][0]
-
-
 def count_by_type(groups: list[CcfGroup]) -> dict[int, int]:
+    """Groups per CCF type, with every type 1-4 present, in type order."""
     counts = {1: 0, 2: 0, 3: 0, 4: 0}
     for group in groups:
         counts[group.ccf_type] += 1

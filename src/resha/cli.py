@@ -1,10 +1,14 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 analysis findings (validation violations, golden
-mismatches), 2 usage, parse, or input errors.  Stages chain through files:
-``synth`` and ``integrate`` write fault-tree JSON that ``integrate``,
-``ccf`` and ``cutsets`` accept back via ``--ft``.  Set ``RESHA_NO_COLOR``
-to disable ANSI color on terminals.
+mismatches), 2 usage, parse, or input errors.  Every subcommand that
+analyses the model validates it first and exits 1 on any violation.
+Each subcommand runs the stages of ``pipeline.STAGES`` up to the value it
+prints.  Stages chain through files: ``synth`` and ``integrate`` write
+fault-tree JSON that ``integrate``, ``ccf`` and ``cutsets`` accept back via
+``--ft``; the imported tree stands in for the stage it replaces, so no
+stage upstream of it runs.  Set ``RESHA_NO_COLOR`` to disable ANSI color
+on terminals.
 """
 
 from __future__ import annotations
@@ -13,22 +17,21 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
-from .ccf import detect_ccf_groups, inject_ccf_events
-from .cutsets import first_order_cut_sets, minimal_cut_sets
+from .ccf import count_by_type
 from .dsl import ParseError, parse_model
-from .ftree import branch_census, integrate_software, synthesize_hardware_ft
 from .golden import load_golden, verify_golden
-from .model import ModelError, SystemModel, expand_replication, validate_model
+from .model import ModelError, SystemModel, validate_model
 from .pipeline import (
     PipelineOptions,
     ValidationFailed,
     analyze_model,
     run_pipeline,
+    run_stages,
 )
 from .report import ccf_csv, cutsets_csv, export_ft, import_ft, render_summary, traceability_csv
-from .stpa import apply_applicability, enumerate_candidates, extract_control_structure
 
 
 def _color_enabled(stream) -> bool:
@@ -55,18 +58,19 @@ def _load_model(path: str) -> SystemModel:
     return parse_model(text, path)
 
 
-def _expanded(path: str) -> SystemModel:
-    return expand_replication(_load_model(path))
+def _options(args) -> PipelineOptions:
+    return PipelineOptions(
+        include_hw_design=getattr(args, "include_hw_design", False),
+        max_order=getattr(args, "max_order", None),
+    )
 
 
-def _tree_from(args, model: SystemModel):
-    """The integrated tree: imported via --ft when given, else recomputed."""
+def _run(args, *goals: str, ft_replaces: str | None = None) -> dict:
+    """Run the stages the goals need on the model, with ``--ft`` in place of ``ft_replaces``."""
+    values = {"model": _load_model(args.model), **asdict(_options(args))}
     if getattr(args, "ft", None):
-        return import_ft(Path(args.ft).read_text(encoding="utf-8"))
-    structure = extract_control_structure(model)
-    instances = apply_applicability(enumerate_candidates(structure), model)
-    hardware = synthesize_hardware_ft(model, getattr(args, "include_hw_design", False))
-    return integrate_software(hardware, instances)
+        values[ft_replaces] = import_ft(Path(args.ft).read_text(encoding="utf-8"))
+    return run_stages(values, *goals)
 
 
 def cmd_validate(args) -> int:
@@ -82,12 +86,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_stpa(args) -> int:
-    model = _expanded(args.model)
-    structure = extract_control_structure(model)
-    candidates = enumerate_candidates(structure)
-    instances = apply_applicability(candidates, model)
+    values = _run(args, "candidates", "instances")
+    candidates, instances = values["candidates"], values["instances"]
     if args.format == "csv":
-        _emit(traceability_csv(instances, model), args.out)
+        _emit(traceability_csv(instances, values["expanded"]), args.out)
     elif args.format == "json":
         payload = {
             "candidates": len(candidates),
@@ -117,10 +119,9 @@ def cmd_stpa(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    model = _expanded(args.model)
-    tree = synthesize_hardware_ft(model, args.include_hw_design)
-    _emit(export_ft(tree), args.out)
-    census = branch_census(tree)
+    values = _run(args, "hardware_tree", "census")
+    _emit(export_ft(values["hardware_tree"]), args.out)
+    census = values["census"]
     print(
         f"synthesized: {census.hw_stochastic} hw stochastic, {census.dependency} dependency, "
         f"{census.sw_design} sw design, {census.hw_design} hw design",
@@ -130,27 +131,17 @@ def cmd_synth(args) -> int:
 
 
 def cmd_integrate(args) -> int:
-    model = _expanded(args.model)
-    if args.ft:
-        tree = import_ft(Path(args.ft).read_text(encoding="utf-8"))
-    else:
-        tree = synthesize_hardware_ft(model, args.include_hw_design)
-    structure = extract_control_structure(model)
-    instances = apply_applicability(enumerate_candidates(structure), model)
-    integrated = integrate_software(tree, instances)
-    _emit(export_ft(integrated), args.out)
-    print(f"integrated {len(instances)} software instances", file=sys.stderr)
+    values = _run(args, "integrated_tree", ft_replaces="hardware_tree")
+    _emit(export_ft(values["integrated_tree"]), args.out)
+    print(f"integrated {len(values['instances'])} software instances", file=sys.stderr)
     return 0
 
 
 def cmd_ccf(args) -> int:
-    model = _expanded(args.model)
-    structure = extract_control_structure(model)
-    instances = apply_applicability(enumerate_candidates(structure), model)
-    groups = detect_ccf_groups(model, instances)
+    values = _run(args, "groups", ft_replaces="integrated_tree")
+    groups = values["groups"]
     if args.tree_out:
-        tree = _tree_from(args, model)
-        injected = inject_ccf_events(tree, groups)
+        injected = run_stages(values, "injected_tree")["injected_tree"]
         Path(args.tree_out).write_text(export_ft(injected), encoding="utf-8")
     if args.format == "csv":
         _emit(ccf_csv(groups), args.out)
@@ -168,28 +159,16 @@ def cmd_ccf(args) -> int:
         ]
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
-        counts = {1: 0, 2: 0, 3: 0, 4: 0}
-        for group in groups:
-            counts[group.ccf_type] += 1
-        lines = [f"Type {t} sCCF: {counts[t]}" for t in (1, 2, 3, 4)]
+        counts = count_by_type(groups)
+        lines = [f"Type {t} sCCF: {n}" for t, n in counts.items()]
         lines += [f"{g.id}  trigger {g.trigger}  members {len(g.members)}" for g in groups]
         _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def cmd_cutsets(args) -> int:
-    model = _expanded(args.model)
-    if args.ft:
-        tree = import_ft(Path(args.ft).read_text(encoding="utf-8"))
-    else:
-        structure = extract_control_structure(model)
-        instances = apply_applicability(enumerate_candidates(structure), model)
-        hardware = synthesize_hardware_ft(model, args.include_hw_design)
-        integrated = integrate_software(hardware, instances)
-        groups = detect_ccf_groups(model, instances)
-        tree = inject_ccf_events(integrated, groups)
-    collection = minimal_cut_sets(tree, args.max_order)
-    first = first_order_cut_sets(collection, tree)
+    values = _run(args, "collection", "first_order", ft_replaces="injected_tree")
+    collection, first, tree = values["collection"], values["first_order"], values["injected_tree"]
     if args.format == "csv":
         _emit(cutsets_csv(collection, tree), args.out)
     else:
@@ -206,24 +185,13 @@ def cmd_cutsets(args) -> int:
 
 
 def cmd_report(args) -> int:
-    model = _load_model(args.model)
-    options = PipelineOptions(include_hw_design=args.include_hw_design, max_order=args.max_order)
-    try:
-        result = analyze_model(model, options)
-    except ValidationFailed as exc:
-        print(str(exc.report), file=sys.stderr)
-        return 1
+    result = analyze_model(_load_model(args.model), _options(args))
     _emit(render_summary(result.summary_input(), args.format), args.out)
     return 0
 
 
 def cmd_pipeline(args) -> int:
-    options = PipelineOptions(include_hw_design=args.include_hw_design, max_order=args.max_order)
-    try:
-        result, paths = run_pipeline(Path(args.model), Path(args.out_dir), options)
-    except ValidationFailed as exc:
-        print(str(exc.report), file=sys.stderr)
-        return 1
+    result, paths = run_pipeline(Path(args.model), Path(args.out_dir), _options(args))
     for path in paths:
         print(f"wrote {path}")
     print(
@@ -234,12 +202,7 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_verify_golden(args) -> int:
-    model = _load_model(args.model)
-    try:
-        result = analyze_model(model)
-    except ValidationFailed as exc:
-        print(str(exc.report), file=sys.stderr)
-        return 1
+    result = analyze_model(_load_model(args.model))
     golden = load_golden(Path(args.golden))
     report = verify_golden(result, golden)
     for field_result in report.fields:
@@ -316,6 +279,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ValidationFailed as exc:
+        print(str(exc.report), file=sys.stderr)
+        return 1
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -3,8 +3,9 @@ detect, inject, solve, and report."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Any, Callable
 
 from .ccf import CcfGroup, detect_ccf_groups, inject_ccf_events
 from .cutsets import (
@@ -97,43 +98,63 @@ class AnalysisResult:
         )
 
 
+def _expand_valid(model: SystemModel) -> SystemModel:
+    """The replication-expanded model; raises ValidationFailed on any violation."""
+    validation, expanded = _validate_and_expand(model)
+    if not validation.ok:
+        raise ValidationFailed(validation)
+    return expanded
+
+
+# The analysis chain, declared once: each value name maps to the function
+# that computes it and the names of that function's inputs, in the order of
+# AnalysisResult's fields.  The caller gives ``model`` and the
+# PipelineOptions fields (``include_hw_design``, ``max_order``).
+STAGES: dict[str, tuple[Callable[..., Any], tuple[str, ...]]] = {
+    "expanded": (_expand_valid, ("model",)),
+    "structure": (extract_control_structure, ("expanded",)),
+    "candidates": (enumerate_candidates, ("structure",)),
+    "instances": (apply_applicability, ("candidates", "expanded")),
+    "hardware_tree": (synthesize_hardware_ft, ("expanded", "include_hw_design")),
+    "census": (branch_census, ("hardware_tree",)),
+    "integrated_tree": (integrate_software, ("hardware_tree", "instances")),
+    "groups": (detect_ccf_groups, ("expanded", "instances")),
+    "injected_tree": (inject_ccf_events, ("integrated_tree", "groups")),
+    "collection": (minimal_cut_sets, ("injected_tree", "max_order")),
+    "first_order": (first_order_cut_sets, ("collection", "injected_tree")),
+    "guidance": (generate_guidance, ("expanded", "groups", "first_order", "injected_tree", "instances")),
+}
+
+
+def run_stages(values: dict[str, Any], *goals: str) -> dict[str, Any]:
+    """Compute each goal, and only the stages it needs, into ``values``.
+
+    A value already in ``values`` is used as it is, so a tree imported in
+    place of a stage's output means nothing upstream of that stage runs.
+    Returns ``values``.
+    """
+    for goal in goals:
+        if goal not in values:
+            function, inputs = STAGES[goal]
+            run_stages(values, *inputs)
+            values[goal] = function(*(values[name] for name in inputs))
+    return values
+
+
 def analyze_model(model: SystemModel, options: PipelineOptions | None = None) -> AnalysisResult:
-    """Run every stage on an authored model.
+    """Run every stage on an authored model, in STAGES order.
 
     Raises ValidationFailed when structural validation reports violations;
     all later stages run on the replication-expanded model.
     """
     options = options or PipelineOptions()
-    validation, expanded = _validate_and_expand(model)
-    if not validation.ok:
-        raise ValidationFailed(validation)
-    structure = extract_control_structure(expanded)
-    candidates = enumerate_candidates(structure)
-    instances = apply_applicability(candidates, expanded)
-    hardware_tree = synthesize_hardware_ft(expanded, options.include_hw_design)
-    census = branch_census(hardware_tree)
-    integrated_tree = integrate_software(hardware_tree, instances)
-    groups = detect_ccf_groups(expanded, instances)
-    injected_tree = inject_ccf_events(integrated_tree, groups)
-    collection = minimal_cut_sets(injected_tree, options.max_order)
-    first_order = first_order_cut_sets(collection, injected_tree)
-    guidance = generate_guidance(expanded, groups, first_order, injected_tree, instances)
+    values = run_stages({"model": model, **asdict(options)}, *STAGES)
+    # The ``expanded`` stage raises on any violation, so this report is clean.
     return AnalysisResult(
         model=model,
-        expanded=expanded,
-        validation=validation,
-        structure=structure,
-        candidates=candidates,
-        instances=instances,
-        hardware_tree=hardware_tree,
-        census=census,
-        integrated_tree=integrated_tree,
-        groups=groups,
-        injected_tree=injected_tree,
-        collection=collection,
-        first_order=first_order,
-        guidance=guidance,
+        validation=ValidationReport(),
         options=options,
+        **{name: values[name] for name in STAGES},
     )
 
 

@@ -7,7 +7,7 @@ import io
 import json
 from dataclasses import dataclass, field
 
-from .ccf import CcfGroup
+from .ccf import CcfGroup, count_by_type
 from .cutsets import CutSetCollection, FirstOrderReport
 from .ftree import BasicEvent, BranchCensus, EventCategory, FaultTree, Gate, GateOp
 from .model import (
@@ -376,11 +376,8 @@ def render_summary(data: SummaryInput, fmt: str = "md") -> str:
     bullet(f"Hardware design events included: {'yes' if data.include_hw_design else 'no'}")
 
     heading("Common cause failures")
-    counts = {1: 0, 2: 0, 3: 0, 4: 0}
-    for group in data.groups:
-        counts[group.ccf_type] += 1
-    for ccf_type in (1, 2, 3, 4):
-        lines.append(f"Type {ccf_type} sCCF: {counts[ccf_type]}")
+    for ccf_type, count in count_by_type(data.groups).items():
+        lines.append(f"Type {ccf_type} sCCF: {count}")
     lines.append(f"Total sCCF groups: {len(data.groups)}")
 
     heading("Minimal cut sets")

@@ -1,4 +1,4 @@
-"""Common cause failure detection, classification, and injection."""
+"""Common cause failure detection and injection."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 from conftest import MINI_MODEL, mk_tree, scaled_qiasp
 from resha.ccf import (
     CcfGroup,
-    classify_ccf_type,
     count_by_type,
     detect_ccf_groups,
     inject_ccf_events,
@@ -162,40 +161,6 @@ def test_type3_external_resources_only():
     assert group.members == ["left", "right"]
     assert group.failure_type is None
     assert not group.software
-
-
-def test_classify_design_class(qiasp_result):
-    assert classify_ccf_type("DC-HJTC-CALC", qiasp_result.expanded) == 4
-
-
-def test_classify_interdependency(qiasp_result):
-    assert classify_ccf_type("hjtc_calculator", qiasp_result.expanded) == 2
-
-
-def test_classify_resources():
-    model, _ = analyzed(MULTI_TARGET)
-    assert classify_ccf_type("bus", model) == 3
-    assert classify_ccf_type("lan", model) == 2
-
-
-def test_classify_commanding_controller():
-    model, _ = analyzed(MULTI_TARGET)
-    assert classify_ccf_type("boss", model) == 1
-
-
-def test_classify_no_match():
-    model = parse_model(MINI_MODEL)
-    with pytest.raises(ModelError, match="matches no common cause failure rule"):
-        classify_ccf_type("ctrl", model)
-    with pytest.raises(ModelError, match="matches no common cause failure rule"):
-        classify_ccf_type("nonexistent", model)
-
-
-def test_classify_ambiguous():
-    text = MULTI_TARGET.replace("kind: sensor tech: analog", "kind: calculator tech: digital")
-    model, _ = analyzed(text)
-    with pytest.raises(ModelError, match="is ambiguous:"):
-        classify_ccf_type("boss", model)
 
 
 def test_count_by_type_always_four_keys():

@@ -12,8 +12,9 @@ import pytest
 
 from conftest import MINI_MODEL
 import resha
+import resha.model
 from resha.cli import _color_enabled, _style, main
-from resha.pipeline import ARTIFACT_NAMES, bundled_golden_path, bundled_model_path
+from resha.pipeline import ARTIFACT_NAMES, STAGES, bundled_golden_path, bundled_model_path
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +157,57 @@ def test_report_and_pipeline_reject_invalid_models(tmp_path, capsys):
     assert "H-9" in capsys.readouterr().err
     assert main(["pipeline", str(bad), "--out-dir", str(tmp_path / "out")]) == 1
     assert "H-9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["stpa", "synth", "integrate", "ccf", "cutsets"])
+def test_stage_commands_reject_invalid_models(command, tmp_path, capsys):
+    text = MINI_MODEL.replace("hazards: H-1", "hazards: H-9")
+    bad = tmp_path / "bad.resha"
+    bad.write_text(text, encoding="utf-8")
+    line = next(n for n, row in enumerate(text.splitlines(), 1) if "H-9" in row)
+    column = text.splitlines()[line - 1].index("A hazards: H-9") + 1
+    assert main([command, str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert f"{bad}:{line}:{column}: unknown-hazard:" in captured.err
+    assert captured.out == ""
+
+
+@pytest.fixture
+def stage_calls(monkeypatch) -> list[str]:
+    """Names of the stage functions and replication expansions run, in call order."""
+    calls: list[str] = []
+
+    def spy(function):
+        def recorded(*args):
+            calls.append(function.__name__)
+            return function(*args)
+
+        return recorded
+
+    for name, (function, inputs) in STAGES.items():
+        monkeypatch.setitem(STAGES, name, (spy(function), inputs))
+    monkeypatch.setattr(resha.model, "expand_replication", spy(resha.model.expand_replication))
+    return calls
+
+
+def test_ft_tree_replaces_its_stage(model_path, tmp_path, stage_calls):
+    hw, integrated, injected = (tmp_path / name for name in ("hw.json", "int.json", "inj.json"))
+    assert main(["synth", model_path, "--out", str(hw)]) == 0
+    assert {"expand_replication", "synthesize_hardware_ft"} <= set(stage_calls)
+
+    stage_calls.clear()
+    assert main(["integrate", model_path, "--ft", str(hw), "--out", str(integrated)]) == 0
+    assert "integrate_software" in stage_calls
+    assert "synthesize_hardware_ft" not in stage_calls
+
+    stage_calls.clear()
+    assert main(["ccf", model_path, "--ft", str(integrated), "--tree-out", str(injected)]) == 0
+    assert "inject_ccf_events" in stage_calls
+    assert not {"synthesize_hardware_ft", "integrate_software"} & set(stage_calls)
+
+    stage_calls.clear()
+    assert main(["cutsets", model_path, "--ft", str(injected), "--max-order", "1"]) == 0
+    assert stage_calls == ["minimal_cut_sets", "first_order_cut_sets"]
 
 
 def test_verify_golden_ok(model_path, capsys):
