@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ftree import BasicEvent, EventCategory, FaultTree, Gate
+from .ftree import BasicEvent, EventCategory, FaultTree
 from .model import (
     FailureModeType,
     LinkKind,
@@ -27,7 +27,6 @@ from .model import (
     RedundancyLevel,
     ResourceScope,
     SystemModel,
-    Technology,
 )
 from .stpa import UcaUifInstance
 
@@ -179,10 +178,7 @@ def inject_ccf_events(tree: FaultTree, groups: list[CcfGroup]) -> FaultTree:
     common cause: the one event fails every member at once.
     """
     out = tree.copy()
-    containing: dict[str, list[str]] = {}
-    for gate in out.gates():
-        for child in gate.children:
-            containing.setdefault(child, []).append(gate.id)
+    parents = out.parents_of()
 
     for group in groups:
         event_id = f"ccf:{group.id}"
@@ -195,7 +191,7 @@ def inject_ccf_events(tree: FaultTree, groups: list[CcfGroup]) -> FaultTree:
         for member in group.members:
             node = out.nodes.get(member)
             if isinstance(node, BasicEvent):
-                for gate_id in containing.get(member, []):
+                for gate_id in parents[member]:
                     attach(gate_id)
                 continue
             fail_gate = f"fail:{member}"
@@ -218,5 +214,4 @@ def inject_ccf_events(tree: FaultTree, groups: list[CcfGroup]) -> FaultTree:
             gate = out.gate(gate_id)
             if event_id not in gate.children:
                 gate.children.append(event_id)
-    out.check_structure()
     return out

@@ -16,8 +16,8 @@ The dependency gate partitions sources by redundancy groups: all_must_fail
 groups combine under AND, any_misleads under OR, leftovers attach directly.
 The root applies the same rule to the operator's sources.
 
-Software design gates start empty (flagged unresolved placeholders) and are
-filled by :func:`integrate_software`.
+Software design gates start empty (unresolved placeholders) and are filled
+by :func:`integrate_software`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from enum import Enum
 from typing import TYPE_CHECKING, Iterator, Union
 
 from .model import (
-    Component,
     GroupLogic,
     ModelError,
     ModelIndex,
@@ -64,10 +63,6 @@ class Gate:
     failure_for: str | None = None
     dependency_for: str | None = None
     placeholder_for: str | None = None
-
-    @property
-    def unresolved(self) -> bool:
-        return self.placeholder_for is not None and not self.children
 
 
 @dataclass
@@ -379,15 +374,7 @@ def synthesize_hardware_ft(model: SystemModel, include_hw_design: bool = False) 
     root = Gate(id="top", op=GateOp.OR, label=model.top_event)
     tree.add(root)
     root.children.extend(_partition_by_groups(idx, tree, operator_sources, "top", fail_for))
-    tree.check_structure()
     return tree
-
-
-def unresolved_placeholders(tree: FaultTree) -> list[str]:
-    """Component ids whose software-design gates are still empty."""
-    return sorted(
-        gate.placeholder_for for gate in tree.gates() if gate.unresolved and gate.placeholder_for
-    )
 
 
 def integrate_software(tree: FaultTree, instances: list["UcaUifInstance"]) -> FaultTree:
@@ -416,5 +403,4 @@ def integrate_software(tree: FaultTree, instances: list["UcaUifInstance"]) -> Fa
         )
         out.add(event)
         gate.children.append(event.id)
-    out.check_structure()
     return out

@@ -15,7 +15,7 @@ from pathlib import Path
 from .ccf import count_by_type
 from .model import ComponentKind, ModelError, ModelIndex
 from .pipeline import AnalysisResult
-from .stpa import Flavor
+from .stpa import Flavor, instances_by_division
 
 GOLDEN_SCHEMA = "resha-golden/1"
 
@@ -86,28 +86,21 @@ def compute_metrics(result: AnalysisResult) -> dict[str, object]:
     metrics["census.sw_design"] = result.census.sw_design
     metrics["census.hw_design"] = result.census.hw_design
 
-    candidates_per_division: dict[str, int] = {}
-    for candidate in result.candidates:
-        key = candidate.division
-        candidates_per_division[key] = candidates_per_division.get(key, 0) + 1
-    for division, count in candidates_per_division.items():
-        metrics[f"stpa.candidates.{division}"] = count
+    for division, found in instances_by_division(result.candidates).items():
+        metrics[f"stpa.candidates.{division}"] = len(found)
 
-    per_division: dict[str, dict[str, int]] = {}
-    for instance in result.instances:
-        owner = idx.components.get(instance.owner)
-        bucket = per_division.setdefault(
-            instance.division, {"uca": 0, "uif_calculator": 0, "uif_alarm": 0, "uif_other": 0}
-        )
-        if instance.flavor is Flavor.UCA:
-            bucket["uca"] += 1
-        elif owner is not None and owner.kind is ComponentKind.CALCULATOR:
-            bucket["uif_calculator"] += 1
-        elif owner is not None and owner.kind is ComponentKind.ALARM:
-            bucket["uif_alarm"] += 1
-        else:
-            bucket["uif_other"] += 1
-    for division, bucket in per_division.items():
+    for division, found in instances_by_division(result.instances).items():
+        bucket = {"uca": 0, "uif_calculator": 0, "uif_alarm": 0, "uif_other": 0}
+        for instance in found:
+            owner = idx.components.get(instance.owner)
+            if instance.flavor is Flavor.UCA:
+                bucket["uca"] += 1
+            elif owner is not None and owner.kind is ComponentKind.CALCULATOR:
+                bucket["uif_calculator"] += 1
+            elif owner is not None and owner.kind is ComponentKind.ALARM:
+                bucket["uif_alarm"] += 1
+            else:
+                bucket["uif_other"] += 1
         for name, count in bucket.items():
             metrics[f"stpa.{division}.{name}"] = count
 

@@ -259,12 +259,6 @@ class SystemModel:
             yield from component.links
 
 
-def base_id(component_id: str) -> str:
-    """Strip a replica suffix, if any: ``x__B`` -> ``x``."""
-    head, sep, _ = component_id.rpartition(REPLICA_SEP)
-    return head if sep else component_id
-
-
 class ModelIndex:
     """Lookup tables over a model; duplicate ids keep the first occurrence.
 
@@ -514,41 +508,6 @@ def _find_cycle(adjacency: dict[str, list[str]]) -> list[str] | None:
             if found:
                 return found
     return None
-
-
-def topological_order(model: SystemModel) -> list[str]:
-    """Component ids ordered sources-first along non-feedback dependency edges.
-
-    Deterministic for a fixed model: ties are broken lexicographically.
-    Raises ModelError when the graph has a cycle.
-    """
-    idx = ModelIndex(model)
-    adjacency = idx.dependency_adjacency()
-    known = set(adjacency)
-    indegree = {node: 0 for node in adjacency}
-    down: dict[str, list[str]] = {node: [] for node in adjacency}
-    for consumer, sources in adjacency.items():
-        for source in sources:
-            if source in known:
-                indegree[consumer] += 1
-                down[source].append(consumer)
-    ready = sorted(node for node, deg in indegree.items() if deg == 0)
-    order: list[str] = []
-    while ready:
-        node = ready.pop(0)
-        order.append(node)
-        changed = False
-        for consumer in down[node]:
-            indegree[consumer] -= 1
-            if indegree[consumer] == 0:
-                ready.append(consumer)
-                changed = True
-        if changed:
-            ready.sort()
-    if len(order) != len(adjacency):
-        cycle = _find_cycle(adjacency)
-        raise ModelError(f"dependency cycle: {' -> '.join(cycle or [])}")
-    return order
 
 
 def validate_model(model: SystemModel) -> ValidationReport:

@@ -16,7 +16,7 @@ from .model import (
     ModelIndex,
     SystemModel,
 )
-from .stpa import ControlStructure, UcaUifInstance, traceability_rows
+from .stpa import ControlStructure, UcaUifInstance, instances_by_division, traceability_rows
 
 FT_SCHEMA = "resha/1"
 
@@ -355,18 +355,12 @@ def render_summary(data: SummaryInput, fmt: str = "md") -> str:
     bullet(f"Top event: {data.model.top_event}")
 
     heading("Interaction analysis")
-    per_division: dict[str, int] = {}
-    for candidate in data.candidates:
-        per_division[candidate.division] = per_division.get(candidate.division, 0) + 1
     bullet(f"Candidates enumerated: {len(data.candidates)}")
-    for division, count in sorted(per_division.items()):
-        bullet(f"Candidates in division {division}: {count}")
-    applicable_by_division: dict[str, int] = {}
-    for instance in data.instances:
-        applicable_by_division[instance.division] = applicable_by_division.get(instance.division, 0) + 1
+    for division, found in sorted(instances_by_division(data.candidates).items()):
+        bullet(f"Candidates in division {division}: {len(found)}")
     bullet(f"Applicable instances: {len(data.instances)}")
-    for division, count in sorted(applicable_by_division.items()):
-        bullet(f"Applicable in division {division}: {count}")
+    for division, found in sorted(instances_by_division(data.instances).items()):
+        bullet(f"Applicable in division {division}: {len(found)}")
 
     heading("Fault tree")
     bullet(f"Hardware stochastic basic events: {data.census.hw_stochastic}")

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .model import (
-    Component,
-    ComponentKind,
     FailureModeType,
     Link,
     LinkKind,
@@ -177,18 +175,6 @@ def apply_applicability(
     return kept
 
 
-def losses_for(instance: UcaUifInstance, model: SystemModel) -> list[str]:
-    """Loss ids the instance traces to through its hazards, sorted."""
-    idx = ModelIndex(model)
-    losses: set[str] = set()
-    for hazard_id in instance.hazards:
-        hazard = idx.hazards.get(hazard_id)
-        if hazard is None:
-            raise ModelError(f"instance '{instance.id}' references unknown hazard '{hazard_id}'")
-        losses.update(hazard.losses)
-    return sorted(losses)
-
-
 def traceability_rows(
     instances: list[UcaUifInstance], model: SystemModel
 ) -> list[dict[str, str]]:
@@ -222,16 +208,3 @@ def instances_by_division(instances: list[UcaUifInstance]) -> dict[str, list[Uca
     for instance in instances:
         out.setdefault(instance.division, []).append(instance)
     return out
-
-
-def count_by_owner_kind(
-    instances: list[UcaUifInstance], model: SystemModel
-) -> dict[ComponentKind, int]:
-    idx = ModelIndex(model)
-    counts: dict[ComponentKind, int] = {}
-    for instance in instances:
-        component: Component | None = idx.components.get(instance.owner)
-        if component is None:
-            continue
-        counts[component.kind] = counts.get(component.kind, 0) + 1
-    return counts

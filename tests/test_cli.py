@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import subprocess
@@ -61,8 +62,6 @@ def test_stpa_text(model_path, capsys):
 def test_stpa_json(model_path, tmp_path):
     out_file = tmp_path / "stpa.json"
     assert main(["stpa", model_path, "--format", "json", "--out", str(out_file)]) == 0
-    import json
-
     payload = json.loads(out_file.read_text(encoding="utf-8"))
     assert payload["candidates"] == 154
     assert len(payload["instances"]) == 56
@@ -210,6 +209,21 @@ def test_ft_tree_replaces_its_stage(model_path, tmp_path, stage_calls):
     assert stage_calls == ["minimal_cut_sets", "first_order_cut_sets"]
 
 
+@pytest.mark.parametrize("command", ["integrate", "ccf", "cutsets"])
+def test_ft_with_dangling_child_rejected(command, model_path, tmp_path, capsys):
+    hw = tmp_path / "hw.json"
+    assert main(["synth", model_path, "--out", str(hw)]) == 0
+    doc = json.loads(hw.read_text(encoding="utf-8"))
+    top = next(node for node in doc["nodes"] if node["id"] == doc["root"])
+    top["children"].append("ghost")
+    hw.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main([command, model_path, "--ft", str(hw)]) == 2
+    captured = capsys.readouterr()
+    assert "references unknown node 'ghost'" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_golden_ok(model_path, capsys):
     assert main(["verify-golden", model_path, str(bundled_golden_path())]) == 0
     out = capsys.readouterr().out
@@ -218,8 +232,6 @@ def test_verify_golden_ok(model_path, capsys):
 
 
 def test_verify_golden_mismatch(model_path, tmp_path, capsys):
-    import json
-
     doc = json.loads(bundled_golden_path().read_text(encoding="utf-8"))
     doc["values"]["ccf.type4"]["value"] = 99
     tampered = tmp_path / "tampered.json"

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
+import random
 
-from conftest import MINI_MODEL, mk_tree
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import MINI_MODEL, mk_tree, random_analyzable_model
 from resha.cutsets import minimal_cut_sets
 from resha.dsl import parse_model
 from resha.ftree import (
@@ -16,9 +20,9 @@ from resha.ftree import (
     branch_census,
     integrate_software,
     synthesize_hardware_ft,
-    unresolved_placeholders,
 )
 from resha.model import ModelError, expand_replication
+from resha.pipeline import analyze_model
 from resha.report import export_ft, import_ft
 from resha.stpa import UcaUifInstance, Flavor
 from resha.model import FailureModeType
@@ -26,6 +30,15 @@ from resha.model import FailureModeType
 
 def mini_tree() -> FaultTree:
     return synthesize_hardware_ft(expand_replication(parse_model(MINI_MODEL)))
+
+
+def unresolved_placeholders(tree: FaultTree) -> list[str]:
+    """Component ids whose software-design gates are still empty."""
+    return sorted(
+        gate.placeholder_for
+        for gate in tree.gates()
+        if gate.placeholder_for is not None and not gate.children
+    )
 
 
 def test_mini_shape_and_census():
@@ -170,8 +183,7 @@ def test_evaluate_and_gate(qiasp_result):
 
 def test_empty_placeholder_evaluates_false():
     tree = mini_tree()
-    sw = tree.gate("sw:ctrl")
-    assert sw.unresolved
+    assert "ctrl" in unresolved_placeholders(tree)
     assert not tree.evaluate({"sw:ctrl"})
 
 
@@ -221,6 +233,22 @@ def test_check_structure_accepts_empty_or_placeholder_and_returns_order():
     assert order == tree.topological_nodes()
     assert order[-1] == tree.root
     assert set(order) == set(tree.reachable())
+
+
+def _assert_stage_trees_well_formed(result):
+    # Only the boundaries check structure; the built trees must pass it anyway.
+    for tree in (result.hardware_tree, result.integrated_tree, result.injected_tree):
+        assert tree.check_structure()[-1] == tree.root
+
+
+def test_stage_trees_pass_structure_check(qiasp_result):
+    _assert_stage_trees_well_formed(qiasp_result)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_stage_trees_pass_structure_check_on_random_models(seed):
+    _assert_stage_trees_well_formed(analyze_model(random_analyzable_model(random.Random(seed))))
 
 
 def test_check_structure_rejects_dangling_child():

@@ -25,9 +25,7 @@ from resha.model import (
     SharedResource,
     SystemModel,
     Technology,
-    base_id,
     expand_replication,
-    topological_order,
     validate_model,
 )
 from resha.pipeline import ValidationFailed, analyze_text
@@ -241,12 +239,6 @@ def test_expand_detects_id_collision():
         expand_replication(model)
 
 
-def test_base_id():
-    assert base_id("x__B") == "x"
-    assert base_id("x") == "x"
-    assert base_id("a__b__C") == "a__b"
-
-
 def test_dependency_sources_exclude_feedback(qiasp_text):
     expanded = expand_replication(parse_model(qiasp_text))
     idx = ModelIndex(expanded)
@@ -275,23 +267,6 @@ def test_transitive_digital_dependents(qiasp_text):
     assert all(
         dep.endswith("__B") for dep in idx.transitive_digital_dependents("cet_calculator__B")
     )
-
-
-def test_topological_order_is_deterministic_and_sources_first(qiasp_text):
-    expanded = expand_replication(parse_model(qiasp_text))
-    order = topological_order(expanded)
-    assert order == topological_order(expanded)
-    position = {cid: i for i, cid in enumerate(order)}
-    assert position["hjtc_power_controller"] < position["hjtc_sensor_array"]
-    assert position["hjtc_sensor_array"] < position["adc_hjtc"]
-    assert position["display_interface"] < position["operator_terminal"]
-    assert position["operator_terminal"] < position["control_room_operator"]
-
-
-def test_topological_order_raises_on_cycle():
-    model = _shell(_plain("a", inputs=["b"]), _plain("b", inputs=["a"]), _operator(inputs=["a"]))
-    with pytest.raises(ModelError, match="cycle"):
-        topological_order(model)
 
 
 def test_group_matched_sources_division_level(qiasp_text):

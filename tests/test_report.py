@@ -181,7 +181,8 @@ def test_import_rejects_empty_and_placeholder():
     )
     with pytest.raises(ModelError, match="gate 'ph' is empty and not a software placeholder"):
         import_ft(doc)
-    assert import_ft(doc.replace('"op": "and"', '"op": "or"')).gate("ph").unresolved
+    placeholder = import_ft(doc.replace('"op": "and"', '"op": "or"')).gate("ph")
+    assert placeholder.placeholder_for == "c" and not placeholder.children
 
 
 def test_cutsets_csv(qiasp_result):

@@ -1,0 +1,123 @@
+"""Source hygiene: no dead imports, and no runtime code that only tests call.
+
+The package is read with ``ast`` alone; nothing under ``src/resha`` is
+imported or run here.
+"""
+
+from __future__ import annotations
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "resha"
+
+# Functions that nothing under src/resha calls but that stay, with the reason.
+KEEP = {
+    "reachable_events": "the acceptance gate lists a random tree's events with it",
+    "as_frozensets": "the acceptance gate compares the engine with the oracle as sets",
+    "as_tuple": "the acceptance gate and the README compare the branch census with it",
+    "evaluate": "the acceptance gate and benchmark/checks.py check cut sets with it",
+    "bundled_model_path": "the README's library example and the tests load the case study",
+    "bundled_golden_path": "the tests load the pinned golden record with it",
+}
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for path in sorted(SRC.glob("*.py"))
+    }
+
+
+def _package_references(modules: dict[str, ast.Module]) -> Counter[str]:
+    found: Counter[str] = Counter()
+    for tree in modules.values():
+        found.update(_references(tree))
+    return found
+
+
+def _public_names(modules: dict[str, ast.Module]) -> set[str]:
+    for node in modules["__init__.py"].body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _annotations(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _references(tree: ast.AST) -> Counter[str]:
+    """Names and attribute names a tree mentions, quoted annotations included."""
+    found: Counter[str] = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found.update(_references(ast.parse(node.value, mode="eval")))
+    return found
+
+
+def _imported_names(tree: ast.Module) -> list[str]:
+    names: list[str] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.extend(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.extend(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    return names
+
+
+def test_every_import_is_used():
+    unused = []
+    for name, tree in _modules().items():
+        if name == "__init__.py":
+            continue
+        used = _references(tree)
+        unused.extend(f"{name}: {i}" for i in _imported_names(tree) if not used[i])
+    assert unused == []
+
+
+def test_every_function_has_a_runtime_caller():
+    modules = _modules()
+    everywhere = _package_references(modules)
+    public = _public_names(modules)
+    uncalled = []
+    for name, tree in modules.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            fn = node.name
+            if fn in public or fn in KEEP or (fn.startswith("__") and fn.endswith("__")):
+                continue
+            # A function that only calls itself has no caller.
+            if everywhere[fn] - _references(node)[fn] <= 0:
+                uncalled.append(f"{name}: {fn}")
+    assert uncalled == []
+
+
+def test_keep_entries_are_defined_and_uncalled():
+    modules = _modules()
+    defined = {
+        node.name
+        for tree in modules.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    everywhere = _package_references(modules)
+    assert sorted(set(KEEP) - defined) == []
+    # An entry the package itself now calls no longer needs a reason to stay.
+    assert sorted(name for name in KEEP if everywhere[name]) == []

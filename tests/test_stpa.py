@@ -2,27 +2,28 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from conftest import MINI_MODEL
 from resha.dsl import parse_model
 from resha.model import (
+    REPLICA_SEP,
     ComponentKind,
     FailureModeType,
     ModelError,
+    ModelIndex,
     RedundancyLevel,
     StpaCategory,
-    base_id,
     expand_replication,
 )
 from resha.stpa import (
     Flavor,
     apply_applicability,
-    count_by_owner_kind,
     enumerate_candidates,
     extract_control_structure,
     instances_by_division,
-    losses_for,
     traceability_rows,
 )
 
@@ -102,9 +103,10 @@ def test_applicability_counts_per_division(qiasp_result):
     model = qiasp_result.expanded
     by_division = instances_by_division(qiasp_result.instances)
     assert set(by_division) == {"A", "B"}
+    idx = ModelIndex(model)
     for division, instances in by_division.items():
         assert len(instances) == 28, division
-        kinds = count_by_owner_kind(instances, model)
+        kinds = Counter(idx.components[i.owner].kind for i in instances)
         assert kinds[ComponentKind.CONTROLLER] == 3
         assert kinds[ComponentKind.CALCULATOR] == 15
         assert kinds[ComponentKind.ALARM] == 10
@@ -133,7 +135,10 @@ def test_divisions_match_type_for_type(qiasp_result):
     by_division = instances_by_division(qiasp_result.instances)
 
     def signature(instances):
-        return sorted((base_id(i.link), i.type.letter) for i in instances)
+        # Strip the replica suffix: heater_power__B -> heater_power.
+        return sorted(
+            (i.link.removesuffix(REPLICA_SEP + i.division), i.type.letter) for i in instances
+        )
 
     assert signature(by_division["A"]) == signature(by_division["B"])
 
@@ -154,16 +159,8 @@ def test_losses_for_controller_instance(qiasp_result):
         if i.owner == "hjtc_power_controller" and i.type is FailureModeType.MISSING
     )
     assert instance.hazards == ["H-2", "H-4"]
-    assert losses_for(instance, qiasp_result.expanded) == ["L-1", "L-2", "L-5"]
-
-
-def test_losses_for_unknown_hazard():
-    model = parse_model(MINI_MODEL)
-    structure = extract_control_structure(model)
-    instance = apply_applicability(enumerate_candidates(structure), model)[0]
-    instance.hazards = ["H-404"]
-    with pytest.raises(ModelError, match="unknown hazard"):
-        losses_for(instance, model)
+    (row,) = traceability_rows([instance], qiasp_result.expanded)
+    assert row["losses"] == "L-1;L-2;L-5"
 
 
 def test_traceability_rows(qiasp_result):
