@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Iterator, Union
+from typing import TYPE_CHECKING, Any, Generator, Iterator, Union
 
 from .model import (
     GroupLogic,
@@ -249,26 +249,33 @@ def _partition_by_groups(
     tree: FaultTree,
     source_ids: list[str],
     gate_prefix: str,
-    fail_for,
-) -> list[str]:
-    """Child node ids for a dependency-style gate, honoring redundancy groups."""
+) -> Generator[str, None, list[str]]:
+    """Child node ids for a dependency-style gate, honoring redundancy groups.
+
+    Yields each source id whose failure gate must be in the tree before the
+    next node is added, and returns the child ids.
+    """
     remaining = list(source_ids)
     children: list[str] = []
     for group in idx.model.redundancy_groups:
         matched = idx.group_matched_sources(group, remaining)
         if not matched:
             continue
+        for s in matched:
+            yield s
         op = GateOp.AND if group.logic is GroupLogic.ALL_MUST_FAIL else GateOp.OR
         sub = Gate(
             id=f"{gate_prefix}:{group.id}",
             op=op,
-            children=[fail_for(s) for s in matched],
+            children=[f"fail:{s}" for s in matched],
             label=f"{group.id} redundancy defeated ({group.logic.value})",
         )
         tree.add(sub)
         children.append(sub.id)
         remaining = [s for s in remaining if s not in matched]
-    children.extend(fail_for(s) for s in remaining)
+    for s in remaining:
+        yield s
+        children.append(f"fail:{s}")
     return children
 
 
@@ -296,20 +303,13 @@ def synthesize_hardware_ft(model: SystemModel, include_hw_design: bool = False) 
     for resource in model.shared_resources:
         for dependent in resource.dependents:
             resources_of.setdefault(dependent, []).append(resource.id)
-    building: set[str] = set()
 
-    def fail_for(component_id: str) -> str:
-        gate_id = f"fail:{component_id}"
-        if gate_id in tree.nodes:
-            return gate_id
-        if component_id in building:
-            raise ModelError(f"dependency cycle through '{component_id}'")
+    def fail_for(component_id: str) -> Generator[str, None, None]:
         component = idx.components.get(component_id)
         if component is None:
             raise ModelError(f"unknown component '{component_id}' in dependency graph")
-        building.add(component_id)
         gate = Gate(
-            id=gate_id,
+            id=f"fail:{component_id}",
             op=GateOp.OR,
             label=f"{component_id} fails",
             failure_for=component_id,
@@ -342,7 +342,7 @@ def synthesize_hardware_ft(model: SystemModel, include_hw_design: bool = False) 
                 dependency_for=component_id,
             )
             tree.add(dep)
-            dep.children.extend(_partition_by_groups(idx, tree, sources, dep.id, fail_for))
+            dep.children.extend((yield from _partition_by_groups(idx, tree, sources, dep.id)))
             for resource_id in resource_ids:
                 leaf_id = f"resource:{resource_id}"
                 if leaf_id not in tree.nodes:
@@ -368,12 +368,25 @@ def synthesize_hardware_ft(model: SystemModel, include_hw_design: bool = False) 
             )
             tree.add(sw)
             gate.children.append(sw.id)
-        building.discard(component_id)
-        return gate_id
 
     root = Gate(id="top", op=GateOp.OR, label=model.top_event)
     tree.add(root)
-    root.children.extend(_partition_by_groups(idx, tree, operator_sources, "top", fail_for))
+    # fail_for adds ``fail:<id>`` and its subtree.  Each generator runs until
+    # it needs a source's failure gate; a gate already in the tree (built,
+    # or still being built on a cycle) is reused.  The explicit stack keeps
+    # the depth-first node order, and so the exported bytes, without
+    # recursing once per link of a chain.
+    stack: list[Generator[str, None, Any]] = [_partition_by_groups(idx, tree, operator_sources, "top")]
+    while stack:
+        try:
+            needed = next(stack[-1])
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                root.children.extend(done.value)
+            continue
+        if f"fail:{needed}" not in tree.nodes:
+            stack.append(fail_for(needed))
     return tree
 
 

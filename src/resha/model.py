@@ -9,10 +9,9 @@ dependency-graph helpers the synthesis stages build on.
 
 from __future__ import annotations
 
-import copy
 import re
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterator
 
@@ -27,7 +26,7 @@ class ModelError(Exception):
     """Raised when an operation cannot proceed on a malformed model."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SourceSpan:
     """1-based location of a token in a model document."""
 
@@ -129,7 +128,7 @@ class ResourceScope(str, Enum):
     EXTERNAL = "external"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Ref:
     """Reference to a component, optionally narrowed to one of its link ports."""
 
@@ -143,14 +142,14 @@ class Ref:
         return f"{self.component}.{self.port}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Loss:
     id: str
     description: str
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Hazard:
     id: str
     description: str
@@ -172,7 +171,7 @@ class DesignClass:
             self.diversity_tag = self.id
 
 
-@dataclass
+@dataclass(frozen=True)
 class Applicability:
     """Marks one failure-mode type of a link as hazardous."""
 
@@ -391,22 +390,24 @@ class ModelIndex:
 
 
 def expand_replication(model: SystemModel) -> SystemModel:
-    """Materialize ``replicates`` divisions as deep copies with suffixed ids.
+    """Materialize ``replicates`` divisions as copies with suffixed ids.
 
     Component and link ids gain ``__<division>``; references between the
     source division's components are rewritten to the copies, while
     references leaving the division (design classes, other divisions'
-    components) are kept verbatim.  Expanding an already-expanded model is a
-    no-op, so the operation is idempotent.
+    components) are kept verbatim.  Only what is renamed is new: each
+    replica division and its components, links and renamed refs.  Every
+    other division and leaf is the authored object, and replicas keep the
+    source's spans.  Expanding an already-expanded model is a no-op, so the
+    operation is idempotent.
     """
-    expanded = copy.deepcopy(model)
-    authored_replicates = {d.id: d.replicates for d in expanded.divisions}
-    by_id = {d.id: d for d in expanded.divisions}
-    all_component_ids = {c.id for c in expanded.components()}
-
-    for division in expanded.divisions:
+    by_id = {d.id: d for d in model.divisions}
+    all_component_ids = {c.id for c in model.components()}
+    divisions: list[Division] = []
+    for division in model.divisions:
         source_id = division.replicates
         if source_id is None:
+            divisions.append(division)
             continue
         if division.components:
             raise ModelError(
@@ -415,10 +416,10 @@ def expand_replication(model: SystemModel) -> SystemModel:
         source = by_id.get(source_id)
         if source is None:
             raise ModelError(f"division '{division.id}' replicates unknown division '{source_id}'")
-        if authored_replicates.get(source_id) is not None:
+        if source.replicates is not None:
             raise ModelError(
                 f"division '{division.id}' replicates '{source_id}', which itself replicates "
-                f"'{authored_replicates[source_id]}'; chained replication is not supported"
+                f"'{source.replicates}'; chained replication is not supported"
             )
         local_ids = {c.id for c in source.components}
         suffix = REPLICA_SEP + division.id
@@ -426,26 +427,36 @@ def expand_replication(model: SystemModel) -> SystemModel:
         def rename(identifier: str) -> str:
             return identifier + suffix if identifier in local_ids else identifier
 
+        def rename_ref(ref: Ref) -> Ref:
+            return replace(ref, component=ref.component + suffix) if ref.component in local_ids else ref
+
+        components: list[Component] = []
         for component in source.components:
-            clone = copy.deepcopy(component)
-            clone.id = component.id + suffix
-            if clone.id in all_component_ids:
+            clone_id = component.id + suffix
+            if clone_id in all_component_ids:
                 raise ModelError(
-                    f"replicating '{source_id}' into '{division.id}' would duplicate id '{clone.id}'"
+                    f"replicating '{source_id}' into '{division.id}' would duplicate id '{clone_id}'"
                 )
-            all_component_ids.add(clone.id)
-            for ref in clone.inputs:
-                ref.component = rename(ref.component)
-            for ref in clone.feedback_inputs:
-                ref.component = rename(ref.component)
-            for link in clone.links:
-                link.id = link.id + suffix
-                link.source = clone.id
-                link.targets = [rename(t) for t in link.targets]
-            division.components.append(clone)
-        division.replicates = None
-        division.replicated_from = source_id
-    return expanded
+            all_component_ids.add(clone_id)
+            links = [
+                replace(
+                    link, id=link.id + suffix, source=clone_id, targets=[rename(t) for t in link.targets]
+                )
+                for link in component.links
+            ]
+            components.append(
+                replace(
+                    component,
+                    id=clone_id,
+                    inputs=[rename_ref(ref) for ref in component.inputs],
+                    feedback_inputs=[rename_ref(ref) for ref in component.feedback_inputs],
+                    links=links,
+                )
+            )
+        divisions.append(
+            replace(division, components=components, replicates=None, replicated_from=source_id)
+        )
+    return replace(model, divisions=divisions)
 
 
 @dataclass
@@ -481,39 +492,38 @@ def _check_id(report: ValidationReport, identifier: str, what: str, span: Source
 
 
 def _find_cycle(adjacency: dict[str, list[str]]) -> list[str] | None:
-    """Return one cycle as a node list, or None.  Deterministic order."""
+    """Return one cycle as a node list, or None.  Deterministic order.
+
+    Depth-first on an explicit stack, so chains of any length are safe.
+    """
     WHITE, GREY, BLACK = 0, 1, 2
     color = {node: WHITE for node in adjacency}
-    stack: list[str] = []
-
-    def visit(node: str) -> list[str] | None:
-        color[node] = GREY
-        stack.append(node)
-        for nxt in adjacency.get(node, []):
-            if nxt not in color:
-                continue
-            if color[nxt] == GREY:
-                return stack[stack.index(nxt):] + [nxt]
-            if color[nxt] == WHITE:
-                found = visit(nxt)
-                if found:
-                    return found
-        stack.pop()
-        color[node] = BLACK
-        return None
-
-    for node in adjacency:
-        if color[node] == WHITE:
-            found = visit(node)
-            if found:
-                return found
+    for start in adjacency:
+        if color[start] != WHITE:
+            continue
+        color[start] = GREY
+        path = [start]
+        pending = [iter(adjacency[start])]
+        while pending:
+            for nxt in pending[-1]:
+                state = color.get(nxt)
+                if state == GREY:
+                    return path[path.index(nxt):] + [nxt]
+                if state == WHITE:
+                    color[nxt] = GREY
+                    path.append(nxt)
+                    pending.append(iter(adjacency[nxt]))
+                    break
+            else:
+                color[path.pop()] = BLACK
+                pending.pop()
     return None
 
 
 def validate_model(model: SystemModel) -> ValidationReport:
     """Structural validation.  Total: collects violations, never raises.
 
-    Reference and cycle checks run against a replication-expanded copy so
+    Reference and cycle checks run against the replication-expanded model so
     that documents may reference replica components (``x__B``) before
     expansion.
     """
@@ -521,7 +531,7 @@ def validate_model(model: SystemModel) -> ValidationReport:
 
 
 def _validate_and_expand(model: SystemModel) -> tuple[ValidationReport, SystemModel]:
-    """``validate_model`` plus the expanded copy it checked.
+    """``validate_model`` plus the expanded model it checked.
 
     When expansion fails the report says so and the authored model is
     returned in its place.
@@ -532,9 +542,6 @@ def _validate_and_expand(model: SystemModel) -> tuple[ValidationReport, SystemMo
         expanded = expand_replication(model)
     except ModelError as exc:
         report.violations.append(Violation("replication", str(exc)))
-        expanded = model
-    except RecursionError:
-        report.violations.append(Violation("replication", "replication expansion recursed"))
         expanded = model
     _validate_references(expanded, report)
     return report, expanded

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+import sys
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
-from conftest import MINI_MODEL, random_model
-from resha.dsl import parse_model
+from conftest import MINI_MODEL, random_model, scaled_qiasp
+from resha.dsl import parse_model, serialize_model
 from resha.model import (
     Component,
     ComponentKind,
@@ -28,7 +30,7 @@ from resha.model import (
     expand_replication,
     validate_model,
 )
-from resha.pipeline import ValidationFailed, analyze_text
+from resha.pipeline import PipelineOptions, ValidationFailed, analyze_model, analyze_text
 
 
 def _codes(model: SystemModel) -> set[str]:
@@ -94,7 +96,7 @@ def test_hazard_without_losses_flagged():
 
 def test_hazard_unknown_loss_flagged():
     model = _shell(_plain("a"), _operator(inputs=["a"]))
-    model.hazards[0].losses = ["L-9"]
+    model.hazards[0] = replace(model.hazards[0], losses=["L-9"])
     assert "unknown-loss" in _codes(model)
 
 
@@ -207,6 +209,86 @@ def test_expand_is_idempotent(qiasp_text):
     once = expand_replication(model)
     twice = expand_replication(once)
     assert once == twice
+
+
+def test_expand_builds_only_the_replicas(qiasp_text):
+    model = parse_model(qiasp_text)
+    expanded = expand_replication(model)
+    for authored, division in zip(model.divisions, expanded.divisions, strict=True):
+        assert (division is authored) == (authored.replicates is None)
+    authored_b = next(d for d in model.divisions if d.replicates)
+    division_a, division_b = (next(d for d in expanded.divisions if d.id == i) for i in "AB")
+    for kind in ("losses", "hazards", "design_classes", "redundancy_groups", "shared_resources"):
+        assert all(x is y for x, y in zip(getattr(expanded, kind), getattr(model, kind), strict=True))
+    for source, replica in zip(division_a.components, division_b.components, strict=True):
+        assert replica.span == source.span is not None
+        for link, replica_link in zip(source.links, replica.links, strict=True):
+            assert replica_link.span == link.span
+            assert replica_link.targets is not link.targets
+    assert division_b.span is authored_b.span
+
+
+def test_model_leaves_are_frozen(qiasp_text):
+    model = parse_model(qiasp_text)
+    link = next(link for link in model.links() if link.applicability)
+    ref = next(ref for c in model.components() for ref in c.inputs)
+    for leaf, name in (
+        (model.losses[0], "description"),
+        (model.hazards[0], "losses"),
+        (link.applicability[0], "hazards"),
+        (ref, "component"),
+        (ref.span, "line"),
+    ):
+        with pytest.raises(FrozenInstanceError):
+            setattr(leaf, name, getattr(leaf, name))
+
+
+@pytest.mark.parametrize("divisions", [2, 3])
+def test_analysis_leaves_the_authored_model_unchanged(qiasp_text, divisions):
+    text = scaled_qiasp(qiasp_text, divisions)
+    model = parse_model(text)
+    before = serialize_model(model)
+    # The order bound keeps the 3-division run small; cut sets read only trees.
+    result = analyze_model(model, PipelineOptions(max_order=2))
+    assert result.model is model
+    assert model == parse_model(text)
+    assert serialize_model(model) == before
+    assert all(d.replicated_from is None for d in model.divisions)
+    idx = ModelIndex(result.expanded)
+    replicas = [d.id for d in model.divisions if d.replicates]
+    assert len(replicas) == divisions - 1
+    for division_id in replicas:
+        replica = idx.components[f"hjtc_calculator__{division_id}"]
+        assert replica.span == idx.components["hjtc_calculator"].span is not None
+
+
+def _chain_text(length: int, consumer_first: bool) -> str:
+    """Analog sensors s0 .. s<length-1>, each fed by the one before, read by the operator."""
+    components = ["  component s0 kind: sensor tech: analog class: DC-S"]
+    components += [
+        f"  component s{i} kind: sensor tech: analog class: DC-S {{\n    inputs: s{i - 1}\n  }}"
+        for i in range(1, length)
+    ]
+    components.append(
+        f"  component op kind: operator tech: human class: DC-O {{\n    inputs: s{length - 1}\n  }}"
+    )
+    if consumer_first:
+        components.reverse()
+    return (
+        'system "chain"\ntop_event "operator misled"\n'
+        'loss L-1 "loss"\nhazard H-1 "hazard" losses: L-1\n'
+        'design_class DC-S "probe"\ndesign_class DC-O "crew"\n'
+        "division MAIN {\n" + "\n".join(components) + "\n}\n"
+    )
+
+
+@pytest.mark.parametrize("consumer_first", [False, True])
+def test_chain_longer_than_recursion_limit_analyses(consumer_first):
+    length = sys.getrecursionlimit() + 100
+    model = parse_model(_chain_text(length, consumer_first))
+    assert validate_model(model).ok
+    result = analyze_model(model)
+    assert result.collection.order_index() == {1: length}
 
 
 def test_expand_unknown_source_errors():

@@ -1,4 +1,5 @@
-"""Source hygiene: no dead imports, and no runtime code that only tests call.
+"""Source hygiene: no dead imports, no runtime code that only tests call, and
+no ``copy`` module.
 
 The package is read with ``ast`` alone; nothing under ``src/resha`` is
 imported or run here.
@@ -121,3 +122,19 @@ def test_keep_entries_are_defined_and_uncalled():
     assert sorted(set(KEEP) - defined) == []
     # An entry the package itself now calls no longer needs a reason to stay.
     assert sorted(name for name in KEEP if everywhere[name]) == []
+
+
+def test_no_module_imports_copy():
+    # Model and tree stages build what they change and share the rest.
+    importers = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [(node.module or "").split(".")[0]]
+            else:
+                continue
+            if "copy" in modules:
+                importers.append(f"{name}:{node.lineno}")
+    assert importers == []

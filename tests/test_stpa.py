@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -146,7 +147,7 @@ def test_divisions_match_type_for_type(qiasp_result):
 def test_applicable_without_hazards_rejected():
     model = parse_model(MINI_MODEL)
     link = model.divisions[0].components[0].links[0]
-    link.applicability[0].hazards = []
+    link.applicability[0] = replace(link.applicability[0], hazards=[])
     candidates = enumerate_candidates(extract_control_structure(model))
     with pytest.raises(ModelError, match="applicable but links no hazards"):
         apply_applicability(candidates, model)
