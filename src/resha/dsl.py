@@ -1,9 +1,21 @@
 """Line-oriented model description language.
 
-One statement per line; ``{`` opens a nested block and must end its line,
-``}`` closes it on a line of its own.  ``#`` starts a comment.  Strings are
-double-quoted with ``\\"`` and ``\\\\`` escapes.  Ids match
-``[A-Za-z][A-Za-z0-9_-]*`` and live in a single global namespace.
+Only ``\\n``, ``\\r\\n`` and ``\\r`` end a line, and each line holds one
+statement.  ``{`` opens a nested block and must end its line, ``}`` closes it
+on a line of its own.  A line is read left to right as these tokens:
+
+- whitespace: space, tab, ``\\f``, ``\\v``, ``\\x1c``-``\\x1e``, ``\\x85``,
+  ``\\u2028`` and ``\\u2029``, skipped;
+- comment: ``#`` to the end of the line, skipped;
+- string: double-quoted, with ``\\"`` and ``\\\\`` escapes, closed on its own
+  line; the whitespace characters above are content inside it;
+- arrow: ``->``;
+- punct: one of ``{ } : , .``;
+- word: ``[A-Za-z]`` then letters, digits, ``_`` and any ``-`` that does not
+  open an arrow.
+
+Any other character is an error.  Ids are words and live in a single global
+namespace.
 
 Replica components produced by division replication carry a ``__<division>``
 suffix; documents may reference them (for example ``display_interface__B``)
@@ -17,7 +29,8 @@ serialization is byte-identical across runs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
+from typing import NamedTuple
 
 from .model import (
     Applicability,
@@ -41,8 +54,19 @@ from .model import (
     Technology,
 )
 
-# A '-' stays inside a word only when not opening an '->' arrow.
-_WORD_RE = re.compile(r"[A-Za-z](?:[A-Za-z0-9_]|-(?!>))*")
+_LINE_END_RE = re.compile(r"\r\n|\r|\n")
+_TOKEN_RE = re.compile(
+    r"""(?P<space>[ \t\f\v\x1c-\x1e\x85\u2028\u2029]+)
+    |(?P<comment>\#.*)
+    |(?P<string>"(?P<body>[^"\\]*(?:\\.[^"\\]*)*)(?P<close>")?)
+    |(?P<arrow>->)
+    |(?P<punct>[{}:,.])
+    |(?P<word>[A-Za-z][A-Za-z0-9_]*(?:-(?!>)[A-Za-z0-9_]*)*)
+    |(?P<other>.)""",
+    re.VERBOSE,
+)
+_ESCAPE_RE = re.compile(r"\\(.)")
+_LINK_KINDS = {"control_action": LinkKind.CONTROL_ACTION, "info_flow": LinkKind.INFORMATION_FLOW}
 
 
 class ParseError(Exception):
@@ -54,66 +78,38 @@ class ParseError(Exception):
         self.span = span
 
 
-@dataclass
-class Token:
+class Token(NamedTuple):
     kind: str  # word | string | arrow | punct
     text: str  # decoded value for strings
-    span: SourceSpan
-    raw: str
+    file: str
+    line: int
+    column: int
+    end: int  # column just past the token
 
-
-def _scan_string(text: str, start: int, span: SourceSpan) -> tuple[str, int]:
-    parts: list[str] = []
-    i = start + 1
-    while i < len(text):
-        ch = text[i]
-        if ch == '"':
-            return "".join(parts), i - start + 1
-        if ch == "\\":
-            if i + 1 >= len(text):
-                break
-            esc = text[i + 1]
-            if esc not in ('"', "\\"):
-                where = SourceSpan(span.file, span.line, i + 1)
-                raise ParseError(f"unsupported escape '\\{esc}'", where)
-            parts.append(esc)
-            i += 2
-            continue
-        parts.append(ch)
-        i += 1
-    raise ParseError("unterminated string", span)
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.file, self.line, self.column)
 
 
 def _tokenize_line(text: str, lineno: int, file_name: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in " \t":
-            i += 1
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind in ("space", "comment"):
             continue
-        if ch == "#":
-            break
-        span = SourceSpan(file_name, lineno, i + 1)
-        if ch == '"':
-            value, consumed = _scan_string(text, i, span)
-            tokens.append(Token("string", value, span, text[i : i + consumed]))
-            i += consumed
-            continue
-        if text.startswith("->", i):
-            tokens.append(Token("arrow", "->", span, "->"))
-            i += 2
-            continue
-        if ch in "{}:,.":
-            tokens.append(Token("punct", ch, span, ch))
-            i += 1
-            continue
-        match = _WORD_RE.match(text, i)
-        if match:
-            tokens.append(Token("word", match.group(), span, match.group()))
-            i = match.end()
-            continue
-        raise ParseError(f"unexpected character {ch!r}", span)
+        value = match.group()
+        column = match.start() + 1
+        if kind == "string":
+            for escape in _ESCAPE_RE.finditer(text, match.start("body"), match.end("body")):
+                if escape[1] not in '"\\':
+                    where = SourceSpan(file_name, lineno, escape.start() + 1)
+                    raise ParseError(f"unsupported escape '\\{escape[1]}'", where)
+            if match["close"] is None:
+                raise ParseError("unterminated string", SourceSpan(file_name, lineno, column))
+            value = _ESCAPE_RE.sub(r"\1", match["body"])
+        elif kind == "other":
+            raise ParseError(f"unexpected character {value!r}", SourceSpan(file_name, lineno, column))
+        tokens.append(Token(kind, value, file_name, lineno, column, match.end() + 1))
     return tokens
 
 
@@ -127,73 +123,51 @@ class _Line:
     def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def advance(self) -> Token:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
     def at_end(self) -> bool:
         return self.pos >= len(self.tokens)
 
     def end_span(self) -> SourceSpan:
         last = self.tokens[-1]
-        return SourceSpan(last.span.file, last.span.line, last.span.column + len(last.raw))
+        return SourceSpan(last.file, last.line, last.end)
 
     def fail(self, message: str) -> ParseError:
         token = self.peek()
         span = token.span if token else self.end_span()
         return ParseError(message, span)
 
-    def expect(self, kind: str, what: str) -> Token:
+    def opt(self, kind: str, text: str | None = None) -> Token | None:
+        """Consume the next token if it has this kind and, when given, text."""
         token = self.peek()
-        if token is None or token.kind != kind:
-            raise self.fail(f"expected {what}")
-        return self.advance()
+        if token is None or token.kind != kind or text not in (None, token.text):
+            return None
+        self.pos += 1
+        return token
 
-    def expect_word(self, what: str) -> Token:
-        return self.expect("word", what)
-
-    def expect_keyword(self, keyword: str) -> Token:
-        token = self.peek()
-        if token is None or token.kind != "word" or token.text != keyword:
-            raise self.fail(f"expected '{keyword}'")
-        return self.advance()
-
-    def expect_punct(self, ch: str) -> Token:
-        token = self.peek()
-        if token is None or token.kind != "punct" or token.text != ch:
-            raise self.fail(f"expected '{ch}'")
-        return self.advance()
-
-    def opt_punct(self, ch: str) -> bool:
-        token = self.peek()
-        if token is not None and token.kind == "punct" and token.text == ch:
-            self.advance()
-            return True
-        return False
-
-    def expect_string(self, what: str) -> Token:
-        return self.expect("string", what)
+    def expect(self, kind: str, what: str | None = None, text: str | None = None) -> Token:
+        token = self.opt(kind, text)
+        if token is None:
+            raise self.fail(f"expected {what or repr(text)}")
+        return token
 
     def expect_end(self) -> None:
         if not self.at_end():
             raise self.fail("unexpected trailing tokens")
 
     def id_list(self, what: str) -> list[Token]:
-        items = [self.expect_word(what)]
-        while self.opt_punct(","):
-            items.append(self.expect_word(what))
+        items = [self.expect("word", what)]
+        while self.opt("punct", ","):
+            items.append(self.expect("word", what))
         return items
 
     def ref_list(self) -> list[Ref]:
         refs: list[Ref] = []
         while True:
-            comp = self.expect_word("component reference")
+            comp = self.expect("word", "component reference")
             port: str | None = None
-            if self.opt_punct("."):
-                port = self.expect_word("port name").text
+            if self.opt("punct", "."):
+                port = self.expect("word", "port name").text
             refs.append(Ref(comp.text, port, span=comp.span))
-            if not self.opt_punct(","):
+            if not self.opt("punct", ","):
                 return refs
 
 
@@ -205,31 +179,55 @@ def _enum_value(enum_cls, token: Token, what: str):
         raise ParseError(f"unknown {what} '{token.text}' (one of: {choices})", token.span) from None
 
 
+def _keyed(
+    line: _Line, ident: Token, statement: str, readers: dict[str, Callable[[], object]]
+) -> dict[str, object]:
+    """Read ``key: value`` pairs to the end of the line, each key once and all required.
+
+    Each reader consumes one value from ``line``.
+    """
+    names = [f"'{key}'" for key in readers]
+    what = f"{', '.join(names[:-1])} or {names[-1]}"
+    values: dict[str, object] = {}
+    while not line.at_end():
+        key = line.expect("word", what)
+        line.expect("punct", text=":")
+        if key.text in values:
+            raise ParseError(f"duplicate key '{key.text}'", key.span)
+        if key.text not in readers:
+            raise ParseError(f"unknown {statement} key '{key.text}'", key.span)
+        values[key.text] = readers[key.text]()
+    for key in readers:
+        if key not in values:
+            raise ParseError(f"{statement} '{ident.text}' is missing '{key}'", ident.span)
+    return values
+
+
 class _Parser:
     def __init__(self, lines: list[list[Token]], file_name: str):
         self.lines = lines
         self.pos = 0
         self.file_name = file_name
-        self.declared: dict[str, SourceSpan] = {}
+        self.declared: set[str] = set()
         self.model = SystemModel(name="", top_event="")
         self.saw_system = False
         self.saw_top_event = False
+        self.statements = {
+            "system": self._system,
+            "top_event": self._top_event,
+            "loss": self._loss,
+            "hazard": self._hazard,
+            "design_class": self._design_class,
+            "division": self._division,
+            "redundancy_group": self._redundancy_group,
+            "shared_resource": self._shared_resource,
+        }
 
     def parse(self) -> SystemModel:
         while self.pos < len(self.lines):
-            line = _Line(self.lines[self.pos])
-            self.pos += 1
-            head = line.expect_word("statement")
-            handler = {
-                "system": self._system,
-                "top_event": self._top_event,
-                "loss": self._loss,
-                "hazard": self._hazard,
-                "design_class": self._design_class,
-                "division": self._division,
-                "redundancy_group": self._redundancy_group,
-                "shared_resource": self._shared_resource,
-            }.get(head.text)
+            line = self._next_line()
+            head = line.expect("word", "statement")
+            handler = self.statements.get(head.text)
             if handler is None:
                 raise ParseError(f"unknown statement '{head.text}'", head.span)
             handler(line)
@@ -237,241 +235,179 @@ class _Parser:
             raise ParseError("missing 'system' statement", SourceSpan(self.file_name, 1, 1))
         return self.model
 
-    def _eof_error(self) -> ParseError:
-        if self.lines:
-            last = _Line(self.lines[-1])
-            span = last.end_span()
-        else:
-            span = SourceSpan(self.file_name, 1, 1)
-        return ParseError("unexpected end of document inside block", span)
-
     def _next_line(self) -> _Line:
         if self.pos >= len(self.lines):
-            raise self._eof_error()
+            span = _Line(self.lines[-1]).end_span()
+            raise ParseError("unexpected end of document inside block", span)
         line = _Line(self.lines[self.pos])
         self.pos += 1
         return line
 
-    def _declare(self, token: Token, what: str) -> str:
+    def _block(self, line: _Line) -> Iterator[_Line]:
+        """End a statement; if it opened ``{``, yield the block's lines up to the lone ``}``.
+
+        Nothing is read until the caller iterates.
+        """
+        opened = line.opt("punct", "{")
+        line.expect_end()
+        if opened is None:
+            return
+        while True:
+            inner = self._next_line()
+            if inner.opt("punct", "}"):
+                inner.expect_end()
+                return
+            yield inner
+
+    def _declare(self, token: Token) -> str:
         if token.text in self.declared:
             raise ParseError(f"duplicate id '{token.text}'", token.span)
-        self.declared[token.text] = token.span
+        self.declared.add(token.text)
         return token.text
 
     def _system(self, line: _Line) -> None:
         if self.saw_system:
             raise line.fail("'system' declared twice")
         self.saw_system = True
-        self.model.name = line.expect_string("system name").text
+        self.model.name = line.expect("string", "system name").text
         line.expect_end()
 
     def _top_event(self, line: _Line) -> None:
         if self.saw_top_event:
             raise line.fail("'top_event' declared twice")
         self.saw_top_event = True
-        self.model.top_event = line.expect_string("top event description").text
+        self.model.top_event = line.expect("string", "top event description").text
         line.expect_end()
 
     def _loss(self, line: _Line) -> None:
-        ident = line.expect_word("loss id")
-        desc = line.expect_string("loss description")
+        ident = line.expect("word", "loss id")
+        desc = line.expect("string", "loss description")
         line.expect_end()
-        self.model.losses.append(Loss(self._declare(ident, "loss"), desc.text, span=ident.span))
+        self.model.losses.append(Loss(self._declare(ident), desc.text, span=ident.span))
 
     def _hazard(self, line: _Line) -> None:
-        ident = line.expect_word("hazard id")
-        desc = line.expect_string("hazard description")
-        line.expect_keyword("losses")
-        line.expect_punct(":")
+        ident = line.expect("word", "hazard id")
+        desc = line.expect("string", "hazard description")
+        line.expect("word", text="losses")
+        line.expect("punct", text=":")
         losses = [t.text for t in line.id_list("loss id")]
         line.expect_end()
-        self.model.hazards.append(
-            Hazard(self._declare(ident, "hazard"), desc.text, losses, span=ident.span)
-        )
+        self.model.hazards.append(Hazard(self._declare(ident), desc.text, losses, span=ident.span))
 
     def _design_class(self, line: _Line) -> None:
-        ident = line.expect_word("design_class id")
-        desc = line.expect_string("design_class description")
+        ident = line.expect("word", "design_class id")
+        desc = line.expect("string", "design_class description")
         tag = ""
         if not line.at_end():
-            line.expect_keyword("diversity")
-            line.expect_punct(":")
-            tag = line.expect_word("diversity tag").text
+            line.expect("word", text="diversity")
+            line.expect("punct", text=":")
+            tag = line.expect("word", "diversity tag").text
         line.expect_end()
         self.model.design_classes.append(
-            DesignClass(self._declare(ident, "design_class"), desc.text, tag, span=ident.span)
+            DesignClass(self._declare(ident), desc.text, tag, span=ident.span)
         )
 
     def _division(self, line: _Line) -> None:
-        ident = line.expect_word("division id")
-        division = Division(self._declare(ident, "division"), span=ident.span)
-        token = line.peek()
-        if token is not None and token.kind == "word" and token.text == "replicates":
-            line.advance()
-            division.replicates = line.expect_word("division id").text
+        ident = line.expect("word", "division id")
+        division = Division(self._declare(ident), span=ident.span)
+        if line.opt("word", "replicates"):
+            division.replicates = line.expect("word", "division id").text
             line.expect_end()
-        elif line.opt_punct("{"):
-            line.expect_end()
-            self._division_block(division)
-        else:
-            line.expect_end()
+        for inner in self._block(line):
+            inner.expect("word", text="component")
+            division.components.append(self._component(inner))
         self.model.divisions.append(division)
 
-    def _division_block(self, division: Division) -> None:
-        while True:
-            line = self._next_line()
-            head = line.peek()
-            if head is not None and head.kind == "punct" and head.text == "}":
-                line.advance()
-                line.expect_end()
-                return
-            line.expect_keyword("component")
-            division.components.append(self._component(line))
-
     def _component(self, line: _Line) -> Component:
-        ident = line.expect_word("component id")
+        ident = line.expect("word", "component id")
         fields: dict[str, Token] = {}
         while len(fields) < 3:
-            key = line.expect_word("'kind', 'tech' or 'class'")
+            key = line.expect("word", "'kind', 'tech' or 'class'")
             if key.text not in ("kind", "tech", "class"):
                 raise ParseError(f"unknown component key '{key.text}'", key.span)
             if key.text in fields:
                 raise ParseError(f"duplicate component key '{key.text}'", key.span)
-            line.expect_punct(":")
-            fields[key.text] = line.expect_word(f"{key.text} value")
+            line.expect("punct", text=":")
+            fields[key.text] = line.expect("word", f"{key.text} value")
         component = Component(
-            id=self._declare(ident, "component"),
+            id=self._declare(ident),
             kind=_enum_value(ComponentKind, fields["kind"], "component kind"),
             tech=_enum_value(Technology, fields["tech"], "technology"),
             design_class=fields["class"].text,
             span=ident.span,
         )
-        if line.opt_punct("{"):
-            line.expect_end()
-            self._component_block(component)
-        else:
-            line.expect_end()
-        return component
-
-    def _component_block(self, component: Component) -> None:
-        while True:
-            line = self._next_line()
-            head = line.peek()
-            if head is not None and head.kind == "punct" and head.text == "}":
-                line.advance()
-                line.expect_end()
-                return
-            key = line.expect_word("'control_action', 'info_flow', 'inputs' or 'feedback'")
-            if key.text in ("control_action", "info_flow"):
-                kind = (
-                    LinkKind.CONTROL_ACTION
-                    if key.text == "control_action"
-                    else LinkKind.INFORMATION_FLOW
-                )
-                component.links.append(self._link(line, kind, component.id))
-            elif key.text == "inputs":
-                line.expect_punct(":")
-                component.inputs.extend(line.ref_list())
-                line.expect_end()
-            elif key.text == "feedback":
-                line.expect_punct(":")
-                component.feedback_inputs.extend(line.ref_list())
-                line.expect_end()
+        for inner in self._block(line):
+            key = inner.expect("word", "'control_action', 'info_flow', 'inputs' or 'feedback'")
+            if key.text in _LINK_KINDS:
+                component.links.append(self._link(inner, _LINK_KINDS[key.text], component.id))
+            elif key.text in ("inputs", "feedback"):
+                inner.expect("punct", text=":")
+                refs = component.inputs if key.text == "inputs" else component.feedback_inputs
+                refs.extend(inner.ref_list())
+                inner.expect_end()
             else:
                 raise ParseError(f"unknown component block statement '{key.text}'", key.span)
+        return component
 
     def _link(self, line: _Line, kind: LinkKind, source: str) -> Link:
-        ident = line.expect_word("link id")
+        ident = line.expect("word", "link id")
         line.expect("arrow", "'->'")
         targets = [t.text for t in line.id_list("target component id")]
-        link = Link(self._declare(ident, "link"), kind, source, targets, span=ident.span)
-        if line.opt_punct("{"):
-            line.expect_end()
-            self._link_block(link)
-        else:
-            line.expect_end()
-        return link
-
-    def _link_block(self, link: Link) -> None:
-        while True:
-            line = self._next_line()
-            head = line.peek()
-            if head is not None and head.kind == "punct" and head.text == "}":
-                line.advance()
-                line.expect_end()
-                return
-            line.expect_keyword("applicable")
-            line.expect_punct(":")
-            letter = line.expect_word("failure type letter")
+        link = Link(self._declare(ident), kind, source, targets, span=ident.span)
+        for inner in self._block(line):
+            inner.expect("word", text="applicable")
+            inner.expect("punct", text=":")
+            letter = inner.expect("word", "failure type letter")
             type_ = _enum_value(FailureModeType, letter, "failure type")
             if link.applicability_for(type_) is not None:
                 raise ParseError(
                     f"link '{link.id}' already declares type {type_.letter}", letter.span
                 )
-            line.expect_keyword("hazards")
-            line.expect_punct(":")
-            hazards = [t.text for t in line.id_list("hazard id")]
-            line.expect_end()
+            inner.expect("word", text="hazards")
+            inner.expect("punct", text=":")
+            hazards = [t.text for t in inner.id_list("hazard id")]
+            inner.expect_end()
             link.applicability.append(Applicability(type_, hazards, span=letter.span))
+        return link
 
     def _redundancy_group(self, line: _Line) -> None:
-        ident = line.expect_word("redundancy_group id")
-        level: RedundancyLevel | None = None
-        logic: GroupLogic | None = None
-        members: list[str] | None = None
-        while not line.at_end():
-            key = line.expect_word("'level', 'logic' or 'members'")
-            line.expect_punct(":")
-            if key.text == "level":
-                if level is not None:
-                    raise ParseError("duplicate key 'level'", key.span)
-                level = _enum_value(RedundancyLevel, line.expect_word("level"), "redundancy level")
-            elif key.text == "logic":
-                if logic is not None:
-                    raise ParseError("duplicate key 'logic'", key.span)
-                logic = _enum_value(GroupLogic, line.expect_word("logic"), "group logic")
-            elif key.text == "members":
-                if members is not None:
-                    raise ParseError("duplicate key 'members'", key.span)
-                members = [t.text for t in line.id_list("member id")]
-            else:
-                raise ParseError(f"unknown redundancy_group key '{key.text}'", key.span)
-        for name, value in (("level", level), ("logic", logic), ("members", members)):
-            if value is None:
-                raise ParseError(f"redundancy_group '{ident.text}' is missing '{name}'", ident.span)
+        ident = line.expect("word", "redundancy_group id")
+        fields = _keyed(
+            line,
+            ident,
+            "redundancy_group",
+            {
+                "level": lambda: _enum_value(
+                    RedundancyLevel, line.expect("word", "level"), "redundancy level"
+                ),
+                "logic": lambda: _enum_value(GroupLogic, line.expect("word", "logic"), "group logic"),
+                "members": lambda: [t.text for t in line.id_list("member id")],
+            },
+        )
         self.model.redundancy_groups.append(
-            RedundancyGroup(self._declare(ident, "redundancy_group"), level, logic, members, span=ident.span)
+            RedundancyGroup(self._declare(ident), span=ident.span, **fields)
         )
 
     def _shared_resource(self, line: _Line) -> None:
-        ident = line.expect_word("shared_resource id")
-        scope: ResourceScope | None = None
-        dependents: list[str] | None = None
-        while not line.at_end():
-            key = line.expect_word("'scope' or 'dependents'")
-            line.expect_punct(":")
-            if key.text == "scope":
-                if scope is not None:
-                    raise ParseError("duplicate key 'scope'", key.span)
-                scope = _enum_value(ResourceScope, line.expect_word("scope"), "resource scope")
-            elif key.text == "dependents":
-                if dependents is not None:
-                    raise ParseError("duplicate key 'dependents'", key.span)
-                dependents = [t.text for t in line.id_list("component id")]
-            else:
-                raise ParseError(f"unknown shared_resource key '{key.text}'", key.span)
-        for name, value in (("scope", scope), ("dependents", dependents)):
-            if value is None:
-                raise ParseError(f"shared_resource '{ident.text}' is missing '{name}'", ident.span)
+        ident = line.expect("word", "shared_resource id")
+        fields = _keyed(
+            line,
+            ident,
+            "shared_resource",
+            {
+                "scope": lambda: _enum_value(ResourceScope, line.expect("word", "scope"), "resource scope"),
+                "dependents": lambda: [t.text for t in line.id_list("component id")],
+            },
+        )
         self.model.shared_resources.append(
-            SharedResource(self._declare(ident, "shared_resource"), scope, dependents, span=ident.span)
+            SharedResource(self._declare(ident), span=ident.span, **fields)
         )
 
 
 def parse_model(text: str, file_name: str = "<model>") -> SystemModel:
     """Parse a document into a SystemModel; raise ParseError with a span."""
     lines: list[list[Token]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_LINE_END_RE.split(text), start=1):
         tokens = _tokenize_line(raw, lineno, file_name)
         if tokens:
             lines.append(tokens)

@@ -23,7 +23,14 @@ REPLICA_SEP = "__"
 
 
 class ModelError(Exception):
-    """Raised when an operation cannot proceed on a malformed model."""
+    """Raised when an operation cannot proceed on a malformed model.
+
+    ``span`` locates the fault in the model document when one is known.
+    """
+
+    def __init__(self, message: str, span: SourceSpan | None = None):
+        super().__init__(message)
+        self.span = span
 
 
 @dataclass(frozen=True)
@@ -411,15 +418,19 @@ def expand_replication(model: SystemModel) -> SystemModel:
             continue
         if division.components:
             raise ModelError(
-                f"division '{division.id}' replicates '{source_id}' but declares its own components"
+                f"division '{division.id}' replicates '{source_id}' but declares its own components",
+                division.span,
             )
         source = by_id.get(source_id)
         if source is None:
-            raise ModelError(f"division '{division.id}' replicates unknown division '{source_id}'")
+            raise ModelError(
+                f"division '{division.id}' replicates unknown division '{source_id}'", division.span
+            )
         if source.replicates is not None:
             raise ModelError(
                 f"division '{division.id}' replicates '{source_id}', which itself replicates "
-                f"'{source.replicates}'; chained replication is not supported"
+                f"'{source.replicates}'; chained replication is not supported",
+                division.span,
             )
         local_ids = {c.id for c in source.components}
         suffix = REPLICA_SEP + division.id
@@ -435,7 +446,8 @@ def expand_replication(model: SystemModel) -> SystemModel:
             clone_id = component.id + suffix
             if clone_id in all_component_ids:
                 raise ModelError(
-                    f"replicating '{source_id}' into '{division.id}' would duplicate id '{clone_id}'"
+                    f"replicating '{source_id}' into '{division.id}' would duplicate id '{clone_id}'",
+                    division.span,
                 )
             all_component_ids.add(clone_id)
             links = [
@@ -541,7 +553,7 @@ def _validate_and_expand(model: SystemModel) -> tuple[ValidationReport, SystemMo
     try:
         expanded = expand_replication(model)
     except ModelError as exc:
-        report.violations.append(Violation("replication", str(exc)))
+        report.violations.append(Violation("replication", str(exc), exc.span))
         expanded = model
     _validate_references(expanded, report)
     return report, expanded
@@ -573,15 +585,6 @@ def _validate_declarations(model: SystemModel, report: ValidationReport) -> None
         declare(dc.id, "design_class", dc.span)
     for division in model.divisions:
         declare(division.id, "division", division.span)
-        if division.replicates is not None and division.components:
-            report.violations.append(
-                Violation(
-                    "replica-components",
-                    f"division '{division.id}' replicates '{division.replicates}' "
-                    "but declares its own components",
-                    division.span,
-                )
-            )
     for component in model.components():
         declare(component.id, "component", component.span)
     for link in model.links():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import MINI_MODEL, random_model
 from resha.dsl import ParseError, parse_model, serialize_model
 from resha.model import ComponentKind, FailureModeType, LinkKind, Technology
+from resha.pipeline import bundled_model_path
 
 
 def test_parse_mini_structure():
@@ -114,6 +115,14 @@ def test_replicates_form():
         ('system "s"\nredundancy_group g level: division logic: all_must_fail\n', 2, 18, "missing 'members'"),
         ('system "s"\nredundancy_group g level: tower logic: all_must_fail members: a, b\n', 2, 27, "unknown redundancy level"),
         ('system "s"\nshared_resource r scope: sideways dependents: a, b\n', 2, 26, "unknown resource scope"),
+        ('system "s"\nloss L-1 "ab\\\n', 2, 10, "unterminated string"),
+        ('system "s"\ndivision A\ndivision B replicates A {\n', 3, 25, "unexpected trailing tokens"),
+        ('system "s"\nredundancy_group g level: division level: division\n', 2, 36, "duplicate key 'level'"),
+        ('system "s"\nredundancy_group g level: division colour: red\n', 2, 36, "unknown redundancy_group key"),
+        ('system "s"\nredundancy_group g members: a, b logic: all_must_fail\n', 2, 18, "missing 'level'"),
+        ('system "s"\nshared_resource r scope: internal scope: external\n', 2, 35, "duplicate key 'scope'"),
+        ('system "s"\nshared_resource r scope: internal colour: red\n', 2, 35, "unknown shared_resource key"),
+        ('system "s"\nshared_resource r scope: internal\n', 2, 17, "missing 'dependents'"),
     ],
 )
 def test_parse_errors_carry_spans(text, line, column, fragment):
@@ -129,6 +138,39 @@ def test_string_escapes_round_trip():
     text = 'system "has \\"quotes\\" and \\\\slash"\ntop_event "t"\n'
     model = parse_model(text)
     assert model.name == 'has "quotes" and \\slash'
+    assert parse_model(serialize_model(model)) == model
+
+
+@pytest.mark.parametrize(
+    "text,name,loss",
+    [
+        ('system "s"  \ntop_event "t"\t\nloss L-1 "x" \t \n', "s", "x"),
+        ('system "s"\nloss L-1 "a\\\\q"\n', "s", "a\\q"),
+    ],
+)
+def test_documents_that_parse(text, name, loss):
+    model = parse_model(text)
+    assert model.name == name
+    assert model.losses[0].description == loss
+
+
+# Characters that str.splitlines breaks at but that do not end a line here.
+_NOT_LINE_ENDS = ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", _NOT_LINE_ENDS)
+def test_only_newline_characters_end_a_line(char):
+    text = f'system "s"{char}\nloss L-1 "x"\nloss L-1 "y"\n'
+    with pytest.raises(ParseError) as err:
+        parse_model(text)
+    assert "duplicate id" in err.value.message
+    assert (err.value.span.line, err.value.span.column) == (3, 6)
+
+
+@pytest.mark.parametrize("char", _NOT_LINE_ENDS)
+def test_line_separators_are_string_content(char):
+    model = parse_model(f'system "s"\nloss L-1 "a{char}b"\n')
+    assert model.losses[0].description == f"a{char}b"
     assert parse_model(serialize_model(model)) == model
 
 
@@ -182,3 +224,29 @@ def test_round_trip_random_models(seed):
     rendered = serialize_model(model)
     assert parse_model(rendered) == model
     assert serialize_model(parse_model(rendered)) == rendered
+
+
+_MUTATION_CHARS = ' \t\n\r{}:,."\\#->aZ0_\f\u2028'
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.booleans())
+def test_mutated_documents_fail_only_with_parse_error(seed, bundled):
+    rng = random.Random(seed)
+    text = bundled_model_path().read_text(encoding="utf-8") if bundled else serialize_model(random_model(rng))
+    chars = list(text)
+    for _ in range(rng.randint(1, 4)):
+        at = rng.randrange(len(chars) + 1)
+        edit = rng.choice(("insert", "delete", "replace"))
+        if edit == "insert":
+            chars.insert(at, rng.choice(_MUTATION_CHARS))
+        elif at < len(chars):
+            if edit == "delete":
+                del chars[at]
+            else:
+                chars[at] = rng.choice(_MUTATION_CHARS)
+    try:
+        model = parse_model("".join(chars))
+    except ParseError:
+        return
+    assert parse_model(serialize_model(model)) == model

@@ -311,7 +311,31 @@ def test_expand_rejects_replica_with_components():
     model.divisions.append(Division(id="R", replicates="D", components=[_plain("x")]))
     with pytest.raises(ModelError, match="declares its own components"):
         expand_replication(model)
-    assert "replica-components" in _codes(model)
+    assert [v.code for v in validate_model(model).violations] == ["replication"]
+
+
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        ("division R replicates GHOST\n", "unknown division 'GHOST'"),
+        ("division R1 replicates MAIN\ndivision R replicates R1\n", "chained replication"),
+        (
+            "division X {\n  component probe__R kind: sensor tech: analog class: DC-S\n}\n"
+            "division R replicates MAIN\n",
+            "would duplicate id 'probe__R'",
+        ),
+    ],
+    ids=["unknown-source", "chained", "id-collision"],
+)
+def test_replication_violation_is_reported_once_at_the_replica(extra, message):
+    text = MINI_MODEL + extra
+    model = parse_model(text, "doc.resha")
+    replica = next(d for d in model.divisions if d.id == "R")
+    violations = [v for v in validate_model(model).violations if v.code == "replication"]
+    assert len(violations) == 1
+    assert message in violations[0].message
+    assert violations[0].span == replica.span
+    assert str(violations[0]).startswith(f"doc.resha:{replica.span.line}:{replica.span.column}: ")
 
 
 def test_expand_detects_id_collision():

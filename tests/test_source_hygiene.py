@@ -1,5 +1,5 @@
-"""Source hygiene: no dead imports, no runtime code that only tests call, and
-no ``copy`` module.
+"""Source hygiene: no dead imports, no unread parameters, no runtime code that
+only tests call, and no ``copy`` module.
 
 The package is read with ``ast`` alone; nothing under ``src/resha`` is
 imported or run here.
@@ -90,6 +90,32 @@ def test_every_import_is_used():
         used = _references(tree)
         unused.extend(f"{name}: {i}" for i in _imported_names(tree) if not used[i])
     assert unused == []
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                inner.id
+                for statement in body
+                for inner in ast.walk(statement)
+                if isinstance(inner, ast.Name) and isinstance(inner.ctx, ast.Load)
+            }
+            unread.extend(
+                f"{name}:{node.lineno}: {param.arg}"
+                for param in params
+                if param is not None
+                and param.arg not in read
+                and param.arg not in ("self", "cls")
+                and not param.arg.startswith("_")
+            )
+    assert unread == []
 
 
 def test_every_function_has_a_runtime_caller():
