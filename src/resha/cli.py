@@ -285,7 +285,11 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (ModelError, OSError) as exc:
+    except ModelError as exc:
+        where = f"{exc.span}: " if exc.span else ""
+        print(f"{where}error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,34 +1,48 @@
 """Minimal cut sets over monotone fault-tree DAGs.
 
-The engine works on integer bitsets: each basic event reachable from the
-root gets one bit, numbered in canonical (category, id) order, so a cut set
-is an ``int`` and a family a ``set[int]``.  Families combine bottom-up with
-memoization, so shared subtrees are computed once.  OR nodes union their
-children's families (a lone non-empty child's family passes through) and
-minimize the union by absorbing sets into strictly smaller kept ones,
-singletons through one OR-mask.  AND nodes fold their children pairwise, and
-each pair is factored first: a singleton found in both families is a
-minimal set of the product and, the families being minimal, no other set of
-either holds its event, so it passes straight through.  When what remains
-of the two families has disjoint supports (independent modules, as the
-divisions under an ``all_must_fail`` gate are once their shared CCF events
-pass through), every union ``a | b`` is already minimal and has order
-``|a| + |b|``, so only the pairs within the bound are built and nothing is
-minimized; otherwise the remainders are crossed and minimized.  An optional
-order bound prunes sets by ``int.bit_count`` during combination, which is
-sound for monotone trees (dropping a set can never create a new minimal set
-at or below the bound); without a bound the result is exact.  Sets become
-member tuples only at the end, sorted by order and then by bit indices,
-which is the canonical (order, members) order.
+The engine works on integer bitsets.  Each basic event reachable from the
+root gets one bit: event ``i`` of the canonical (category, id) list owns
+bit ``1 << (n - 1 - i)``, so a cut set is an ``int``.  A node's family is a
+pair ``(singles, larger)``: ``singles`` is one mask of its first-order
+events, and ``larger`` is a set of the bitsets of order two and up, none
+of which touches ``singles`` since the family is minimal (Rauzy, "New
+algorithms for fault trees analysis", RESS 40(3), 1993, for minimal-set
+families).  Families combine bottom-up with memoization, so shared
+subtrees are computed once.
+
+OR nodes OR their children's masks, union their ``larger`` sets, drop the
+sets that touch the mask and absorb each remaining set into strictly
+smaller kept ones; a gate whose children have no larger sets costs one
+OR per child.  AND nodes fold their children pairwise, and each pair is
+factored first: a singleton of both families is a minimal set of the
+product and, the families being minimal, no other set of either holds its
+event, so the mask ``left.singles & right.singles`` passes straight
+through.  Every other product has order two or more, so under a bound of
+one nothing else is built.  When what remains of the two families has
+disjoint supports (independent modules, as the divisions under an
+``all_must_fail`` gate are once their shared CCF events pass through),
+every union ``a | b`` is already minimal and has order ``|a| + |b|``, so
+only the pairs within the bound are built and nothing is absorbed;
+otherwise the remainders are crossed and absorbed.  An optional order
+bound prunes sets by ``int.bit_count`` during combination, which is sound
+for monotone trees (dropping a set can never create a new minimal set at
+or below the bound); without a bound the result is exact.
+
+The root's family is sorted into the canonical (order, members) order,
+which with this numbering is order up, then ``int`` down.  The collection
+keeps these ints; member tuples are built only on demand.
 
 ``brute_force_oracle`` recomputes the same answer from the definition by
 evaluating the tree on every event assignment, packed as truth-table
 bit-integers so the cost is one big-int operation per node.  It numbers
-events the same way and shares the final conversion.
+events the same way and builds the same collection.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Iterable, Iterator
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 
 from .ftree import BasicEvent, EventCategory, FaultTree, GateOp
@@ -45,6 +59,10 @@ _CATEGORY_RANK = {
     EventCategory.CCF: 5,
 }
 
+# A family: the mask of its singleton events and its sets of order two and up.
+Family = tuple[int, AbstractSet[int]]
+_NO_SETS: frozenset[int] = frozenset()
+
 
 def event_sort_key(tree: FaultTree):
     """Canonical (category, id) ordering for basic events."""
@@ -59,55 +77,87 @@ def event_sort_key(tree: FaultTree):
 
 @dataclass
 class CutSetCollection:
-    """Canonically ordered minimal cut sets.
+    """Canonically ordered minimal cut sets, kept as bitsets.
 
-    Members inside a set are sorted by (category, id); sets are sorted by
-    (order, members).  ``truncation_order`` records the bound the sets were
+    ``events`` is the canonical event list; event ``i`` owns bit
+    ``1 << (len(events) - 1 - i)`` of each int in ``cuts``.  Members inside
+    a set are sorted by (category, id); sets are sorted by (order,
+    members).  ``truncation_order`` records the bound the sets were
     computed under, None when exact.
     """
 
-    sets: list[tuple[str, ...]] = field(default_factory=list)
+    events: list[str]
+    cuts: list[int]
     truncation_order: int | None = None
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return len(self.cuts)
+
+    def member_indices(self) -> Iterator[list[int]]:
+        """Each set's member event indices, in canonical member order."""
+        n = len(self.events)
+        for cut in self.cuts:
+            indices = []
+            while cut:
+                top = cut.bit_length()
+                indices.append(n - top)
+                cut ^= 1 << (top - 1)
+            yield indices
+
+    @property
+    def sets(self) -> list[tuple[str, ...]]:
+        """Member tuples of every set, built on each access and not stored."""
+        events = self.events
+        return [tuple([events[i] for i in indices]) for indices in self.member_indices()]
 
     def as_frozensets(self) -> set[frozenset[str]]:
         return {frozenset(s) for s in self.sets}
 
     def order_index(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for cut in self.sets:
-            counts[len(cut)] = counts.get(len(cut), 0) + 1
-        return dict(sorted(counts.items()))
+        return dict(sorted(Counter(map(int.bit_count, self.cuts)).items()))
 
     def singletons(self) -> list[str]:
-        return [cut[0] for cut in self.sets if len(cut) == 1]
+        n = len(self.events)
+        return [self.events[n - cut.bit_length()] for cut in self.cuts if cut.bit_count() == 1]
 
 
 def _numbered_events(tree: FaultTree, order: list[str]) -> list[str]:
-    """Reachable basic events in canonical order; event i owns bit ``1 << i``."""
+    """Reachable basic events in canonical order; event i owns bit ``1 << (n-1-i)``."""
     events = [node_id for node_id in order if isinstance(tree.nodes[node_id], BasicEvent)]
     return sorted(events, key=event_sort_key(tree))
 
 
-def _minimize(family: set[int], bound: int) -> set[int]:
-    """Drop sets above the bound and every set that contains a smaller one."""
-    singles: list[int] = []
+def _collection_from(
+    events: list[str], cuts: Iterable[int], max_order: int | None
+) -> CutSetCollection:
+    # Higher bits belong to earlier events, so within one order a larger int
+    # has the smaller member list.
+    ordered = sorted(cuts, reverse=True)
+    ordered.sort(key=int.bit_count)
+    return CutSetCollection(events=events, cuts=ordered, truncation_order=max_order)
+
+
+def _single_bits(mask: int) -> list[int]:
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low)
+        mask ^= low
+    return bits
+
+
+def _absorb(family: set[int], singles: int) -> set[int]:
+    """Drop the sets of order two and up that touch ``singles`` or contain a
+    smaller set of ``family``."""
     buckets: dict[int, list[int]] = {}
     for cut in family:
-        size = cut.bit_count()
-        if size == 1:
-            singles.append(cut)
-        elif size <= bound:
-            buckets.setdefault(size, []).append(cut)
-    # Distinct single bits, so their sum is their OR.
-    single_mask = sum(singles)
-    kept = set(singles)
-    # Kept sets of order two and up, all smaller than the bucket in hand.
+        if not cut & singles:
+            buckets.setdefault(cut.bit_count(), []).append(cut)
+    kept: set[int] = set()
+    # Kept sets, all smaller than the bucket in hand.
     smaller: list[int] = []
     for size in sorted(buckets):
-        fresh = [cut for cut in buckets[size] if not cut & single_mask]
+        fresh = buckets[size]
         if smaller:
             fresh = [cut for cut in fresh if not any(t & cut == t for t in smaller)]
         kept.update(fresh)
@@ -115,52 +165,59 @@ def _minimize(family: set[int], bound: int) -> set[int]:
     return kept
 
 
-def _and_combine(left: set[int], right: set[int], bound: int) -> set[int]:
+def _or_families(families: list[Family]) -> Family:
+    singles = 0
+    parts = []
+    for child_singles, larger in families:
+        singles |= child_singles
+        if larger:
+            parts.append(larger)
+    if not parts:
+        return singles, _NO_SETS
+    if len(parts) == 1:
+        # Already minimal; only the other children's singletons can absorb.
+        (larger,) = parts
+        if any(cut & singles for cut in larger):
+            larger = {cut for cut in larger if not cut & singles}
+        return singles, larger
+    return singles, _absorb(set().union(*parts), singles)
+
+
+def _and_combine(left: Family, right: Family, bound: int) -> Family:
     """Minimal sets of ``{a | b}`` over two minimal families within the bound."""
+    (left_singles, left_larger), (right_singles, right_larger) = left, right
     # A singleton in both inputs is a minimal set of the product, and since
     # each input is minimal no other set of either input holds its event.
-    common = {cut for cut in left & right if cut.bit_count() == 1}
-    if common:
-        left = left - common
-        right = right - common
-    left_mask = right_mask = 0
-    for cut in left:
+    common = left_singles & right_singles
+    if bound == 1:
+        return common, _NO_SETS
+    left_mask, right_mask = left_singles ^ common, right_singles ^ common
+    left_rest = _single_bits(left_mask) + list(left_larger)
+    right_rest = _single_bits(right_mask) + list(right_larger)
+    for cut in left_larger:
         left_mask |= cut
-    for cut in right:
+    for cut in right_larger:
         right_mask |= cut
+    # No remaining singleton is in both inputs, so every product below has
+    # order two or more.
     if left_mask & right_mask:
-        return common | _minimize(
-            {u for a in left for b in right if (u := a | b).bit_count() <= bound}, bound
+        return common, _absorb(
+            {u for a in left_rest for b in right_rest if (u := a | b).bit_count() <= bound}, 0
         )
     # Disjoint supports: every union is minimal and its order is the sum of
     # its parts' orders, so build only the pairs within the bound.
     by_order: dict[int, list[int]] = {}
-    for b in right:
+    for b in right_rest:
         by_order.setdefault(b.bit_count(), []).append(b)
     sizes = sorted(by_order)
-    for a in left:
+    larger: set[int] = set()
+    for a in left_rest:
         room = bound - a.bit_count()
         for size in sizes:
             if size > room:
                 break
-            common.update(a | b for b in by_order[size])
-    return common
-
-
-def _collection_from(
-    events: list[str], family: set[int], max_order: int | None
-) -> CutSetCollection:
-    rows = []
-    for cut in family:
-        bits = []
-        while cut:
-            low = cut & -cut
-            bits.append(low.bit_length() - 1)
-            cut ^= low
-        rows.append(bits)
-    rows.sort(key=lambda bits: (len(bits), bits))
-    sets = [tuple(events[i] for i in bits) for bits in rows]
-    return CutSetCollection(sets=sets, truncation_order=max_order)
+            larger.update(a | b for b in by_order[size])
+    return common, larger
 
 
 def minimal_cut_sets(tree: FaultTree, max_order: int | None = None) -> CutSetCollection:
@@ -169,29 +226,28 @@ def minimal_cut_sets(tree: FaultTree, max_order: int | None = None) -> CutSetCol
         raise ModelError(f"max_order must be at least 1, got {max_order}")
     order = tree.check_structure()
     events = _numbered_events(tree, order)
+    n = len(events)
     # No set has more members than there are events.
-    bound = len(events) if max_order is None else max_order
-    memo: dict[str, set[int]] = {event_id: {1 << i} for i, event_id in enumerate(events)}
+    bound = n if max_order is None else max_order
+    memo: dict[str, Family] = {
+        event_id: (1 << (n - 1 - i), _NO_SETS) for i, event_id in enumerate(events)
+    }
     for node_id in order:
         node = tree.nodes[node_id]
         if isinstance(node, BasicEvent):
             continue
         child_families = [memo[c] for c in node.children]
         if node.op is GateOp.OR:
-            live = [family for family in child_families if family]
-            if len(live) == 1:
-                # Already minimal and within the bound.
-                memo[node_id] = live[0]
-            else:
-                memo[node_id] = _minimize(set().union(*live), bound)
+            memo[node_id] = _or_families(child_families)
         else:
             acc = child_families[0]
             for family in child_families[1:]:
-                if not acc:
+                if acc == (0, _NO_SETS):
                     break
                 acc = _and_combine(acc, family, bound)
             memo[node_id] = acc
-    return _collection_from(events, memo[tree.root], max_order)
+    singles, larger = memo[tree.root]
+    return _collection_from(events, _single_bits(singles) + list(larger), max_order)
 
 
 @dataclass
@@ -232,11 +288,13 @@ def brute_force_oracle(tree: FaultTree, max_events: int = ORACLE_EVENT_BOUND) ->
         )
     total = 1 << n
 
-    # tables[i] has bit b set iff event i is failed in assignment b.
+    # An assignment is a cut-set mask: event i is failed in assignment b iff
+    # b has event i's bit, 1 << (n - 1 - i).  tables[e] has bit b set iff
+    # event e is failed in assignment b.
     tables: dict[str, int] = {}
-    for i, event_id in enumerate(events):
-        block = ((1 << (1 << i)) - 1) << (1 << i)
-        span = 1 << (i + 1)
+    for bit, event_id in enumerate(reversed(events)):
+        block = ((1 << (1 << bit)) - 1) << (1 << bit)
+        span = 1 << (bit + 1)
         pattern = block
         while span < total:
             pattern |= pattern << span

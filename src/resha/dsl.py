@@ -7,8 +7,9 @@ on a line of its own.  A line is read left to right as these tokens:
 - whitespace: space, tab, ``\\f``, ``\\v``, ``\\x1c``-``\\x1e``, ``\\x85``,
   ``\\u2028`` and ``\\u2029``, skipped;
 - comment: ``#`` to the end of the line, skipped;
-- string: double-quoted, with ``\\"`` and ``\\\\`` escapes, closed on its own
-  line; the whitespace characters above are content inside it;
+- string: double-quoted, with ``\\"``, ``\\\\``, ``\\n`` and ``\\r`` escapes,
+  closed on its own line; the whitespace characters above are content
+  inside it;
 - arrow: ``->``;
 - punct: one of ``{ } : , .``;
 - word: ``[A-Za-z]`` then letters, digits, ``_`` and any ``-`` that does not
@@ -66,6 +67,7 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 _ESCAPE_RE = re.compile(r"\\(.)")
+_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "r": "\r"}
 _LINK_KINDS = {"control_action": LinkKind.CONTROL_ACTION, "info_flow": LinkKind.INFORMATION_FLOW}
 
 
@@ -101,12 +103,12 @@ def _tokenize_line(text: str, lineno: int, file_name: str) -> list[Token]:
         column = match.start() + 1
         if kind == "string":
             for escape in _ESCAPE_RE.finditer(text, match.start("body"), match.end("body")):
-                if escape[1] not in '"\\':
+                if escape[1] not in _ESCAPES:
                     where = SourceSpan(file_name, lineno, escape.start() + 1)
                     raise ParseError(f"unsupported escape '\\{escape[1]}'", where)
             if match["close"] is None:
                 raise ParseError("unterminated string", SourceSpan(file_name, lineno, column))
-            value = _ESCAPE_RE.sub(r"\1", match["body"])
+            value = _ESCAPE_RE.sub(lambda escape: _ESCAPES[escape[1]], match["body"])
         elif kind == "other":
             raise ParseError(f"unexpected character {value!r}", SourceSpan(file_name, lineno, column))
         tokens.append(Token(kind, value, file_name, lineno, column, match.end() + 1))
@@ -415,7 +417,7 @@ def parse_model(text: str, file_name: str = "<model>") -> SystemModel:
 
 
 def _escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
+    return text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\r", "\\r")
 
 
 def _serialize_link(link: Link, indent: str) -> list[str]:

@@ -390,11 +390,16 @@ def synthesize_hardware_ft(model: SystemModel, include_hw_design: bool = False) 
     return tree
 
 
-def integrate_software(tree: FaultTree, instances: list["UcaUifInstance"]) -> FaultTree:
+def integrate_software(
+    tree: FaultTree, instances: list["UcaUifInstance"], model: SystemModel | None = None
+) -> FaultTree:
     """Return a new tree with applicable instances attached as basic events.
 
     Each instance becomes a software basic event under its owner's
-    software-design placeholder gate.  The input tree is not modified.
+    software-design placeholder gate.  The input tree is not modified.  An
+    owner without one is a component the top event does not depend on; the
+    ModelError raised for it carries the owner's span when ``model`` (the
+    model the tree was synthesized from) is given.
     """
     out = tree.copy()
     placeholders = {
@@ -403,9 +408,11 @@ def integrate_software(tree: FaultTree, instances: list["UcaUifInstance"]) -> Fa
     for instance in sorted(instances, key=lambda i: i.id):
         gate = placeholders.get(instance.owner)
         if gate is None:
+            owner = ModelIndex(model).components.get(instance.owner) if model else None
             raise ModelError(
                 f"instance '{instance.id}' belongs to '{instance.owner}', "
-                "which has no software gate in the tree"
+                "which has no software gate in the tree: the top event does not depend on it",
+                owner.span if owner else None,
             )
         category = EventCategory.SW_UCA if instance.flavor.value == "uca" else EventCategory.SW_UIF
         event = BasicEvent(

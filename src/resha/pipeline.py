@@ -117,7 +117,7 @@ STAGES: dict[str, tuple[Callable[..., Any], tuple[str, ...]]] = {
     "instances": (apply_applicability, ("candidates", "expanded")),
     "hardware_tree": (synthesize_hardware_ft, ("expanded", "include_hw_design")),
     "census": (branch_census, ("hardware_tree",)),
-    "integrated_tree": (integrate_software, ("hardware_tree", "instances")),
+    "integrated_tree": (integrate_software, ("hardware_tree", "instances", "expanded")),
     "groups": (detect_ccf_groups, ("expanded", "instances")),
     "injected_tree": (inject_ccf_events, ("integrated_tree", "groups")),
     "collection": (minimal_cut_sets, ("injected_tree", "max_order")),

@@ -249,20 +249,29 @@ def cutsets_csv(collection: CutSetCollection, tree: FaultTree) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["order", "members", "categories", "software"])
-    for cut in collection.sets:
-        categories = []
-        software = True
-        for member in cut:
-            node = tree.nodes.get(member)
-            if isinstance(node, BasicEvent):
-                categories.append(node.category.value)
-                software = software and node.software
-            else:
-                categories.append("?")
-                software = False
-        writer.writerow(
-            [len(cut), ";".join(cut), ";".join(categories), "yes" if software else "no"]
-        )
+    # (id, category, software) per event index, built on first use.
+    entries: dict[int, tuple[str, str, bool]] = {}
+
+    def entry(i: int) -> tuple[str, str, bool]:
+        event_id = collection.events[i]
+        node = tree.nodes.get(event_id)
+        if isinstance(node, BasicEvent):
+            entries[i] = (event_id, node.category.value, node.software)
+        else:
+            entries[i] = (event_id, "?", False)
+        return entries[i]
+
+    def rows():
+        for indices in collection.member_indices():
+            ids, categories, software = [], [], True
+            for i in indices:
+                event_id, category, event_software = entries.get(i) or entry(i)
+                ids.append(event_id)
+                categories.append(category)
+                software = software and event_software
+            yield len(ids), ";".join(ids), ";".join(categories), "yes" if software else "no"
+
+    writer.writerows(rows())
     return out.getvalue()
 
 

@@ -84,6 +84,39 @@ def scaled_qiasp(text: str, divisions: int) -> str:
     return text
 
 
+def unwired_replica_text(text: str) -> str:
+    """The bundled model with a replica C of division A in the redundancy
+    group, but without ``display_interface__C`` in the operator terminal's
+    ``inputs:``, so the top event depends on nothing in division C."""
+    for old, new in (
+        ("division B replicates A\n", "division B replicates A\ndivision C replicates A\n"),
+        ("members: A, B", "members: A, B, C"),
+    ):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    return text
+
+
+def chain_text(length: int, consumer_first: bool) -> str:
+    """Analog sensors s0 .. s<length-1>, each fed by the one before, read by the operator."""
+    components = ["  component s0 kind: sensor tech: analog class: DC-S"]
+    components += [
+        f"  component s{i} kind: sensor tech: analog class: DC-S {{\n    inputs: s{i - 1}\n  }}"
+        for i in range(1, length)
+    ]
+    components.append(
+        f"  component op kind: operator tech: human class: DC-O {{\n    inputs: s{length - 1}\n  }}"
+    )
+    if consumer_first:
+        components.reverse()
+    return (
+        'system "chain"\ntop_event "operator misled"\n'
+        'loss L-1 "loss"\nhazard H-1 "hazard" losses: L-1\n'
+        'design_class DC-S "probe"\ndesign_class DC-O "crew"\n'
+        "division MAIN {\n" + "\n".join(components) + "\n}\n"
+    )
+
+
 @pytest.fixture(scope="session")
 def qiasp_text() -> str:
     return bundled_model_path().read_text(encoding="utf-8")

@@ -7,9 +7,19 @@ list, order included.  Nothing under ``src/`` may import this module.
 
 from __future__ import annotations
 
-from resha.cutsets import CutSetCollection, event_sort_key
+from dataclasses import dataclass
+
+from resha.cutsets import event_sort_key
 from resha.ftree import BasicEvent, FaultTree, GateOp
 from resha.model import ModelError
+
+
+@dataclass
+class ReferenceCollection:
+    """Member tuples in the canonical (order, members) order."""
+
+    sets: list[tuple[str, ...]]
+    truncation_order: int | None = None
 
 
 def _minimize(families: set[frozenset[str]], max_order: int | None) -> set[frozenset[str]]:
@@ -44,16 +54,16 @@ def _and_combine(
 
 def _collection_from(
     tree: FaultTree, families: set[frozenset[str]], max_order: int | None
-) -> CutSetCollection:
+) -> ReferenceCollection:
     key = event_sort_key(tree)
     ordered = [tuple(sorted(s, key=key)) for s in families]
     ordered.sort(key=lambda cut: (len(cut), [key(m) for m in cut]))
-    return CutSetCollection(sets=ordered, truncation_order=max_order)
+    return ReferenceCollection(sets=ordered, truncation_order=max_order)
 
 
 def reference_minimal_cut_sets(
     tree: FaultTree, max_order: int | None = None
-) -> CutSetCollection:
+) -> ReferenceCollection:
     """Minimal cut sets of the root, optionally truncated to an order bound."""
     if max_order is not None and max_order < 1:
         raise ModelError(f"max_order must be at least 1, got {max_order}")

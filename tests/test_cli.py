@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import MINI_MODEL
+from conftest import MINI_MODEL, unwired_replica_text
 import resha
 import resha.model
 from resha.cli import _color_enabled, _style, main
@@ -49,6 +49,21 @@ def test_parse_error_exit_code(tmp_path, capsys):
 def test_missing_file_exit_code(capsys):
     assert main(["validate", "/no/such/file.resha"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_model_error_is_printed_at_its_span(model_path, tmp_path, capsys):
+    text = unwired_replica_text(Path(model_path).read_text(encoding="utf-8"))
+    doc = tmp_path / "unwired.resha"
+    doc.write_text(text, encoding="utf-8")
+    assert main(["validate", str(doc)]) == 0
+    capsys.readouterr()
+    assert main(["cutsets", str(doc)]) == 2
+    lines = text.splitlines()
+    line = next(n for n, body in enumerate(lines, 1) if "component cet_alarm " in body)
+    column = lines[line - 1].index("cet_alarm") + 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{doc}:{line}:{column}: error: ")
+    assert "instance 'cet_alert__C:A:C' belongs to 'cet_alarm__C'" in err
 
 
 def test_stpa_text(model_path, capsys):

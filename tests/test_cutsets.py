@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import hashlib
 import random
 from types import SimpleNamespace
 from unittest import mock
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mk_tree, random_tree, scaled_qiasp
+from conftest import chain_text, mk_tree, random_tree, scaled_qiasp
 from resha import cutsets
 from resha.cutsets import (
     ORACLE_EVENT_BOUND,
@@ -20,9 +21,10 @@ from resha.cutsets import (
     first_order_cut_sets,
     minimal_cut_sets,
 )
+from resha.dsl import parse_model
 from resha.ftree import BasicEvent, EventCategory, FaultTree, Gate, GateOp
 from resha.model import ModelError
-from resha.pipeline import PipelineOptions, analyze_text
+from resha.pipeline import PipelineOptions, analyze_model, analyze_text
 from reference_cutsets import reference_minimal_cut_sets
 
 
@@ -269,26 +271,26 @@ def test_result_is_independent_of_node_and_child_order(seed, bound):
 @contextlib.contextmanager
 def spied_engine():
     """Record the path each ``_and_combine`` call takes ("fallback" when it
-    minimizes a cross product, "disjoint" when it does not) and the size of
-    every family ``_minimize`` receives."""
+    absorbs a cross product, "disjoint" when it does not) and the size of
+    every family ``_absorb`` receives."""
     seen = SimpleNamespace(paths=[], sizes=[])
-    minimized: list[bool] = []
-    and_combine, minimize = cutsets._and_combine, cutsets._minimize
+    absorbed: list[bool] = []
+    and_combine, absorb = cutsets._and_combine, cutsets._absorb
 
-    def spy_minimize(family, bound):
+    def spy_absorb(family, singles):
         seen.sizes.append(len(family))
-        if minimized:
-            minimized[-1] = True
-        return minimize(family, bound)
+        if absorbed:
+            absorbed[-1] = True
+        return absorb(family, singles)
 
     def spy_and_combine(left, right, bound):
-        minimized.append(False)
+        absorbed.append(False)
         try:
             return and_combine(left, right, bound)
         finally:
-            seen.paths.append("fallback" if minimized.pop() else "disjoint")
+            seen.paths.append("fallback" if absorbed.pop() else "disjoint")
 
-    with mock.patch.object(cutsets, "_minimize", spy_minimize), mock.patch.object(
+    with mock.patch.object(cutsets, "_absorb", spy_absorb), mock.patch.object(
         cutsets, "_and_combine", spy_and_combine
     ):
         yield seen
@@ -352,11 +354,13 @@ def test_division_and_minimizes_no_large_family(qiasp_result, qiasp_text):
     # Both reached 7378 sets when the division AND minimized its full product.
     with spied_engine() as seen:
         minimal_cut_sets(qiasp_result.injected_tree)
-    assert max(seen.sizes) < 3000
+    assert max(seen.sizes, default=0) < 3000
+    assert seen.paths and "fallback" not in seen.paths
     three = analyze_text(scaled_qiasp(qiasp_text, 3), "qiasp3.resha", PipelineOptions(max_order=2))
     with spied_engine() as seen:
         minimal_cut_sets(three.injected_tree, 2)
-    assert max(seen.sizes) < 3000
+    assert max(seen.sizes, default=0) < 3000
+    assert seen.paths and "fallback" not in seen.paths
 
 
 def test_four_divisions_at_order_3_equal_order_2(qiasp_text):
@@ -364,3 +368,24 @@ def test_four_divisions_at_order_3_equal_order_2(qiasp_text):
     result = analyze_text(text, "qiasp4.resha", PipelineOptions(max_order=2))
     assert result.collection.order_index() == {1: 44}
     assert minimal_cut_sets(result.injected_tree, 3).sets == result.collection.sets
+
+
+def test_dependency_chain_absorbs_nothing():
+    # Every gate of a sensor chain is an OR over singletons, so each one ORs
+    # masks; re-scanning the growing family per gate made this quadratic.
+    with spied_engine() as seen:
+        result = analyze_model(parse_model(chain_text(4000, consumer_first=False)))
+    assert result.collection.order_index() == {1: 4000}
+    assert seen.sizes == []
+
+
+# SHA-256 of ``repr(collection.sets)`` for the exact 3-division variant, as
+# computed by the engine that stored one tuple of member ids per set.
+THREE_DIVISIONS_EXACT_SHA256 = "a17e232c9eb2b4cb6707edd73168cca154248eabe41cd4a823ea6c058df02e01"
+
+
+def test_three_divisions_exact_sets_are_pinned(qiasp_text):
+    result = analyze_text(scaled_qiasp(qiasp_text, 3), "qiasp3.resha")
+    assert result.collection.order_index() == {1: 44, 3: 110592}
+    digest = hashlib.sha256(repr(result.collection.sets).encode()).hexdigest()
+    assert digest == THREE_DIVISIONS_EXACT_SHA256

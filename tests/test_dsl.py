@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -139,6 +140,20 @@ def test_string_escapes_round_trip():
     model = parse_model(text)
     assert model.name == 'has "quotes" and \\slash'
     assert parse_model(serialize_model(model)) == model
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text(st.sampled_from(["a", "n", "r", " ", "#", "\n", "\r", '"', "\\"]), max_size=16))
+def test_descriptions_with_line_breaks_round_trip(description):
+    model = parse_model(MINI_MODEL)
+    loss = replace(model.losses[0], description=description)
+    model = replace(model, name=description, losses=[loss] + model.losses[1:])
+    assert parse_model(serialize_model(model)) == model
+
+
+def test_line_break_escapes_decode():
+    model = parse_model('system "two\\nlines\\r\\n"\n')
+    assert model.name == "two\nlines\r\n"
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
-from conftest import MINI_MODEL, random_model, scaled_qiasp
+from conftest import MINI_MODEL, chain_text, random_model, scaled_qiasp, unwired_replica_text
 from resha.dsl import parse_model, serialize_model
 from resha.model import (
     Component,
@@ -262,33 +262,23 @@ def test_analysis_leaves_the_authored_model_unchanged(qiasp_text, divisions):
         assert replica.span == idx.components["hjtc_calculator"].span is not None
 
 
-def _chain_text(length: int, consumer_first: bool) -> str:
-    """Analog sensors s0 .. s<length-1>, each fed by the one before, read by the operator."""
-    components = ["  component s0 kind: sensor tech: analog class: DC-S"]
-    components += [
-        f"  component s{i} kind: sensor tech: analog class: DC-S {{\n    inputs: s{i - 1}\n  }}"
-        for i in range(1, length)
-    ]
-    components.append(
-        f"  component op kind: operator tech: human class: DC-O {{\n    inputs: s{length - 1}\n  }}"
-    )
-    if consumer_first:
-        components.reverse()
-    return (
-        'system "chain"\ntop_event "operator misled"\n'
-        'loss L-1 "loss"\nhazard H-1 "hazard" losses: L-1\n'
-        'design_class DC-S "probe"\ndesign_class DC-O "crew"\n'
-        "division MAIN {\n" + "\n".join(components) + "\n}\n"
-    )
-
-
 @pytest.mark.parametrize("consumer_first", [False, True])
 def test_chain_longer_than_recursion_limit_analyses(consumer_first):
     length = sys.getrecursionlimit() + 100
-    model = parse_model(_chain_text(length, consumer_first))
+    model = parse_model(chain_text(length, consumer_first))
     assert validate_model(model).ok
     result = analyze_model(model)
     assert result.collection.order_index() == {1: length}
+
+
+def test_unwired_replica_fails_at_the_owner_component(qiasp_text):
+    model = parse_model(unwired_replica_text(qiasp_text), "unwired.resha")
+    assert validate_model(model).ok
+    with pytest.raises(ModelError, match="no software gate") as caught:
+        analyze_model(model)
+    assert "'cet_alarm__C'" in str(caught.value)
+    owner = next(c for c in model.components() if c.id == "cet_alarm")
+    assert caught.value.span == owner.span is not None
 
 
 def test_expand_unknown_source_errors():
