@@ -31,7 +31,15 @@ from .pipeline import (
     run_pipeline,
     run_stages,
 )
-from .report import ccf_csv, cutsets_csv, export_ft, import_ft, render_summary, traceability_csv
+from .report import (
+    ccf_csv,
+    cut_set_counts,
+    cutsets_csv,
+    export_ft,
+    import_ft,
+    render_summary,
+    traceability_csv,
+)
 
 
 def _color_enabled(stream) -> bool:
@@ -172,14 +180,8 @@ def cmd_cutsets(args) -> int:
     if args.format == "csv":
         _emit(cutsets_csv(collection, tree), args.out)
     else:
-        lines = []
-        for cut in collection.sets:
-            lines.append(f"order {len(cut)}: {' '.join(cut)}")
-        lines.append(f"Minimal cut sets: {len(collection)}")
-        for order, count in collection.order_index().items():
-            lines.append(f"Order {order}: {count}")
-        lines.append(f"First-order software cut sets: {len(first.software)}")
-        lines.append(f"First-order hardware cut sets: {len(first.hardware)}")
+        lines = [f"order {len(cut)}: {' '.join(cut)}" for cut in collection.sets]
+        lines += cut_set_counts(collection, first)
         _emit("\n".join(lines) + "\n", args.out)
     return 0
 

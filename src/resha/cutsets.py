@@ -110,9 +110,6 @@ class CutSetCollection:
         events = self.events
         return [tuple([events[i] for i in indices]) for indices in self.member_indices()]
 
-    def as_frozensets(self) -> set[frozenset[str]]:
-        return {frozenset(s) for s in self.sets}
-
     def order_index(self) -> dict[int, int]:
         return dict(sorted(Counter(map(int.bit_count, self.cuts)).items()))
 

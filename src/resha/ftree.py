@@ -33,6 +33,7 @@ from .model import (
     ResourceScope,
     SystemModel,
     Technology,
+    depth_first,
 )
 
 if TYPE_CHECKING:
@@ -94,11 +95,6 @@ class FaultTree:
             if isinstance(node, Gate):
                 yield node
 
-    def events(self) -> Iterator[BasicEvent]:
-        for node in self.nodes.values():
-            if isinstance(node, BasicEvent):
-                yield node
-
     def add(self, node: Node) -> Node:
         if node.id in self.nodes:
             raise ModelError(f"duplicate node id '{node.id}'")
@@ -138,9 +134,6 @@ class FaultTree:
                 stack.extend(reversed(node.children))
         return order
 
-    def reachable_events(self) -> list[BasicEvent]:
-        return [n for n in map(self.nodes.get, self.reachable()) if isinstance(n, BasicEvent)]
-
     def check_structure(self) -> list[str]:
         """Raise ModelError on dangling children, a non-gate root, cycles,
         or empty gates other than software placeholders (OR gates with
@@ -161,36 +154,13 @@ class FaultTree:
         return self.topological_nodes()
 
     def topological_nodes(self) -> list[str]:
-        """Children-first order over reachable nodes; raises on cycles.
-
-        A depth-first walk with an explicit stack, so a tree of any depth
-        is ordered without recursion."""
-        GREY, BLACK = 1, 2
-
-        def frame(node_id: str) -> tuple[str, Iterator[str]]:
-            # A node on the current path and its children not yet looked at.
-            node = self.nodes[node_id]
-            return node_id, iter(node.children if isinstance(node, Gate) else ())
-
-        color: dict[str, int] = {self.root: GREY}
-        order: list[str] = []
-        stack = [frame(self.root)]
-        while stack:
-            node_id, children = stack[-1]
-            for child in children:
-                if child not in self.nodes:
-                    continue
-                state = color.get(child)
-                if state == GREY:
-                    raise ModelError(f"fault tree contains a cycle through '{child}'")
-                if state is None:
-                    color[child] = GREY
-                    stack.append(frame(child))
-                    break
-            else:
-                stack.pop()
-                color[node_id] = BLACK
-                order.append(node_id)
+        """Children-first order over reachable nodes; raises on cycles."""
+        nodes = self.nodes
+        order, cycle = depth_first(
+            [self.root], lambda node_id: getattr(nodes[node_id], "children", ()), nodes
+        )
+        if cycle:
+            raise ModelError(f"fault tree contains a cycle through '{cycle[0]}'")
         return order
 
     def evaluate(self, failed: set[str]) -> bool:
@@ -217,9 +187,6 @@ class BranchCensus:
     hw_design: int = 0
     dependency: int = 0
     sw_design: int = 0
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.hw_stochastic, self.dependency, self.sw_design, self.hw_design)
 
 
 def branch_census(tree: FaultTree) -> BranchCensus:
@@ -397,9 +364,10 @@ def integrate_software(
 
     Each instance becomes a software basic event under its owner's
     software-design placeholder gate.  The input tree is not modified.  An
-    owner without one is a component the top event does not depend on; the
-    ModelError raised for it carries the owner's span when ``model`` (the
-    model the tree was synthesized from) is given.
+    owner without one is a component the top event does not depend on; when
+    ``model`` (the model the tree was synthesized from) is given, the
+    ModelError raised for it carries the owner's span, or for a replica the
+    span of its division's ``replicates`` line.
     """
     out = tree.copy()
     placeholders = {
@@ -408,11 +376,16 @@ def integrate_software(
     for instance in sorted(instances, key=lambda i: i.id):
         gate = placeholders.get(instance.owner)
         if gate is None:
-            owner = ModelIndex(model).components.get(instance.owner) if model else None
+            where = None
+            if model is not None:
+                idx = ModelIndex(model)
+                division = idx.divisions.get(idx.division_of.get(instance.owner, ""))
+                replica = division is not None and division.replicated_from is not None
+                where = division if replica else idx.components.get(instance.owner)
             raise ModelError(
                 f"instance '{instance.id}' belongs to '{instance.owner}', "
                 "which has no software gate in the tree: the top event does not depend on it",
-                owner.span if owner else None,
+                where.span if where else None,
             )
         category = EventCategory.SW_UCA if instance.flavor.value == "uca" else EventCategory.SW_UIF
         event = BasicEvent(

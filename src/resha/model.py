@@ -3,8 +3,10 @@
 A :class:`SystemModel` describes divisions of components wired by plain
 dependency inputs and by explicit control-action / information-flow links,
 plus the loss and hazard taxonomy the analysis traces back to.  The module
-also provides structural validation, replication expansion, and the
-dependency-graph helpers the synthesis stages build on.
+also provides structural validation, replication expansion, and one answer
+to each graph question: ``ModelIndex.dependency_sources`` (what a component
+depends on), ``ModelIndex.in_group`` (redundancy-group membership) and
+``depth_first`` (children-first order and cycles, for models and trees).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterator
+from typing import Callable, Container, Iterable, Iterator
 
 ID_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
 
@@ -311,33 +313,20 @@ class ModelIndex:
         found = [c for c in self.model.components() if c.kind is ComponentKind.OPERATOR]
         return found[0] if found else None
 
-    def links_targeting(self, component_id: str) -> list[Link]:
-        return list(self._targeting.get(component_id, ()))
-
-    def is_feedback_edge(self, consumer: Component, source_id: str, port: str | None) -> bool:
-        for ref in consumer.feedback_inputs:
-            if ref.component != source_id:
-                continue
-            if ref.port is None or port is None or ref.port == port:
-                return True
-        return False
-
     def dependency_sources(self, consumer: Component) -> list[str]:
-        """Ordered, deduplicated non-feedback upstream component ids."""
+        """Ordered, deduplicated upstream ids: inputs, then non-feedback link sources."""
         out: list[str] = []
         for ref in consumer.inputs:
             if ref.component not in out:
                 out.append(ref.component)
-        for link in self.links_targeting(consumer.id):
-            if self.is_feedback_edge(consumer, link.source, link.id):
+        for link in self._targeting.get(consumer.id, ()):
+            if link.source in out or any(
+                ref.component == link.source and ref.port in (None, link.id)
+                for ref in consumer.feedback_inputs
+            ):
                 continue
-            if link.source not in out:
-                out.append(link.source)
+            out.append(link.source)
         return out
-
-    def dependency_adjacency(self) -> dict[str, list[str]]:
-        """consumer id -> ordered non-feedback source ids, for every component."""
-        return {c.id: self.dependency_sources(c) for c in self.model.components()}
 
     def downstream_adjacency(self) -> dict[str, list[str]]:
         """source id -> ordered consumer ids (inverse of dependency edges).
@@ -380,19 +369,21 @@ class ModelIndex:
                     collected.append(nxt)
         return sorted(collected)
 
-    def group_matched_sources(self, group: RedundancyGroup, source_ids: list[str]) -> list[str]:
-        """The subset of source_ids a redundancy group binds together.
-
-        Division-level groups match sources living in member divisions, and
-        only bind when the matches span at least two distinct member
-        divisions.  Other levels match component ids directly and bind when
-        at least two match.
-        """
+    def in_group(self, group: RedundancyGroup, component_id: str) -> bool:
+        """Division-level groups list divisions; other levels list component ids."""
         if group.level is RedundancyLevel.DIVISION:
-            matched = [s for s in source_ids if self.division_of.get(s) in group.members]
-            spanned = {self.division_of.get(s) for s in matched}
-            return matched if len(spanned) >= 2 else []
-        matched = [s for s in source_ids if s in group.members]
+            return self.division_of.get(component_id) in group.members
+        return component_id in group.members
+
+    def group_matched_sources(self, group: RedundancyGroup, source_ids: list[str]) -> list[str]:
+        """The members of ``group`` among source_ids, when they bind.
+
+        Division-level groups bind when the matches span at least two
+        distinct member divisions; other levels when at least two match.
+        """
+        matched = [s for s in source_ids if self.in_group(group, s)]
+        if group.level is RedundancyLevel.DIVISION:
+            return matched if len({self.division_of.get(s) for s in matched}) >= 2 else []
         return matched if len(matched) >= 2 else []
 
 
@@ -503,33 +494,40 @@ def _check_id(report: ValidationReport, identifier: str, what: str, span: Source
         )
 
 
-def _find_cycle(adjacency: dict[str, list[str]]) -> list[str] | None:
-    """Return one cycle as a node list, or None.  Deterministic order.
+def depth_first(
+    roots: Iterable[str], children: Callable[[str], Iterable[str]], known: Container[str]
+) -> tuple[list[str], list[str] | None]:
+    """Children-first order of the ``known`` nodes reachable from ``roots``,
+    and the first cycle met as a path ``[a, ..., a]``, or None.
 
-    Depth-first on an explicit stack, so chains of any length are safe.
-    """
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {node: WHITE for node in adjacency}
-    for start in adjacency:
-        if color[start] != WHITE:
+    The walk goes on past a cycle, so the order is complete, and uses an
+    explicit stack, so chains of any length are safe."""
+    GREY, BLACK = 1, 2
+    color: dict[str, int] = {}
+    order: list[str] = []
+    cycle: list[str] | None = None
+    for root in roots:
+        if root in color or root not in known:
             continue
-        color[start] = GREY
-        path = [start]
-        pending = [iter(adjacency[start])]
+        color[root] = GREY
+        path = [root]
+        pending = [iter(children(root))]
         while pending:
             for nxt in pending[-1]:
                 state = color.get(nxt)
-                if state == GREY:
-                    return path[path.index(nxt):] + [nxt]
-                if state == WHITE:
+                if state is None and nxt in known:
                     color[nxt] = GREY
                     path.append(nxt)
-                    pending.append(iter(adjacency[nxt]))
+                    pending.append(iter(children(nxt)))
                     break
+                if state == GREY and cycle is None:
+                    cycle = path[path.index(nxt):] + [nxt]
             else:
-                color[path.pop()] = BLACK
+                node = path.pop()
+                color[node] = BLACK
+                order.append(node)
                 pending.pop()
-    return None
+    return order, cycle
 
 
 def validate_model(model: SystemModel) -> ValidationReport:
@@ -562,6 +560,8 @@ def _validate_and_expand(model: SystemModel) -> tuple[ValidationReport, SystemMo
 def _validate_declarations(model: SystemModel, report: ValidationReport) -> None:
     if not model.name:
         report.violations.append(Violation("missing-name", "model has no system name"))
+    if not model.top_event:
+        report.violations.append(Violation("missing-top-event", "model has no top event"))
     seen: dict[str, SourceSpan | None] = {}
 
     def declare(identifier: str, what: str, span: SourceSpan | None) -> None:
@@ -727,11 +727,8 @@ def _validate_references(model: SystemModel, report: ValidationReport) -> None:
                     resource.span,
                 )
 
-    adjacency = idx.dependency_adjacency()
-    filtered = {
-        node: [s for s in sources if s in adjacency] for node, sources in adjacency.items()
-    }
-    cycle = _find_cycle(filtered)
+    adjacency = {c.id: idx.dependency_sources(c) for c in model.components()}
+    cycle = depth_first(adjacency, adjacency.__getitem__, adjacency)[1]
     if cycle:
         report.violations.append(
             Violation("dependency-cycle", f"dependency cycle: {' -> '.join(cycle)}")

@@ -316,6 +316,21 @@ def traceability_csv(instances: list[UcaUifInstance], model: SystemModel) -> str
     return out.getvalue()
 
 
+def cut_set_counts(collection: CutSetCollection, first_order: FirstOrderReport) -> list[str]:
+    """Count lines shared by the summary and ``resha cutsets`` text output."""
+    truncated = (
+        f" (truncated at order {collection.truncation_order})"
+        if collection.truncation_order is not None
+        else ""
+    )
+    return [
+        f"Minimal cut sets: {len(collection)}{truncated}",
+        *(f"Order {order}: {count}" for order, count in collection.order_index().items()),
+        f"First-order software cut sets: {len(first_order.software)}",
+        f"First-order hardware cut sets: {len(first_order.hardware)}",
+    ]
+
+
 @dataclass
 class SummaryInput:
     """Everything the summary renderer needs, stage by stage."""
@@ -384,16 +399,7 @@ def render_summary(data: SummaryInput, fmt: str = "md") -> str:
     lines.append(f"Total sCCF groups: {len(data.groups)}")
 
     heading("Minimal cut sets")
-    truncated = (
-        f" (truncated at order {data.collection.truncation_order})"
-        if data.collection.truncation_order is not None
-        else ""
-    )
-    lines.append(f"Minimal cut sets: {len(data.collection)}{truncated}")
-    for order, count in data.collection.order_index().items():
-        lines.append(f"Order {order}: {count}")
-    lines.append(f"First-order software cut sets: {len(data.first_order.software)}")
-    lines.append(f"First-order hardware cut sets: {len(data.first_order.hardware)}")
+    lines.extend(cut_set_counts(data.collection, data.first_order))
 
     heading("Single points of failure")
     if not data.guidance.spof_entries:

@@ -81,11 +81,7 @@ def extract_control_structure(model: SystemModel) -> ControlStructure:
     for node in nodes:
         found: list[RedundancyLevel] = []
         for group in model.redundancy_groups:
-            if group.level is RedundancyLevel.DIVISION:
-                member = idx.division_of.get(node) in group.members
-            else:
-                member = node in group.members
-            if member and group.level not in found:
+            if group.level not in found and idx.in_group(group, node):
                 found.append(group.level)
         levels[node] = found
     return ControlStructure(

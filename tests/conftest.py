@@ -7,7 +7,8 @@ import string
 
 import pytest
 
-from resha.ftree import BasicEvent, EventCategory, FaultTree, Gate, GateOp
+from resha.cutsets import CutSetCollection
+from resha.ftree import BasicEvent, BranchCensus, EventCategory, FaultTree, Gate, GateOp
 from resha.model import (
     Applicability,
     Component,
@@ -135,6 +136,25 @@ def golden_path():
 @pytest.fixture()
 def mini_text() -> str:
     return MINI_MODEL
+
+
+def basic_events(tree: FaultTree) -> list[BasicEvent]:
+    """Every basic event in the tree's arena, reachable or not."""
+    return [node for node in tree.nodes.values() if isinstance(node, BasicEvent)]
+
+
+def reachable_events(tree: FaultTree) -> list[BasicEvent]:
+    """Basic events reachable from the root, in ``FaultTree.reachable`` order."""
+    return [node for node in map(tree.nodes.get, tree.reachable()) if isinstance(node, BasicEvent)]
+
+
+def as_frozensets(collection: CutSetCollection) -> set[frozenset[str]]:
+    return {frozenset(cut) for cut in collection.sets}
+
+
+def census_tuple(census: BranchCensus) -> tuple[int, int, int, int]:
+    """(hw stochastic, dependency, sw design, hw design), as the case study reports it."""
+    return (census.hw_stochastic, census.dependency, census.sw_design, census.hw_design)
 
 
 def mk_tree(spec, categories: dict[str, EventCategory] | None = None) -> FaultTree:

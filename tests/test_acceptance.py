@@ -11,7 +11,14 @@ import time
 
 import numpy as np
 
-from conftest import random_analyzable_model, random_model, random_tree
+from conftest import (
+    as_frozensets,
+    census_tuple,
+    random_analyzable_model,
+    random_model,
+    random_tree,
+    reachable_events,
+)
 from resha.ccf import count_by_type, detect_ccf_groups, inject_ccf_events
 from resha.cutsets import brute_force_oracle, minimal_cut_sets
 from resha.dsl import parse_model, serialize_model
@@ -86,7 +93,7 @@ def test_acceptance_02_candidate_enumeration(qiasp_result):
 
 def test_acceptance_03_branch_census(qiasp_result):
     problems: list[str] = []
-    census = qiasp_result.census.as_tuple()
+    census = census_tuple(qiasp_result.census)
     if census != (41, 33, 26, 0):
         problems.append(f"census {census}, wanted (41, 33, 26, 0)")
     _finish(3, "fault tree census 41 hardware, 33 dependency, 26 software branches", problems)
@@ -147,8 +154,8 @@ def test_acceptance_06_cut_set_engine_vs_oracle():
     rng = random.Random(109)
     for trial in range(100):
         tree = random_tree(rng, max_events=16)
-        engine = minimal_cut_sets(tree).as_frozensets()
-        oracle = brute_force_oracle(tree).as_frozensets()
+        engine = as_frozensets(minimal_cut_sets(tree))
+        oracle = as_frozensets(brute_force_oracle(tree))
         if engine != oracle:
             problems.append(f"trial {trial}: engine {len(engine)} sets, oracle {len(oracle)}")
             break
@@ -171,8 +178,8 @@ def test_acceptance_07_injection_additivity():
             if not injected.evaluate(set(cut)):
                 problems.append(f"trial {trial}: pre-injection set {cut} no longer fails")
                 break
-        pre_sets = pre.as_frozensets()
-        for cut in post.as_frozensets():
+        pre_sets = as_frozensets(pre)
+        for cut in as_frozensets(post):
             if cut not in pre_sets and not any(m.startswith("ccf:") for m in cut):
                 problems.append(f"trial {trial}: new set {sorted(cut)} has no injected cause")
                 break
@@ -207,7 +214,7 @@ def test_acceptance_08_monotonicity(qiasp_result):
     trees.append(random_tree(tree_rng))
     trees.append(random_tree(tree_rng))
     for index, tree in enumerate(trees):
-        events = [e.id for e in tree.reachable_events()]
+        events = [e.id for e in reachable_events(tree)]
         n = len(events)
         smaller = rng.random((1000, n)) < 0.15
         larger = smaller | (rng.random((1000, n)) < 0.15)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import MINI_MODEL, mk_tree, scaled_qiasp
+from conftest import MINI_MODEL, basic_events, mk_tree, scaled_qiasp
 from resha.ccf import (
     CcfGroup,
     count_by_type,
@@ -192,7 +192,8 @@ def test_injection_shares_event_across_divisions(qiasp_result):
 
 
 def test_injection_count(qiasp_result):
-    injected = [e for e in qiasp_result.injected_tree.events() if e.category is EventCategory.CCF]
+    tree = qiasp_result.injected_tree
+    injected = [e for e in basic_events(tree) if e.category is EventCategory.CCF]
     assert len(injected) == 43
     assert all(e.software for e in injected)
 
@@ -284,4 +285,4 @@ def test_integration_and_injection_leave_their_input_tree_unchanged(qiasp_result
 
 def test_trees_before_injection_hold_no_ccf_events(qiasp_result):
     for tree in (qiasp_result.hardware_tree, qiasp_result.integrated_tree):
-        assert not [e for e in tree.events() if e.category is EventCategory.CCF]
+        assert not [e for e in basic_events(tree) if e.category is EventCategory.CCF]

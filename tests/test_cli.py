@@ -58,11 +58,9 @@ def test_model_error_is_printed_at_its_span(model_path, tmp_path, capsys):
     assert main(["validate", str(doc)]) == 0
     capsys.readouterr()
     assert main(["cutsets", str(doc)]) == 2
-    lines = text.splitlines()
-    line = next(n for n, body in enumerate(lines, 1) if "component cet_alarm " in body)
-    column = lines[line - 1].index("cet_alarm") + 1
+    line = text.splitlines().index("division C replicates A") + 1
     err = capsys.readouterr().err
-    assert err.startswith(f"{doc}:{line}:{column}: error: ")
+    assert err.startswith(f"{doc}:{line}:10: error: ")
     assert "instance 'cet_alert__C:A:C' belongs to 'cet_alarm__C'" in err
 
 
@@ -130,9 +128,17 @@ def test_ccf_text_counts(model_path, capsys):
 def test_cutsets_truncated_text(model_path, capsys):
     assert main(["cutsets", model_path, "--max-order", "1"]) == 0
     out = capsys.readouterr().out
-    assert "Minimal cut sets: 44" in out
-    assert "First-order software cut sets: 43" in out
-    assert "First-order hardware cut sets: 1" in out
+    counts = (
+        "Minimal cut sets: 44 (truncated at order 1)\n"
+        "Order 1: 44\n"
+        "First-order software cut sets: 43\n"
+        "First-order hardware cut sets: 1\n"
+    )
+    assert out.endswith(counts)
+    assert out.count("order 1: ") == 44
+    # The summary renders the same count lines.
+    assert main(["report", model_path, "--max-order", "1"]) == 0
+    assert "\n## Minimal cut sets\n" + counts + "\n## " in capsys.readouterr().out
 
 
 def test_cutsets_rejects_bad_max_order(model_path, capsys):
@@ -171,6 +177,19 @@ def test_report_and_pipeline_reject_invalid_models(tmp_path, capsys):
     assert "H-9" in capsys.readouterr().err
     assert main(["pipeline", str(bad), "--out-dir", str(tmp_path / "out")]) == 1
     assert "H-9" in capsys.readouterr().err
+
+
+def test_missing_top_event_is_a_violation(model_path, tmp_path, capsys):
+    lines = Path(model_path).read_text(encoding="utf-8").splitlines(keepends=True)
+    kept = [line for line in lines if not line.startswith("top_event ")]
+    assert len(kept) == len(lines) - 1
+    doc = tmp_path / "no-top.resha"
+    doc.write_text("".join(kept), encoding="utf-8")
+    assert main(["validate", str(doc)]) == 1
+    assert "missing-top-event: model has no top event" in capsys.readouterr().err
+    assert main(["pipeline", str(doc), "--out-dir", str(tmp_path / "out")]) == 1
+    assert "missing-top-event: model has no top event" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["stpa", "synth", "integrate", "ccf", "cutsets"])
@@ -334,3 +353,26 @@ def test_console_script_smoke(model_path, tmp_path):
     exe = shutil.which("resha", path=env["PATH"])
     assert exe == str(launcher)
     _assert_validates(exe, model_path, env=env, cwd=tmp_path)
+
+
+def test_pipeline_artifacts_do_not_depend_on_the_hash_seed(model_path, tmp_path):
+    """Set and dict iteration must never leak into the artifacts."""
+    artifacts = []
+    for seed in ("0", "1"):
+        out_dir = tmp_path / f"seed-{seed}"
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=seed,
+            PYTHONPATH=str(Path(resha.__file__).resolve().parents[1]),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "resha.cli", "pipeline", model_path, "--out-dir", str(out_dir)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+            cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        artifacts.append({name: (out_dir / name).read_bytes() for name in ARTIFACT_NAMES})
+    assert artifacts[0] == artifacts[1]

@@ -13,7 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_text, mk_tree, random_tree, scaled_qiasp
+from conftest import (
+    as_frozensets,
+    chain_text,
+    mk_tree,
+    random_tree,
+    reachable_events,
+    scaled_qiasp,
+)
 from resha import cutsets
 from resha.cutsets import (
     ORACLE_EVENT_BOUND,
@@ -29,7 +36,7 @@ from reference_cutsets import reference_minimal_cut_sets
 
 
 def sets_of(tree: FaultTree, max_order: int | None = None) -> set[frozenset[str]]:
-    return minimal_cut_sets(tree, max_order).as_frozensets()
+    return as_frozensets(minimal_cut_sets(tree, max_order))
 
 
 def test_or_gate():
@@ -88,14 +95,14 @@ def test_oracle_matches_handcrafted():
         ("or", ("and", "a", "b"), ("and", "b", "c"), "d"),
     ):
         tree = mk_tree(spec)
-        assert sets_of(tree) == brute_force_oracle(tree).as_frozensets()
+        assert sets_of(tree) == as_frozensets(brute_force_oracle(tree))
 
 
 def test_oracle_matches_random_trees():
     rng = random.Random(20260822)
     for _ in range(30):
         tree = random_tree(rng)
-        assert sets_of(tree) == brute_force_oracle(tree).as_frozensets()
+        assert sets_of(tree) == as_frozensets(brute_force_oracle(tree))
 
 
 def test_truncation_is_a_filter():
@@ -106,7 +113,7 @@ def test_truncation_is_a_filter():
         for bound in (1, 2, 3):
             truncated = minimal_cut_sets(tree, bound)
             assert truncated.truncation_order == bound
-            assert truncated.as_frozensets() == {s for s in full if len(s) <= bound}
+            assert as_frozensets(truncated) == {s for s in full if len(s) <= bound}
 
 
 def test_qiasp_counts(qiasp_result):
@@ -126,8 +133,8 @@ def test_qiasp_first_order_partition(qiasp_result):
 def test_qiasp_truncated_run_matches_filter(qiasp_result):
     truncated = minimal_cut_sets(qiasp_result.injected_tree, max_order=1)
     assert truncated.order_index() == {1: 44}
-    full_singles = {s for s in qiasp_result.collection.as_frozensets() if len(s) == 1}
-    assert truncated.as_frozensets() == full_singles
+    full_singles = {s for s in as_frozensets(qiasp_result.collection) if len(s) == 1}
+    assert as_frozensets(truncated) == full_singles
 
 
 def test_max_order_must_be_positive():
@@ -178,15 +185,15 @@ def test_determinism(qiasp_result):
 @given(st.integers(min_value=0, max_value=10**9))
 def test_engine_equals_oracle(seed):
     tree = random_tree(random.Random(seed), max_events=12, max_gates=6)
-    assert sets_of(tree) == brute_force_oracle(tree).as_frozensets()
+    assert sets_of(tree) == as_frozensets(brute_force_oracle(tree))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=1, max_value=4))
 def test_truncated_engine_is_sound(seed, bound):
     tree = random_tree(random.Random(seed), max_events=12, max_gates=6)
-    exact = brute_force_oracle(tree).as_frozensets()
-    truncated = minimal_cut_sets(tree, bound).as_frozensets()
+    exact = as_frozensets(brute_force_oracle(tree))
+    truncated = as_frozensets(minimal_cut_sets(tree, bound))
     assert truncated == {s for s in exact if len(s) <= bound}
 
 
@@ -241,7 +248,7 @@ def test_engine_matches_reference_on_three_divisions_at_order_2(qiasp_text):
 @given(st.integers(min_value=0, max_value=10**9))
 def test_engine_matches_reference_past_the_oracle_bound(seed):
     tree = covering_random_tree(random.Random(seed), 30, 40)
-    assert len(tree.reachable_events()) > ORACLE_EVENT_BOUND
+    assert len(reachable_events(tree)) > ORACLE_EVENT_BOUND
     for bound in (None, 1, 2, 3):
         engine = minimal_cut_sets(tree, bound)
         assert engine.sets == reference_minimal_cut_sets(tree, bound).sets
@@ -338,7 +345,7 @@ def test_and_paths_match_reference_and_oracle(seed):
     taken: set[str] = set()
     for shared_inside in (False, True):
         tree = redundant_branches_tree(rng, shared_inside)
-        assert len(tree.reachable_events()) <= 16
+        assert len(reachable_events(tree)) <= 16
         exact = brute_force_oracle(tree).sets
         for bound in (None, 1, 2, 3):
             with spied_engine() as seen:

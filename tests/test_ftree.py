@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MINI_MODEL, mk_tree, random_analyzable_model
+from conftest import MINI_MODEL, basic_events, census_tuple, mk_tree, random_analyzable_model
 from resha.cutsets import minimal_cut_sets
 from resha.dsl import parse_model
 from resha.ftree import (
@@ -49,11 +49,11 @@ def test_mini_shape_and_census():
     assert tree.gate("fail:probe").children == ["hw:probe", "dep:probe"]
     assert tree.gate("dep:probe").children == ["fail:ctrl"]
     assert tree.gate("fail:ctrl").children == ["hw:ctrl", "sw:ctrl"]
-    assert branch_census(tree).as_tuple() == (3, 2, 1, 0)
+    assert census_tuple(branch_census(tree)) == (3, 2, 1, 0)
 
 
 def test_qiasp_census(qiasp_result):
-    assert qiasp_result.census.as_tuple() == (41, 33, 26, 0)
+    assert census_tuple(qiasp_result.census) == (41, 33, 26, 0)
 
 
 def test_hw_design_events_optional(qiasp_result):
@@ -136,7 +136,7 @@ def test_unresolved_placeholders_filled_by_integration(qiasp_result):
 
 def test_integration_adds_software_events(qiasp_result):
     tree = qiasp_result.integrated_tree
-    software = [e for e in tree.events() if e.software]
+    software = [e for e in basic_events(tree) if e.software]
     assert len(software) == 56
     uca = [e for e in software if e.category is EventCategory.SW_UCA]
     assert len(uca) == 6

@@ -25,8 +25,10 @@ from resha.model import (
     Ref,
     ResourceScope,
     SharedResource,
+    SourceSpan,
     SystemModel,
     Technology,
+    depth_first,
     expand_replication,
     validate_model,
 )
@@ -141,8 +143,15 @@ def test_unknown_port_flagged():
 
 def test_dependency_cycle_flagged():
     model = _shell(_plain("a", inputs=["b"]), _plain("b", inputs=["a"]), _operator(inputs=["a"]))
-    codes = _codes(model)
-    assert "dependency-cycle" in codes
+    cycles = [v for v in validate_model(model).violations if v.code == "dependency-cycle"]
+    assert [v.message for v in cycles] == ["dependency cycle: a -> b -> a"]
+
+
+def test_depth_first_orders_every_node_past_a_cycle():
+    graph = {"a": ["b", "x"], "b": ["a", "c"], "c": [], "x": ["ghost"]}
+    order, cycle = depth_first(graph, graph.__getitem__, graph)
+    assert cycle == ["a", "b", "a"]
+    assert order == ["c", "b", "x", "a"]
 
 
 def test_group_rules():
@@ -272,12 +281,26 @@ def test_chain_longer_than_recursion_limit_analyses(consumer_first):
 
 
 def test_unwired_replica_fails_at_the_owner_component(qiasp_text):
-    model = parse_model(unwired_replica_text(qiasp_text), "unwired.resha")
+    text = unwired_replica_text(qiasp_text)
+    model = parse_model(text, "unwired.resha")
     assert validate_model(model).ok
     with pytest.raises(ModelError, match="no software gate") as caught:
         analyze_model(model)
     assert "'cet_alarm__C'" in str(caught.value)
-    owner = next(c for c in model.components() if c.id == "cet_alarm")
+    # The replica's fix is in its ``replicates`` line, not in division A.
+    line = text.splitlines().index("division C replicates A") + 1
+    assert caught.value.span == SourceSpan("unwired.resha", line, len("division ") + 1)
+
+
+def test_unwired_authored_owner_fails_at_its_component(qiasp_text):
+    # Without adc_hjtc's input, nothing the top event depends on reads the
+    # heater controller, which owns applicable instances.
+    text = qiasp_text.replace("    inputs: hjtc_sensor_array\n", "", 1)
+    model = parse_model(text, "cut.resha")
+    assert validate_model(model).ok
+    with pytest.raises(ModelError, match="belongs to 'hjtc_power_controller'") as caught:
+        analyze_model(model)
+    owner = next(c for c in model.components() if c.id == "hjtc_power_controller")
     assert caught.value.span == owner.span is not None
 
 

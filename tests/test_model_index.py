@@ -1,8 +1,11 @@
 """ModelIndex dependency lookups agree with their naive definitions.
 
-The naive functions below scan the whole model on every call, the way the
-index once did; the index answers from tables built once.  Both must agree
-on any model, valid or not, including links that name a target twice.
+``dependency_sources`` is the one place the index reads the links that
+target a component and the component's feedback refs; the downstream
+adjacency and the transitive digital dependents are built on it.  The naive
+functions below scan the whole model on every call, the way the index once
+did; the index answers from tables built once.  Both must agree on any
+model, valid or not, including links that name a target twice.
 """
 
 from __future__ import annotations
@@ -87,15 +90,8 @@ def assert_index_matches_naive(model: SystemModel) -> None:
     idx = ModelIndex(model)
     targets = {t for link in model.links() for t in link.targets}
     ids = sorted({c.id for c in model.components()} | targets | {"no-such-component"})
-    for component_id in ids:
-        assert list(map(id, idx.links_targeting(component_id))) == list(
-            map(id, naive_links_targeting(model, component_id))
-        )
     for component in model.components():
         assert idx.dependency_sources(component) == naive_dependency_sources(model, component)
-    assert idx.dependency_adjacency() == {
-        c.id: naive_dependency_sources(model, c) for c in model.components()
-    }
     down = naive_downstream_adjacency(model)
     assert idx.downstream_adjacency() == down
     for component_id in ids:
@@ -162,8 +158,8 @@ division D {
 """
     model = parse_model(text)
     idx = ModelIndex(model)
-    assert [link.id for link in idx.links_targeting("calc")] == ["go"]
-    assert [link.id for link in idx.links_targeting("panel")] == ["go", "out"]
+    assert idx.dependency_sources(idx.components["calc"]) == ["ctrl"]
+    assert idx.dependency_sources(idx.components["ctrl"]) == ["calc"]
     assert idx.dependency_sources(idx.components["panel"]) == ["calc"]
     assert idx.downstream_adjacency()["calc"] == ["ctrl", "panel"]
     assert idx.transitive_digital_dependents("ctrl") == ["calc", "panel"]
