@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from .ftree import BasicEvent, EventCategory, FaultTree
 from .model import (
     FailureModeType,
-    LinkKind,
     ModelError,
     ModelIndex,
     RedundancyLevel,
@@ -141,16 +140,17 @@ def detect_ccf_groups(model: SystemModel, instances: list[UcaUifInstance]) -> li
 
     # Type 1: one control action commanding >= 2 targets.
     for link in model.links():
-        if link.kind is not LinkKind.CONTROL_ACTION or len(set(link.targets)) < 2:
+        members = link.commanded_group()
+        if not members:
             continue
         for app in link.applicability:
             emit(
                 CcfGroup(
                     id=f"T1:{link.id}:{app.type.letter}",
                     ccf_type=1,
-                    scope=_scope_for(idx, link.targets),
+                    scope=_scope_for(idx, members),
                     trigger=link.source,
-                    members=sorted(set(link.targets)),
+                    members=list(members),
                     failure_type=app.type,
                 )
             )
@@ -175,7 +175,10 @@ def inject_ccf_events(tree: FaultTree, groups: list[CcfGroup]) -> FaultTree:
     Instance members attach the event beside the member event (under the
     owner's software gate); component members attach it under the
     component's failure gate.  A shared node with several parents models the
-    common cause: the one event fails every member at once.
+    common cause: the one event fails every member at once.  Validation
+    ensures every member of a validated model's groups has a place in the
+    tree synthesized from it; a member with none means the tree came from
+    another model.
     """
     out = tree.copy()
     parents = out.parents_of()

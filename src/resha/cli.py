@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 analysis findings (validation violations, golden
 mismatches), 2 usage, parse, or input errors.  Every subcommand that
-analyses the model validates it first and exits 1 on any violation.
+analyses the model validates it first and exits 1 on any violation; a
+model that validates exits 2 only when an ``--ft`` tree does not fit it.
 Each subcommand runs the stages of ``pipeline.STAGES`` up to the value it
 prints.  Stages chain through files: ``synth`` and ``integrate`` write
 fault-tree JSON that ``integrate``, ``ccf`` and ``cutsets`` accept back via
@@ -287,11 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except ModelError as exc:
-        where = f"{exc.span}: " if exc.span else ""
-        print(f"{where}error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

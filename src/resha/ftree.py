@@ -118,22 +118,6 @@ class FaultTree:
                     parents[child].append(gate.id)
         return parents
 
-    def reachable(self) -> list[str]:
-        """Node ids reachable from the root, in deterministic DFS order."""
-        seen: set[str] = set()
-        order: list[str] = []
-        stack = [self.root]
-        while stack:
-            node_id = stack.pop()
-            if node_id in seen or node_id not in self.nodes:
-                continue
-            seen.add(node_id)
-            order.append(node_id)
-            node = self.nodes[node_id]
-            if isinstance(node, Gate):
-                stack.extend(reversed(node.children))
-        return order
-
     def check_structure(self) -> list[str]:
         """Raise ModelError on dangling children, a non-gate root, cycles,
         or empty gates other than software placeholders (OR gates with
@@ -197,7 +181,7 @@ def branch_census(tree: FaultTree) -> BranchCensus:
     dependency gates; group sub-gates inside them are not counted.
     """
     census = BranchCensus()
-    for node_id in tree.reachable():
+    for node_id in tree.topological_nodes():
         node = tree.nodes[node_id]
         if isinstance(node, BasicEvent):
             if node.category is EventCategory.HW_STOCHASTIC:
@@ -247,7 +231,7 @@ def _partition_by_groups(
 
 
 def synthesize_hardware_ft(model: SystemModel, include_hw_design: bool = False) -> FaultTree:
-    """Build the hardware-and-structure fault tree for an expanded model.
+    """Build the hardware-and-structure fault tree for a validated, expanded model.
 
     Only components upstream of the operator (along non-feedback dependency
     edges) get failure subtrees; the operator itself does not.  Digital
@@ -256,15 +240,7 @@ def synthesize_hardware_ft(model: SystemModel, include_hw_design: bool = False) 
     dependent's dependency gate.
     """
     idx = ModelIndex(model)
-    operator = idx.operator()
-    if operator is None:
-        raise ModelError("model has no operator component")
-    if not model.top_event:
-        raise ModelError("model has no top event")
-    operator_sources = idx.dependency_sources(operator)
-    if not operator_sources:
-        raise ModelError(f"operator '{operator.id}' has no information sources")
-
+    operator_sources = idx.dependency_sources(idx.operator())
     tree = FaultTree(model_name=model.name, root="top", include_hw_design=include_hw_design)
     resources_of: dict[str, list[str]] = {}
     for resource in model.shared_resources:
@@ -272,9 +248,7 @@ def synthesize_hardware_ft(model: SystemModel, include_hw_design: bool = False) 
             resources_of.setdefault(dependent, []).append(resource.id)
 
     def fail_for(component_id: str) -> Generator[str, None, None]:
-        component = idx.components.get(component_id)
-        if component is None:
-            raise ModelError(f"unknown component '{component_id}' in dependency graph")
+        component = idx.components[component_id]
         gate = Gate(
             id=f"fail:{component_id}",
             op=GateOp.OR,
@@ -357,17 +331,14 @@ def synthesize_hardware_ft(model: SystemModel, include_hw_design: bool = False) 
     return tree
 
 
-def integrate_software(
-    tree: FaultTree, instances: list["UcaUifInstance"], model: SystemModel | None = None
-) -> FaultTree:
+def integrate_software(tree: FaultTree, instances: list["UcaUifInstance"]) -> FaultTree:
     """Return a new tree with applicable instances attached as basic events.
 
     Each instance becomes a software basic event under its owner's
-    software-design placeholder gate.  The input tree is not modified.  An
-    owner without one is a component the top event does not depend on; when
-    ``model`` (the model the tree was synthesized from) is given, the
-    ModelError raised for it carries the owner's span, or for a replica the
-    span of its division's ``replicates`` line.
+    software-design placeholder gate.  The input tree is not modified.
+    Validation ensures every owner in a validated model has that gate in
+    the tree synthesized from it; an owner without one means the tree came
+    from another model.
     """
     out = tree.copy()
     placeholders = {
@@ -376,16 +347,9 @@ def integrate_software(
     for instance in sorted(instances, key=lambda i: i.id):
         gate = placeholders.get(instance.owner)
         if gate is None:
-            where = None
-            if model is not None:
-                idx = ModelIndex(model)
-                division = idx.divisions.get(idx.division_of.get(instance.owner, ""))
-                replica = division is not None and division.replicated_from is not None
-                where = division if replica else idx.components.get(instance.owner)
             raise ModelError(
                 f"instance '{instance.id}' belongs to '{instance.owner}', "
-                "which has no software gate in the tree: the top event does not depend on it",
-                where.span if where else None,
+                "which has no software gate in the tree"
             )
         category = EventCategory.SW_UCA if instance.flavor.value == "uca" else EventCategory.SW_UIF
         event = BasicEvent(

@@ -24,7 +24,6 @@ GOLDEN_SCHEMA = "resha-golden/1"
 class GoldenRecord:
     model: str
     values: dict[str, object]
-    notes: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass
@@ -65,15 +64,12 @@ def load_golden(path: Path) -> GoldenRecord:
     if not isinstance(doc, dict) or doc.get("schema") != GOLDEN_SCHEMA:
         raise ModelError(f"expected schema '{GOLDEN_SCHEMA}', got {doc.get('schema')!r}")
     values: dict[str, object] = {}
-    notes: dict[str, str] = {}
     for name, entry in doc.get("values", {}).items():
         if isinstance(entry, dict) and "value" in entry:
             values[name] = entry["value"]
-            if entry.get("basis"):
-                notes[name] = str(entry["basis"])
         else:
             values[name] = entry
-    return GoldenRecord(model=doc.get("model", ""), values=values, notes=notes)
+    return GoldenRecord(model=doc.get("model", ""), values=values)
 
 
 def compute_metrics(result: AnalysisResult) -> dict[str, object]:

@@ -206,6 +206,15 @@ class Link:
                 return app
         return None
 
+    def commanded_group(self) -> list[str]:
+        """The sorted distinct targets when this link forms a Type 1 common
+        cause group: a control action with applicability commanding two or
+        more targets.  Empty otherwise."""
+        targets = sorted(set(self.targets))
+        if self.kind is LinkKind.CONTROL_ACTION and self.applicability and len(targets) >= 2:
+            return targets
+        return []
+
 
 @dataclass
 class Component:
@@ -733,3 +742,37 @@ def _validate_references(model: SystemModel, report: ValidationReport) -> None:
         report.violations.append(
             Violation("dependency-cycle", f"dependency cycle: {' -> '.join(cycle)}")
         )
+
+    # Synthesis gives a ``fail:`` gate to exactly the components the operator
+    # depends on.  Software instances attach under their owner's gate, and
+    # Type 1 and Type 3 common cause events under each member's.
+    if len(operators) != 1 or not adjacency[operators[0].id]:
+        return
+    upstream = set(depth_first(adjacency[operators[0].id], adjacency.__getitem__, adjacency)[0])
+
+    def not_upstream(component_id: str, role: str, span: SourceSpan | None) -> None:
+        if component_id not in upstream and component_id in idx.components:
+            bad("not-upstream", f"the top event does not depend on '{component_id}', {role}", span)
+
+    def authored(component_id: str, span: SourceSpan | None) -> SourceSpan | None:
+        """``span``, or for a replica's component its division's ``replicates``
+        line, where the replica's fix is."""
+        division = idx.divisions[idx.division_of[component_id]]
+        return division.span if division.replicated_from is not None else span
+
+    for component in model.components():
+        if any(link.applicability for link in component.links):
+            not_upstream(component.id, "which owns applicable links", authored(component.id, component.span))
+    for link in model.links():
+        for target in link.commanded_group():
+            not_upstream(
+                target,
+                f"a common cause group member commanded by control action '{link.id}'",
+                authored(link.source, link.span),
+            )
+    for resource in model.shared_resources:
+        if resource.scope is ResourceScope.EXTERNAL:
+            for dependent in resource.dependents:
+                not_upstream(
+                    dependent, f"a dependent of external shared_resource '{resource.id}'", resource.span
+                )

@@ -86,7 +86,6 @@ class AnalysisResult:
     def summary_input(self) -> SummaryInput:
         return SummaryInput(
             model=self.expanded,
-            structure=self.structure,
             candidates=self.candidates,
             instances=self.instances,
             census=self.census,
@@ -117,7 +116,7 @@ STAGES: dict[str, tuple[Callable[..., Any], tuple[str, ...]]] = {
     "instances": (apply_applicability, ("candidates", "expanded")),
     "hardware_tree": (synthesize_hardware_ft, ("expanded", "include_hw_design")),
     "census": (branch_census, ("hardware_tree",)),
-    "integrated_tree": (integrate_software, ("hardware_tree", "instances", "expanded")),
+    "integrated_tree": (integrate_software, ("hardware_tree", "instances")),
     "groups": (detect_ccf_groups, ("expanded", "instances")),
     "injected_tree": (inject_ccf_events, ("integrated_tree", "groups")),
     "collection": (minimal_cut_sets, ("injected_tree", "max_order")),

@@ -16,7 +16,7 @@ from .model import (
     ModelIndex,
     SystemModel,
 )
-from .stpa import ControlStructure, UcaUifInstance, instances_by_division, traceability_rows
+from .stpa import UcaUifInstance, instances_by_division, traceability_rows
 
 FT_SCHEMA = "resha/1"
 
@@ -57,7 +57,6 @@ class DiversityFinding:
     diversity_tag: str
     design_classes: list[str]
     divisions: list[str]
-    group_ids: list[str]
 
     def advice(self) -> str:
         classes = ", ".join(self.design_classes)
@@ -75,7 +74,6 @@ class CouplingFinding:
     trigger: str
     failure_types: list[str]
     dependents: list[str]
-    group_ids: list[str]
 
     def advice(self) -> str:
         return (
@@ -92,7 +90,6 @@ class SpofEntry:
     event_id: str
     software: bool
     label: str
-    group_id: str | None = None
 
 
 @dataclass
@@ -100,7 +97,6 @@ class GuidanceReport:
     diversity_findings: list[DiversityFinding] = field(default_factory=list)
     coupling_findings: list[CouplingFinding] = field(default_factory=list)
     spof_entries: list[SpofEntry] = field(default_factory=list)
-    cause_map: dict[FailureModeType, str] = field(default_factory=lambda: dict(CAUSE_MAP))
     letters_present: list[str] = field(default_factory=list)
 
 
@@ -135,7 +131,6 @@ def generate_guidance(
                 diversity_tag=tag,
                 design_classes=sorted({g.trigger for g in tag_groups}),
                 divisions=sorted(divisions),
-                group_ids=sorted(g.id for g in tag_groups),
             )
         )
 
@@ -151,20 +146,17 @@ def generate_guidance(
                     {g.failure_type.letter for g in trigger_groups if g.failure_type}
                 ),
                 dependents=idx.transitive_digital_dependents(trigger),
-                group_ids=sorted(g.id for g in trigger_groups),
             )
         )
 
     for event_id in first_order.software + first_order.hardware:
         node = tree.nodes.get(event_id)
         label = node.label if isinstance(node, BasicEvent) else event_id
-        group_id = event_id[len("ccf:") :] if event_id.startswith("ccf:") else None
         report.spof_entries.append(
             SpofEntry(
                 event_id=event_id,
                 software=isinstance(node, BasicEvent) and node.software,
                 label=label,
-                group_id=group_id,
             )
         )
     return report
@@ -336,7 +328,6 @@ class SummaryInput:
     """Everything the summary renderer needs, stage by stage."""
 
     model: SystemModel
-    structure: ControlStructure
     candidates: list[UcaUifInstance]
     instances: list[UcaUifInstance]
     census: BranchCensus
@@ -422,7 +413,6 @@ def render_summary(data: SummaryInput, fmt: str = "md") -> str:
 
     heading("Cause guidance")
     for letter in data.guidance.letters_present:
-        cause = data.guidance.cause_map[FailureModeType(letter)]
-        bullet(f"Type {letter}: {cause}")
+        bullet(f"Type {letter}: {CAUSE_MAP[FailureModeType(letter)]}")
 
     return "\n".join(lines) + "\n"

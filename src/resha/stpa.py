@@ -9,16 +9,14 @@ transitively, its losses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .model import (
     FailureModeType,
     Link,
     LinkKind,
-    ModelError,
     ModelIndex,
-    RedundancyLevel,
     StpaCategory,
     SystemModel,
 )
@@ -41,13 +39,11 @@ class Flavor(str, Enum):
 
 @dataclass
 class ControlStructure:
-    """Link endpoints plus the operator; wiring that carries no link stays out."""
+    """The model's links, split by kind; wiring that carries no link stays out."""
 
-    nodes: list[str]
     control_edges: list[Link]
     info_edges: list[Link]
     division_of: dict[str, str]
-    redundancy_levels: dict[str, list[RedundancyLevel]]
 
     @property
     def links(self) -> list[Link]:
@@ -55,42 +51,14 @@ class ControlStructure:
 
 
 def extract_control_structure(model: SystemModel) -> ControlStructure:
-    idx = ModelIndex(model)
-    nodes: list[str] = []
-
-    def include(component_id: str) -> None:
-        if component_id not in nodes:
-            nodes.append(component_id)
-
     control_edges: list[Link] = []
     info_edges: list[Link] = []
-    for component in model.components():
-        for link in component.links:
-            include(component.id)
-            for target in link.targets:
-                include(target)
-            if link.kind is LinkKind.CONTROL_ACTION:
-                control_edges.append(link)
-            else:
-                info_edges.append(link)
-    operator = idx.operator()
-    if operator is not None:
-        include(operator.id)
-
-    levels: dict[str, list[RedundancyLevel]] = {}
-    for node in nodes:
-        found: list[RedundancyLevel] = []
-        for group in model.redundancy_groups:
-            if group.level not in found and idx.in_group(group, node):
-                found.append(group.level)
-        levels[node] = found
-    return ControlStructure(
-        nodes=nodes,
-        control_edges=control_edges,
-        info_edges=info_edges,
-        division_of={n: idx.division_of.get(n, "") for n in nodes},
-        redundancy_levels=levels,
-    )
+    for link in model.links():
+        if link.kind is LinkKind.CONTROL_ACTION:
+            control_edges.append(link)
+        else:
+            info_edges.append(link)
+    return ControlStructure(control_edges, info_edges, ModelIndex(model).division_of)
 
 
 @dataclass
@@ -139,9 +107,8 @@ def apply_applicability(
 ) -> list[UcaUifInstance]:
     """Keep candidates whose type the owning link marks applicable.
 
-    Kept instances carry their hazard ids; an applicable type with no
-    hazards is a modeling error.  Output is sorted by (division, owner,
-    type letter) and is deterministic.
+    Kept instances carry their hazard ids.  Output is sorted by (division,
+    owner, type letter) and is deterministic.
     """
     declared: dict[tuple[str, str], list[str]] = {}
     for link in model.links():
@@ -150,23 +117,8 @@ def apply_applicability(
     kept: list[UcaUifInstance] = []
     for candidate in candidates:
         hazards = declared.get((candidate.link, candidate.type.letter))
-        if hazards is None:
-            continue
-        if not hazards:
-            raise ModelError(
-                f"instance '{candidate.id}' is applicable but links no hazards"
-            )
-        kept.append(
-            UcaUifInstance(
-                id=candidate.id,
-                flavor=candidate.flavor,
-                type=candidate.type,
-                owner=candidate.owner,
-                link=candidate.link,
-                division=candidate.division,
-                hazards=hazards,
-            )
-        )
+        if hazards is not None:
+            kept.append(replace(candidate, hazards=hazards))
     kept.sort(key=lambda i: (i.division, i.owner, i.type.letter, i.id))
     return kept
 

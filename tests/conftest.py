@@ -98,6 +98,37 @@ def unwired_replica_text(text: str) -> str:
     return text
 
 
+def unwired_owner_text(text: str) -> str:
+    """The bundled model without ``adc_hjtc``'s input, so nothing the top
+    event depends on reads the heater controller, which owns applicable
+    links."""
+    old = "    inputs: hjtc_sensor_array\n"
+    assert text.count(old) == 1
+    return text.replace(old, "")
+
+
+def extra_commanded_target_text(text: str) -> str:
+    """The bundled model with a second target ``spare_heater`` on the
+    ``heater_power`` control action, which makes it a Type 1 group; nothing
+    reads ``spare_heater``."""
+    for old, new in (
+        ("heater_power -> hjtc_sensor_array {", "heater_power -> hjtc_sensor_array, spare_heater {"),
+        ("division A {\n", "division A {\n  component spare_heater kind: sensor tech: analog class: DC-HJTC-ARRAY\n"),
+    ):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    return text
+
+
+def unwired_resource_dependent_text(text: str) -> str:
+    """The bundled model with an external shared resource ``ext_pwr`` over
+    both division power supplies and a ``spare_psu`` that nothing reads."""
+    old = "division MCR {\n"
+    assert text.count(old) == 1
+    text = text.replace(old, old + "  component spare_psu kind: power_supply tech: analog class: DC-PSU\n")
+    return text + "shared_resource ext_pwr scope: external dependents: power_supply, power_supply__B, spare_psu\n"
+
+
 def chain_text(length: int, consumer_first: bool) -> str:
     """Analog sensors s0 .. s<length-1>, each fed by the one before, read by the operator."""
     components = ["  component s0 kind: sensor tech: analog class: DC-S"]
@@ -144,8 +175,8 @@ def basic_events(tree: FaultTree) -> list[BasicEvent]:
 
 
 def reachable_events(tree: FaultTree) -> list[BasicEvent]:
-    """Basic events reachable from the root, in ``FaultTree.reachable`` order."""
-    return [node for node in map(tree.nodes.get, tree.reachable()) if isinstance(node, BasicEvent)]
+    """Basic events reachable from the root, in ``FaultTree.topological_nodes`` order."""
+    return [node for node in map(tree.nodes.get, tree.topological_nodes()) if isinstance(node, BasicEvent)]
 
 
 def as_frozensets(collection: CutSetCollection) -> set[frozenset[str]]:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import MINI_MODEL, unwired_replica_text
+from conftest import MINI_MODEL, scaled_qiasp, unwired_replica_text
 import resha
 import resha.model
 from resha.cli import _color_enabled, _style, main
@@ -55,13 +55,32 @@ def test_model_error_is_printed_at_its_span(model_path, tmp_path, capsys):
     text = unwired_replica_text(Path(model_path).read_text(encoding="utf-8"))
     doc = tmp_path / "unwired.resha"
     doc.write_text(text, encoding="utf-8")
-    assert main(["validate", str(doc)]) == 0
-    capsys.readouterr()
-    assert main(["cutsets", str(doc)]) == 2
     line = text.splitlines().index("division C replicates A") + 1
+    for command in ("validate", "cutsets"):
+        assert main([command, str(doc)]) == 1
+        err = capsys.readouterr().err
+        assert f"{doc}:{line}:10: not-upstream: the top event does not depend on 'cet_alarm__C'" in err
+
+
+@pytest.mark.parametrize(
+    "command, tree_from, message",
+    [
+        ("integrate", "synth", "instance 'cet_alert__C:A:C' belongs to 'cet_alarm__C', which has no software gate"),
+        ("ccf", "integrate", "member 'cet_temp__C:A:C' has no location in the fault tree"),
+    ],
+)
+def test_ft_tree_of_another_model_is_an_unlocated_error(command, tree_from, message, model_path, tmp_path, capsys):
+    # The 3-division model validates; the bundled model's tree lacks division C.
+    tree, div3 = tmp_path / "tree.json", tmp_path / "div3.resha"
+    assert main([tree_from, model_path, "--out", str(tree)]) == 0
+    div3.write_text(scaled_qiasp(Path(model_path).read_text(encoding="utf-8"), 3), encoding="utf-8")
+    assert main(["validate", str(div3)]) == 0
+    capsys.readouterr()
+    extra = ["--tree-out", str(tmp_path / "injected.json")] if command == "ccf" else []
+    assert main([command, str(div3), "--ft", str(tree), *extra]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"{doc}:{line}:10: error: ")
-    assert "instance 'cet_alert__C:A:C' belongs to 'cet_alarm__C'" in err
+    assert err.startswith("error: ")
+    assert message in err
 
 
 def test_stpa_text(model_path, capsys):

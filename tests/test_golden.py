@@ -22,8 +22,6 @@ def test_load_bundled_record(golden_path):
     assert len(record.values) == 26
     assert record.values["census.hw_stochastic"] == 41
     assert record.values["ccf.type4"] == 28
-    # Every pinned value carries a note saying where the number comes from.
-    assert set(record.notes) == set(record.values)
 
 
 def test_bundled_record_verifies(qiasp_result, golden_path):
@@ -97,4 +95,3 @@ def test_load_accepts_bare_values(tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     record = load_golden(path)
     assert record.values == {"census.hw_design": 0}
-    assert record.notes == {}

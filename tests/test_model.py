@@ -7,9 +7,20 @@ import sys
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import MINI_MODEL, chain_text, random_model, scaled_qiasp, unwired_replica_text
-from resha.dsl import parse_model, serialize_model
+from conftest import (
+    MINI_MODEL,
+    chain_text,
+    extra_commanded_target_text,
+    random_model,
+    scaled_qiasp,
+    unwired_owner_text,
+    unwired_replica_text,
+    unwired_resource_dependent_text,
+)
+from resha.dsl import ParseError, parse_model, serialize_model
 from resha.model import (
     Component,
     ComponentKind,
@@ -28,11 +39,18 @@ from resha.model import (
     SourceSpan,
     SystemModel,
     Technology,
+    Violation,
     depth_first,
     expand_replication,
     validate_model,
 )
-from resha.pipeline import PipelineOptions, ValidationFailed, analyze_model, analyze_text
+from resha.pipeline import (
+    PipelineOptions,
+    ValidationFailed,
+    analyze_model,
+    analyze_text,
+    bundled_model_path,
+)
 
 
 def _codes(model: SystemModel) -> set[str]:
@@ -280,28 +298,96 @@ def test_chain_longer_than_recursion_limit_analyses(consumer_first):
     assert result.collection.order_index() == {1: length}
 
 
+def _not_upstream(text: str, file_name: str, component_id: str) -> Violation:
+    """The one violation naming ``component_id``, which must be ``not-upstream``."""
+    report = validate_model(parse_model(text, file_name))
+    assert {v.code for v in report.violations} == {"not-upstream"}
+    [violation] = [v for v in report.violations if f"'{component_id}'" in v.message]
+    return violation
+
+
 def test_unwired_replica_fails_at_the_owner_component(qiasp_text):
     text = unwired_replica_text(qiasp_text)
-    model = parse_model(text, "unwired.resha")
-    assert validate_model(model).ok
-    with pytest.raises(ModelError, match="no software gate") as caught:
-        analyze_model(model)
-    assert "'cet_alarm__C'" in str(caught.value)
+    violation = _not_upstream(text, "unwired.resha", "cet_alarm__C")
     # The replica's fix is in its ``replicates`` line, not in division A.
     line = text.splitlines().index("division C replicates A") + 1
-    assert caught.value.span == SourceSpan("unwired.resha", line, len("division ") + 1)
+    assert violation.span == SourceSpan("unwired.resha", line, len("division ") + 1)
+    with pytest.raises(ValidationFailed):
+        analyze_text(text, "unwired.resha")
 
 
 def test_unwired_authored_owner_fails_at_its_component(qiasp_text):
-    # Without adc_hjtc's input, nothing the top event depends on reads the
-    # heater controller, which owns applicable instances.
-    text = qiasp_text.replace("    inputs: hjtc_sensor_array\n", "", 1)
-    model = parse_model(text, "cut.resha")
-    assert validate_model(model).ok
-    with pytest.raises(ModelError, match="belongs to 'hjtc_power_controller'") as caught:
-        analyze_model(model)
-    owner = next(c for c in model.components() if c.id == "hjtc_power_controller")
-    assert caught.value.span == owner.span is not None
+    text = unwired_owner_text(qiasp_text)
+    violation = _not_upstream(text, "cut.resha", "hjtc_power_controller")
+    owner = next(c for c in parse_model(text, "cut.resha").components() if c.id == "hjtc_power_controller")
+    assert violation.span == owner.span is not None
+    assert "owns applicable links" in violation.message
+
+
+def test_unwired_commanded_target_fails_at_its_link(qiasp_text):
+    text = extra_commanded_target_text(qiasp_text)
+    link = next(link for link in parse_model(text, "t1.resha").links() if link.id == "heater_power")
+    assert link.commanded_group() == ["hjtc_sensor_array", "spare_heater"]
+    assert _not_upstream(text, "t1.resha", "spare_heater").span == link.span is not None
+    line = text.splitlines().index("division B replicates A") + 1
+    replica = _not_upstream(text, "t1.resha", "spare_heater__B")
+    assert replica.span == SourceSpan("t1.resha", line, len("division ") + 1)
+
+
+def test_unwired_external_dependent_fails_at_its_resource(qiasp_text):
+    text = unwired_resource_dependent_text(qiasp_text)
+    [resource] = parse_model(text, "t3.resha").shared_resources
+    assert _not_upstream(text, "t3.resha", "spare_psu").span == resource.span is not None
+    # An internal resource forms no group, so an unwired dependent is harmless.
+    internal = text.replace("scope: external", "scope: internal")
+    assert validate_model(parse_model(internal)).ok
+    analyze_text(internal, options=PipelineOptions(max_order=1))
+
+
+def test_applicable_without_hazards_flagged():
+    model = parse_model(MINI_MODEL)
+    link = model.divisions[0].components[0].links[0]
+    link.applicability[0] = replace(link.applicability[0], hazards=[])
+    violations = validate_model(model).violations
+    assert [(v.code, v.span) for v in violations] == [("applicable-no-hazard", link.applicability[0].span)]
+
+
+_QIASP = bundled_model_path().read_text(encoding="utf-8")
+_MUTATION_BASES = (_QIASP, scaled_qiasp(_QIASP, 3))
+
+
+@st.composite
+def _mutated_texts(draw) -> str:
+    """A bundled or 3-division text after 1-3 line deletions, line
+    duplications or swaps of two words anywhere in the text."""
+    lines = [line.split(" ") for line in draw(st.sampled_from(_MUTATION_BASES)).splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(("delete", "duplicate", "swap")))
+        if edit == "delete":
+            del lines[at]
+        elif edit == "duplicate":
+            lines.insert(at, list(lines[at]))
+        else:
+            other = draw(st.integers(0, len(lines) - 1))
+            i, j = draw(st.integers(0, len(lines[at]) - 1)), draw(st.integers(0, len(lines[other]) - 1))
+            lines[at][i], lines[other][j] = lines[other][j], lines[at][i]
+    return "\n".join(" ".join(words) for words in lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@example(unwired_owner_text(_QIASP))
+@example(extra_commanded_target_text(_QIASP))
+@example(unwired_resource_dependent_text(_QIASP))
+@given(_mutated_texts())
+def test_a_model_that_validates_analyses(text):
+    # Validation owns every model precondition of the stages.
+    try:
+        model = parse_model(text, "mutant.resha")
+    except ParseError:
+        return
+    if validate_model(model).ok:
+        analyze_model(model, PipelineOptions(max_order=2))
 
 
 def test_expand_unknown_source_errors():

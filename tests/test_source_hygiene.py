@@ -1,5 +1,5 @@
 """Source hygiene: no dead imports, no unread parameters, no runtime code that
-only tests call, and no ``copy`` module.
+only tests call, no dataclass field that nothing reads, and no ``copy`` module.
 
 The package is read with ``ast`` alone; nothing under ``src/resha`` is
 imported or run here.
@@ -18,6 +18,11 @@ KEEP = {
     "evaluate": "the acceptance gate and benchmark/checks.py check cut sets with it",
     "bundled_model_path": "the README's library example and the tests load the case study",
     "bundled_golden_path": "the tests load the pinned golden record with it",
+}
+
+# Dataclass fields that nothing under src/resha reads but that stay, with the reason.
+KEEP_FIELDS = {
+    "AnalysisResult.validation": "benchmark/worker.py constructs AnalysisResult with it",
 }
 
 
@@ -101,6 +106,35 @@ def _field_names(modules: dict[str, ast.Module]) -> set[str]:
                     and isinstance(target.value, ast.Name)
                     and target.value.id == "self"
                 )
+    return names
+
+
+def _dataclass_fields(modules: dict[str, ast.Module]) -> dict[str, str]:
+    """``Class.field`` -> field name, for each annotated field of a ``@dataclass``."""
+    fields: dict[str, str] = {}
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    fields[f"{node.name}.{item.target.id}"] = item.target.id
+    return fields
+
+
+def _read_names(modules: dict[str, ast.Module]) -> set[str]:
+    """Attribute names loaded anywhere, plus every string constant: ``asdict``
+    keys and ``STAGES`` input names read a field by its name."""
+    names: set[str] = set()
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
     return names
 
 
@@ -194,6 +228,14 @@ def test_keep_entries_are_defined_and_uncalled():
     assert sorted(set(KEEP) - defined) == []
     # An entry the package itself now calls no longer needs a reason to stay.
     assert sorted(name for name in KEEP if everywhere[name]) == []
+
+
+def test_every_dataclass_field_is_read():
+    modules = _modules()
+    read = _read_names(modules)
+    fields = _dataclass_fields(modules)
+    # A kept entry that is read, or is no longer a field, fails here too.
+    assert sorted(key for key, name in fields.items() if name not in read) == sorted(KEEP_FIELDS)
 
 
 def test_no_module_imports_copy():
