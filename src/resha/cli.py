@@ -1,9 +1,10 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 analysis findings (validation violations, golden
-mismatches), 2 usage, parse, or input errors.  Every subcommand that
-analyses the model validates it first and exits 1 on any violation; a
-model that validates exits 2 only when an ``--ft`` tree does not fit it.
+mismatches), 2 usage, parse, or input errors.  Every subcommand that reads
+a model validates it first; on any violation ``main`` prints each one at
+its ``file:line:col``, then their count, and exits 1.  A model that
+validates exits 2 only when an ``--ft`` tree does not fit it.
 Each subcommand runs the stages of ``pipeline.STAGES`` up to the value it
 prints.  Stages chain through files: ``synth`` and ``integrate`` write
 fault-tree JSON that ``integrate``, ``ccf`` and ``cutsets`` accept back via
@@ -24,7 +25,7 @@ from pathlib import Path
 from .ccf import count_by_type
 from .dsl import ParseError, parse_model
 from .golden import load_golden, verify_golden
-from .model import ModelError, SystemModel, validate_model
+from .model import ModelError, SystemModel
 from .pipeline import (
     PipelineOptions,
     ValidationFailed,
@@ -83,15 +84,9 @@ def _run(args, *goals: str, ft_replaces: str | None = None) -> dict:
 
 
 def cmd_validate(args) -> int:
-    model = _load_model(args.model)
-    report = validate_model(model)
-    if report.ok:
-        print(_style("model OK", "32", sys.stdout))
-        return 0
-    for violation in report.violations:
-        print(_style(str(violation), "31", sys.stderr), file=sys.stderr)
-    print(f"{len(report.violations)} violation(s)", file=sys.stderr)
-    return 1
+    _run(args, "expanded")
+    print(_style("model OK", "32", sys.stdout))
+    return 0
 
 
 def cmd_stpa(args) -> int:
@@ -283,7 +278,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ValidationFailed as exc:
-        print(str(exc.report), file=sys.stderr)
+        for violation in exc.report.violations:
+            print(_style(str(violation), "31", sys.stderr), file=sys.stderr)
+        print(f"{len(exc.report.violations)} violation(s)", file=sys.stderr)
         return 1
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -261,26 +261,23 @@ def first_order_cut_sets(collection: CutSetCollection, tree: FaultTree) -> First
         node = tree.nodes.get(event_id)
         is_software = isinstance(node, BasicEvent) and node.software
         (report.software if is_software else report.hardware).append(event_id)
-    key = event_sort_key(tree)
-    report.software.sort(key=key)
-    report.hardware.sort(key=key)
     return report
 
 
-def brute_force_oracle(tree: FaultTree, max_events: int = ORACLE_EVENT_BOUND) -> CutSetCollection:
+def brute_force_oracle(tree: FaultTree) -> CutSetCollection:
     """Exact minimal cut sets by exhaustive evaluation.
 
     Each node's truth table over all 2**n event assignments is packed into
     one integer; a failing assignment is minimal when removing any single
     member stops the failure, which is sufficient by monotonicity.  Refuses
-    trees with more than ``max_events`` distinct reachable basic events.
+    trees with more than ``ORACLE_EVENT_BOUND`` distinct reachable basic events.
     """
     order = tree.check_structure()
     events = _numbered_events(tree, order)
     n = len(events)
-    if n > max_events:
+    if n > ORACLE_EVENT_BOUND:
         raise ModelError(
-            f"oracle refuses {n} basic events (bound is {max_events}); "
+            f"oracle refuses {n} basic events (bound is {ORACLE_EVENT_BOUND}); "
             "use minimal_cut_sets for larger trees"
         )
     total = 1 << n

@@ -15,8 +15,11 @@ on a line of its own.  A line is read left to right as these tokens:
 - word: ``[A-Za-z]`` then letters, digits, ``_`` and any ``-`` that does not
   open an arrow.
 
-Any other character is an error.  Ids are words and live in a single global
-namespace.
+Any other character is an error.  Ids are words.  The parser reads syntax
+only: a reused id, a repeated ``applicable:`` letter or a missing ``system``
+line parses, and ``validate_model`` reports it, as it does every rule of the
+model.  A second ``system`` or ``top_event`` line is a syntax error, since it
+would overwrite the first.
 
 Replica components produced by division replication carry a ``__<division>``
 suffix; documents may reference them (for example ``display_interface__B``)
@@ -72,7 +75,7 @@ _LINK_KINDS = {"control_action": LinkKind.CONTROL_ACTION, "info_flow": LinkKind.
 
 
 class ParseError(Exception):
-    """Syntax or well-formedness error, located by a source span."""
+    """Syntax error, located by a source span."""
 
     def __init__(self, message: str, span: SourceSpan):
         super().__init__(f"{span}: {message}")
@@ -209,9 +212,7 @@ class _Parser:
     def __init__(self, lines: list[list[Token]], file_name: str):
         self.lines = lines
         self.pos = 0
-        self.file_name = file_name
-        self.declared: set[str] = set()
-        self.model = SystemModel(name="", top_event="")
+        self.model = SystemModel(name="", top_event="", span=SourceSpan(file_name, 1, 1))
         self.saw_system = False
         self.saw_top_event = False
         self.statements = {
@@ -233,8 +234,6 @@ class _Parser:
             if handler is None:
                 raise ParseError(f"unknown statement '{head.text}'", head.span)
             handler(line)
-        if not self.saw_system:
-            raise ParseError("missing 'system' statement", SourceSpan(self.file_name, 1, 1))
         return self.model
 
     def _next_line(self) -> _Line:
@@ -261,12 +260,6 @@ class _Parser:
                 return
             yield inner
 
-    def _declare(self, token: Token) -> str:
-        if token.text in self.declared:
-            raise ParseError(f"duplicate id '{token.text}'", token.span)
-        self.declared.add(token.text)
-        return token.text
-
     def _system(self, line: _Line) -> None:
         if self.saw_system:
             raise line.fail("'system' declared twice")
@@ -285,7 +278,7 @@ class _Parser:
         ident = line.expect("word", "loss id")
         desc = line.expect("string", "loss description")
         line.expect_end()
-        self.model.losses.append(Loss(self._declare(ident), desc.text, span=ident.span))
+        self.model.losses.append(Loss(ident.text, desc.text, span=ident.span))
 
     def _hazard(self, line: _Line) -> None:
         ident = line.expect("word", "hazard id")
@@ -294,7 +287,7 @@ class _Parser:
         line.expect("punct", text=":")
         losses = [t.text for t in line.id_list("loss id")]
         line.expect_end()
-        self.model.hazards.append(Hazard(self._declare(ident), desc.text, losses, span=ident.span))
+        self.model.hazards.append(Hazard(ident.text, desc.text, losses, span=ident.span))
 
     def _design_class(self, line: _Line) -> None:
         ident = line.expect("word", "design_class id")
@@ -305,13 +298,11 @@ class _Parser:
             line.expect("punct", text=":")
             tag = line.expect("word", "diversity tag").text
         line.expect_end()
-        self.model.design_classes.append(
-            DesignClass(self._declare(ident), desc.text, tag, span=ident.span)
-        )
+        self.model.design_classes.append(DesignClass(ident.text, desc.text, tag, span=ident.span))
 
     def _division(self, line: _Line) -> None:
         ident = line.expect("word", "division id")
-        division = Division(self._declare(ident), span=ident.span)
+        division = Division(ident.text, span=ident.span)
         if line.opt("word", "replicates"):
             division.replicates = line.expect("word", "division id").text
             line.expect_end()
@@ -332,7 +323,7 @@ class _Parser:
             line.expect("punct", text=":")
             fields[key.text] = line.expect("word", f"{key.text} value")
         component = Component(
-            id=self._declare(ident),
+            id=ident.text,
             kind=_enum_value(ComponentKind, fields["kind"], "component kind"),
             tech=_enum_value(Technology, fields["tech"], "technology"),
             design_class=fields["class"].text,
@@ -355,16 +346,12 @@ class _Parser:
         ident = line.expect("word", "link id")
         line.expect("arrow", "'->'")
         targets = [t.text for t in line.id_list("target component id")]
-        link = Link(self._declare(ident), kind, source, targets, span=ident.span)
+        link = Link(ident.text, kind, source, targets, span=ident.span)
         for inner in self._block(line):
             inner.expect("word", text="applicable")
             inner.expect("punct", text=":")
             letter = inner.expect("word", "failure type letter")
             type_ = _enum_value(FailureModeType, letter, "failure type")
-            if link.applicability_for(type_) is not None:
-                raise ParseError(
-                    f"link '{link.id}' already declares type {type_.letter}", letter.span
-                )
             inner.expect("word", text="hazards")
             inner.expect("punct", text=":")
             hazards = [t.text for t in inner.id_list("hazard id")]
@@ -386,9 +373,7 @@ class _Parser:
                 "members": lambda: [t.text for t in line.id_list("member id")],
             },
         )
-        self.model.redundancy_groups.append(
-            RedundancyGroup(self._declare(ident), span=ident.span, **fields)
-        )
+        self.model.redundancy_groups.append(RedundancyGroup(ident.text, span=ident.span, **fields))
 
     def _shared_resource(self, line: _Line) -> None:
         ident = line.expect("word", "shared_resource id")
@@ -401,9 +386,7 @@ class _Parser:
                 "dependents": lambda: [t.text for t in line.id_list("component id")],
             },
         )
-        self.model.shared_resources.append(
-            SharedResource(self._declare(ident), span=ident.span, **fields)
-        )
+        self.model.shared_resources.append(SharedResource(ident.text, span=ident.span, **fields))
 
 
 def parse_model(text: str, file_name: str = "<model>") -> SystemModel:

@@ -12,7 +12,6 @@ depends on), ``ModelIndex.in_group`` (redundancy-group membership) and
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Container, Iterable, Iterator
@@ -200,12 +199,6 @@ class Link:
     applicability: list[Applicability] = field(default_factory=list)
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
-    def applicability_for(self, type_: FailureModeType) -> Applicability | None:
-        for app in self.applicability:
-            if app.type is type_:
-                return app
-        return None
-
     def commanded_group(self) -> list[str]:
         """The sorted distinct targets when this link forms a Type 1 common
         cause group: a control action with applicability commanding two or
@@ -266,6 +259,8 @@ class SystemModel:
     divisions: list[Division] = field(default_factory=list)
     redundancy_groups: list[RedundancyGroup] = field(default_factory=list)
     shared_resources: list[SharedResource] = field(default_factory=list)
+    # The document's start, where a missing system name or top event is reported.
+    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
     def components(self) -> Iterator[Component]:
         for division in self.divisions:
@@ -291,9 +286,7 @@ class ModelIndex:
         self.design_classes: dict[str, DesignClass] = {}
         self.divisions: dict[str, Division] = {}
         self.components: dict[str, Component] = {}
-        self.links: dict[str, Link] = {}
         self.resources: dict[str, SharedResource] = {}
-        self.groups: dict[str, RedundancyGroup] = {}
         self.division_of: dict[str, str] = {}
         # target id -> links naming it, in model.links() order, each once.
         self._targeting: dict[str, list[Link]] = {}
@@ -310,13 +303,10 @@ class ModelIndex:
                 self.components.setdefault(component.id, component)
                 self.division_of.setdefault(component.id, division.id)
                 for link in component.links:
-                    self.links.setdefault(link.id, link)
                     for target in dict.fromkeys(link.targets):
                         self._targeting.setdefault(target, []).append(link)
         for resource in model.shared_resources:
             self.resources.setdefault(resource.id, resource)
-        for group in model.redundancy_groups:
-            self.groups.setdefault(group.id, group)
 
     def operator(self) -> Component | None:
         found = [c for c in self.model.components() if c.kind is ComponentKind.OPERATOR]
@@ -359,24 +349,14 @@ class ModelIndex:
         """
         division = self.division_of.get(component_id)
         down = self.downstream_adjacency()
-        seen: set[str] = {component_id}
-        frontier = deque([component_id])
-        collected: list[str] = []
-        while frontier:
-            current = frontier.popleft()
-            for nxt in down.get(current, []):
-                if nxt in seen:
-                    continue
-                seen.add(nxt)
-                frontier.append(nxt)
-                comp = self.components.get(nxt)
-                if (
-                    comp is not None
-                    and comp.tech is Technology.DIGITAL
-                    and self.division_of.get(nxt) == division
-                ):
-                    collected.append(nxt)
-        return sorted(collected)
+        reached = depth_first([component_id], down.__getitem__, down)[0]
+        return sorted(
+            c
+            for c in reached
+            if c != component_id
+            and self.components[c].tech is Technology.DIGITAL
+            and self.division_of[c] == division
+        )
 
     def in_group(self, group: RedundancyGroup, component_id: str) -> bool:
         """Division-level groups list divisions; other levels list component ids."""
@@ -568,9 +548,9 @@ def _validate_and_expand(model: SystemModel) -> tuple[ValidationReport, SystemMo
 
 def _validate_declarations(model: SystemModel, report: ValidationReport) -> None:
     if not model.name:
-        report.violations.append(Violation("missing-name", "model has no system name"))
+        report.violations.append(Violation("missing-name", "model has no system name", model.span))
     if not model.top_event:
-        report.violations.append(Violation("missing-top-event", "model has no top event"))
+        report.violations.append(Violation("missing-top-event", "model has no top event", model.span))
     seen: dict[str, SourceSpan | None] = {}
 
     def declare(identifier: str, what: str, span: SourceSpan | None) -> None:
@@ -598,16 +578,17 @@ def _validate_declarations(model: SystemModel, report: ValidationReport) -> None
         declare(component.id, "component", component.span)
     for link in model.links():
         declare(link.id, "link", link.span)
-        letters = [app.type for app in link.applicability]
-        for letter in set(letters):
-            if letters.count(letter) > 1:
+        declared: set[FailureModeType] = set()
+        for app in link.applicability:
+            if app.type in declared:
                 report.violations.append(
                     Violation(
                         "duplicate-applicability",
-                        f"link '{link.id}' declares type {letter.letter} more than once",
-                        link.span,
+                        f"link '{link.id}' already declares type {app.type.letter}",
+                        app.span or link.span,
                     )
                 )
+            declared.add(app.type)
     for group in model.redundancy_groups:
         declare(group.id, "redundancy_group", group.span)
     for resource in model.shared_resources:
@@ -750,29 +731,33 @@ def _validate_references(model: SystemModel, report: ValidationReport) -> None:
         return
     upstream = set(depth_first(adjacency[operators[0].id], adjacency.__getitem__, adjacency)[0])
 
-    def not_upstream(component_id: str, role: str, span: SourceSpan | None) -> None:
-        if component_id not in upstream and component_id in idx.components:
-            bad("not-upstream", f"the top event does not depend on '{component_id}', {role}", span)
+    # A replica division's components share one fix, its ``replicates`` line,
+    # so their misses are reported once there: division id -> {component: role}.
+    replica_misses: dict[str, dict[str, str]] = {}
 
-    def authored(component_id: str, span: SourceSpan | None) -> SourceSpan | None:
-        """``span``, or for a replica's component its division's ``replicates``
-        line, where the replica's fix is."""
-        division = idx.divisions[idx.division_of[component_id]]
-        return division.span if division.replicated_from is not None else span
+    def not_upstream(component_id: str, role: str, span: SourceSpan | None, owner: str | None) -> None:
+        if component_id in upstream or component_id not in idx.components:
+            return
+        division = idx.divisions[idx.division_of[owner]] if owner else None
+        if division is not None and division.replicated_from is not None:
+            replica_misses.setdefault(division.id, {}).setdefault(component_id, role)
+        else:
+            bad("not-upstream", f"the top event does not depend on '{component_id}', {role}", span)
 
     for component in model.components():
         if any(link.applicability for link in component.links):
-            not_upstream(component.id, "which owns applicable links", authored(component.id, component.span))
+            not_upstream(component.id, "which owns applicable links", component.span, component.id)
     for link in model.links():
         for target in link.commanded_group():
-            not_upstream(
-                target,
-                f"a common cause group member commanded by control action '{link.id}'",
-                authored(link.source, link.span),
-            )
+            role = f"a common cause group member commanded by control action '{link.id}'"
+            not_upstream(target, role, link.span, link.source)
     for resource in model.shared_resources:
         if resource.scope is ResourceScope.EXTERNAL:
             for dependent in resource.dependents:
-                not_upstream(
-                    dependent, f"a dependent of external shared_resource '{resource.id}'", resource.span
-                )
+                role = f"a dependent of external shared_resource '{resource.id}'"
+                not_upstream(dependent, role, resource.span, None)
+    for division_id, misses in replica_misses.items():
+        (first, role), *more = misses.items()
+        tail = f", nor on {len(more)} more components of division '{division_id}'" if more else ""
+        span = idx.divisions[division_id].span
+        bad("not-upstream", f"the top event does not depend on '{first}', {role}{tail}", span)

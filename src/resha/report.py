@@ -84,19 +84,11 @@ class CouplingFinding:
 
 
 @dataclass
-class SpofEntry:
-    """A single failure that defeats the redundant architecture."""
-
-    event_id: str
-    software: bool
-    label: str
-
-
-@dataclass
 class GuidanceReport:
     diversity_findings: list[DiversityFinding] = field(default_factory=list)
     coupling_findings: list[CouplingFinding] = field(default_factory=list)
-    spof_entries: list[SpofEntry] = field(default_factory=list)
+    # The basic events that each defeat the redundant architecture alone.
+    spof_entries: list[BasicEvent] = field(default_factory=list)
     letters_present: list[str] = field(default_factory=list)
 
 
@@ -149,16 +141,7 @@ def generate_guidance(
             )
         )
 
-    for event_id in first_order.software + first_order.hardware:
-        node = tree.nodes.get(event_id)
-        label = node.label if isinstance(node, BasicEvent) else event_id
-        report.spof_entries.append(
-            SpofEntry(
-                event_id=event_id,
-                software=isinstance(node, BasicEvent) and node.software,
-                label=label,
-            )
-        )
+    report.spof_entries = [tree.nodes[e] for e in first_order.software + first_order.hardware]
     return report
 
 
@@ -397,7 +380,7 @@ def render_summary(data: SummaryInput, fmt: str = "md") -> str:
         bullet("none found")
     for entry in data.guidance.spof_entries:
         origin = "software" if entry.software else "hardware"
-        bullet(f"{entry.event_id} ({origin}): {entry.label}")
+        bullet(f"{entry.id} ({origin}): {entry.label}")
 
     heading("Diversity findings")
     if not data.guidance.diversity_findings:

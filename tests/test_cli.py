@@ -58,8 +58,60 @@ def test_model_error_is_printed_at_its_span(model_path, tmp_path, capsys):
     line = text.splitlines().index("division C replicates A") + 1
     for command in ("validate", "cutsets"):
         assert main([command, str(doc)]) == 1
-        err = capsys.readouterr().err
-        assert f"{doc}:{line}:10: not-upstream: the top event does not depend on 'cet_alarm__C'" in err
+        assert capsys.readouterr().err == (
+            f"{doc}:{line}:10: not-upstream: the top event does not depend on "
+            "'hjtc_power_controller__C', which owns applicable links, nor on 10 more components "
+            "of division 'C'\n1 violation(s)\n"
+        )
+
+
+def test_repeated_letters_are_reported_in_document_order(tmp_path):
+    # Type F is repeated before type A, so neither letter nor hash order fits.
+    text = MINI_MODEL.replace(
+        "      applicable: F hazards: H-1\n",
+        "      applicable: F hazards: H-1\n"
+        "      applicable: F hazards: H-1\n"
+        "      applicable: A hazards: H-1\n",
+    )
+    doc = tmp_path / "repeated.resha"
+    doc.write_text(text, encoding="utf-8")
+    line = text.splitlines().index("      applicable: F hazards: H-1") + 2
+    expected = (
+        f"{doc}:{line}:19: duplicate-applicability: link 'drive' already declares type F\n"
+        f"{doc}:{line + 1}:19: duplicate-applicability: link 'drive' already declares type A\n"
+        "2 violation(s)\n"
+    )
+    for seed in ("0", "1"):
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=seed,
+            PYTHONPATH=str(Path(resha.__file__).resolve().parents[1]),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "resha.cli", "validate", str(doc)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+            cwd=tmp_path,
+        )
+        assert (proc.returncode, proc.stderr) == (1, expected)
+
+
+def test_validate_and_pipeline_print_a_failed_model_alike(tmp_path, capsys):
+    text = MINI_MODEL.replace("hazards: H-1", "hazards: H-9") + 'loss L-1 "again"\n'
+    doc = tmp_path / "bad.resha"
+    doc.write_text(text, encoding="utf-8")
+    assert main(["validate", str(doc)]) == 1
+    validate = capsys.readouterr()
+    assert main(["pipeline", str(doc), "--out-dir", str(tmp_path / "out")]) == 1
+    pipeline = capsys.readouterr()
+    assert (validate.out, pipeline.out) == ("", "")
+    assert validate.err == pipeline.err
+    lines = validate.err.splitlines()
+    assert lines[0] == f"{doc}:{len(text.splitlines())}:6: duplicate-id: loss id 'L-1' already declared"
+    assert [line.split(": ")[1] for line in lines[1:-1]] == ["unknown-hazard", "unknown-hazard"]
+    assert lines[-1] == "3 violation(s)"
 
 
 @pytest.mark.parametrize(

@@ -102,6 +102,28 @@ def test_bad_id_flagged():
     assert "bad-id" in _codes(model)
 
 
+_REPEATED_A = (
+    'system "s"\ndivision A {\n  component c kind: controller tech: digital class: DC {\n'
+    "    control_action x -> y {\n      applicable: A hazards: H-1\n"
+    "      applicable: A hazards: H-2\n    }\n  }\n}\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text,code,line,column",
+    [
+        ('system "s"\nloss L-1 "x"\nloss L-1 "y"\n', "duplicate-id", 3, 6),
+        ('loss L-1 "x"\n', "missing-name", 1, 1),
+        (_REPEATED_A, "duplicate-applicability", 6, 19),
+    ],
+    ids=["duplicate-id", "missing-name", "duplicate-applicability"],
+)
+def test_documents_that_parse_break_a_rule_at_its_span(text, code, line, column):
+    # The parser reads syntax only; validation reports each broken rule.
+    violations = validate_model(parse_model(text, "doc.resha")).violations
+    assert [v.span for v in violations if v.code == code] == [SourceSpan("doc.resha", line, column)]
+
+
 def test_duplicate_id_flagged_across_kinds():
     model = _shell(_plain("dup"), _operator(inputs=["dup"]))
     model.losses.append(Loss("dup", "loss"))
@@ -308,10 +330,15 @@ def _not_upstream(text: str, file_name: str, component_id: str) -> Violation:
 
 def test_unwired_replica_fails_at_the_owner_component(qiasp_text):
     text = unwired_replica_text(qiasp_text)
-    violation = _not_upstream(text, "unwired.resha", "cet_alarm__C")
-    # The replica's fix is in its ``replicates`` line, not in division A.
+    # The replica's fix is in its ``replicates`` line, not in division A, so
+    # its eleven unwired owners are reported once there.
+    [violation] = validate_model(parse_model(text, "unwired.resha")).violations
     line = text.splitlines().index("division C replicates A") + 1
-    assert violation.span == SourceSpan("unwired.resha", line, len("division ") + 1)
+    assert (violation.code, violation.span) == ("not-upstream", SourceSpan("unwired.resha", line, 10))
+    assert violation.message == (
+        "the top event does not depend on 'hjtc_power_controller__C', which owns applicable "
+        "links, nor on 10 more components of division 'C'"
+    )
     with pytest.raises(ValidationFailed):
         analyze_text(text, "unwired.resha")
 

@@ -68,7 +68,7 @@ def test_qiasp_spof_entries(qiasp_result):
     software = [e for e in entries if e.software]
     assert len(software) == 43
     hardware = [e for e in entries if not e.software]
-    assert [e.event_id for e in hardware] == ["hw:operator_terminal"]
+    assert [e.id for e in hardware] == ["hw:operator_terminal"]
 
 
 def test_qiasp_letters_present(qiasp_result):

@@ -1,5 +1,6 @@
-"""Source hygiene: no dead imports, no unread parameters, no runtime code that
-only tests call, no dataclass field that nothing reads, and no ``copy`` module.
+"""Source hygiene: no dead imports, no unread parameters, no default that no
+call overrides, no runtime code that only tests call, no dataclass field that
+nothing reads, and no ``copy`` module.
 
 The package is read with ``ast`` alone; nothing under ``src/resha`` is
 imported or run here.
@@ -11,7 +12,8 @@ import ast
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "resha"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "resha"
 
 # Functions that nothing under src/resha calls but that stay, with the reason.
 KEEP = {
@@ -186,6 +188,62 @@ def test_every_parameter_is_read():
                 and not param.arg.startswith("_")
             )
     assert unread == []
+
+
+def _calls_by_name(paths) -> dict[str, list[ast.Call]]:
+    """Every call in these files, by the name or attribute name it calls."""
+    found: dict[str, list[ast.Call]] = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                found.setdefault(name, []).append(node)
+    return found
+
+
+def _passes(call: ast.Call, position: int | None, name: str) -> bool:
+    """Whether ``call`` passes the parameter at ``position`` (None when
+    keyword-only) or named ``name``; a ``*`` or ``**`` argument passes all."""
+    if any(keyword.arg in (None, name) for keyword in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return position is not None
+    return position is not None and len(call.args) > position
+
+
+def test_every_defaulted_parameter_is_passed():
+    # A default that no call overrides is a constant, so it is written as one.
+    calls = _calls_by_name(
+        sorted([*SRC.glob("*.py"), *ROOT.glob("tests/*.py"), *ROOT.glob("benchmark/*.py")])
+    )
+    unpassed = []
+    for module, tree in _modules().items():
+        methods = {
+            item: cls.name
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for item in cls.body
+            if isinstance(item, ast.FunctionDef)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            positional = [*args.posonlyargs, *args.args][1 if node in methods else 0 :]
+            first = len(positional) - len(args.defaults)
+            defaulted = [
+                *((i, arg) for i, arg in enumerate(positional) if i >= first),
+                *((None, arg) for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default),
+            ]
+            # A class is called by its own name to run its ``__init__``.
+            called = methods[node] if node.name == "__init__" else node.name
+            unpassed.extend(
+                f"{module}:{node.lineno}: {node.name}({arg.arg})"
+                for position, arg in defaulted
+                if not any(_passes(call, position, arg.arg) for call in calls.get(called, ()))
+            )
+    assert unpassed == []
 
 
 def test_every_function_has_a_runtime_caller():
