@@ -11,37 +11,24 @@ fault-tree JSON that ``integrate``, ``ccf`` and ``cutsets`` accept back via
 ``--ft``; the imported tree stands in for the stage it replaces, so no
 stage upstream of it runs.  Set ``RESHA_NO_COLOR`` to disable ANSI color
 on terminals.
+
+Each ``resha`` process pays for every module it imports, so this module
+loads only what every subcommand uses: a command imports its writers (and
+``verify-golden`` its ``golden`` module) when it runs, and ``run_stages``
+imports each stage's module.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .ccf import count_by_type
 from .dsl import ParseError, parse_model
-from .golden import load_golden, verify_golden
 from .model import ModelError, SystemModel
-from .pipeline import (
-    PipelineOptions,
-    ValidationFailed,
-    analyze_model,
-    run_pipeline,
-    run_stages,
-)
-from .report import (
-    ccf_csv,
-    cut_set_counts,
-    cutsets_csv,
-    export_ft,
-    import_ft,
-    render_summary,
-    traceability_csv,
-)
+from .pipeline import PipelineOptions, ValidationFailed, analyze_model, run_pipeline, run_stages
 
 
 def _color_enabled(stream) -> bool:
@@ -79,6 +66,8 @@ def _run(args, *goals: str, ft_replaces: str | None = None) -> dict:
     """Run the stages the goals need on the model, with ``--ft`` in place of ``ft_replaces``."""
     values = {"model": _load_model(args.model), **asdict(_options(args))}
     if getattr(args, "ft", None):
+        from .report import import_ft
+
         values[ft_replaces] = import_ft(Path(args.ft).read_text(encoding="utf-8"))
     return run_stages(values, *goals)
 
@@ -90,6 +79,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_stpa(args) -> int:
+    import json
+
+    from .report import traceability_csv
+
     values = _run(args, "candidates", "instances")
     candidates, instances = values["candidates"], values["instances"]
     if args.format == "csv":
@@ -123,6 +116,8 @@ def cmd_stpa(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from .report import export_ft
+
     values = _run(args, "hardware_tree", "census")
     _emit(export_ft(values["hardware_tree"]), args.out)
     census = values["census"]
@@ -135,6 +130,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_integrate(args) -> int:
+    from .report import export_ft
+
     values = _run(args, "integrated_tree", ft_replaces="hardware_tree")
     _emit(export_ft(values["integrated_tree"]), args.out)
     print(f"integrated {len(values['instances'])} software instances", file=sys.stderr)
@@ -142,6 +139,11 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_ccf(args) -> int:
+    import json
+
+    from .ccf import count_by_type
+    from .report import ccf_csv, export_ft
+
     values = _run(args, "groups", ft_replaces="integrated_tree")
     groups = values["groups"]
     if args.tree_out:
@@ -171,6 +173,8 @@ def cmd_ccf(args) -> int:
 
 
 def cmd_cutsets(args) -> int:
+    from .report import cut_set_counts, cutsets_csv
+
     values = _run(args, "collection", "first_order", ft_replaces="injected_tree")
     collection, first, tree = values["collection"], values["first_order"], values["injected_tree"]
     if args.format == "csv":
@@ -183,6 +187,8 @@ def cmd_cutsets(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .report import render_summary
+
     result = analyze_model(_load_model(args.model), _options(args))
     _emit(render_summary(result.summary_input(), args.format), args.out)
     return 0
@@ -200,6 +206,8 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_verify_golden(args) -> int:
+    from .golden import load_golden, verify_golden
+
     result = analyze_model(_load_model(args.model))
     golden = load_golden(Path(args.golden))
     report = verify_golden(result, golden)

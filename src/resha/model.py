@@ -601,6 +601,12 @@ def _validate_references(model: SystemModel, report: ValidationReport) -> None:
     def bad(code: str, message: str, span: SourceSpan | None) -> None:
         report.violations.append(Violation(code, message, span))
 
+    def replica_division(component_id: str) -> Division | None:
+        """The component's division when it is a replica, else None.  A
+        replica keeps its source's span, so its ``replicates`` line locates it."""
+        division = idx.divisions[idx.division_of[component_id]]
+        return division if division.replicated_from is not None else None
+
     for hazard in model.hazards:
         for loss_id in hazard.losses:
             if loss_id not in idx.losses:
@@ -608,9 +614,8 @@ def _validate_references(model: SystemModel, report: ValidationReport) -> None:
 
     operators = [c for c in model.components() if c.kind is ComponentKind.OPERATOR]
     if len(operators) != 1:
-        report.violations.append(
-            Violation("operator-count", f"model declares {len(operators)} operator components, expected 1")
-        )
+        span = operators[1].span if operators else model.span
+        bad("operator-count", f"model declares {len(operators)} operator components, expected 1", span)
     for op in operators:
         if op.tech is not Technology.HUMAN:
             bad("operator-tech", f"operator '{op.id}' must have tech human", op.span)
@@ -720,9 +725,9 @@ def _validate_references(model: SystemModel, report: ValidationReport) -> None:
     adjacency = {c.id: idx.dependency_sources(c) for c in model.components()}
     cycle = depth_first(adjacency, adjacency.__getitem__, adjacency)[1]
     if cycle:
-        report.violations.append(
-            Violation("dependency-cycle", f"dependency cycle: {' -> '.join(cycle)}")
-        )
+        division = replica_division(cycle[0])
+        span = division.span if division else idx.components[cycle[0]].span
+        bad("dependency-cycle", f"dependency cycle: {' -> '.join(cycle)}", span)
 
     # Synthesis gives a ``fail:`` gate to exactly the components the operator
     # depends on.  Software instances attach under their owner's gate, and
@@ -738,8 +743,8 @@ def _validate_references(model: SystemModel, report: ValidationReport) -> None:
     def not_upstream(component_id: str, role: str, span: SourceSpan | None, owner: str | None) -> None:
         if component_id in upstream or component_id not in idx.components:
             return
-        division = idx.divisions[idx.division_of[owner]] if owner else None
-        if division is not None and division.replicated_from is not None:
+        division = replica_division(owner) if owner else None
+        if division is not None:
             replica_misses.setdefault(division.id, {}).setdefault(component_id, role)
         else:
             bad("not-upstream", f"the top event does not depend on '{component_id}', {role}", span)

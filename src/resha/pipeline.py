@@ -1,45 +1,27 @@
 """End-to-end analysis: validate, expand, enumerate, synthesize, integrate,
-detect, inject, solve, and report."""
+detect, inject, solve, and report.
+
+``STAGES`` names each stage's function as ``module.function``, and
+``run_stages`` imports that module only when the stage runs, so a caller
+that needs the first stages alone never loads the later ones.
+"""
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from importlib import import_module
 from pathlib import Path
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any
 
-from .ccf import CcfGroup, detect_ccf_groups, inject_ccf_events
-from .cutsets import (
-    CutSetCollection,
-    FirstOrderReport,
-    first_order_cut_sets,
-    minimal_cut_sets,
-)
 from .dsl import parse_model
-from .ftree import (
-    BranchCensus,
-    FaultTree,
-    branch_census,
-    integrate_software,
-    synthesize_hardware_ft,
-)
 from .model import SystemModel, ValidationReport, _validate_and_expand
-from .report import (
-    GuidanceReport,
-    SummaryInput,
-    ccf_csv,
-    cutsets_csv,
-    export_ft,
-    generate_guidance,
-    render_summary,
-    traceability_csv,
-)
-from .stpa import (
-    ControlStructure,
-    UcaUifInstance,
-    apply_applicability,
-    enumerate_candidates,
-    extract_control_structure,
-)
+
+if TYPE_CHECKING:
+    from .ccf import CcfGroup
+    from .cutsets import CutSetCollection, FirstOrderReport
+    from .ftree import BranchCensus, FaultTree
+    from .report import GuidanceReport, SummaryInput
+    from .stpa import ControlStructure, UcaUifInstance
 
 ARTIFACT_NAMES = (
     "ft.json",
@@ -84,6 +66,8 @@ class AnalysisResult:
     options: PipelineOptions = field(default_factory=PipelineOptions)
 
     def summary_input(self) -> SummaryInput:
+        from .report import SummaryInput
+
         return SummaryInput(
             model=self.expanded,
             candidates=self.candidates,
@@ -106,22 +90,23 @@ def _expand_valid(model: SystemModel) -> SystemModel:
 
 
 # The analysis chain, declared once: each value name maps to the function
-# that computes it and the names of that function's inputs, in the order of
-# AnalysisResult's fields.  The caller gives ``model`` and the
-# PipelineOptions fields (``include_hw_design``, ``max_order``).
-STAGES: dict[str, tuple[Callable[..., Any], tuple[str, ...]]] = {
-    "expanded": (_expand_valid, ("model",)),
-    "structure": (extract_control_structure, ("expanded",)),
-    "candidates": (enumerate_candidates, ("structure",)),
-    "instances": (apply_applicability, ("candidates", "expanded")),
-    "hardware_tree": (synthesize_hardware_ft, ("expanded", "include_hw_design")),
-    "census": (branch_census, ("hardware_tree",)),
-    "integrated_tree": (integrate_software, ("hardware_tree", "instances")),
-    "groups": (detect_ccf_groups, ("expanded", "instances")),
-    "injected_tree": (inject_ccf_events, ("integrated_tree", "groups")),
-    "collection": (minimal_cut_sets, ("injected_tree", "max_order")),
-    "first_order": (first_order_cut_sets, ("collection", "injected_tree")),
-    "guidance": (generate_guidance, ("expanded", "groups", "first_order", "injected_tree", "instances")),
+# that computes it, as ``module.function``, and the names of that function's
+# inputs, in the order of AnalysisResult's fields.  The caller gives
+# ``model`` and the PipelineOptions fields (``include_hw_design``,
+# ``max_order``).
+STAGES: dict[str, tuple[str, tuple[str, ...]]] = {
+    "expanded": ("pipeline._expand_valid", ("model",)),
+    "structure": ("stpa.extract_control_structure", ("expanded",)),
+    "candidates": ("stpa.enumerate_candidates", ("structure",)),
+    "instances": ("stpa.apply_applicability", ("candidates", "expanded")),
+    "hardware_tree": ("ftree.synthesize_hardware_ft", ("expanded", "include_hw_design")),
+    "census": ("ftree.branch_census", ("hardware_tree",)),
+    "integrated_tree": ("ftree.integrate_software", ("hardware_tree", "instances")),
+    "groups": ("ccf.detect_ccf_groups", ("expanded", "instances")),
+    "injected_tree": ("ccf.inject_ccf_events", ("integrated_tree", "groups")),
+    "collection": ("cutsets.minimal_cut_sets", ("injected_tree", "max_order")),
+    "first_order": ("cutsets.first_order_cut_sets", ("collection", "injected_tree")),
+    "guidance": ("report.generate_guidance", ("expanded", "groups", "first_order", "injected_tree", "instances")),
 }
 
 
@@ -134,9 +119,11 @@ def run_stages(values: dict[str, Any], *goals: str) -> dict[str, Any]:
     """
     for goal in goals:
         if goal not in values:
-            function, inputs = STAGES[goal]
+            qualified, inputs = STAGES[goal]
             run_stages(values, *inputs)
-            values[goal] = function(*(values[name] for name in inputs))
+            module, function = qualified.split(".")
+            stage = getattr(import_module(f".{module}", __package__), function)
+            values[goal] = stage(*(values[name] for name in inputs))
     return values
 
 
@@ -163,6 +150,8 @@ def analyze_text(text: str, file_name: str = "<model>", options: PipelineOptions
 
 def write_artifacts(result: AnalysisResult, out_dir: Path) -> list[Path]:
     """Write the six artifact files; returns their paths in a fixed order."""
+    from .report import ccf_csv, cutsets_csv, export_ft, render_summary, traceability_csv
+
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     data = result.summary_input()

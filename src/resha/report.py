@@ -6,17 +6,15 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .ccf import CcfGroup, count_by_type
-from .cutsets import CutSetCollection, FirstOrderReport
 from .ftree import BasicEvent, BranchCensus, EventCategory, FaultTree, Gate, GateOp
-from .model import (
-    FailureModeType,
-    ModelError,
-    ModelIndex,
-    SystemModel,
-)
-from .stpa import UcaUifInstance, instances_by_division, traceability_rows
+from .model import FailureModeType, ModelError, ModelIndex, SystemModel
+
+if TYPE_CHECKING:
+    from .ccf import CcfGroup
+    from .cutsets import CutSetCollection, FirstOrderReport
+    from .stpa import UcaUifInstance
 
 FT_SCHEMA = "resha/1"
 
@@ -269,6 +267,8 @@ def ccf_csv(groups: list[CcfGroup]) -> str:
 
 
 def traceability_csv(instances: list[UcaUifInstance], model: SystemModel) -> str:
+    from .stpa import traceability_rows
+
     rows = traceability_rows(instances, model)
     out = io.StringIO()
     writer = csv.DictWriter(
@@ -323,6 +323,9 @@ class SummaryInput:
 
 def render_summary(data: SummaryInput, fmt: str = "md") -> str:
     """Render the run summary; formats: ``md`` and ``txt``."""
+    from .ccf import count_by_type
+    from .stpa import instances_by_division
+
     if fmt not in ("md", "txt"):
         raise ModelError(f"unknown summary format '{fmt}' (one of: md, txt)")
     md = fmt == "md"

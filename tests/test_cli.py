@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import shutil
@@ -63,6 +64,45 @@ def test_model_error_is_printed_at_its_span(model_path, tmp_path, capsys):
             "'hjtc_power_controller__C', which owns applicable links, nor on 10 more components "
             "of division 'C'\n1 violation(s)\n"
         )
+
+
+@pytest.mark.parametrize(
+    "old, new, located_at, message",
+    [
+        (
+            "component control_room_operator kind: operator",
+            "component control_room_operator kind: display",
+            None,
+            "operator-count: model declares 0 operator components, expected 1",
+        ),
+        (
+            "component operator_terminal kind: display tech: analog",
+            "component operator_terminal kind: operator tech: human",
+            "  component control_room_operator kind: operator",
+            "operator-count: model declares 2 operator components, expected 1",
+        ),
+        (
+            "    inputs: display_interface, display_interface__B\n",
+            "    inputs: display_interface, display_interface__B, control_room_operator\n",
+            "  component operator_terminal kind: display",
+            "dependency-cycle: dependency cycle: "
+            "operator_terminal -> control_room_operator -> operator_terminal",
+        ),
+    ],
+)
+def test_model_wide_violations_are_located(model_path, tmp_path, capsys, old, new, located_at, message):
+    text = Path(model_path).read_text(encoding="utf-8")
+    assert old in text
+    text = text.replace(old, new)
+    doc = tmp_path / "changed.resha"
+    doc.write_text(text, encoding="utf-8")
+    # With no operator the count is reported at the document start.
+    where = "1:1"
+    if located_at is not None:
+        line = next(n for n, row in enumerate(text.splitlines(), 1) if row.startswith(located_at))
+        where = f"{line}:13"
+    assert main(["validate", str(doc)]) == 1
+    assert capsys.readouterr().err == f"{doc}:{where}: {message}\n1 violation(s)\n"
 
 
 def test_repeated_letters_are_reported_in_document_order(tmp_path):
@@ -288,8 +328,10 @@ def stage_calls(monkeypatch) -> list[str]:
 
         return recorded
 
-    for name, (function, inputs) in STAGES.items():
-        monkeypatch.setitem(STAGES, name, (spy(function), inputs))
+    for qualified, _ in STAGES.values():
+        module, function = qualified.split(".")
+        owner = importlib.import_module(f"resha.{module}")
+        monkeypatch.setattr(owner, function, spy(getattr(owner, function)))
     monkeypatch.setattr(resha.model, "expand_replication", spy(resha.model.expand_replication))
     return calls
 

@@ -1,0 +1,109 @@
+"""Import cost: each subcommand loads only the modules of the stages it runs,
+and the package resolves its public names on first use."""
+
+from __future__ import annotations
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import resha
+from resha.cli import main
+from resha.pipeline import bundled_golden_path, bundled_model_path
+
+SUBMODULES = ("ccf", "cutsets", "dsl", "ftree", "model", "pipeline", "report", "stpa")
+
+# Runs ``resha ARGS`` as ``python -m resha.cli`` does, then prints the
+# ``resha.*`` modules it loaded.  The CLI itself runs as ``__main__``.
+PROBE = """
+import json, runpy, sys
+sys.argv = ["resha", *sys.argv[1:]]
+try:
+    runpy.run_module("resha.cli", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("resha."))))
+"""
+
+VALIDATE = {"dsl", "model", "pipeline"}
+EVERY_STAGE = {*VALIDATE, "ftree", "report", "stpa", "ccf", "cutsets"}
+
+# subcommand arguments (MODEL, GOLDEN and the trees from ``trees`` filled in
+# by name) -> the modules that subcommand loads.
+MODULE_SETS = [
+    (["validate", "MODEL"], VALIDATE),
+    (["synth", "MODEL", "--out", "out.json"], VALIDATE | {"ftree", "report"}),
+    (["integrate", "MODEL", "--ft", "hw.json", "--out", "out.json"], VALIDATE | {"ftree", "report", "stpa"}),
+    (
+        ["ccf", "MODEL", "--ft", "int.json", "--tree-out", "out.json", "--out", "out.txt"],
+        VALIDATE | {"ftree", "report", "stpa", "ccf"},
+    ),
+    (["cutsets", "MODEL", "--ft", "inj.json", "--out", "out.txt"], VALIDATE | {"ftree", "report", "cutsets"}),
+    (["pipeline", "MODEL", "--out-dir", "out"], EVERY_STAGE),
+    (["report", "MODEL", "--out", "out.md"], EVERY_STAGE),
+    (["verify-golden", "MODEL", "GOLDEN"], EVERY_STAGE | {"golden"}),
+]
+
+
+def _run(code: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(Path(resha.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+        cwd=cwd,
+    )
+
+
+@pytest.fixture(scope="module")
+def trees(tmp_path_factory) -> Path:
+    """A directory holding the synth, integrate and ccf trees of the bundled model."""
+    root = tmp_path_factory.mktemp("trees")
+    model = str(bundled_model_path())
+    assert main(["synth", model, "--out", str(root / "hw.json")]) == 0
+    assert main(["integrate", model, "--ft", str(root / "hw.json"), "--out", str(root / "int.json")]) == 0
+    assert main(["ccf", model, "--ft", str(root / "int.json"), "--tree-out", str(root / "inj.json")]) == 0
+    return root
+
+
+@pytest.mark.parametrize("args, modules", MODULE_SETS, ids=[args[0] for args, _ in MODULE_SETS])
+def test_subcommand_loads_only_its_stages(args, modules, trees):
+    names = {"MODEL": str(bundled_model_path()), "GOLDEN": str(bundled_golden_path())}
+    proc = _run(PROBE, *(names.get(arg, arg) for arg in args), cwd=trees)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == sorted(f"resha.{module}" for module in modules)
+
+
+def test_bare_import_loads_no_submodule(tmp_path):
+    code = (
+        "import json, sys, resha\n"
+        "before = sorted(m for m in sys.modules if m.startswith('resha.'))\n"
+        f"reached = [getattr(resha, name).__name__ for name in {SUBMODULES!r}]\n"
+        "print(json.dumps([before, reached]))\n"
+    )
+    proc = _run(code, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], [f"resha.{name}" for name in SUBMODULES]]
+
+
+def test_public_names_are_their_modules_attributes():
+    assert len(resha.__all__) == 43
+    for name in resha.__all__:
+        module = importlib.import_module(f"resha.{resha._MODULE_OF[name]}")
+        assert getattr(resha, name) is getattr(module, name)
+    star: dict[str, object] = {}
+    exec("from resha import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == resha.__all__
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'golden_record'"):
+        resha.golden_record

@@ -39,15 +39,29 @@ def _package_references(modules: dict[str, ast.Module]) -> Counter[str]:
     found: Counter[str] = Counter()
     for tree in modules.values():
         found.update(_references(tree))
+    found.update(_stage_functions(modules))
+    return found
+
+
+def _stage_functions(modules: dict[str, ast.Module]) -> Counter[str]:
+    """Functions that ``pipeline.py`` names as ``"module.function"`` strings:
+    ``run_stages`` imports the module and calls them."""
+    found: Counter[str] = Counter()
+    for node in ast.walk(modules["pipeline.py"]):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            module, _, function = node.value.partition(".")
+            if f"{module}.py" in modules and function.isidentifier():
+                found[function] += 1
     return found
 
 
 def _public_names(modules: dict[str, ast.Module]) -> set[str]:
+    """The names of the package's one export table, ``_EXPORTS``."""
     for node in modules["__init__.py"].body:
         if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets
         ):
-            return set(ast.literal_eval(node.value))
+            return {name for names in ast.literal_eval(node.value).values() for name in names}
     return set()
 
 
