@@ -9,8 +9,8 @@ Each subcommand runs the stages of ``pipeline.STAGES`` up to the value it
 prints.  Stages chain through files: ``synth`` and ``integrate`` write
 fault-tree JSON that ``integrate``, ``ccf`` and ``cutsets`` accept back via
 ``--ft``; the imported tree stands in for the stage it replaces, so no
-stage upstream of it runs.  Set ``RESHA_NO_COLOR`` to disable ANSI color
-on terminals.
+stage upstream of it runs but validation.  Set ``RESHA_NO_COLOR`` to
+disable ANSI color on terminals.
 
 Each ``resha`` process pays for every module it imports, so this module
 loads only what every subcommand uses: a command imports its writers (and
@@ -63,8 +63,9 @@ def _options(args) -> PipelineOptions:
 
 
 def _run(args, *goals: str, ft_replaces: str | None = None) -> dict:
-    """Run the stages the goals need on the model, with ``--ft`` in place of ``ft_replaces``."""
-    values = {"model": _load_model(args.model), **asdict(_options(args))}
+    """Validate the model, then run the stages the goals need on it, with
+    ``--ft`` in place of ``ft_replaces``."""
+    values = run_stages({"model": _load_model(args.model), **asdict(_options(args))}, "expanded")
     if getattr(args, "ft", None):
         from .report import import_ft
 
@@ -73,7 +74,7 @@ def _run(args, *goals: str, ft_replaces: str | None = None) -> dict:
 
 
 def cmd_validate(args) -> int:
-    _run(args, "expanded")
+    _run(args)
     print(_style("model OK", "32", sys.stdout))
     return 0
 

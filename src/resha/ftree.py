@@ -22,7 +22,7 @@ by :func:`integrate_software`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Generator, Iterator, Union
 
@@ -105,7 +105,17 @@ class FaultTree:
         """A tree whose gates and child lists are new and whose basic events
         are shared; no stage mutates a basic event."""
         nodes: dict[str, Node] = {
-            node_id: replace(node, children=list(node.children)) if isinstance(node, Gate) else node
+            node_id: Gate(
+                node.id,
+                node.op,
+                list(node.children),
+                node.label,
+                node.failure_for,
+                node.dependency_for,
+                node.placeholder_for,
+            )
+            if isinstance(node, Gate)
+            else node
             for node_id, node in self.nodes.items()
         }
         return FaultTree(self.model_name, self.root, nodes, self.include_hw_design)

@@ -6,9 +6,10 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
-from .ftree import BasicEvent, BranchCensus, EventCategory, FaultTree, Gate, GateOp
+from .ftree import BasicEvent, BranchCensus, EventCategory, FaultTree, Gate, GateOp, Node
 from .model import FailureModeType, ModelError, ModelIndex, SystemModel
 
 if TYPE_CHECKING:
@@ -144,108 +145,185 @@ def generate_guidance(
 
 
 def export_ft(tree: FaultTree) -> str:
-    """Serialize a fault tree as a stable JSON document."""
-    nodes = []
+    """Serialize a fault tree as a stable JSON document.
+
+    The bytes are those of ``json.dumps(doc, indent=2)`` and a final
+    newline, where ``doc`` is the tree as nested dicts and lists.  Given an
+    ``indent``, ``json.dumps`` runs its pure-Python encoder, which costs
+    several times more per node, so the fixed layout is written here as
+    string pieces joined once.  Every string goes through
+    ``json.encoder.encode_basestring_ascii``, the C escaper that
+    ``json.dumps`` itself uses under its default ``ensure_ascii=True``, so
+    escaping stays the json module's decision.  Keys appear in a fixed
+    order, and the optional ones only when set.
+    """
+    q = encode_basestring_ascii
+    out = [
+        '{\n  "schema": ', q(FT_SCHEMA),
+        ',\n  "model": ', q(tree.model_name),
+        ',\n  "options": {\n    "include_hw_design": ', "true" if tree.include_hw_design else "false",
+        '\n  },\n  "root": ', q(tree.root),
+        ',\n  "nodes": [',
+    ]
+    separator = "\n    {\n"
     for node in tree.nodes.values():
+        out += (separator, '      "id": ', q(node.id))
+        separator = ",\n    {\n"
         if isinstance(node, Gate):
-            entry: dict = {"id": node.id, "kind": "gate", "op": node.op.value}
+            out += (',\n      "kind": "gate",\n      "op": ', q(node.op.value))
             if node.label:
-                entry["label"] = node.label
-            entry["children"] = list(node.children)
+                out += (',\n      "label": ', q(node.label))
+            if node.children:
+                children = ",\n        ".join(map(q, node.children))
+                out += (',\n      "children": [\n        ', children, "\n      ]")
+            else:
+                out.append(',\n      "children": []')
             if node.failure_for is not None:
-                entry["failure_for"] = node.failure_for
+                out += (',\n      "failure_for": ', q(node.failure_for))
             if node.dependency_for is not None:
-                entry["dependency_for"] = node.dependency_for
+                out += (',\n      "dependency_for": ', q(node.dependency_for))
             if node.placeholder_for is not None:
-                entry["placeholder_for"] = node.placeholder_for
+                out += (',\n      "placeholder_for": ', q(node.placeholder_for))
         else:
-            entry = {"id": node.id, "kind": "event", "category": node.category.value}
+            out += (',\n      "kind": "event",\n      "category": ', q(node.category.value))
             if node.label:
-                entry["label"] = node.label
+                out += (',\n      "label": ', q(node.label))
             if node.software:
-                entry["software"] = True
-        nodes.append(entry)
-    doc = {
-        "schema": FT_SCHEMA,
-        "model": tree.model_name,
-        "options": {"include_hw_design": tree.include_hw_design},
-        "root": tree.root,
-        "nodes": nodes,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+                out.append(',\n      "software": true')
+        out.append("\n    }")
+    out.append("\n  ]\n}\n" if tree.nodes else "]\n}\n")
+    return "".join(out)
+
+
+# Optional node fields that export_ft writes as JSON strings, when set.
+_OPTIONAL_STRINGS = ("label", "failure_for", "dependency_for", "placeholder_for")
 
 
 def import_ft(text: str) -> FaultTree:
-    """Rebuild a fault tree from its JSON document."""
+    """Rebuild a fault tree from its JSON document.
+
+    Trees written outside this program come in only here, so a value that
+    ``export_ft`` writes as a string must be one: a ModelError names the
+    node whose id, label, marker or child is not.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelError(f"fault tree document is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("schema") != FT_SCHEMA:
-        raise ModelError(f"expected schema '{FT_SCHEMA}', got {doc.get('schema')!r}")
-    options = doc.get("options") or {}
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != FT_SCHEMA:
+        raise ModelError(f"expected schema '{FT_SCHEMA}', got {schema!r}")
+    model_name, root = doc.get("model", ""), doc.get("root", "")
+    options, nodes = doc.get("options") or {}, doc.get("nodes", [])
+    if not (
+        isinstance(model_name, str)
+        and isinstance(root, str)
+        and isinstance(options, dict)
+        and isinstance(nodes, list)
+    ):
+        raise ModelError(
+            "fault tree document needs a string 'model' and 'root', "
+            "an object 'options' and a list 'nodes'"
+        )
     tree = FaultTree(
-        model_name=doc.get("model", ""),
-        root=doc.get("root", ""),
+        model_name=model_name,
+        root=root,
         include_hw_design=bool(options.get("include_hw_design", False)),
     )
-    for entry in doc.get("nodes", []):
-        kind = entry.get("kind")
-        if kind == "gate":
-            tree.add(
-                Gate(
-                    id=entry["id"],
-                    op=GateOp(entry["op"]),
-                    children=list(entry.get("children", [])),
+    for entry in nodes:
+        if not isinstance(entry, dict):
+            raise ModelError(f"fault tree node {entry!r} is not an object")
+        node_id, kind, children = entry.get("id"), entry.get("kind"), entry.get("children", [])
+        if not (
+            isinstance(node_id, str)
+            and all(isinstance(entry.get(key, ""), str) for key in _OPTIONAL_STRINGS)
+            and isinstance(children, list)
+            and all(isinstance(child, str) for child in children)
+        ):
+            raise ModelError(
+                f"node {node_id!r}: its id, {', '.join(_OPTIONAL_STRINGS)} and children "
+                "must be strings"
+            )
+        try:
+            if kind == "gate":
+                node: Node = Gate(
+                    id=node_id,
+                    op=GateOp(entry.get("op")),
+                    children=list(children),
                     label=entry.get("label", ""),
                     failure_for=entry.get("failure_for"),
                     dependency_for=entry.get("dependency_for"),
                     placeholder_for=entry.get("placeholder_for"),
                 )
-            )
-        elif kind == "event":
-            tree.add(
-                BasicEvent(
-                    id=entry["id"],
-                    category=EventCategory(entry["category"]),
+            elif kind == "event":
+                node = BasicEvent(
+                    id=node_id,
+                    category=EventCategory(entry.get("category")),
                     label=entry.get("label", ""),
                     software=bool(entry.get("software", False)),
                 )
-            )
-        else:
-            raise ModelError(f"node {entry.get('id')!r} has unknown kind {kind!r}")
+            else:
+                raise ModelError(f"node {node_id!r} has unknown kind {kind!r}")
+        except ValueError as exc:
+            raise ModelError(f"node {node_id!r}: {exc}") from None
+        tree.add(node)
     tree.check_structure()
     return tree
 
 
-def cutsets_csv(collection: CutSetCollection, tree: FaultTree) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["order", "members", "categories", "software"])
-    # (id, category, software) per event index, built on first use.
-    entries: dict[int, tuple[str, str, bool]] = {}
+# Characters that may make the csv module quote or refuse a field.  Which of
+# them do depends on the Python version: 3.11 and 3.12 leave a lone "\r"
+# bare and 3.13 quotes it; 3.10 refuses a NUL.
+_CSV_SPECIAL = frozenset(',"\r\n\x00')
 
-    def entry(i: int) -> tuple[str, str, bool]:
-        event_id = collection.events[i]
+
+def cutsets_csv(collection: CutSetCollection, tree: FaultTree) -> str:
+    """One row per minimal cut set: order, member ids, their categories, and
+    whether every member is software.
+
+    Rows are plain f-string lines joined once, about twice as fast as
+    ``csv.writer``, which alone costs about 1 us a row.  A row holding an id
+    with a comma, a double quote, a carriage return, a line feed or a NUL
+    (possible only in an imported tree) still goes through ``csv.writer``,
+    so quoting stays the csv module's decision.
+    """
+    events = collection.events
+    n = len(events)
+    # (id, category, software, id needs csv.writer) per event index, built on first use.
+    entries: list[tuple[str, str, bool, bool] | None] = [None] * n
+
+    def entry(i: int) -> tuple[str, str, bool, bool]:
+        event_id = events[i]
         node = tree.nodes.get(event_id)
+        special = not _CSV_SPECIAL.isdisjoint(event_id)
         if isinstance(node, BasicEvent):
-            entries[i] = (event_id, node.category.value, node.software)
+            entries[i] = (event_id, node.category.value, node.software, special)
         else:
-            entries[i] = (event_id, "?", False)
+            entries[i] = (event_id, "?", False, special)
         return entries[i]
 
-    def rows():
-        for indices in collection.member_indices():
-            ids, categories, software = [], [], True
-            for i in indices:
-                event_id, category, event_software = entries.get(i) or entry(i)
-                ids.append(event_id)
-                categories.append(category)
-                software = software and event_software
-            yield len(ids), ";".join(ids), ";".join(categories), "yes" if software else "no"
-
-    writer.writerows(rows())
-    return out.getvalue()
+    lines = ["order,members,categories,software\n"]
+    for cut in collection.cuts:
+        ids, categories, software, special = [], [], True, False
+        # Members in canonical order, as CutSetCollection.member_indices walks them.
+        while cut:
+            top = cut.bit_length()
+            cut ^= 1 << (top - 1)
+            event_id, category, event_software, event_special = entries[n - top] or entry(n - top)
+            ids.append(event_id)
+            categories.append(category)
+            software = software and event_software
+            special = special or event_special
+        flag = "yes" if software else "no"
+        if special:
+            out = io.StringIO()
+            csv.writer(out, lineterminator="\n").writerow(
+                (len(ids), ";".join(ids), ";".join(categories), flag)
+            )
+            lines.append(out.getvalue())
+        else:
+            lines.append(f"{len(ids)},{';'.join(ids)},{';'.join(categories)},{flag}\n")
+    return "".join(lines)
 
 
 def ccf_csv(groups: list[CcfGroup]) -> str:

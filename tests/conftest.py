@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import random
 import string
 
@@ -218,6 +221,59 @@ def mk_tree(spec, categories: dict[str, EventCategory] | None = None) -> FaultTr
 
     tree.root = build(spec)
     return tree
+
+
+def reference_export_ft(tree: FaultTree) -> str:
+    """``report.export_ft`` as ``json.dumps(indent=2)`` of the tree's dict form,
+    the reference the direct layout must match byte for byte."""
+    nodes = []
+    for node in tree.nodes.values():
+        if isinstance(node, Gate):
+            entry: dict = {"id": node.id, "kind": "gate", "op": node.op.value}
+            if node.label:
+                entry["label"] = node.label
+            entry["children"] = list(node.children)
+            if node.failure_for is not None:
+                entry["failure_for"] = node.failure_for
+            if node.dependency_for is not None:
+                entry["dependency_for"] = node.dependency_for
+            if node.placeholder_for is not None:
+                entry["placeholder_for"] = node.placeholder_for
+        else:
+            entry = {"id": node.id, "kind": "event", "category": node.category.value}
+            if node.label:
+                entry["label"] = node.label
+            if node.software:
+                entry["software"] = True
+        nodes.append(entry)
+    doc = {
+        "schema": "resha/1",
+        "model": tree.model_name,
+        "options": {"include_hw_design": tree.include_hw_design},
+        "root": tree.root,
+        "nodes": nodes,
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def reference_cutsets_csv(collection: CutSetCollection, tree: FaultTree) -> str:
+    """``report.cutsets_csv`` with every row written by ``csv.writer``."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["order", "members", "categories", "software"])
+    for indices in collection.member_indices():
+        ids, categories, software = [], [], True
+        for i in indices:
+            node = tree.nodes.get(collection.events[i])
+            ids.append(collection.events[i])
+            if isinstance(node, BasicEvent):
+                categories.append(node.category.value)
+                software = software and node.software
+            else:
+                categories.append("?")
+                software = False
+        writer.writerow([len(ids), ";".join(ids), ";".join(categories), "yes" if software else "no"])
+    return out.getvalue()
 
 
 _EVENT_CATEGORIES = list(EventCategory)

@@ -353,7 +353,13 @@ def test_ft_tree_replaces_its_stage(model_path, tmp_path, stage_calls):
 
     stage_calls.clear()
     assert main(["cutsets", model_path, "--ft", str(injected), "--max-order", "1"]) == 0
-    assert stage_calls == ["minimal_cut_sets", "first_order_cut_sets"]
+    # Validation still runs on the model; nothing else upstream of the tree does.
+    assert stage_calls == [
+        "_expand_valid",
+        "expand_replication",
+        "minimal_cut_sets",
+        "first_order_cut_sets",
+    ]
 
 
 @pytest.mark.parametrize("command", ["integrate", "ccf", "cutsets"])
@@ -368,6 +374,37 @@ def test_ft_with_dangling_child_rejected(command, model_path, tmp_path, capsys):
     assert main([command, model_path, "--ft", str(hw)]) == 2
     captured = capsys.readouterr()
     assert "references unknown node 'ghost'" in captured.err
+    assert captured.out == ""
+
+
+def test_ft_with_non_string_label_rejected(model_path, tmp_path, capsys):
+    hw = tmp_path / "hw.json"
+    assert main(["synth", model_path, "--out", str(hw)]) == 0
+    doc = json.loads(hw.read_text(encoding="utf-8"))
+    node = next(node for node in doc["nodes"] if node["kind"] == "event")
+    node["label"] = 7
+    hw.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["integrate", model_path, "--ft", str(hw)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: node {node['id']!r}: its id, label," in captured.err
+    assert captured.out == ""
+
+
+def test_cutsets_ft_validates_its_model(model_path, tmp_path, capsys):
+    injected, doc = tmp_path / "injected.json", tmp_path / "no-operator.resha"
+    assert main(["ccf", model_path, "--tree-out", str(injected)]) == 0
+    text = Path(model_path).read_text(encoding="utf-8")
+    old = "component control_room_operator kind: operator"
+    assert old in text
+    doc.write_text(text.replace(old, "component control_room_operator kind: display"), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["cutsets", str(doc), "--ft", str(injected)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"{doc}:1:1: operator-count: model declares 0 operator components, expected 1\n"
+        "1 violation(s)\n"
+    )
     assert captured.out == ""
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -164,6 +165,20 @@ def test_integration_rejects_unknown_owner():
     )
     with pytest.raises(ModelError, match="no software gate"):
         integrate_software(tree, [ghost])
+
+
+def test_copy_carries_every_gate_field_and_no_child_list():
+    gate = Gate("g", GateOp.AND, ["e"], "label", "c1", "c2", "c3")
+    for f in dataclasses.fields(Gate):
+        if f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING:
+            default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+            assert getattr(gate, f.name) != default, f.name
+    event = BasicEvent("e", EventCategory.SW_UCA, "event", software=True)
+    tree = FaultTree("m", "g", {"g": gate, "e": event}, include_hw_design=True)
+    copied = tree.copy()
+    assert copied == tree
+    assert copied.nodes["g"] is not gate and copied.nodes["g"].children is not gate.children
+    assert copied.nodes["e"] is event
 
 
 def test_evaluate_monotone_chain():

@@ -5,12 +5,16 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import mk_tree
-from resha.cutsets import first_order_cut_sets, minimal_cut_sets
-from resha.ftree import EventCategory
+from conftest import mk_tree, reference_cutsets_csv, reference_export_ft
+from resha.cutsets import CutSetCollection, first_order_cut_sets, minimal_cut_sets
+from resha.ftree import BasicEvent, EventCategory, FaultTree, Gate, GateOp
 from resha.model import FailureModeType, ModelError
 from resha.report import (
     CAUSE_MAP,
@@ -166,6 +170,22 @@ def test_import_rejects_bad_documents():
     )
     with pytest.raises(ModelError, match="unknown kind"):
         import_ft(bad_kind)
+    for text, message in (
+        ("[]", "expected schema 'resha/1', got None"),
+        ('{"schema": "resha/1", "model": 1}', "needs a string 'model'"),
+        ('{"schema": "resha/1", "nodes": {}}', "a list 'nodes'"),
+        ('{"schema": "resha/1", "nodes": ["top"]}', "node 'top' is not an object"),
+        (
+            '{"schema": "resha/1", "nodes": [{"id": "g", "kind": "gate", "op": "xor"}]}',
+            "node 'g': 'xor' is not a valid GateOp",
+        ),
+        (
+            '{"schema": "resha/1", "nodes": [{"id": "e", "kind": "event"}]}',
+            "node 'e': None is not a valid EventCategory",
+        ),
+    ):
+        with pytest.raises(ModelError, match=re.escape(message)):
+            import_ft(text)
 
 
 def test_import_rejects_empty_and_placeholder():
@@ -227,3 +247,115 @@ def test_cutsets_csv_marks_mixed_sets_not_software():
     text = cutsets_csv(minimal_cut_sets(tree), tree)
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[1][3] == "no"
+
+
+# Characters that JSON escapes or csv quotes: non-ASCII (one outside the
+# Basic Multilingual Plane), quotes, backslash, control characters and
+# separators.
+TEXT = st.text(alphabet='aZ0_-:.é漢\U0001F600\u2028"\\\x00\x01\x1f\x7f\t\b\f ,;\r\n', max_size=6)
+
+
+@st.composite
+def trees(draw) -> FaultTree:
+    """Gates and events with arbitrary strings; gates may be empty and
+    children may dangle, since rendering checks no structure."""
+    tree = FaultTree(draw(TEXT), draw(TEXT), include_hw_design=draw(st.booleans()))
+    for node_id in draw(st.lists(TEXT, unique=True, max_size=8)):
+        if draw(st.booleans()):
+            op, children = draw(st.sampled_from(GateOp)), draw(st.lists(TEXT, max_size=3))
+            markers = [draw(st.none() | TEXT) for _ in range(3)]
+            tree.add(Gate(node_id, op, children, draw(TEXT), *markers))
+        else:
+            category = draw(st.sampled_from(EventCategory))
+            tree.add(BasicEvent(node_id, category, draw(TEXT), draw(st.booleans())))
+    return tree
+
+
+@st.composite
+def collections(draw) -> tuple[CutSetCollection, FaultTree]:
+    """A tree and cut sets over its nodes' ids and ids absent from it."""
+    tree = draw(trees())
+    ids = st.sampled_from(sorted(tree.nodes)) | TEXT if tree.nodes else TEXT
+    events = draw(st.lists(ids, unique=True, min_size=1, max_size=6))
+    cuts = draw(st.lists(st.integers(1, 2 ** len(events) - 1), max_size=6))
+    return CutSetCollection(events, cuts), tree
+
+
+def fixed_tree() -> FaultTree:
+    """An empty-children placeholder gate with every marker set, events
+    with and without labels, and hardware design events included."""
+    tree = FaultTree("m", "top", include_hw_design=True)
+    tree.add(Gate("top", GateOp.AND, ["ph", "e"], "top gate", "c", "c", None))
+    tree.add(Gate("ph", GateOp.OR, [], "", "p", "q", "r"))
+    tree.add(BasicEvent("e", EventCategory.SW_UIF, "", software=True))
+    tree.add(BasicEvent("h", EventCategory.HW_DESIGN, "design"))
+    return tree
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees())
+def test_export_ft_matches_json_dumps(tree):
+    assert export_ft(tree) == reference_export_ft(tree)
+
+
+@pytest.mark.parametrize("tree", [FaultTree("", ""), fixed_tree()], ids=["no-nodes", "markers"])
+def test_export_ft_matches_json_dumps_on_fixed_trees(tree):
+    assert export_ft(tree) == reference_export_ft(tree)
+
+
+def test_artifacts_match_their_references(qiasp_result):
+    tree, collection = qiasp_result.injected_tree, qiasp_result.collection
+    assert export_ft(tree) == reference_export_ft(tree)
+    assert cutsets_csv(collection, tree) == reference_cutsets_csv(collection, tree)
+
+
+def csv_outcome(render, collection: CutSetCollection, tree: FaultTree) -> str:
+    """The rendered text, or the csv module's refusal: Python 3.10 writes no NUL."""
+    try:
+        return render(collection, tree)
+    except csv.Error as exc:
+        return f"csv.Error: {exc}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(collections())
+def test_cutsets_csv_matches_csv_writer(drawn):
+    collection, tree = drawn
+    assert csv_outcome(cutsets_csv, collection, tree) == csv_outcome(reference_cutsets_csv, collection, tree)
+
+
+@pytest.mark.parametrize(
+    "char", [",", '"', "\r", "\n", "\x00"], ids=["comma", "quote", "cr", "lf", "nul"]
+)
+def test_cutsets_csv_quotes_as_csv_writer_does(char):
+    tree = fixed_tree()
+    collection = CutSetCollection(["e", f"a{char}b", "h"], [0b100, 0b010, 0b111, 0b011])
+    # How csv.writer treats a lone "\r" or a NUL depends on the Python
+    # version, so its output on this one is the reference.
+    assert csv_outcome(cutsets_csv, collection, tree) == csv_outcome(reference_cutsets_csv, collection, tree)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("id", 3),
+        ("label", 7),
+        ("children", ["a", 1]),
+        ("children", "ab"),
+        ("failure_for", None),
+        ("dependency_for", 2.5),
+        ("placeholder_for", ["c"]),
+    ],
+)
+def test_import_rejects_non_string_fields(field, value):
+    doc = {
+        "schema": "resha/1",
+        "root": "top",
+        "nodes": [
+            {"id": "top", "kind": "gate", "op": "or", "children": ["a"]},
+            {"id": "a", "kind": "event", "category": "hw_stochastic"},
+        ],
+    }
+    doc["nodes"][0][field] = value
+    with pytest.raises(ModelError, match=f"node {doc['nodes'][0]['id']!r}: its id, label,"):
+        import_ft(json.dumps(doc))
