@@ -13,13 +13,7 @@ __version__ = "0.1.0"
 # Each submodule that ``import resha`` makes reachable, with its public names.
 _EXPORTS = {
     "ccf": ("CcfGroup", "detect_ccf_groups", "inject_ccf_events"),
-    "cutsets": (
-        "CutSetCollection",
-        "FirstOrderReport",
-        "brute_force_oracle",
-        "first_order_cut_sets",
-        "minimal_cut_sets",
-    ),
+    "cutsets": ("CutSetCollection", "FirstOrderReport", "first_order_cut_sets", "minimal_cut_sets"),
     "dsl": ("ParseError", "parse_model", "serialize_model"),
     "ftree": (
         "BasicEvent",

@@ -1,54 +1,36 @@
 """Minimal cut sets over monotone fault-tree DAGs.
 
-The engine works on integer bitsets.  Each basic event reachable from the
-root gets one bit: event ``i`` of the canonical (category, id) list owns
-bit ``1 << (n - 1 - i)``, so a cut set is an ``int``.  A node's family is a
-pair ``(singles, larger)``: ``singles`` is one mask of its first-order
-events, and ``larger`` is a set of the bitsets of order two and up, none
-of which touches ``singles`` since the family is minimal (Rauzy, "New
-algorithms for fault trees analysis", RESS 40(3), 1993, for minimal-set
-families).  Families combine bottom-up with memoization, so shared
-subtrees are computed once.
+Each basic event reachable from the root owns one bit: event ``i`` of the
+canonical (category, id) list owns ``1 << (n - 1 - i)``, so a cut set is an
+``int``.  A node's family is its singleton mask, its other sets, none of
+which touches the mask (Rauzy, RESS 40(3), 1993), and its lazy products.
+A product stands for every union of one set from each of its factors,
+families with disjoint supports, so each union is minimal and its order is
+the sum of its parts' (Dutuit & Rauzy, IEEE Trans. Rel. 45(3), 1996).  No
+product's support touches the rest of its family.
 
-OR nodes OR their children's masks, union their ``larger`` sets, drop the
-sets that touch the mask and absorb each remaining set into strictly
-smaller kept ones; a gate whose children have no larger sets costs one
-OR per child.  AND nodes fold their children pairwise, and each pair is
-factored first: a singleton of both families is a minimal set of the
-product and, the families being minimal, no other set of either holds its
-event, so the mask ``left.singles & right.singles`` passes straight
-through.  Every other product has order two or more, so under a bound of
-one nothing else is built.  When what remains of the two families has
-disjoint supports (independent modules, as the divisions under an
-``all_must_fail`` gate are once their shared CCF events pass through),
-every union ``a | b`` is already minimal and has order ``|a| + |b|``, so
-only the pairs within the bound are built and nothing is absorbed;
-otherwise the remainders are crossed and absorbed.  An optional order
-bound prunes sets by ``int.bit_count`` during combination, which is sound
-for monotone trees (dropping a set can never create a new minimal set at
-or below the bound); without a bound the result is exact.
-
-The root's family is sorted into the canonical (order, members) order,
-which with this numbering is order up, then ``int`` down.  The collection
-keeps these ints; member tuples are built only on demand.
-
-``brute_force_oracle`` recomputes the same answer from the definition by
-evaluating the tree on every event assignment, packed as truth-table
-bit-integers so the cost is one big-int operation per node.  It numbers
-events the same way and builds the same collection.
+An AND passes a singleton of both children straight through; under a bound
+of one that is all.  If the rest of the two have disjoint supports, as
+redundant divisions do once their shared CCF events pass through, it
+records their product as one flat list of factors, unless the product's
+minimum order exceeds the bound; otherwise it crosses and absorbs them.  An
+OR ORs the masks, keeps lazy each product whose support touches nothing
+else, and absorbs the rest.  A bound prunes by ``int.bit_count``, which is
+sound for monotone trees.  The order index convolves the factors' counts,
+and ``CutSetCollection.walk`` enumerates the sets in canonical order.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
+from heapq import merge
 
 from .ftree import BasicEvent, EventCategory, FaultTree, GateOp
 from .model import ModelError
-
-ORACLE_EVENT_BOUND = 24
 
 _CATEGORY_RANK = {
     EventCategory.HW_STOCHASTIC: 0,
@@ -59,8 +41,16 @@ _CATEGORY_RANK = {
     EventCategory.CCF: 5,
 }
 
-# A family: the mask of its singleton events and its sets of order two and up.
-Family = tuple[int, AbstractSet[int]]
+# A family: singleton mask, other sets, lazy products.  A product: support
+# mask, minimum order, factors.
+Family = tuple[int, AbstractSet[int], tuple["Product", ...]]
+Product = tuple[int, int, tuple[Family, ...]]
+# A trie node: members ascending, the node below each (None where a set ends:
+# no set of a minimal family holds another), and the members that end a set.
+Node = tuple[list[int], list["Node | None"], list[int]]
+# A run: the members shared by sets that differ only in their last member,
+# and those last members ascending.
+Run = tuple[tuple[int, ...], list[int]]
 _NO_SETS: frozenset[int] = frozenset()
 
 
@@ -77,70 +67,164 @@ def event_sort_key(tree: FaultTree):
 
 @dataclass
 class CutSetCollection:
-    """Canonically ordered minimal cut sets, kept as bitsets.
-
-    ``events`` is the canonical event list; event ``i`` owns bit
-    ``1 << (len(events) - 1 - i)`` of each int in ``cuts``.  Members inside
-    a set are sorted by (category, id); sets are sorted by (order,
-    members).  ``truncation_order`` records the bound the sets were
-    computed under, None when exact.
-    """
+    """The minimal cut sets of a root family over ``events``, the canonical
+    event list, whose event ``i`` owns bit ``1 << (len(events) - 1 - i)``.
+    ``truncation_order`` is the bound they were computed under, None when
+    exact."""
 
     events: list[str]
-    cuts: list[int]
+    family: Family
     truncation_order: int | None = None
 
     def __len__(self) -> int:
-        return len(self.cuts)
+        return sum(self.order_index().values())
 
-    def member_indices(self) -> Iterator[list[int]]:
-        """Each set's member event indices, in canonical member order."""
+    def order_index(self) -> dict[int, int]:
         n = len(self.events)
-        for cut in self.cuts:
-            indices = []
-            while cut:
-                top = cut.bit_length()
-                indices.append(n - top)
-                cut ^= 1 << (top - 1)
-            yield indices
+        return dict(sorted(_counts((self.family,), min(self.truncation_order or n, n)).items()))
+
+    def members(self) -> tuple[int, ...]:
+        """Indices of the events that may appear in a set, ascending."""
+        return _indices(_support(self.family), len(self.events))
+
+    def singletons(self) -> list[str]:
+        return [self.events[i] for i in _indices(self.family[0], len(self.events))]
+
+    def walk(self) -> Iterator[Run]:
+        """Every set in canonical order: order up, then member indices
+        ascending.  The mask and the other sets walk as one factor and each
+        product as its factors; their runs merge by first member."""
+        n = len(self.events)
+        bound = min(self.truncation_order or n, n)
+        terms = [((*self.family[:2], ()),), *(product[2] for product in self.family[2])]
+        walks = [(_counts(factors, bound), [_trie(f, n, bound) for f in factors]) for factors in terms]
+        for order in self.order_index():
+            parts = [_runs(tries, order) for counts, tries in walks if counts[order]]
+            yield from parts[0] if len(parts) == 1 else merge(*parts, key=lambda run: run[0][0])
 
     @property
     def sets(self) -> list[tuple[str, ...]]:
         """Member tuples of every set, built on each access and not stored."""
         events = self.events
-        return [tuple([events[i] for i in indices]) for indices in self.member_indices()]
-
-    def order_index(self) -> dict[int, int]:
-        return dict(sorted(Counter(map(int.bit_count, self.cuts)).items()))
-
-    def singletons(self) -> list[str]:
-        n = len(self.events)
-        return [self.events[n - cut.bit_length()] for cut in self.cuts if cut.bit_count() == 1]
+        return [(*[events[i] for i in head], events[i]) for head, lasts in self.walk() for i in lasts]
 
 
-def _numbered_events(tree: FaultTree, order: list[str]) -> list[str]:
-    """Reachable basic events in canonical order; event i owns bit ``1 << (n-1-i)``."""
-    events = [node_id for node_id in order if isinstance(tree.nodes[node_id], BasicEvent)]
-    return sorted(events, key=event_sort_key(tree))
+def _indices(cut: int, n: int) -> tuple[int, ...]:
+    """The event indices of a bitset, ascending."""
+    indices = []
+    while cut:
+        top = cut.bit_length()
+        indices.append(n - top)
+        cut ^= 1 << (top - 1)
+    return tuple(indices)
 
 
-def _collection_from(
-    events: list[str], cuts: Iterable[int], max_order: int | None
-) -> CutSetCollection:
-    # Higher bits belong to earlier events, so within one order a larger int
-    # has the smaller member list.
-    ordered = sorted(cuts, reverse=True)
-    ordered.sort(key=int.bit_count)
-    return CutSetCollection(events=events, cuts=ordered, truncation_order=max_order)
+def _support(family: Family) -> int:
+    singles, larger, products = family
+    for cut in larger:
+        singles |= cut
+    for product in products:
+        singles |= product[0]
+    return singles
 
 
-def _single_bits(mask: int) -> list[int]:
-    bits = []
-    while mask:
-        low = mask & -mask
-        bits.append(low)
-        mask ^= low
-    return bits
+def _min_order(family: Family) -> int:
+    singles, larger, products = family
+    return 1 if singles else min([*map(int.bit_count, larger), *(p[1] for p in products)])
+
+
+def _flat(family: Family, bound: int) -> list[int]:
+    """Every set of a family as a bitset, its products expanded within the bound."""
+    singles, larger, products = family
+    sets = list(larger)
+    while singles:
+        sets.append(singles & -singles)
+        singles &= singles - 1
+    for product in products:
+        sets += _expand(product, bound)
+    return sets
+
+
+def _expand(product: Product, bound: int) -> list[int]:
+    _, rest, factors = product
+    sets = [0]
+    for factor in factors:
+        # Leave room for the smallest sets of the factors still to come.
+        rest -= _min_order(factor)
+        room, parts = bound - rest, _flat(factor, bound)
+        sets = [u for a in sets for b in parts if (u := a | b).bit_count() <= room]
+    return sets
+
+
+def _counts(factors: tuple[Family, ...], bound: int) -> Counter[int]:
+    """Sets per order of a product: its factors' counts convolved within the bound."""
+    counts = Counter({0: 1})
+    for singles, larger, products in factors:
+        own = Counter(map(int.bit_count, larger))
+        if singles:
+            own[1] += singles.bit_count()
+        for product in products:
+            own.update(_counts(product[2], bound))
+        step: Counter[int] = Counter()
+        for b, y in own.items():
+            for a, x in counts.items():
+                if a + b <= bound:
+                    step[a + b] += x * y
+        counts = step
+    return counts
+
+
+def _trie(family: Family, n: int, bound: int) -> Node:
+    """A factor's sets as a trie over their ascending member indices."""
+    if not family[1] and not family[2]:
+        members = list(_indices(family[0], n))
+        return members, [None] * len(members), members
+    root: Node = ([], [], [])
+    for members in sorted(_indices(cut, n) for cut in _flat(family, bound)):
+        node = root
+        for member in members[:-1]:
+            # Sets in lexicographic order extend only the last member of a node.
+            if not node[0] or node[0][-1] != member:
+                node[0].append(member)
+                node[1].append(([], [], []))
+            node = node[1][-1]
+        node[0].append(members[-1])
+        node[1].append(None)
+        node[2].append(members[-1])
+    return root
+
+
+def _runs(factors: list[Node], order: int) -> Iterator[Run]:
+    """Runs of a product's sets of one order, in canonical order.
+
+    A step holds each open factor's trie node below the members it took.
+    Members are taken smallest first: the smallest member left picks the one
+    factor that holds it, and the walk continues over the other factors
+    above it.  An open factor needs one member more, so a step holds no more
+    factors than members still to take.
+    """
+    stack = [(tuple(factors), order, ())]
+    while stack:
+        nodes, need, head = stack.pop()
+        floor = head[-1] if head else -1
+        if need == 1:
+            ends = nodes[0][2]
+            yield head, ends[bisect_right(ends, floor):]
+            continue
+        candidates = sorted(
+            (node[0][k], f, k)
+            for f, node in enumerate(nodes)
+            for k in range(bisect_right(node[0], floor), len(node[0]))
+        )
+        children = []
+        for member, f, k in candidates:
+            step = [node for g, node in enumerate(nodes) if g != f]
+            if all(node[0][-1] > member for node in step):
+                if nodes[f][1][k]:
+                    step.append(nodes[f][1][k])
+                if 0 < len(step) < need:
+                    children.append((tuple(step), need - 1, (*head, member)))
+        stack.extend(reversed(children))
 
 
 def _absorb(family: set[int], singles: int) -> set[int]:
@@ -162,59 +246,60 @@ def _absorb(family: set[int], singles: int) -> set[int]:
     return kept
 
 
-def _or_families(families: list[Family]) -> Family:
-    singles = 0
-    parts = []
-    for child_singles, larger in families:
+def _or_families(families: list[Family], bound: int) -> Family:
+    singles, parts, products = 0, [], {}
+    for child_singles, larger, child_products in families:
         singles |= child_singles
         if larger:
             parts.append(larger)
-    if not parts:
-        return singles, _NO_SETS
-    if len(parts) == 1:
+        if child_products:
+            # A product reached through two children is one product.
+            products.update((id(p), p) for p in child_products)
+    if not parts and not products:
+        return singles, _NO_SETS, ()
+    lazy: tuple[Product, ...] = ()
+    if products:
+        # A product stays lazy while its support touches nothing else.
+        touched = seen = _support((singles, set().union(*parts), ()))
+        for support, _, _ in products.values():
+            touched |= seen & support
+            seen |= support
+        lazy = tuple(p for p in products.values() if not p[0] & touched)
+        parts += [_expand(p, bound) for p in products.values() if p[0] & touched]
+    if len(parts) == 1 and isinstance(parts[0], AbstractSet):
         # Already minimal; only the other children's singletons can absorb.
-        (larger,) = parts
-        if any(cut & singles for cut in larger):
-            larger = {cut for cut in larger if not cut & singles}
-        return singles, larger
-    return singles, _absorb(set().union(*parts), singles)
+        if any(cut & singles for cut in parts[0]):
+            return singles, {cut for cut in parts[0] if not cut & singles}, lazy
+        return singles, parts[0], lazy
+    return singles, _absorb(set().union(*parts), singles) if parts else _NO_SETS, lazy
 
 
 def _and_combine(left: Family, right: Family, bound: int) -> Family:
     """Minimal sets of ``{a | b}`` over two minimal families within the bound."""
-    (left_singles, left_larger), (right_singles, right_larger) = left, right
     # A singleton in both inputs is a minimal set of the product, and since
     # each input is minimal no other set of either input holds its event.
-    common = left_singles & right_singles
+    common = left[0] & right[0]
     if bound == 1:
-        return common, _NO_SETS
-    left_mask, right_mask = left_singles ^ common, right_singles ^ common
-    left_rest = _single_bits(left_mask) + list(left_larger)
-    right_rest = _single_bits(right_mask) + list(right_larger)
-    for cut in left_larger:
-        left_mask |= cut
-    for cut in right_larger:
-        right_mask |= cut
-    # No remaining singleton is in both inputs, so every product below has
-    # order two or more.
-    if left_mask & right_mask:
-        return common, _absorb(
-            {u for a in left_rest for b in right_rest if (u := a | b).bit_count() <= bound}, 0
-        )
-    # Disjoint supports: every union is minimal and its order is the sum of
-    # its parts' orders, so build only the pairs within the bound.
-    by_order: dict[int, list[int]] = {}
-    for b in right_rest:
-        by_order.setdefault(b.bit_count(), []).append(b)
-    sizes = sorted(by_order)
-    larger: set[int] = set()
-    for a in left_rest:
-        room = bound - a.bit_count()
-        for size in sizes:
-            if size > room:
-                break
-            larger.update(a | b for b in by_order[size])
-    return common, larger
+        return common, _NO_SETS, ()
+    rests = ((left[0] ^ common, left[1], left[2]), (right[0] ^ common, right[1], right[2]))
+    supports = [_support(rest) for rest in rests]
+    if not all(supports):
+        return common, _NO_SETS, ()
+    if supports[0] & supports[1]:
+        # No singleton is left in both, so every union has order two or more.
+        right_sets = _flat(rests[1], bound)
+        crossed = {u for a in _flat(rests[0], bound) for b in right_sets if (u := a | b).bit_count() <= bound}
+        return common, _absorb(crossed, 0), ()
+    factors: tuple[Family, ...] = ()
+    order = 0
+    for rest in rests:
+        # A rest that is one product gives its factors.
+        lone = not rest[0] and not rest[1] and len(rest[2]) == 1
+        factors += rest[2][0][2] if lone else (rest,)
+        order += rest[2][0][1] if lone else _min_order(rest)
+    if order > bound:
+        return common, _NO_SETS, ()
+    return common, _NO_SETS, ((supports[0] | supports[1], order, factors),)
 
 
 def minimal_cut_sets(tree: FaultTree, max_order: int | None = None) -> CutSetCollection:
@@ -222,29 +307,26 @@ def minimal_cut_sets(tree: FaultTree, max_order: int | None = None) -> CutSetCol
     if max_order is not None and max_order < 1:
         raise ModelError(f"max_order must be at least 1, got {max_order}")
     order = tree.check_structure()
-    events = _numbered_events(tree, order)
+    # Reachable basic events in canonical order; event i owns bit 1 << (n-1-i).
+    events = [node_id for node_id in order if isinstance(tree.nodes[node_id], BasicEvent)]
+    events.sort(key=event_sort_key(tree))
     n = len(events)
     # No set has more members than there are events.
     bound = n if max_order is None else max_order
-    memo: dict[str, Family] = {
-        event_id: (1 << (n - 1 - i), _NO_SETS) for i, event_id in enumerate(events)
-    }
+    memo: dict[str, Family] = {e: (1 << (n - 1 - i), _NO_SETS, ()) for i, e in enumerate(events)}
     for node_id in order:
         node = tree.nodes[node_id]
         if isinstance(node, BasicEvent):
             continue
         child_families = [memo[c] for c in node.children]
         if node.op is GateOp.OR:
-            memo[node_id] = _or_families(child_families)
+            memo[node_id] = _or_families(child_families, bound)
         else:
             acc = child_families[0]
             for family in child_families[1:]:
-                if acc == (0, _NO_SETS):
-                    break
                 acc = _and_combine(acc, family, bound)
             memo[node_id] = acc
-    singles, larger = memo[tree.root]
-    return _collection_from(events, _single_bits(singles) + list(larger), max_order)
+    return CutSetCollection(events, memo[tree.root], max_order)
 
 
 @dataclass
@@ -262,69 +344,3 @@ def first_order_cut_sets(collection: CutSetCollection, tree: FaultTree) -> First
         is_software = isinstance(node, BasicEvent) and node.software
         (report.software if is_software else report.hardware).append(event_id)
     return report
-
-
-def brute_force_oracle(tree: FaultTree) -> CutSetCollection:
-    """Exact minimal cut sets by exhaustive evaluation.
-
-    Each node's truth table over all 2**n event assignments is packed into
-    one integer; a failing assignment is minimal when removing any single
-    member stops the failure, which is sufficient by monotonicity.  Refuses
-    trees with more than ``ORACLE_EVENT_BOUND`` distinct reachable basic events.
-    """
-    order = tree.check_structure()
-    events = _numbered_events(tree, order)
-    n = len(events)
-    if n > ORACLE_EVENT_BOUND:
-        raise ModelError(
-            f"oracle refuses {n} basic events (bound is {ORACLE_EVENT_BOUND}); "
-            "use minimal_cut_sets for larger trees"
-        )
-    total = 1 << n
-
-    # An assignment is a cut-set mask: event i is failed in assignment b iff
-    # b has event i's bit, 1 << (n - 1 - i).  tables[e] has bit b set iff
-    # event e is failed in assignment b.
-    tables: dict[str, int] = {}
-    for bit, event_id in enumerate(reversed(events)):
-        block = ((1 << (1 << bit)) - 1) << (1 << bit)
-        span = 1 << (bit + 1)
-        pattern = block
-        while span < total:
-            pattern |= pattern << span
-            span <<= 1
-        tables[event_id] = pattern
-
-    full = (1 << total) - 1
-    node_table: dict[str, int] = {}
-    for node_id in order:
-        node = tree.nodes[node_id]
-        if isinstance(node, BasicEvent):
-            node_table[node_id] = tables[node_id]
-        elif node.op is GateOp.OR:
-            acc = 0
-            for child in node.children:
-                acc |= node_table[child]
-            node_table[node_id] = acc
-        else:
-            acc = full
-            for child in node.children:
-                acc &= node_table[child]
-            node_table[node_id] = acc
-
-    root_table = node_table[tree.root]
-    found: set[int] = set()
-    for mask in range(total):
-        if not (root_table >> mask) & 1:
-            continue
-        minimal = True
-        probe = mask
-        while probe:
-            low = probe & -probe
-            if (root_table >> (mask ^ low)) & 1:
-                minimal = False
-                break
-            probe ^= low
-        if minimal:
-            found.add(mask)
-    return _collection_from(events, found, None)

@@ -281,48 +281,38 @@ def cutsets_csv(collection: CutSetCollection, tree: FaultTree) -> str:
     """One row per minimal cut set: order, member ids, their categories, and
     whether every member is software.
 
-    Rows are plain f-string lines joined once, about twice as fast as
-    ``csv.writer``, which alone costs about 1 us a row.  A row holding an id
-    with a comma, a double quote, a carriage return, a line feed or a NUL
-    (possible only in an imported tree) still goes through ``csv.writer``,
-    so quoting stays the csv module's decision.
+    Rows follow ``CutSetCollection.walk``: a run's shared members are joined
+    once, and each row adds its last member's fragments.  A row holding an
+    id with a comma, a double quote, a carriage return, a line feed or a NUL
+    (possible only in an imported tree) goes through ``csv.writer``, so
+    quoting stays the csv module's decision.
     """
-    events = collection.events
-    n = len(events)
-    # (id, category, software, id needs csv.writer) per event index, built on first use.
-    entries: list[tuple[str, str, bool, bool] | None] = [None] * n
-
-    def entry(i: int) -> tuple[str, str, bool, bool]:
-        event_id = events[i]
-        node = tree.nodes.get(event_id)
-        special = not _CSV_SPECIAL.isdisjoint(event_id)
-        if isinstance(node, BasicEvent):
-            entries[i] = (event_id, node.category.value, node.software, special)
-        else:
-            entries[i] = (event_id, "?", False, special)
-        return entries[i]
-
+    ids, categories, software = collection.events, {}, set()
+    for i in collection.members():
+        node = tree.nodes.get(ids[i])
+        categories[i] = node.category.value if isinstance(node, BasicEvent) else "?"
+        if isinstance(node, BasicEvent) and node.software:
+            software.add(i)
+    special = {i for i in categories if not _CSV_SPECIAL.isdisjoint(ids[i])}
+    # A row's category and flag after the shared members', for a run whose
+    # shared members are all software and for any other run.
+    tails_yes = {i: f"{c},{'yes' if i in software else 'no'}\n" for i, c in categories.items()}
+    tails_no = {i: f"{c},no\n" for i, c in categories.items()}
     lines = ["order,members,categories,software\n"]
-    for cut in collection.cuts:
-        ids, categories, software, special = [], [], True, False
-        # Members in canonical order, as CutSetCollection.member_indices walks them.
-        while cut:
-            top = cut.bit_length()
-            cut ^= 1 << (top - 1)
-            event_id, category, event_software, event_special = entries[n - top] or entry(n - top)
-            ids.append(event_id)
-            categories.append(category)
-            software = software and event_software
-            special = special or event_special
-        flag = "yes" if software else "no"
-        if special:
+    for head, lasts in collection.walk():
+        order = len(head) + 1
+        head_ids = "".join([f"{ids[i]};" for i in head])
+        head_categories = "".join([f"{categories[i]};" for i in head])
+        tails = tails_yes if software.issuperset(head) else tails_no
+        if not special or special.isdisjoint((*head, *lasts)):
+            prefix, middle = f"{order},{head_ids}", f",{head_categories}"
+            lines += [f"{prefix}{ids[i]}{middle}{tails[i]}" for i in lasts]
+            continue
+        for i in lasts:
             out = io.StringIO()
-            csv.writer(out, lineterminator="\n").writerow(
-                (len(ids), ";".join(ids), ";".join(categories), flag)
-            )
+            flag = "yes" if software.issuperset((*head, i)) else "no"
+            csv.writer(out, lineterminator="\n").writerow((order, head_ids + ids[i], head_categories + categories[i], flag))
             lines.append(out.getvalue())
-        else:
-            lines.append(f"{len(ids)},{';'.join(ids)},{';'.join(categories)},{flag}\n")
     return "".join(lines)
 
 

@@ -34,6 +34,7 @@ from resha.model import (
     validate_model,
 )
 from resha.pipeline import analyze_text, bundled_golden_path, bundled_model_path
+from reference_cutsets import ReferenceCollection
 
 MINI_MODEL = """\
 system "mini"
@@ -256,16 +257,17 @@ def reference_export_ft(tree: FaultTree) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def reference_cutsets_csv(collection: CutSetCollection, tree: FaultTree) -> str:
-    """``report.cutsets_csv`` with every row written by ``csv.writer``."""
+def reference_cutsets_csv(collection: CutSetCollection | ReferenceCollection, tree: FaultTree) -> str:
+    """``report.cutsets_csv`` with every row written by ``csv.writer``, from
+    the canonically ordered ``sets`` of either engine's collection."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["order", "members", "categories", "software"])
-    for indices in collection.member_indices():
+    for cut in collection.sets:
         ids, categories, software = [], [], True
-        for i in indices:
-            node = tree.nodes.get(collection.events[i])
-            ids.append(collection.events[i])
+        for event_id in cut:
+            node = tree.nodes.get(event_id)
+            ids.append(event_id)
             if isinstance(node, BasicEvent):
                 categories.append(node.category.value)
                 software = software and node.software

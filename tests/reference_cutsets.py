@@ -1,17 +1,22 @@
-"""The frozenset cut-set engine that the bitset engine replaced.
+"""Reference answers for the cut-set engine's differential tests.
 
-Kept only as a reference for differential tests: ``tests/test_cutsets.py``
-asserts that ``resha.cutsets.minimal_cut_sets`` returns the same ``sets``
-list, order included.  Nothing under ``src/`` may import this module.
+``reference_minimal_cut_sets`` is the frozenset engine that the bitset
+engine replaced: ``tests/test_cutsets.py`` asserts that
+``resha.cutsets.minimal_cut_sets`` returns the same ``sets`` list, order
+included.  ``brute_force_oracle`` recomputes the exact answer from the
+definition, by evaluating the tree on every event assignment.  Nothing
+under ``src/`` may import this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from resha.cutsets import event_sort_key
+from resha.cutsets import CutSetCollection, event_sort_key
 from resha.ftree import BasicEvent, FaultTree, GateOp
 from resha.model import ModelError
+
+ORACLE_EVENT_BOUND = 24
 
 
 @dataclass
@@ -88,3 +93,74 @@ def reference_minimal_cut_sets(
                     break
             memo[node_id] = acc
     return _collection_from(tree, memo[tree.root], max_order)
+
+
+def brute_force_oracle(tree: FaultTree) -> CutSetCollection:
+    """Exact minimal cut sets by exhaustive evaluation.
+
+    Each node's truth table over all 2**n event assignments is packed into
+    one integer; a failing assignment is minimal when removing any single
+    member stops the failure, which is sufficient by monotonicity.  Refuses
+    trees with more than ``ORACLE_EVENT_BOUND`` distinct reachable basic events.
+    """
+    order = tree.check_structure()
+    # Event i owns bit 1 << (n - 1 - i), as in the engine.
+    events = sorted(
+        (node_id for node_id in order if isinstance(tree.nodes[node_id], BasicEvent)),
+        key=event_sort_key(tree),
+    )
+    n = len(events)
+    if n > ORACLE_EVENT_BOUND:
+        raise ModelError(
+            f"oracle refuses {n} basic events (bound is {ORACLE_EVENT_BOUND}); "
+            "use minimal_cut_sets for larger trees"
+        )
+    total = 1 << n
+
+    # An assignment is a cut-set mask: event i is failed in assignment b iff
+    # b has event i's bit, 1 << (n - 1 - i).  tables[e] has bit b set iff
+    # event e is failed in assignment b.
+    tables: dict[str, int] = {}
+    for bit, event_id in enumerate(reversed(events)):
+        block = ((1 << (1 << bit)) - 1) << (1 << bit)
+        span = 1 << (bit + 1)
+        pattern = block
+        while span < total:
+            pattern |= pattern << span
+            span <<= 1
+        tables[event_id] = pattern
+
+    full = (1 << total) - 1
+    node_table: dict[str, int] = {}
+    for node_id in order:
+        node = tree.nodes[node_id]
+        if isinstance(node, BasicEvent):
+            node_table[node_id] = tables[node_id]
+        elif node.op is GateOp.OR:
+            acc = 0
+            for child in node.children:
+                acc |= node_table[child]
+            node_table[node_id] = acc
+        else:
+            acc = full
+            for child in node.children:
+                acc &= node_table[child]
+            node_table[node_id] = acc
+
+    root_table = node_table[tree.root]
+    found: set[int] = set()
+    for mask in range(total):
+        if not (root_table >> mask) & 1:
+            continue
+        minimal = True
+        probe = mask
+        while probe:
+            low = probe & -probe
+            if (root_table >> (mask ^ low)) & 1:
+                minimal = False
+                break
+            probe ^= low
+        if minimal:
+            found.add(mask)
+    singles = sum(cut for cut in found if cut.bit_count() == 1)
+    return CutSetCollection(events, (singles, {cut for cut in found if cut.bit_count() > 1}, ()))

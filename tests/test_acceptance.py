@@ -20,7 +20,7 @@ from conftest import (
     reachable_events,
 )
 from resha.ccf import count_by_type, detect_ccf_groups, inject_ccf_events
-from resha.cutsets import brute_force_oracle, minimal_cut_sets
+from resha.cutsets import minimal_cut_sets
 from resha.dsl import parse_model, serialize_model
 from resha.ftree import (
     BasicEvent,
@@ -38,6 +38,7 @@ from resha.stpa import (
     extract_control_structure,
     instances_by_division,
 )
+from reference_cutsets import brute_force_oracle
 
 
 def _finish(number: int, description: str, problems: list[str]) -> None:

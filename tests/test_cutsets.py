@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+from collections import Counter
 import hashlib
 import random
 from types import SimpleNamespace
@@ -19,20 +20,17 @@ from conftest import (
     mk_tree,
     random_tree,
     reachable_events,
+    reference_cutsets_csv,
     scaled_qiasp,
 )
 from resha import cutsets
-from resha.cutsets import (
-    ORACLE_EVENT_BOUND,
-    brute_force_oracle,
-    first_order_cut_sets,
-    minimal_cut_sets,
-)
+from resha.cutsets import first_order_cut_sets, minimal_cut_sets
 from resha.dsl import parse_model
 from resha.ftree import BasicEvent, EventCategory, FaultTree, Gate, GateOp
 from resha.model import ModelError
 from resha.pipeline import PipelineOptions, analyze_model, analyze_text
-from reference_cutsets import reference_minimal_cut_sets
+from resha.report import cutsets_csv, render_summary
+from reference_cutsets import ORACLE_EVENT_BOUND, brute_force_oracle, reference_minimal_cut_sets
 
 
 def sets_of(tree: FaultTree, max_order: int | None = None) -> set[frozenset[str]]:
@@ -277,12 +275,21 @@ def test_result_is_independent_of_node_and_child_order(seed, bound):
 
 @contextlib.contextmanager
 def spied_engine():
-    """Record the path each ``_and_combine`` call takes ("fallback" when it
-    absorbs a cross product, "disjoint" when it does not) and the size of
-    every family ``_absorb`` receives."""
-    seen = SimpleNamespace(paths=[], sizes=[])
+    """Record what the engine builds: the path each ``_and_combine`` call
+    takes ("expanded" when it crosses the expanded remainders and absorbs
+    them, "lazy" when it builds no pairs), the size of every family
+    ``_absorb`` receives, the number of sets of every product expanded, the
+    most sets outside lazy products that any family built holds, and every
+    lazy product a family built holds."""
+    seen = SimpleNamespace(paths=[], sizes=[], expanded=[], largest=0, products=[])
     absorbed: list[bool] = []
-    and_combine, absorb = cutsets._and_combine, cutsets._absorb
+    and_combine, or_families = cutsets._and_combine, cutsets._or_families
+    absorb, expand = cutsets._absorb, cutsets._expand
+
+    def built(family):
+        seen.largest = max(seen.largest, len(family[1]))
+        seen.products += family[2]
+        return family
 
     def spy_absorb(family, singles):
         seen.sizes.append(len(family))
@@ -290,15 +297,24 @@ def spied_engine():
             absorbed[-1] = True
         return absorb(family, singles)
 
+    def spy_expand(product, bound):
+        sets = expand(product, bound)
+        seen.expanded.append(len(sets))
+        return sets
+
     def spy_and_combine(left, right, bound):
         absorbed.append(False)
         try:
-            return and_combine(left, right, bound)
+            return built(and_combine(left, right, bound))
         finally:
-            seen.paths.append("fallback" if absorbed.pop() else "disjoint")
+            seen.paths.append("expanded" if absorbed.pop() else "lazy")
 
-    with mock.patch.object(cutsets, "_absorb", spy_absorb), mock.patch.object(
-        cutsets, "_and_combine", spy_and_combine
+    with mock.patch.multiple(
+        cutsets,
+        _absorb=spy_absorb,
+        _expand=spy_expand,
+        _and_combine=spy_and_combine,
+        _or_families=lambda families, bound: built(or_families(families, bound)),
     ):
         yield seen
 
@@ -354,20 +370,84 @@ def test_and_paths_match_reference_and_oracle(seed):
                 taken.update(seen.paths)
             assert engine.sets == reference_minimal_cut_sets(tree, bound).sets
             assert engine.sets == [s for s in exact if bound is None or len(s) <= bound]
-    assert taken == {"disjoint", "fallback"}
+    assert taken == {"lazy", "expanded"}
+
+
+def factored_tree(rng: random.Random, overlap: bool) -> FaultTree:
+    """An OR over an AND of two or three modules and one side child.
+
+    Each module is an AND over two branches of private events, so the top
+    AND is one product of four to six factors.  Every branch holds a private
+    singleton, and, half of the time each, one more private event and a
+    shared CCF event.  The side child is
+    an AND or an OR over fresh events; with ``overlap`` it also holds one
+    branch's singleton, so the OR must expand the product, and without it
+    the product stays lazy beside the side child's sets.
+    """
+    tree = FaultTree(model_name="factored", root="top")
+    common = ["c0"] if rng.random() < 0.5 else []
+    for event_id in common:
+        tree.add(BasicEvent(event_id, EventCategory.CCF, software=True))
+    modules, singles = [], []
+    for m in range(rng.randint(2, 3)):
+        branches = []
+        for b in range(2):
+            prefix = f"m{m}b{b}"
+            tree.add(BasicEvent(f"{prefix}x", EventCategory.SW_UCA, software=True))
+            singles.append(f"{prefix}x")
+            more = [add_covering_subtree(tree, rng, prefix, 1)] if rng.random() < 0.5 else []
+            tree.add(Gate(f"{prefix}or", GateOp.OR, [f"{prefix}x", *more, *common]))
+            branches.append(f"{prefix}or")
+        tree.add(Gate(f"m{m}and", GateOp.AND, branches))
+        modules.append(f"m{m}and")
+    tree.add(Gate("modules", GateOp.AND, modules))
+    side = [add_covering_subtree(tree, rng, "side", rng.randint(1, 2)), "side_e"]
+    tree.add(BasicEvent("side_e", EventCategory.HW_STOCHASTIC))
+    if overlap:
+        side.append(rng.choice(singles))
+    tree.add(Gate("side", rng.choice((GateOp.AND, GateOp.OR)), side))
+    tree.add(Gate("top", GateOp.OR, ["modules", "side"]))
+    return tree
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_lazy_products_match_reference_and_oracle(seed):
+    rng = random.Random(seed)
+    for overlap in (False, True):
+        tree = factored_tree(rng, overlap)
+        assert len(reachable_events(tree)) <= 16
+        exact = brute_force_oracle(tree).sets
+        for bound in (None, 1, 2, 3):
+            with spied_engine() as seen:
+                engine = minimal_cut_sets(tree, bound)
+            reference = reference_minimal_cut_sets(tree, bound)
+            assert engine.sets == reference.sets
+            assert engine.sets == [s for s in exact if bound is None or len(s) <= bound]
+            assert engine.order_index() == dict(sorted(Counter(map(len, reference.sets)).items()))
+            assert len(engine) == len(reference.sets)
+            assert cutsets_csv(engine, tree) == reference_cutsets_csv(reference, tree)
+            if bound is None:
+                # The module AND is one product of four to six factors; the
+                # root keeps it lazy unless the side child overlaps it.
+                assert max(len(product[2]) for product in seen.products) >= 4
+                kept = any(len(product[2]) >= 4 for product in engine.family[2])
+                assert kept != overlap
+                assert seen.expanded or not overlap
 
 
 def test_division_and_minimizes_no_large_family(qiasp_result, qiasp_text):
-    # Both reached 7378 sets when the division AND minimized its full product.
+    # Both reached 7378 sets when the division AND minimized its full
+    # product; the division AND now keeps its product lazy.
     with spied_engine() as seen:
         minimal_cut_sets(qiasp_result.injected_tree)
     assert max(seen.sizes, default=0) < 3000
-    assert seen.paths and "fallback" not in seen.paths
+    assert seen.paths and "expanded" not in seen.paths and not seen.expanded
     three = analyze_text(scaled_qiasp(qiasp_text, 3), "qiasp3.resha", PipelineOptions(max_order=2))
     with spied_engine() as seen:
         minimal_cut_sets(three.injected_tree, 2)
     assert max(seen.sizes, default=0) < 3000
-    assert seen.paths and "fallback" not in seen.paths
+    assert seen.paths and "expanded" not in seen.paths and not seen.expanded
 
 
 def test_four_divisions_at_order_3_equal_order_2(qiasp_text):
@@ -375,6 +455,26 @@ def test_four_divisions_at_order_3_equal_order_2(qiasp_text):
     result = analyze_text(text, "qiasp4.resha", PipelineOptions(max_order=2))
     assert result.collection.order_index() == {1: 44}
     assert minimal_cut_sets(result.injected_tree, 3).sets == result.collection.sets
+
+
+@pytest.mark.parametrize(
+    "divisions, max_order, index",
+    [(4, None, {1: 44, 4: 5308416}), (5, None, {1: 44, 5: 254803968}), (5, 4, {1: 44})],
+    ids=["4-exact", "5-exact", "5-order-4"],
+)
+def test_scaled_divisions_are_counted_without_building_their_product(qiasp_text, divisions, max_order, index):
+    # Building the division product took 23-33 s and about 710 MB for exact
+    # 4 divisions, and 16.8 s and 715 MB for 5 divisions at order 4, whose
+    # fifth AND then dropped all 48**4 sets; exact 5 divisions ran out of
+    # memory.
+    text = scaled_qiasp(qiasp_text, divisions)
+    with spied_engine() as seen:
+        result = analyze_text(text, f"qiasp{divisions}.resha", PipelineOptions(max_order=max_order))
+        summary = render_summary(result.summary_input(), "txt")
+    assert result.collection.order_index() == index
+    assert f"Minimal cut sets: {sum(index.values())}" in summary
+    assert all(f"Order {order}: {count}" in summary for order, count in index.items())
+    assert max([seen.largest, *seen.sizes, *seen.expanded]) < 100
 
 
 def test_dependency_chain_absorbs_nothing():

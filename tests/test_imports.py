@@ -95,7 +95,7 @@ def test_bare_import_loads_no_submodule(tmp_path):
 
 
 def test_public_names_are_their_modules_attributes():
-    assert len(resha.__all__) == 43
+    assert len(resha.__all__) == 42
     for name in resha.__all__:
         module = importlib.import_module(f"resha.{resha._MODULE_OF[name]}")
         assert getattr(resha, name) is getattr(module, name)

@@ -277,8 +277,11 @@ def collections(draw) -> tuple[CutSetCollection, FaultTree]:
     tree = draw(trees())
     ids = st.sampled_from(sorted(tree.nodes)) | TEXT if tree.nodes else TEXT
     events = draw(st.lists(ids, unique=True, min_size=1, max_size=6))
-    cuts = draw(st.lists(st.integers(1, 2 ** len(events) - 1), max_size=6))
-    return CutSetCollection(events, cuts), tree
+    drawn = draw(st.frozensets(st.integers(1, 2 ** len(events) - 1), max_size=6))
+    # A family is minimal: keep the drawn sets that contain no other one.
+    cuts = {cut for cut in drawn if not any(other != cut and other & cut == other for other in drawn)}
+    singles = sum(cut for cut in cuts if cut.bit_count() == 1)
+    return CutSetCollection(events, (singles, {cut for cut in cuts if cut.bit_count() > 1}, ())), tree
 
 
 def fixed_tree() -> FaultTree:
@@ -329,7 +332,7 @@ def test_cutsets_csv_matches_csv_writer(drawn):
 )
 def test_cutsets_csv_quotes_as_csv_writer_does(char):
     tree = fixed_tree()
-    collection = CutSetCollection(["e", f"a{char}b", "h"], [0b100, 0b010, 0b111, 0b011])
+    collection = CutSetCollection(["e", "h", f"a{char}b", "z"], (0b1000, {0b0110, 0b0101, 0b0011}, ()))
     # How csv.writer treats a lone "\r" or a NUL depends on the Python
     # version, so its output on this one is the reference.
     assert csv_outcome(cutsets_csv, collection, tree) == csv_outcome(reference_cutsets_csv, collection, tree)
