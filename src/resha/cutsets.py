@@ -27,7 +27,7 @@ from collections import Counter
 from collections.abc import Iterator
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
-from heapq import merge
+from itertools import chain
 
 from .ftree import BasicEvent, EventCategory, FaultTree, GateOp
 from .model import ModelError
@@ -93,14 +93,14 @@ class CutSetCollection:
     def walk(self) -> Iterator[Run]:
         """Every set in canonical order: order up, then member indices
         ascending.  The mask and the other sets walk as one factor and each
-        product as its factors; their runs merge by first member."""
+        product as its factors; their runs are sorted by first member."""
         n = len(self.events)
         bound = min(self.truncation_order or n, n)
         terms = [((*self.family[:2], ()),), *(product[2] for product in self.family[2])]
         walks = [(_counts(factors, bound), [_trie(f, n, bound) for f in factors]) for factors in terms]
         for order in self.order_index():
             parts = [_runs(tries, order) for counts, tries in walks if counts[order]]
-            yield from parts[0] if len(parts) == 1 else merge(*parts, key=lambda run: run[0][0])
+            yield from parts[0] if len(parts) == 1 else sorted(chain(*parts), key=lambda run: run[0][0])
 
     @property
     def sets(self) -> list[tuple[str, ...]]:

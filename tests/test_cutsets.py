@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-from collections import Counter
 import hashlib
 import random
+from collections import Counter
 from types import SimpleNamespace
 from unittest import mock
 
@@ -379,10 +379,10 @@ def factored_tree(rng: random.Random, overlap: bool) -> FaultTree:
     Each module is an AND over two branches of private events, so the top
     AND is one product of four to six factors.  Every branch holds a private
     singleton, and, half of the time each, one more private event and a
-    shared CCF event.  The side child is
-    an AND or an OR over fresh events; with ``overlap`` it also holds one
-    branch's singleton, so the OR must expand the product, and without it
-    the product stays lazy beside the side child's sets.
+    shared CCF event.  The side child is an AND or an OR over fresh events;
+    with ``overlap`` it also holds one branch's singleton, so the OR must
+    expand the product, and without it the product stays lazy beside the
+    side child's sets.
     """
     tree = FaultTree(model_name="factored", root="top")
     common = ["c0"] if rng.random() < 0.5 else []
@@ -437,8 +437,8 @@ def test_lazy_products_match_reference_and_oracle(seed):
 
 
 def test_division_and_minimizes_no_large_family(qiasp_result, qiasp_text):
-    # Both reached 7378 sets when the division AND minimized its full
-    # product; the division AND now keeps its product lazy.
+    # Minimizing the division AND's full product would absorb 7378 sets; the
+    # product stays lazy and nothing expands it.
     with spied_engine() as seen:
         minimal_cut_sets(qiasp_result.injected_tree)
     assert max(seen.sizes, default=0) < 3000
@@ -463,10 +463,9 @@ def test_four_divisions_at_order_3_equal_order_2(qiasp_text):
     ids=["4-exact", "5-exact", "5-order-4"],
 )
 def test_scaled_divisions_are_counted_without_building_their_product(qiasp_text, divisions, max_order, index):
-    # Building the division product took 23-33 s and about 710 MB for exact
-    # 4 divisions, and 16.8 s and 715 MB for 5 divisions at order 4, whose
-    # fifth AND then dropped all 48**4 sets; exact 5 divisions ran out of
-    # memory.
+    # The division product has 48**divisions sets: built, it takes tens of
+    # seconds and hundreds of MB at 4 divisions and exhausts memory at 5.  At
+    # order 4 the five-division product has no set within the bound.
     text = scaled_qiasp(qiasp_text, divisions)
     with spied_engine() as seen:
         result = analyze_text(text, f"qiasp{divisions}.resha", PipelineOptions(max_order=max_order))
