@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "ccf": ("CcfGroup", "detect_ccf_groups", "inject_ccf_events"),
     "cutsets": ("CutSetCollection", "FirstOrderReport", "first_order_cut_sets", "minimal_cut_sets"),
-    "dsl": ("ParseError", "parse_model", "serialize_model"),
+    "dsl": ("ParseError", "parse_model"),
     "ftree": (
         "BasicEvent",
         "BranchCensus",

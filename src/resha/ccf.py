@@ -185,21 +185,16 @@ def inject_ccf_events(tree: FaultTree, groups: list[CcfGroup]) -> FaultTree:
 
     for group in groups:
         event_id = f"ccf:{group.id}"
-        parent_gates: list[str] = []
-
-        def attach(gate_id: str) -> None:
-            if gate_id not in parent_gates:
-                parent_gates.append(gate_id)
-
+        # Insertion-ordered, so the gates keep the order they are first found in.
+        parent_gates: dict[str, None] = {}
         for member in group.members:
             node = out.nodes.get(member)
             if isinstance(node, BasicEvent):
-                for gate_id in parents[member]:
-                    attach(gate_id)
+                parent_gates.update(dict.fromkeys(parents[member]))
                 continue
             fail_gate = f"fail:{member}"
             if fail_gate in out.nodes:
-                attach(fail_gate)
+                parent_gates[fail_gate] = None
                 continue
             raise ModelError(
                 f"group '{group.id}' member '{member}' has no location in the fault tree"

@@ -191,7 +191,7 @@ def cmd_report(args) -> int:
     from .report import render_summary
 
     result = analyze_model(_load_model(args.model), _options(args))
-    _emit(render_summary(result.summary_input(), args.format), args.out)
+    _emit(render_summary(result, args.format), args.out)
     return 0
 
 

@@ -24,10 +24,6 @@ would overwrite the first.
 Replica components produced by division replication carry a ``__<division>``
 suffix; documents may reference them (for example ``display_interface__B``)
 ahead of expansion.
-
-``parse_model`` and ``serialize_model`` are inverse enough that
-``parse_model(serialize_model(m)) == m`` for any parsed model, and
-serialization is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -398,86 +394,3 @@ def parse_model(text: str, file_name: str = "<model>") -> SystemModel:
             lines.append(tokens)
     return _Parser(lines, file_name).parse()
 
-
-def _escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\r", "\\r")
-
-
-def _serialize_link(link: Link, indent: str) -> list[str]:
-    keyword = "control_action" if link.kind is LinkKind.CONTROL_ACTION else "info_flow"
-    head = f"{indent}{keyword} {link.id} -> {', '.join(link.targets)}"
-    if not link.applicability:
-        return [head]
-    lines = [head + " {"]
-    for app in link.applicability:
-        lines.append(f"{indent}  applicable: {app.type.letter} hazards: {', '.join(app.hazards)}")
-    lines.append(indent + "}")
-    return lines
-
-
-def _serialize_component(component: Component, indent: str) -> list[str]:
-    head = (
-        f"{indent}component {component.id} kind: {component.kind.value} "
-        f"tech: {component.tech.value} class: {component.design_class}"
-    )
-    body: list[str] = []
-    for link in component.links:
-        body.extend(_serialize_link(link, indent + "  "))
-    if component.inputs:
-        body.append(f"{indent}  inputs: {', '.join(str(r) for r in component.inputs)}")
-    if component.feedback_inputs:
-        body.append(f"{indent}  feedback: {', '.join(str(r) for r in component.feedback_inputs)}")
-    if not body:
-        return [head]
-    return [head + " {"] + body + [indent + "}"]
-
-
-def serialize_model(model: SystemModel) -> str:
-    """Render a model in canonical form.  Pure function of the model."""
-    out: list[str] = [f'system "{_escape(model.name)}"', f'top_event "{_escape(model.top_event)}"']
-
-    def section(lines: list[str]) -> None:
-        if lines:
-            out.append("")
-            out.extend(lines)
-
-    section([f'loss {loss.id} "{_escape(loss.description)}"' for loss in model.losses])
-    section(
-        [
-            f'hazard {h.id} "{_escape(h.description)}" losses: {", ".join(h.losses)}'
-            for h in model.hazards
-        ]
-    )
-    class_lines = []
-    for dc in model.design_classes:
-        line = f'design_class {dc.id} "{_escape(dc.description)}"'
-        if dc.diversity_tag != dc.id:
-            line += f" diversity: {dc.diversity_tag}"
-        class_lines.append(line)
-    section(class_lines)
-    for division in model.divisions:
-        lines: list[str] = []
-        if division.replicates is not None:
-            lines.append(f"division {division.id} replicates {division.replicates}")
-        elif not division.components:
-            lines.append(f"division {division.id}")
-        else:
-            lines.append(f"division {division.id} {{")
-            for component in division.components:
-                lines.extend(_serialize_component(component, "  "))
-            lines.append("}")
-        section(lines)
-    section(
-        [
-            f"redundancy_group {g.id} level: {g.level.value} logic: {g.logic.value} "
-            f"members: {', '.join(g.members)}"
-            for g in model.redundancy_groups
-        ]
-    )
-    section(
-        [
-            f"shared_resource {r.id} scope: {r.scope.value} dependents: {', '.join(r.dependents)}"
-            for r in model.shared_resources
-        ]
-    )
-    return "\n".join(out) + "\n"

@@ -20,7 +20,7 @@ if TYPE_CHECKING:
     from .ccf import CcfGroup
     from .cutsets import CutSetCollection, FirstOrderReport
     from .ftree import BranchCensus, FaultTree
-    from .report import GuidanceReport, SummaryInput
+    from .report import GuidanceReport
     from .stpa import ControlStructure, UcaUifInstance
 
 ARTIFACT_NAMES = (
@@ -65,20 +65,9 @@ class AnalysisResult:
     guidance: GuidanceReport
     options: PipelineOptions = field(default_factory=PipelineOptions)
 
-    def summary_input(self) -> SummaryInput:
-        from .report import SummaryInput
-
-        return SummaryInput(
-            model=self.expanded,
-            candidates=self.candidates,
-            instances=self.instances,
-            census=self.census,
-            groups=self.groups,
-            collection=self.collection,
-            first_order=self.first_order,
-            guidance=self.guidance,
-            include_hw_design=self.options.include_hw_design,
-        )
+    def summary_input(self) -> AnalysisResult:
+        """The result itself, which ``render_summary`` reads."""
+        return self
 
 
 def _expand_valid(model: SystemModel) -> SystemModel:
@@ -154,14 +143,13 @@ def write_artifacts(result: AnalysisResult, out_dir: Path) -> list[Path]:
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    data = result.summary_input()
     contents = {
         "ft.json": export_ft(result.injected_tree),
         "cutsets.csv": cutsets_csv(result.collection, result.injected_tree),
         "ccf.csv": ccf_csv(result.groups),
         "traceability.csv": traceability_csv(result.instances, result.expanded),
-        "summary.md": render_summary(data, "md"),
-        "summary.txt": render_summary(data, "txt"),
+        "summary.md": render_summary(result, "md"),
+        "summary.txt": render_summary(result, "txt"),
     }
     paths = []
     for name in ARTIFACT_NAMES:

@@ -9,12 +9,13 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
-from .ftree import BasicEvent, BranchCensus, EventCategory, FaultTree, Gate, GateOp, Node
+from .ftree import BasicEvent, EventCategory, FaultTree, Gate, GateOp, Node
 from .model import FailureModeType, ModelError, ModelIndex, SystemModel
 
 if TYPE_CHECKING:
     from .ccf import CcfGroup
     from .cutsets import CutSetCollection, FirstOrderReport
+    from .pipeline import AnalysisResult
     from .stpa import UcaUifInstance
 
 FT_SCHEMA = "resha/1"
@@ -374,23 +375,8 @@ def cut_set_counts(collection: CutSetCollection, first_order: FirstOrderReport) 
     ]
 
 
-@dataclass
-class SummaryInput:
-    """Everything the summary renderer needs, stage by stage."""
-
-    model: SystemModel
-    candidates: list[UcaUifInstance]
-    instances: list[UcaUifInstance]
-    census: BranchCensus
-    groups: list[CcfGroup]
-    collection: CutSetCollection
-    first_order: FirstOrderReport
-    guidance: GuidanceReport
-    include_hw_design: bool = False
-
-
-def render_summary(data: SummaryInput, fmt: str = "md") -> str:
-    """Render the run summary; formats: ``md`` and ``txt``."""
+def render_summary(result: AnalysisResult, fmt: str = "md") -> str:
+    """Render the run summary of an analysis; formats: ``md`` and ``txt``."""
     from .ccf import count_by_type
     from .stpa import instances_by_division
 
@@ -411,62 +397,63 @@ def render_summary(data: SummaryInput, fmt: str = "md") -> str:
     def bullet(text: str) -> None:
         lines.append(f"- {text}" if md else f"  * {text}")
 
-    title = f"Hazard analysis summary: {data.model.name}"
+    model = result.expanded
+    title = f"Hazard analysis summary: {model.name}"
     lines.append(f"# {title}" if md else title)
     if not md:
         lines.append("=" * len(title))
 
     heading("Model")
-    components = list(data.model.components())
-    bullet(f"Divisions: {len(data.model.divisions)}")
+    components = list(model.components())
+    bullet(f"Divisions: {len(model.divisions)}")
     bullet(f"Components: {len(components)}")
-    bullet(f"Links: {sum(1 for _ in data.model.links())}")
-    bullet(f"Top event: {data.model.top_event}")
+    bullet(f"Links: {sum(1 for _ in model.links())}")
+    bullet(f"Top event: {model.top_event}")
 
     heading("Interaction analysis")
-    bullet(f"Candidates enumerated: {len(data.candidates)}")
-    for division, found in sorted(instances_by_division(data.candidates).items()):
+    bullet(f"Candidates enumerated: {len(result.candidates)}")
+    for division, found in sorted(instances_by_division(result.candidates).items()):
         bullet(f"Candidates in division {division}: {len(found)}")
-    bullet(f"Applicable instances: {len(data.instances)}")
-    for division, found in sorted(instances_by_division(data.instances).items()):
+    bullet(f"Applicable instances: {len(result.instances)}")
+    for division, found in sorted(instances_by_division(result.instances).items()):
         bullet(f"Applicable in division {division}: {len(found)}")
 
     heading("Fault tree")
-    bullet(f"Hardware stochastic basic events: {data.census.hw_stochastic}")
-    bullet(f"Dependency failure branches: {data.census.dependency}")
-    bullet(f"Software design branches: {data.census.sw_design}")
-    bullet(f"Hardware design basic events: {data.census.hw_design}")
-    bullet(f"Hardware design events included: {'yes' if data.include_hw_design else 'no'}")
+    bullet(f"Hardware stochastic basic events: {result.census.hw_stochastic}")
+    bullet(f"Dependency failure branches: {result.census.dependency}")
+    bullet(f"Software design branches: {result.census.sw_design}")
+    bullet(f"Hardware design basic events: {result.census.hw_design}")
+    bullet(f"Hardware design events included: {'yes' if result.options.include_hw_design else 'no'}")
 
     heading("Common cause failures")
-    for ccf_type, count in count_by_type(data.groups).items():
+    for ccf_type, count in count_by_type(result.groups).items():
         lines.append(f"Type {ccf_type} sCCF: {count}")
-    lines.append(f"Total sCCF groups: {len(data.groups)}")
+    lines.append(f"Total sCCF groups: {len(result.groups)}")
 
     heading("Minimal cut sets")
-    lines.extend(cut_set_counts(data.collection, data.first_order))
+    lines.extend(cut_set_counts(result.collection, result.first_order))
 
     heading("Single points of failure")
-    if not data.guidance.spof_entries:
+    if not result.guidance.spof_entries:
         bullet("none found")
-    for entry in data.guidance.spof_entries:
+    for entry in result.guidance.spof_entries:
         origin = "software" if entry.software else "hardware"
         bullet(f"{entry.id} ({origin}): {entry.label}")
 
     heading("Diversity findings")
-    if not data.guidance.diversity_findings:
+    if not result.guidance.diversity_findings:
         bullet("none found")
-    for finding in data.guidance.diversity_findings:
+    for finding in result.guidance.diversity_findings:
         bullet(finding.advice())
 
     heading("Coupling findings")
-    if not data.guidance.coupling_findings:
+    if not result.guidance.coupling_findings:
         bullet("none found")
-    for finding in data.guidance.coupling_findings:
+    for finding in result.guidance.coupling_findings:
         bullet(finding.advice())
 
     heading("Cause guidance")
-    for letter in data.guidance.letters_present:
+    for letter in result.guidance.letters_present:
         bullet(f"Type {letter}: {CAUSE_MAP[FailureModeType(letter)]}")
 
     return "\n".join(lines) + "\n"

@@ -18,10 +18,11 @@ from conftest import (
     random_model,
     random_tree,
     reachable_events,
+    serialize_model,
 )
 from resha.ccf import count_by_type, detect_ccf_groups, inject_ccf_events
 from resha.cutsets import minimal_cut_sets
-from resha.dsl import parse_model, serialize_model
+from resha.dsl import parse_model
 from resha.ftree import (
     BasicEvent,
     FaultTree,
@@ -255,7 +256,7 @@ def test_acceptance_10_guidance_content(qiasp_result):
         problems.append(f"{len(guidance.diversity_findings)} diversity findings, wanted 1")
     if len(guidance.coupling_findings) != 5:
         problems.append(f"{len(guidance.coupling_findings)} coupling findings, wanted 5")
-    summary = render_summary(qiasp_result.summary_input(), "md")
+    summary = render_summary(qiasp_result, "md")
     for phrase in (
         "output variable is unassigned after calculation",
         "inappropriate boundary conditions of the module or an incorrect process model",

@@ -469,7 +469,7 @@ def test_scaled_divisions_are_counted_without_building_their_product(qiasp_text,
     text = scaled_qiasp(qiasp_text, divisions)
     with spied_engine() as seen:
         result = analyze_text(text, f"qiasp{divisions}.resha", PipelineOptions(max_order=max_order))
-        summary = render_summary(result.summary_input(), "txt")
+        summary = render_summary(result, "txt")
     assert result.collection.order_index() == index
     assert f"Minimal cut sets: {sum(index.values())}" in summary
     assert all(f"Order {order}: {count}" in summary for order, count in index.items())

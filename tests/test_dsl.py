@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MINI_MODEL, random_model
-from resha.dsl import ParseError, parse_model, serialize_model
+from conftest import MINI_MODEL, random_model, serialize_model
+from resha.dsl import ParseError, parse_model
 from resha.model import ComponentKind, FailureModeType, LinkKind, Technology, validate_model
 from resha.pipeline import bundled_model_path
 

@@ -16,11 +16,12 @@ from conftest import (
     extra_commanded_target_text,
     random_model,
     scaled_qiasp,
+    serialize_model,
     unwired_owner_text,
     unwired_replica_text,
     unwired_resource_dependent_text,
 )
-from resha.dsl import ParseError, parse_model, serialize_model
+from resha.dsl import ParseError, parse_model
 from resha.model import (
     Component,
     ComponentKind,

@@ -95,7 +95,7 @@ REQUIRED_LINES = (
 
 @pytest.mark.parametrize("fmt", ["md", "txt"])
 def test_summary_required_lines(qiasp_result, fmt):
-    text = render_summary(qiasp_result.summary_input(), fmt)
+    text = render_summary(qiasp_result, fmt)
     lines = text.splitlines()
     for required in REQUIRED_LINES:
         assert required in lines, required
@@ -105,17 +105,16 @@ def test_summary_required_lines(qiasp_result, fmt):
 
 
 def test_summary_formats_differ(qiasp_result):
-    data = qiasp_result.summary_input()
-    md = render_summary(data, "md")
-    txt = render_summary(data, "txt")
+    md = render_summary(qiasp_result, "md")
+    txt = render_summary(qiasp_result, "txt")
     assert "## Model" in md
     assert "## Model" not in txt
     assert "Model\n-----" in txt
-    assert render_summary(data, "md") == md
+    assert render_summary(qiasp_result, "md") == md
 
 
 def test_summary_counts_sections(qiasp_result):
-    md = render_summary(qiasp_result.summary_input(), "md")
+    md = render_summary(qiasp_result, "md")
     assert "Candidates in division A: 77" in md
     assert "Candidates in division B: 77" in md
     assert "Applicable in division A: 28" in md
@@ -127,18 +126,18 @@ def test_summary_counts_sections(qiasp_result):
 def test_summary_truncation_note(qiasp_result):
     tree = qiasp_result.injected_tree
     collection = minimal_cut_sets(tree, max_order=1)
-    data = dataclasses.replace(
-        qiasp_result.summary_input(),
+    result = dataclasses.replace(
+        qiasp_result,
         collection=collection,
         first_order=first_order_cut_sets(collection, tree),
     )
-    text = render_summary(data, "txt")
+    text = render_summary(result, "txt")
     assert "Minimal cut sets: 44 (truncated at order 1)" in text
 
 
 def test_summary_rejects_unknown_format(qiasp_result):
     with pytest.raises(ModelError, match="unknown summary format"):
-        render_summary(qiasp_result.summary_input(), "html")
+        render_summary(qiasp_result, "html")
 
 
 def test_export_import_round_trip(qiasp_result):
