@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 analysis findings (validation violations, golden
 mismatches), 2 usage, parse, or input errors.  Every subcommand that reads
 a model validates it first; on any violation ``main`` prints each one at
 its ``file:line:col``, then their count, and exits 1.  A model that
-validates exits 2 only when an ``--ft`` tree does not fit it.
+validates exits 2 only on another input: an ``--ft`` tree that does not
+fit it, a malformed golden file, or a file that is missing or not UTF-8.
 Each subcommand runs the stages of ``pipeline.STAGES`` up to the value it
 prints.  Stages chain through files: ``synth`` and ``integrate`` write
 fault-tree JSON that ``integrate``, ``ccf`` and ``cutsets`` accept back via
@@ -28,7 +29,8 @@ from pathlib import Path
 
 from .dsl import ParseError, parse_model
 from .model import ModelError, SystemModel
-from .pipeline import PipelineOptions, ValidationFailed, analyze_model, run_pipeline, run_stages
+from .pipeline import PipelineOptions, ValidationFailed, analyze_model, read_input
+from .pipeline import run_pipeline, run_stages
 
 
 def _color_enabled(stream) -> bool:
@@ -51,8 +53,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _load_model(path: str) -> SystemModel:
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_model(text, path)
+    return parse_model(read_input(path), path)
 
 
 def _options(args) -> PipelineOptions:
@@ -69,7 +70,7 @@ def _run(args, *goals: str, ft_replaces: str | None = None) -> dict:
     if getattr(args, "ft", None):
         from .report import import_ft
 
-        values[ft_replaces] = import_ft(Path(args.ft).read_text(encoding="utf-8"))
+        values[ft_replaces] = import_ft(read_input(args.ft))
     return run_stages(values, *goals)
 
 

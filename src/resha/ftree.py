@@ -16,6 +16,13 @@ The dependency gate partitions sources by redundancy groups: all_must_fail
 groups combine under AND, any_misleads under OR, leftovers attach directly.
 The root applies the same rule to the operator's sources.
 
+Synthesis pops one stack of steps, each a component id or a prebuilt node,
+and adds nodes in the order that ``ft.json`` pins: a component's ``fail:``
+gate, its ``hw:`` and ``hwdesign:`` events and its ``dep:`` gate come before
+its sources' subtrees; each group sub-gate comes after the subtrees of the
+sources it groups, and the resource leaves and ``sw:`` gate after all of
+them.  A component reached again reuses its ``fail:`` gate.
+
 Software design gates start empty (unresolved placeholders) and are filled
 by :func:`integrate_software`.
 """
@@ -24,13 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Generator, Iterator, Union
+from typing import TYPE_CHECKING, Union
 
 from .model import (
     GroupLogic,
     ModelError,
     ModelIndex,
-    ResourceScope,
     SystemModel,
     Technology,
     depth_first,
@@ -75,6 +81,8 @@ class BasicEvent:
 
 
 Node = Union[Gate, BasicEvent]
+# A synthesis step: a component id to expand, or a node to add.
+Step = Union[str, Node]
 
 
 @dataclass
@@ -90,10 +98,8 @@ class FaultTree:
             raise ModelError(f"node '{node_id}' is not a gate")
         return node
 
-    def gates(self) -> Iterator[Gate]:
-        for node in self.nodes.values():
-            if isinstance(node, Gate):
-                yield node
+    def gates(self) -> list[Gate]:
+        return [node for node in self.nodes.values() if isinstance(node, Gate)]
 
     def add(self, node: Node) -> Node:
         if node.id in self.nodes:
@@ -205,39 +211,36 @@ def branch_census(tree: FaultTree) -> BranchCensus:
     return census
 
 
-def _partition_by_groups(
-    idx: ModelIndex,
-    tree: FaultTree,
-    source_ids: list[str],
-    gate_prefix: str,
-) -> Generator[str, None, list[str]]:
-    """Child node ids for a dependency-style gate, honoring redundancy groups.
+def _group_children(
+    idx: ModelIndex, source_ids: list[str], gate_id: str
+) -> tuple[list[str], list[Step]]:
+    """A dependency-style gate's child ids, and the steps that build them.
 
-    Yields each source id whose failure gate must be in the tree before the
-    next node is added, and returns the child ids.
+    Each redundancy group that binds among the sources becomes an AND
+    (all_must_fail) or OR (any_misleads) sub-gate over the matched sources;
+    the other sources attach directly.  The steps are, in build order, each
+    group's matched source ids and then its sub-gate, and after them the
+    ungrouped source ids.
     """
-    remaining = list(source_ids)
+    remaining = source_ids
     children: list[str] = []
+    steps: list[Step] = []
     for group in idx.model.redundancy_groups:
         matched = idx.group_matched_sources(group, remaining)
         if not matched:
             continue
-        for s in matched:
-            yield s
-        op = GateOp.AND if group.logic is GroupLogic.ALL_MUST_FAIL else GateOp.OR
         sub = Gate(
-            id=f"{gate_prefix}:{group.id}",
-            op=op,
+            id=f"{gate_id}:{group.id}",
+            op=GateOp.AND if group.logic is GroupLogic.ALL_MUST_FAIL else GateOp.OR,
             children=[f"fail:{s}" for s in matched],
             label=f"{group.id} redundancy defeated ({group.logic.value})",
         )
-        tree.add(sub)
+        steps += [*matched, sub]
         children.append(sub.id)
         remaining = [s for s in remaining if s not in matched]
-    for s in remaining:
-        yield s
-        children.append(f"fail:{s}")
-    return children
+    steps += remaining
+    children += [f"fail:{s}" for s in remaining]
+    return children, steps
 
 
 def synthesize_hardware_ft(model: SystemModel, include_hw_design: bool = False) -> FaultTree:
@@ -250,94 +253,72 @@ def synthesize_hardware_ft(model: SystemModel, include_hw_design: bool = False) 
     dependent's dependency gate.
     """
     idx = ModelIndex(model)
-    operator_sources = idx.dependency_sources(idx.operator())
     tree = FaultTree(model_name=model.name, root="top", include_hw_design=include_hw_design)
-    resources_of: dict[str, list[str]] = {}
+    leaves_of: dict[str, list[BasicEvent]] = {}
     for resource in model.shared_resources:
+        label = f"shared {resource.scope.value} resource {resource.id} fails"
+        leaf = BasicEvent(f"resource:{resource.id}", EventCategory.DEPENDENCY_LEAF, label)
         for dependent in resource.dependents:
-            resources_of.setdefault(dependent, []).append(resource.id)
+            leaves_of.setdefault(dependent, []).append(leaf)
 
-    def fail_for(component_id: str) -> Generator[str, None, None]:
-        component = idx.components[component_id]
-        gate = Gate(
-            id=f"fail:{component_id}",
-            op=GateOp.OR,
-            label=f"{component_id} fails",
-            failure_for=component_id,
-        )
+    children, steps = _group_children(idx, idx.dependency_sources(idx.operator()), "top")
+    tree.add(Gate(id="top", op=GateOp.OR, children=children, label=model.top_event))
+    # A component id adds the component's failure gate, hardware events and
+    # dependency gate, then pushes what those gates still need: its sources'
+    # steps, its resource leaves and its software placeholder, in that order
+    # from the top.  A prebuilt node is added unless it is already in the
+    # tree.  Popping last-in-first-out finishes each source's subtree before
+    # the next step, without recursing once per link of a chain.
+    stack = steps[::-1]
+    while stack:
+        step = stack.pop()
+        if not isinstance(step, str):
+            if step.id not in tree.nodes:
+                tree.add(step)
+            continue
+        gate_id = f"fail:{step}"
+        if gate_id in tree.nodes:
+            continue
+        gate = Gate(gate_id, GateOp.OR, [f"hw:{step}"], f"{step} fails", failure_for=step)
         tree.add(gate)
-        hw = tree.add(
+        tree.add(
             BasicEvent(
-                id=f"hw:{component_id}",
-                category=EventCategory.HW_STOCHASTIC,
-                label=f"{component_id} hardware stochastic failure",
+                f"hw:{step}", EventCategory.HW_STOCHASTIC, f"{step} hardware stochastic failure"
             )
         )
-        gate.children.append(hw.id)
         if include_hw_design:
-            hwd = tree.add(
+            gate.children.append(f"hwdesign:{step}")
+            tree.add(
                 BasicEvent(
-                    id=f"hwdesign:{component_id}",
-                    category=EventCategory.HW_DESIGN,
-                    label=f"{component_id} hardware design failure",
+                    f"hwdesign:{step}", EventCategory.HW_DESIGN, f"{step} hardware design failure"
                 )
             )
-            gate.children.append(hwd.id)
+        component = idx.components[step]
         sources = idx.dependency_sources(component)
-        resource_ids = resources_of.get(component_id, [])
-        if sources or resource_ids:
+        leaves = leaves_of.get(step, [])
+        pending: list[Step] = []
+        if sources or leaves:
+            children, pending = _group_children(idx, sources, f"dep:{step}")
             dep = Gate(
-                id=f"dep:{component_id}",
+                id=f"dep:{step}",
                 op=GateOp.OR,
-                label=f"{component_id} dependency failure",
-                dependency_for=component_id,
+                children=children + [leaf.id for leaf in leaves],
+                label=f"{step} dependency failure",
+                dependency_for=step,
             )
             tree.add(dep)
-            dep.children.extend((yield from _partition_by_groups(idx, tree, sources, dep.id)))
-            for resource_id in resource_ids:
-                leaf_id = f"resource:{resource_id}"
-                if leaf_id not in tree.nodes:
-                    resource = idx.resources[resource_id]
-                    scope_note = (
-                        "external" if resource.scope is ResourceScope.EXTERNAL else "internal"
-                    )
-                    tree.add(
-                        BasicEvent(
-                            id=leaf_id,
-                            category=EventCategory.DEPENDENCY_LEAF,
-                            label=f"shared {scope_note} resource {resource_id} fails",
-                        )
-                    )
-                dep.children.append(leaf_id)
             gate.children.append(dep.id)
+            pending += leaves
         if component.tech is Technology.DIGITAL:
             sw = Gate(
-                id=f"sw:{component_id}",
+                id=f"sw:{step}",
                 op=GateOp.OR,
-                label=f"{component_id} software design failure",
-                placeholder_for=component_id,
+                label=f"{step} software design failure",
+                placeholder_for=step,
             )
-            tree.add(sw)
             gate.children.append(sw.id)
-
-    root = Gate(id="top", op=GateOp.OR, label=model.top_event)
-    tree.add(root)
-    # fail_for adds ``fail:<id>`` and its subtree.  Each generator runs until
-    # it needs a source's failure gate; a gate already in the tree (built,
-    # or still being built on a cycle) is reused.  The explicit stack keeps
-    # the depth-first node order, and so the exported bytes, without
-    # recursing once per link of a chain.
-    stack: list[Generator[str, None, Any]] = [_partition_by_groups(idx, tree, operator_sources, "top")]
-    while stack:
-        try:
-            needed = next(stack[-1])
-        except StopIteration as done:
-            stack.pop()
-            if not stack:
-                root.children.extend(done.value)
-            continue
-        if f"fail:{needed}" not in tree.nodes:
-            stack.append(fail_for(needed))
+            pending.append(sw)
+        stack += reversed(pending)
     return tree
 
 

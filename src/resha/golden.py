@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .ccf import count_by_type
 from .model import ComponentKind, ModelError, ModelIndex
-from .pipeline import AnalysisResult
+from .pipeline import AnalysisResult, read_input
 from .stpa import Flavor, instances_by_division
 
 GOLDEN_SCHEMA = "resha-golden/1"
@@ -58,13 +58,17 @@ class GoldenReport:
 
 def load_golden(path: Path) -> GoldenRecord:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(read_input(path))
     except json.JSONDecodeError as exc:
         raise ModelError(f"golden file is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("schema") != GOLDEN_SCHEMA:
-        raise ModelError(f"expected schema '{GOLDEN_SCHEMA}', got {doc.get('schema')!r}")
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != GOLDEN_SCHEMA:
+        raise ModelError(f"expected schema '{GOLDEN_SCHEMA}', got {schema!r}")
+    entries = doc.get("values", {})
+    if not isinstance(entries, dict):
+        raise ModelError(f"golden file needs an object 'values', got {entries!r}")
     values: dict[str, object] = {}
-    for name, entry in doc.get("values", {}).items():
+    for name, entry in entries.items():
         if isinstance(entry, dict) and "value" in entry:
             values[name] = entry["value"]
         else:

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from .dsl import parse_model
-from .model import SystemModel, ValidationReport, _validate_and_expand
+from .model import ModelError, SystemModel, ValidationReport, _validate_and_expand
 
 if TYPE_CHECKING:
     from .ccf import CcfGroup
@@ -159,10 +159,18 @@ def write_artifacts(result: AnalysisResult, out_dir: Path) -> list[Path]:
     return paths
 
 
+def read_input(path: Path | str) -> str:
+    """An input file's text; a file that is not UTF-8 is a ModelError that names it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def run_pipeline(
     model_path: Path, out_dir: Path, options: PipelineOptions | None = None
 ) -> tuple[AnalysisResult, list[Path]]:
-    text = Path(model_path).read_text(encoding="utf-8")
+    text = read_input(model_path)
     result = analyze_text(text, str(model_path), options)
     return result, write_artifacts(result, out_dir)
 

@@ -204,8 +204,9 @@ def import_ft(text: str) -> FaultTree:
     """Rebuild a fault tree from its JSON document.
 
     Trees written outside this program come in only here, so a value that
-    ``export_ft`` writes as a string must be one: a ModelError names the
-    node whose id, label, marker or child is not.
+    ``export_ft`` writes as a string must be one, and a flag it writes as
+    ``true`` or ``false`` must be a JSON boolean: a ModelError names the
+    node whose id, label, marker, child or ``software`` flag is not.
     """
     try:
         doc = json.loads(text)
@@ -226,11 +227,10 @@ def import_ft(text: str) -> FaultTree:
             "fault tree document needs a string 'model' and 'root', "
             "an object 'options' and a list 'nodes'"
         )
-    tree = FaultTree(
-        model_name=model_name,
-        root=root,
-        include_hw_design=bool(options.get("include_hw_design", False)),
-    )
+    include_hw_design = options.get("include_hw_design", False)
+    if not isinstance(include_hw_design, bool):
+        raise ModelError(f"option 'include_hw_design' is not true or false: {include_hw_design!r}")
+    tree = FaultTree(model_name=model_name, root=root, include_hw_design=include_hw_design)
     for entry in nodes:
         if not isinstance(entry, dict):
             raise ModelError(f"fault tree node {entry!r} is not an object")
@@ -240,10 +240,11 @@ def import_ft(text: str) -> FaultTree:
             and all(isinstance(entry.get(key, ""), str) for key in _OPTIONAL_STRINGS)
             and isinstance(children, list)
             and all(isinstance(child, str) for child in children)
+            and isinstance(entry.get("software", False), bool)
         ):
             raise ModelError(
                 f"node {node_id!r}: its id, {', '.join(_OPTIONAL_STRINGS)} and children "
-                "must be strings"
+                "must be strings, and its software flag true or false"
             )
         try:
             if kind == "gate":
@@ -261,7 +262,7 @@ def import_ft(text: str) -> FaultTree:
                     id=node_id,
                     category=EventCategory(entry.get("category")),
                     label=entry.get("label", ""),
-                    software=bool(entry.get("software", False)),
+                    software=entry.get("software", False),
                 )
             else:
                 raise ModelError(f"node {node_id!r} has unknown kind {kind!r}")

@@ -65,6 +65,72 @@ division MAIN {
 }
 """
 
+# Takes the hardware synthesis branches that the bundled model does not:
+# module-level all_must_fail (``probes`` under ``dep:calc_1``) and
+# any_misleads (``calcs`` under the root) sub-gates, internal and external
+# shared resources referenced from several dependency gates, a component
+# whose dependency gate holds only resource leaves, and a ``feedback:``
+# input that drops the ``trim`` link from ``ctrl``'s sources.
+SYNTHESIS_MODEL = """\
+system "synthesis"
+top_event "operator misled"
+
+loss L-1 "equipment damage"
+hazard H-1 "false reading" losses: L-1
+hazard H-2 "missing reading" losses: L-1
+
+design_class DC-C "control logic" diversity: plat
+design_class DC-S "probe assembly"
+design_class DC-K "calculation logic" diversity: plat
+design_class DC-P "power supply"
+design_class DC-D "panel"
+design_class DC-O "crew"
+
+division A {
+  component ctrl kind: controller tech: digital class: DC-C {
+    control_action drive -> probe_1, probe_2 {
+      applicable: A hazards: H-2
+      applicable: F hazards: H-1
+    }
+    feedback: calc_1
+  }
+  component probe_1 kind: sensor tech: analog class: DC-S
+  component probe_2 kind: sensor tech: analog class: DC-S
+  component probe_3 kind: sensor tech: analog class: DC-S
+  component psu kind: power_supply tech: analog class: DC-P
+  component calc_1 kind: calculator tech: digital class: DC-K {
+    info_flow level_1 -> panel {
+      applicable: A hazards: H-2
+      applicable: B hazards: H-1
+    }
+    info_flow trim -> ctrl {
+      applicable: F hazards: H-1
+    }
+    inputs: probe_1, probe_3, probe_2
+  }
+  component calc_2 kind: calculator tech: digital class: DC-K {
+    inputs: probe_2, psu
+  }
+  component panel kind: display tech: analog class: DC-D {
+    inputs: psu
+  }
+}
+
+division B replicates A
+
+division MCR {
+  component op kind: operator tech: human class: DC-O {
+    inputs: panel, calc_1, calc_2, panel__B
+  }
+}
+
+redundancy_group probes level: module logic: all_must_fail members: probe_1, probe_2
+redundancy_group calcs level: module logic: any_misleads members: calc_1, calc_2
+redundancy_group panels level: division logic: all_must_fail members: A, B
+shared_resource mains scope: external dependents: psu, psu__B, probe_3
+shared_resource rack scope: internal dependents: probe_1, probe_2, probe_3, panel
+"""
+
 
 def scaled_qiasp(text: str, divisions: int) -> str:
     """The bundled model with replicas C, D, ... of division A, up to

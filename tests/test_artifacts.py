@@ -1,9 +1,10 @@
 """The bytes of every artifact, pinned by SHA-256.
 
-``write_artifacts`` runs on the bundled model and on scaled variants of it,
-and each of the six files must hash to the literal table below.  A change
-that means to alter an artifact edits this table and says why; nothing
-regenerates it.  Where a case is a benchmark workload, the order-invariant
+``write_artifacts`` runs on the bundled model, on scaled variants of it and
+on ``SYNTHESIS_MODEL``, which takes the synthesis branches the bundled model
+does not, and each of the six files must hash to the literal table below.
+A change that means to alter an artifact edits this table and says why;
+nothing regenerates it.  Where a case is a benchmark workload, the order-invariant
 digests (all but ``ft.json``, whose node order follows the document) must
 also equal ``benchmark/expected.json``.
 """
@@ -16,25 +17,30 @@ from pathlib import Path
 
 import pytest
 
-from conftest import scaled_qiasp
+from conftest import SYNTHESIS_MODEL, scaled_qiasp
 from resha.pipeline import PipelineOptions, analyze_text, write_artifacts
 from resha.report import cutsets_csv
 
 EXPECTED_JSON = Path(__file__).resolve().parents[1] / "benchmark" / "expected.json"
 
-# case -> (divisions, options, benchmark workload or None)
+# case -> (divisions of the bundled model, or a model text; options;
+#          benchmark workload or None)
 CASES = {
     "bundled": (2, PipelineOptions(), "qiasp-exact"),
     "bundled-order2": (2, PipelineOptions(max_order=2), None),
     "bundled-hw-design": (2, PipelineOptions(include_hw_design=True), None),
     "div3-order2": (3, PipelineOptions(max_order=2), "div3-order2"),
     "div8-order1": (8, PipelineOptions(max_order=1), "div8-order1"),
+    "synthesis": (SYNTHESIS_MODEL, PipelineOptions(), None),
+    "synthesis-hw-design": (SYNTHESIS_MODEL, PipelineOptions(include_hw_design=True), None),
 }
 
 QIASP_CUTSETS = "870a28b3a70488d063e1ea086eb8670375bebb906b9d8b11236134643d5a9c45"
 QIASP_CCF = "c7df1ff06a01e027336478805081061350e66ad8066c0a2d527a261e33171063"
 QIASP_TRACEABILITY = "f8826f9b3af86a758e83d502c06b772c24380d7b0ad85934fea3adb64134a5f4"
 SINGLETONS_CUTSETS = "214fc6a18e60baec1c6382c87052e07778dc6bcab807f749c6f770bf939bd05d"
+SYNTHESIS_CCF = "d17fcff733a337e467c427ae040f691d4082d93b3b7920c840d95a0f2ac9df08"
+SYNTHESIS_TRACEABILITY = "9d2391b28e8a07782c789c32d6ce23fc2c515a0ed68473a7ac24e81fcaf65312"
 
 DIGESTS = {
     "bundled": {
@@ -77,6 +83,22 @@ DIGESTS = {
         "summary.md": "ebdfebd45392c3476cf6052b341531b41aabfb4be015b9db864d19f3b02a0da1",
         "summary.txt": "9da832cb0bee9fa590ad4dfa63b6556ce2242f630682d4da3318d05c339a43d0",
     },
+    "synthesis": {
+        "ft.json": "5ca728dd2c77f98864923cc28f7d90ad6be8ff79fb8e008f261027bf6c0e2a2f",
+        "cutsets.csv": "e26c2f23a586dbab325cd93f886dd8fade58c5840e1aec09f10618dd7a3afb80",
+        "ccf.csv": SYNTHESIS_CCF,
+        "traceability.csv": SYNTHESIS_TRACEABILITY,
+        "summary.md": "b3f35c97c30b1da2b5a7411960a2c62a98c0d48740ee62399510ac4fe72969af",
+        "summary.txt": "4022f5f303db93edd5fab9a158f328a6c503924f53cec6a44dcba9a1bb2f53d4",
+    },
+    "synthesis-hw-design": {
+        "ft.json": "1ebd8a5f04b413d077494b9801adeb0ce98664e9de3939a9e7b28cdc24e0b044",
+        "cutsets.csv": "767c656f55cdddb6a1c2c9001214a48c21baf59f6623a95ce8ec43b3aacddbde",
+        "ccf.csv": SYNTHESIS_CCF,
+        "traceability.csv": SYNTHESIS_TRACEABILITY,
+        "summary.md": "bf7bb675932b9c76149834ea5adf05b13d44c862ac02310292bce75a418d090d",
+        "summary.txt": "b4c74edb81f62702844def7c27695e3363cc07bf7011a37517ef7b94b1979a19",
+    },
 }
 
 # ``cutsets.csv`` of the exact 3-division variant: 110,636 rows.
@@ -89,8 +111,9 @@ def sha256(data: bytes) -> str:
 
 @pytest.mark.parametrize("case", CASES)
 def test_artifact_bytes_are_pinned(case, qiasp_text, tmp_path):
-    divisions, options, _ = CASES[case]
-    result = analyze_text(scaled_qiasp(qiasp_text, divisions), "qiasp.resha", options)
+    model, options, _ = CASES[case]
+    text = model if isinstance(model, str) else scaled_qiasp(qiasp_text, model)
+    result = analyze_text(text, "model.resha", options)
     paths = write_artifacts(result, tmp_path)
     assert {path.name: sha256(path.read_bytes()) for path in paths} == DIGESTS[case]
 

@@ -52,6 +52,25 @@ def test_missing_file_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "{bad}"],
+        ["pipeline", "{bad}", "--out-dir", "{out}"],
+        ["cutsets", "{model}", "--ft", "{bad}"],
+        ["verify-golden", "{model}", "{bad}"],
+    ],
+    ids=["model", "pipeline-model", "ft", "golden"],
+)
+def test_input_that_is_not_utf8_is_an_input_error(argv, model_path, tmp_path, capsys):
+    bad = tmp_path / "input.txt"
+    bad.write_bytes(b'system "s\xff"\n')
+    assert main([arg.format(bad=bad, model=model_path, out=tmp_path / "out") for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {bad} is not UTF-8 text: invalid start byte at byte 9\n"
+    assert captured.out == ""
+
+
 def test_model_error_is_printed_at_its_span(model_path, tmp_path, capsys):
     text = unwired_replica_text(Path(model_path).read_text(encoding="utf-8"))
     doc = tmp_path / "unwired.resha"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MINI_MODEL, basic_events, census_tuple, mk_tree, random_analyzable_model
+from conftest import MINI_MODEL, SYNTHESIS_MODEL, basic_events, census_tuple, mk_tree, random_analyzable_model
 from resha.cutsets import minimal_cut_sets
 from resha.dsl import parse_model
 from resha.ftree import (
@@ -356,3 +356,27 @@ def test_resource_leaf_shared():
     parents = tree.parents_of()["resource:bus"]
     assert set(parents) == {"dep:s1", "dep:s2"}
     assert branch_census(tree).dependency == 2
+
+
+def test_synthesis_model_takes_the_branches_it_pins():
+    tree = synthesize_hardware_ft(expand_replication(parse_model(SYNTHESIS_MODEL)))
+    assert tree.gate("top").children == ["top:calcs", "top:panels"]
+    calcs, probes = tree.gate("top:calcs"), tree.gate("dep:calc_1:probes")
+    assert (calcs.op, calcs.children) == (GateOp.OR, ["fail:calc_1", "fail:calc_2"])
+    assert (probes.op, probes.children) == (GateOp.AND, ["fail:probe_1", "fail:probe_2"])
+    assert tree.gate("dep:calc_1").children == ["dep:calc_1:probes", "fail:probe_3"]
+    parents = tree.parents_of()
+    assert parents["resource:mains"] == ["dep:probe_3", "dep:psu", "dep:psu__B"]
+    assert parents["resource:rack"] == ["dep:probe_1", "dep:probe_2", "dep:probe_3", "dep:panel"]
+    assert tree.gate("dep:probe_3").children == ["resource:mains", "resource:rack"]
+    # ``feedback: calc_1`` drops the ``trim`` link, ctrl's only source.
+    assert tree.gate("fail:ctrl").children == ["hw:ctrl", "sw:ctrl"]
+    node_ids = list(tree.nodes)
+    # A failure gate precedes its sources' subtrees; a group sub-gate
+    # follows its members' subtrees; resource leaves and the software gate
+    # follow the subtrees of every source.
+    assert node_ids.index("fail:calc_1") < node_ids.index("fail:probe_1")
+    assert node_ids.index("fail:probe_2") < node_ids.index("dep:calc_1:probes")
+    assert node_ids.index("dep:calc_1:probes") < node_ids.index("fail:probe_3")
+    assert node_ids.index("resource:rack") < node_ids.index("resource:mains")
+    assert node_ids.index("resource:mains") < node_ids.index("sw:calc_1")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -86,6 +87,22 @@ def test_load_rejects_wrong_schema(tmp_path):
     path = tmp_path / "wrong.json"
     path.write_text(json.dumps({"schema": "other/1", "values": {}}), encoding="utf-8")
     with pytest.raises(ModelError, match=GOLDEN_SCHEMA):
+        load_golden(path)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([], "expected schema 'resha-golden/1', got None"),
+        ("golden", "expected schema 'resha-golden/1', got None"),
+        ({"schema": GOLDEN_SCHEMA, "values": [1]}, "needs an object 'values', got [1]"),
+    ],
+    ids=["list", "string", "values-list"],
+)
+def test_load_rejects_a_document_that_is_not_an_object(tmp_path, doc, message):
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ModelError, match=re.escape(message)):
         load_golden(path)
 
 

@@ -182,6 +182,16 @@ def test_import_rejects_bad_documents():
             '{"schema": "resha/1", "nodes": [{"id": "e", "kind": "event"}]}',
             "node 'e': None is not a valid EventCategory",
         ),
+        (
+            '{"schema": "resha/1", "nodes": [{"id": "e", "kind": "event", '
+            '"category": "sw_uca", "software": "no"}]}',
+            "node 'e': its id, label, failure_for, dependency_for, placeholder_for and children "
+            "must be strings, and its software flag true or false",
+        ),
+        (
+            '{"schema": "resha/1", "options": {"include_hw_design": "false"}, "nodes": []}',
+            "option 'include_hw_design' is not true or false: 'false'",
+        ),
     ):
         with pytest.raises(ModelError, match=re.escape(message)):
             import_ft(text)
@@ -303,6 +313,13 @@ def test_export_ft_matches_json_dumps(tree):
 @pytest.mark.parametrize("tree", [FaultTree("", ""), fixed_tree()], ids=["no-nodes", "markers"])
 def test_export_ft_matches_json_dumps_on_fixed_trees(tree):
     assert export_ft(tree) == reference_export_ft(tree)
+
+
+def test_import_reads_true_flags():
+    tree = fixed_tree()
+    rebuilt = import_ft(export_ft(tree))
+    assert rebuilt.include_hw_design is True and rebuilt.nodes["e"].software is True
+    assert export_ft(rebuilt) == export_ft(tree)
 
 
 def test_artifacts_match_their_references(qiasp_result):
