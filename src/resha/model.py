@@ -380,7 +380,7 @@ def expand_replication(model: SystemModel) -> SystemModel:
     """Materialize ``replicates`` divisions as copies with suffixed ids.
 
     Component and link ids gain ``__<division>``; references between the
-    source division's components are rewritten to the copies, while
+    source division's components, and their ports, are rewritten to the copies, while
     references leaving the division (design classes, other divisions'
     components) are kept verbatim.  Only what is renamed is new: each
     replica division and its components, links and renamed refs.  Every
@@ -419,7 +419,10 @@ def expand_replication(model: SystemModel) -> SystemModel:
             return identifier + suffix if identifier in local_ids else identifier
 
         def rename_ref(ref: Ref) -> Ref:
-            return replace(ref, component=ref.component + suffix) if ref.component in local_ids else ref
+            if ref.component not in local_ids:
+                return ref
+            port = None if ref.port is None else ref.port + suffix
+            return replace(ref, component=ref.component + suffix, port=port)
 
         components: list[Component] = []
         for component in source.components:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     MINI_MODEL,
+    SYNTHESIS_MODEL,
     chain_text,
     extra_commanded_target_text,
     random_model,
@@ -252,6 +253,20 @@ def test_expand_suffixes_ids_and_rewrites_refs(qiasp_text):
     assert division_b.replicates is None
     assert division_b.replicated_from == "A"
     assert len(division_b.components) == len(idx.divisions["A"].components) == 20
+
+
+def test_expand_renames_the_port_of_a_local_reference():
+    text = SYNTHESIS_MODEL.replace("feedback: calc_1\n", "feedback: calc_1.trim\n")
+    assert text != SYNTHESIS_MODEL
+    model = parse_model(text)
+    assert validate_model(model).ok
+    idx = ModelIndex(expand_replication(model))
+    [ref] = idx.components["ctrl__B"].feedback_inputs
+    assert (ref.component, ref.port) == ("calc_1__B", "trim__B")
+    assert [link.id for link in idx.components["calc_1__B"].links] == ["level_1__B", "trim__B"]
+    # The feedback link is dropped from the replica's sources, as from the source's.
+    assert idx.dependency_sources(idx.components["ctrl"]) == []
+    assert idx.dependency_sources(idx.components["ctrl__B"]) == []
 
 
 def test_expand_is_idempotent(qiasp_text):
