@@ -57,7 +57,7 @@ class CcfGroup:
 
 
 def _scope_for(idx: ModelIndex, component_ids: list[str]) -> RedundancyLevel:
-    divisions = {idx.division_of.get(c) for c in component_ids}
+    divisions = {idx.division_of[c] for c in component_ids}
     return RedundancyLevel.SYSTEM if len(divisions) >= 2 else RedundancyLevel.DIVISION
 
 
@@ -78,9 +78,7 @@ def detect_ccf_groups(model: SystemModel, instances: list[UcaUifInstance]) -> li
     # Type 4: one design class with applicable instances in several divisions.
     by_class: dict[tuple[str, str], list[UcaUifInstance]] = {}
     for instance in instances:
-        owner = idx.components.get(instance.owner)
-        if owner is None:
-            continue
+        owner = idx.components[instance.owner]
         by_class.setdefault((owner.design_class, instance.type.letter), []).append(instance)
     for (class_id, letter), found in sorted(by_class.items()):
         divisions = {i.division for i in found}
@@ -104,13 +102,11 @@ def detect_ccf_groups(model: SystemModel, instances: list[UcaUifInstance]) -> li
         by_owner.setdefault(instance.owner, []).append(instance)
     merged: dict[tuple[str, str], list[UcaUifInstance]] = {}
     for owner_id, found in by_owner.items():
-        component = idx.components.get(owner_id)
-        if component is None:
-            continue
         if len(idx.transitive_digital_dependents(owner_id)) < 2:
             continue
+        design_class = idx.components[owner_id].design_class
         for instance in found:
-            merged.setdefault((component.design_class, instance.type.letter), []).append(instance)
+            merged.setdefault((design_class, instance.type.letter), []).append(instance)
     for (class_id, letter), found in sorted(merged.items()):
         trigger = min(i.owner for i in found)
         emit(

@@ -6,12 +6,12 @@ a model validates it first; on any violation ``main`` prints each one at
 its ``file:line:col``, then their count, and exits 1.  A model that
 validates exits 2 only on another input: an ``--ft`` tree that does not
 fit it, a malformed golden file, or a file that is missing or not UTF-8.
-Each subcommand runs the stages of ``pipeline.STAGES`` up to the value it
-prints.  Stages chain through files: ``synth`` and ``integrate`` write
-fault-tree JSON that ``integrate``, ``ccf`` and ``cutsets`` accept back via
-``--ft``; the imported tree stands in for the stage it replaces, so no
-stage upstream of it runs but validation.  Set ``RESHA_NO_COLOR`` to
-disable ANSI color on terminals.
+Each subcommand runs the stages that ``pipeline.AnalysisResult``'s fields
+declare, up to the value it prints.  Stages chain through files: ``synth``
+and ``integrate`` write fault-tree JSON that ``integrate``, ``ccf`` and
+``cutsets`` accept back via ``--ft``; the imported tree stands in for the
+stage it replaces, so no stage upstream of it runs but validation.  Set
+``RESHA_NO_COLOR`` to disable ANSI color on terminals.
 
 Each ``resha`` process pays for every module it imports, so this module
 loads only what every subcommand uses: a command imports its writers (and

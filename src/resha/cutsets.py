@@ -55,12 +55,10 @@ _NO_SETS: frozenset[int] = frozenset()
 
 
 def event_sort_key(tree: FaultTree):
-    """Canonical (category, id) ordering for basic events."""
+    """Canonical (category, id) ordering for the tree's basic events."""
 
     def key(event_id: str) -> tuple[int, str]:
-        node = tree.nodes.get(event_id)
-        rank = _CATEGORY_RANK.get(node.category, 9) if isinstance(node, BasicEvent) else 9
-        return (rank, event_id)
+        return (_CATEGORY_RANK[tree.nodes[event_id].category], event_id)
 
     return key
 

@@ -92,12 +92,12 @@ def compute_metrics(result: AnalysisResult) -> dict[str, object]:
     for division, found in instances_by_division(result.instances).items():
         bucket = {"uca": 0, "uif_calculator": 0, "uif_alarm": 0, "uif_other": 0}
         for instance in found:
-            owner = idx.components.get(instance.owner)
+            owner = idx.components[instance.owner]
             if instance.flavor is Flavor.UCA:
                 bucket["uca"] += 1
-            elif owner is not None and owner.kind is ComponentKind.CALCULATOR:
+            elif owner.kind is ComponentKind.CALCULATOR:
                 bucket["uif_calculator"] += 1
-            elif owner is not None and owner.kind is ComponentKind.ALARM:
+            elif owner.kind is ComponentKind.ALARM:
                 bucket["uif_alarm"] += 1
             else:
                 bucket["uif_other"] += 1
@@ -116,9 +116,8 @@ def compute_metrics(result: AnalysisResult) -> dict[str, object]:
             continue
         kind = "other"
         for member in group.members:
-            instance = instance_by_id.get(member)
-            owner = idx.components.get(instance.owner) if instance else None
-            if owner is not None and owner.kind.value in type4_by_kind:
+            owner = idx.components[instance_by_id[member].owner]
+            if owner.kind.value in type4_by_kind:
                 kind = owner.kind.value
                 break
         type4_by_kind[kind] += 1

@@ -286,7 +286,6 @@ class ModelIndex:
         self.design_classes: dict[str, DesignClass] = {}
         self.divisions: dict[str, Division] = {}
         self.components: dict[str, Component] = {}
-        self.resources: dict[str, SharedResource] = {}
         self.division_of: dict[str, str] = {}
         # target id -> links naming it, in model.links() order, each once.
         self._targeting: dict[str, list[Link]] = {}
@@ -305,8 +304,6 @@ class ModelIndex:
                 for link in component.links:
                     for target in dict.fromkeys(link.targets):
                         self._targeting.setdefault(target, []).append(link)
-        for resource in model.shared_resources:
-            self.resources.setdefault(resource.id, resource)
 
     def operator(self) -> Component | None:
         found = [c for c in self.model.components() if c.kind is ComponentKind.OPERATOR]

@@ -1,14 +1,16 @@
 """End-to-end analysis: validate, expand, enumerate, synthesize, integrate,
 detect, inject, solve, and report.
 
-``STAGES`` names each stage's function as ``module.function``, and
-``run_stages`` imports that module only when the stage runs, so a caller
-that needs the first stages alone never loads the later ones.
+The chain is declared once, by ``AnalysisResult``'s fields: each stage
+field names its function as ``module.function`` and its inputs, and
+``STAGES`` is read from those fields.  ``run_stages`` imports a stage's
+module only when the stage runs, so a caller that needs the first stages
+alone never loads the later ones.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -47,22 +49,37 @@ class PipelineOptions:
     max_order: int | None = None
 
 
+def _stage(function: str, *inputs: str) -> Any:
+    """A field computed by ``module.function`` from the named inputs."""
+    return field(metadata={"stage": (function, inputs)})
+
+
 @dataclass
 class AnalysisResult:
+    """Every value of one analysis, and the chain that computes them.
+
+    Each stage field names the function that computes it, as
+    ``module.function``, and that function's inputs: ``model``, a
+    PipelineOptions field (``include_hw_design``, ``max_order``) or an
+    earlier stage.
+    """
+
     model: SystemModel
-    expanded: SystemModel
+    expanded: SystemModel = _stage("pipeline._expand_valid", "model")
     validation: ValidationReport
-    structure: ControlStructure
-    candidates: list[UcaUifInstance]
-    instances: list[UcaUifInstance]
-    hardware_tree: FaultTree
-    census: BranchCensus
-    integrated_tree: FaultTree
-    groups: list[CcfGroup]
-    injected_tree: FaultTree
-    collection: CutSetCollection
-    first_order: FirstOrderReport
-    guidance: GuidanceReport
+    structure: ControlStructure = _stage("stpa.extract_control_structure", "expanded")
+    candidates: list[UcaUifInstance] = _stage("stpa.enumerate_candidates", "structure")
+    instances: list[UcaUifInstance] = _stage("stpa.apply_applicability", "candidates", "expanded")
+    hardware_tree: FaultTree = _stage("ftree.synthesize_hardware_ft", "expanded", "include_hw_design")
+    census: BranchCensus = _stage("ftree.branch_census", "hardware_tree")
+    integrated_tree: FaultTree = _stage("ftree.integrate_software", "hardware_tree", "instances")
+    groups: list[CcfGroup] = _stage("ccf.detect_ccf_groups", "expanded", "instances")
+    injected_tree: FaultTree = _stage("ccf.inject_ccf_events", "integrated_tree", "groups")
+    collection: CutSetCollection = _stage("cutsets.minimal_cut_sets", "injected_tree", "max_order")
+    first_order: FirstOrderReport = _stage("cutsets.first_order_cut_sets", "collection", "injected_tree")
+    guidance: GuidanceReport = _stage(
+        "report.generate_guidance", "expanded", "groups", "first_order", "injected_tree", "instances"
+    )
     options: PipelineOptions = field(default_factory=PipelineOptions)
 
     def summary_input(self) -> AnalysisResult:
@@ -78,24 +95,9 @@ def _expand_valid(model: SystemModel) -> SystemModel:
     return expanded
 
 
-# The analysis chain, declared once: each value name maps to the function
-# that computes it, as ``module.function``, and the names of that function's
-# inputs, in the order of AnalysisResult's fields.  The caller gives
-# ``model`` and the PipelineOptions fields (``include_hw_design``,
-# ``max_order``).
+# Each stage field's name -> (``module.function``, its input names), in field order.
 STAGES: dict[str, tuple[str, tuple[str, ...]]] = {
-    "expanded": ("pipeline._expand_valid", ("model",)),
-    "structure": ("stpa.extract_control_structure", ("expanded",)),
-    "candidates": ("stpa.enumerate_candidates", ("structure",)),
-    "instances": ("stpa.apply_applicability", ("candidates", "expanded")),
-    "hardware_tree": ("ftree.synthesize_hardware_ft", ("expanded", "include_hw_design")),
-    "census": ("ftree.branch_census", ("hardware_tree",)),
-    "integrated_tree": ("ftree.integrate_software", ("hardware_tree", "instances")),
-    "groups": ("ccf.detect_ccf_groups", ("expanded", "instances")),
-    "injected_tree": ("ccf.inject_ccf_events", ("integrated_tree", "groups")),
-    "collection": ("cutsets.minimal_cut_sets", ("injected_tree", "max_order")),
-    "first_order": ("cutsets.first_order_cut_sets", ("collection", "injected_tree")),
-    "guidance": ("report.generate_guidance", ("expanded", "groups", "first_order", "injected_tree", "instances")),
+    f.name: f.metadata["stage"] for f in fields(AnalysisResult) if f.metadata
 }
 
 

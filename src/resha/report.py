@@ -108,16 +108,9 @@ def generate_guidance(
     for group in groups:
         if group.ccf_type != 4:
             continue
-        dc = idx.design_classes.get(group.trigger)
-        tag = dc.diversity_tag if dc is not None else group.trigger
-        by_tag.setdefault(tag, []).append(group)
+        by_tag.setdefault(idx.design_classes[group.trigger].diversity_tag, []).append(group)
     for tag, tag_groups in sorted(by_tag.items()):
-        divisions: set[str] = set()
-        for group in tag_groups:
-            for member in group.members:
-                instance = instance_by_id.get(member)
-                if instance is not None:
-                    divisions.add(instance.division)
+        divisions = {instance_by_id[m].division for g in tag_groups for m in g.members}
         report.diversity_findings.append(
             DiversityFinding(
                 diversity_tag=tag,

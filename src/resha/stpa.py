@@ -87,7 +87,7 @@ def enumerate_candidates(structure: ControlStructure) -> list[UcaUifInstance]:
     candidates: list[UcaUifInstance] = []
     for link in structure.links:
         flavor = Flavor.UCA if link.kind is LinkKind.CONTROL_ACTION else Flavor.UIF
-        division = structure.division_of.get(link.source, "")
+        division = structure.division_of[link.source]
         for type_ in FailureModeType:
             candidates.append(
                 UcaUifInstance(
@@ -132,9 +132,7 @@ def traceability_rows(
     for instance in instances:
         losses: set[str] = set()
         for hazard_id in instance.hazards:
-            hazard = idx.hazards.get(hazard_id)
-            if hazard is not None:
-                losses.update(hazard.losses)
+            losses.update(idx.hazards[hazard_id].losses)
         rows.append(
             {
                 "instance": instance.id,

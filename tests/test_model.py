@@ -23,6 +23,7 @@ from conftest import (
     unwired_resource_dependent_text,
 )
 from resha.dsl import ParseError, parse_model
+from resha.golden import compute_metrics
 from resha.model import (
     Component,
     ComponentKind,
@@ -53,6 +54,7 @@ from resha.pipeline import (
     analyze_text,
     bundled_model_path,
 )
+from resha.report import ccf_csv, cutsets_csv, export_ft, render_summary, traceability_csv
 
 
 def _codes(model: SystemModel) -> set[str]:
@@ -424,13 +426,21 @@ def _mutated_texts(draw) -> str:
 @example(unwired_resource_dependent_text(_QIASP))
 @given(_mutated_texts())
 def test_a_model_that_validates_analyses(text):
-    # Validation owns every model precondition of the stages.
+    # Validation owns every model precondition of the stages and of the
+    # readers of their results.
     try:
         model = parse_model(text, "mutant.resha")
     except ParseError:
         return
     if validate_model(model).ok:
-        analyze_model(model, PipelineOptions(max_order=2))
+        result = analyze_model(model, PipelineOptions(max_order=2))
+        export_ft(result.injected_tree)
+        cutsets_csv(result.collection, result.injected_tree)
+        ccf_csv(result.groups)
+        traceability_csv(result.instances, result.expanded)
+        render_summary(result, "md")
+        render_summary(result, "txt")
+        compute_metrics(result)
 
 
 def test_expand_unknown_source_errors():

@@ -1,6 +1,6 @@
 """Source hygiene: no dead imports, no unread parameters, no default that no
-call overrides, no runtime code that only tests call, no dataclass field that
-nothing reads, and no ``copy`` module.
+call overrides, no runtime code that only tests call, no dataclass field or
+``__init__`` attribute that nothing reads, and no ``copy`` module.
 
 The package is read with ``ast`` alone; nothing under ``src/resha`` is
 imported or run here.
@@ -25,7 +25,8 @@ KEEP = {
     "summary_input": "benchmark/worker.py passes what it returns, the result itself, to render_summary",
 }
 
-# Dataclass fields that nothing under src/resha reads but that stay, with the reason.
+# Dataclass fields and ``__init__`` attributes that nothing under src/resha
+# reads but that stay, with the reason.
 _AUTHORED_TEXT = "authored model text: the parser stores it and the test-side serializer reads it"
 KEEP_FIELDS = {
     "AnalysisResult.validation": "benchmark/worker.py constructs AnalysisResult with it",
@@ -99,6 +100,17 @@ def _calls(tree: ast.AST) -> Counter[str]:
     return found
 
 
+def _self_targets(node: ast.Assign | ast.AnnAssign):
+    """The names of the ``self.<name>`` attributes an assignment sets."""
+    for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+        if (
+            isinstance(target, ast.Attribute)
+            and isinstance(target.value, ast.Name)
+            and target.value.id == "self"
+        ):
+            yield target.attr
+
+
 def _field_names(modules: dict[str, ast.Module]) -> set[str]:
     """Names declared in a class body or assigned as ``self.<name>``."""
     names: set[str] = set()
@@ -111,41 +123,67 @@ def _field_names(modules: dict[str, ast.Module]) -> set[str]:
                     if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
                 )
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names.update(
-                    target.attr
-                    for target in targets
-                    if isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                )
+                names.update(_self_targets(node))
     return names
 
 
-def _dataclass_fields(modules: dict[str, ast.Module]) -> dict[str, str]:
-    """``Class.field`` -> field name, for each annotated field of a ``@dataclass``."""
+def _stored_fields(modules: dict[str, ast.Module]) -> dict[str, str]:
+    """``Class.field`` -> field name, for each annotated field of a
+    ``@dataclass`` and each attribute any class sets on ``self`` in ``__init__``."""
     fields: dict[str, str] = {}
     for tree in modules.values():
         for node in ast.walk(tree):
             if not isinstance(node, ast.ClassDef):
                 continue
             decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
-            if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
-                continue
+            if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        fields[f"{node.name}.{item.target.id}"] = item.target.id
             for item in node.body:
-                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                    fields[f"{node.name}.{item.target.id}"] = item.target.id
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    for statement in ast.walk(item):
+                        if isinstance(statement, (ast.Assign, ast.AnnAssign)):
+                            for name in _self_targets(statement):
+                                fields[f"{node.name}.{name}"] = name
     return fields
 
 
+# Methods that put values into a collection.  A load whose only use is to
+# receive them, with the call's result dropped, fills the value but reads nothing.
+_FILLS = {"append", "extend", "setdefault", "update", "add", "insert"}
+
+
+def _filled_loads(tree: ast.AST) -> set[ast.Attribute]:
+    """Attribute loads that are only the receiver of a dropped fill call,
+    or of a chain of them such as ``x.table.setdefault(k, []).append(v)``."""
+    filled: set[ast.Attribute] = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Expr):
+            continue
+        receiver = node.value
+        while (
+            isinstance(receiver, ast.Call)
+            and isinstance(receiver.func, ast.Attribute)
+            and receiver.func.attr in _FILLS
+        ):
+            receiver = receiver.func.value
+        if isinstance(receiver, ast.Attribute) and receiver is not node.value:
+            filled.add(receiver)
+    return filled
+
+
 def _read_names(modules: dict[str, ast.Module]) -> set[str]:
-    """Attribute names loaded anywhere, plus every string constant: ``asdict``
-    keys and ``STAGES`` input names read a field by its name."""
+    """Attribute names loaded anywhere other than to be filled, plus every
+    string constant: ``asdict`` keys and ``STAGES`` input names read a field
+    by its name."""
     names: set[str] = set()
     for tree in modules.values():
+        filled = _filled_loads(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                names.add(node.attr)
+                if node not in filled:
+                    names.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 names.add(node.value)
     return names
@@ -299,11 +337,24 @@ def test_keep_entries_are_defined_and_uncalled():
 
 
 def test_every_dataclass_field_is_read():
+    # Dataclass fields and ``__init__`` attributes alike; a value that is only
+    # filled, never read back, counts as unread.
     modules = _modules()
     read = _read_names(modules)
-    fields = _dataclass_fields(modules)
+    fields = _stored_fields(modules)
     # A kept entry that is read, or is no longer a field, fails here too.
     assert sorted(key for key, name in fields.items() if name not in read) == sorted(KEEP_FIELDS)
+
+
+def test_a_value_that_is_only_filled_is_unread():
+    tree = ast.parse(
+        "self.a.append(1)\n"
+        "self.b.setdefault(k, []).append(v)\n"
+        "got = self.c.setdefault(k, [])\n"
+        "self.d.get(k).append(v)\n"
+        "self.e\n"
+    )
+    assert sorted(load.attr for load in _filled_loads(tree)) == ["a", "b"]
 
 
 def test_no_module_imports_copy():
