@@ -67,7 +67,7 @@ def detect_ccf_groups(model: SystemModel, instances: list[UcaUifInstance]) -> li
     Deterministic: output is sorted by (type, trigger, failure letter), and
     groups are deduplicated on (type, trigger, failure_type).
     """
-    idx = ModelIndex(model)
+    idx = model.index
     groups: dict[tuple[int, str, str], CcfGroup] = {}
 
     def emit(group: CcfGroup) -> None:
@@ -102,7 +102,7 @@ def detect_ccf_groups(model: SystemModel, instances: list[UcaUifInstance]) -> li
         by_owner.setdefault(instance.owner, []).append(instance)
     merged: dict[tuple[str, str], list[UcaUifInstance]] = {}
     for owner_id, found in by_owner.items():
-        if len(idx.transitive_digital_dependents(owner_id)) < 2:
+        if not idx.has_two_digital_dependents(owner_id):
             continue
         design_class = idx.components[owner_id].design_class
         for instance in found:

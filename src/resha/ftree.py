@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 from .model import (
     GroupLogic,
@@ -212,7 +212,7 @@ def branch_census(tree: FaultTree) -> BranchCensus:
 
 
 def _group_children(
-    idx: ModelIndex, source_ids: list[str], gate_id: str
+    idx: ModelIndex, source_ids: Sequence[str], gate_id: str
 ) -> tuple[list[str], list[Step]]:
     """A dependency-style gate's child ids, and the steps that build them.
 
@@ -225,7 +225,7 @@ def _group_children(
     remaining = source_ids
     children: list[str] = []
     steps: list[Step] = []
-    for group in idx.model.redundancy_groups:
+    for group in idx.redundancy_groups:
         matched = idx.group_matched_sources(group, remaining)
         if not matched:
             continue
@@ -252,7 +252,7 @@ def synthesize_hardware_ft(model: SystemModel, include_hw_design: bool = False) 
     shared resources appear as one leaf each, referenced from every
     dependent's dependency gate.
     """
-    idx = ModelIndex(model)
+    idx = model.index
     tree = FaultTree(model_name=model.name, root="top", include_hw_design=include_hw_design)
     leaves_of: dict[str, list[BasicEvent]] = {}
     for resource in model.shared_resources:

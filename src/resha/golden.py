@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .ccf import count_by_type
-from .model import ComponentKind, ModelError, ModelIndex
+from .model import ComponentKind, ModelError
 from .pipeline import AnalysisResult, read_input
 from .stpa import Flavor, instances_by_division
 
@@ -78,7 +78,7 @@ def load_golden(path: Path) -> GoldenRecord:
 
 def compute_metrics(result: AnalysisResult) -> dict[str, object]:
     """Flat metric map recomputed from one analysis run."""
-    idx = ModelIndex(result.expanded)
+    idx = result.expanded.index
     metrics: dict[str, object] = {}
 
     metrics["census.hw_stochastic"] = result.census.hw_stochastic

@@ -7,6 +7,8 @@ also provides structural validation, replication expansion, and one answer
 to each graph question: ``ModelIndex.dependency_sources`` (what a component
 depends on), ``ModelIndex.in_group`` (redundancy-group membership) and
 ``depth_first`` (children-first order and cycles, for models and trees).
+Each model has one index, ``SystemModel.index``, which validation builds
+over the expanded model and every later stage reads.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Container, Iterable, Iterator
+from functools import cached_property
+from itertools import islice
+from typing import Callable, Container, Iterable, Iterator, Sequence
 
 ID_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
 
@@ -270,17 +274,28 @@ class SystemModel:
         for component in self.components():
             yield from component.links
 
+    @cached_property
+    def index(self) -> ModelIndex:
+        """This model's one index, built on first use; see ModelIndex."""
+        return ModelIndex(self)
+
 
 class ModelIndex:
-    """Lookup tables over a model; duplicate ids keep the first occurrence.
+    """Lookup tables over one model; duplicate ids keep the first occurrence.
 
-    The index is a snapshot taken when it is built: it must not outlive a
-    change to its model.  Links are grouped by target once, and the
-    downstream adjacency is built at most once, on first use.
+    Each model object has one index, built on first use of
+    ``SystemModel.index``, and the model must not be changed after that.
+    The index keeps the tables it reads, never the model itself, so a model
+    and its index form no reference cycle.  Links are grouped by target once;
+    each component's dependency sources and the downstream adjacency are
+    computed at most once, on first use, and kept as tuples, which the
+    cyclic collector stops tracking.
     """
 
     def __init__(self, model: SystemModel):
-        self.model = model
+        self.redundancy_groups = model.redundancy_groups
+        # Every component in model.components() order, duplicate ids included.
+        self._order = list(model.components())
         self.losses: dict[str, Loss] = {}
         self.hazards: dict[str, Hazard] = {}
         self.design_classes: dict[str, DesignClass] = {}
@@ -289,7 +304,10 @@ class ModelIndex:
         self.division_of: dict[str, str] = {}
         # target id -> links naming it, in model.links() order, each once.
         self._targeting: dict[str, list[Link]] = {}
-        self._downstream: dict[str, list[str]] | None = None
+        # Filled on first use: component id -> the dependency sources of the
+        # component listed under that id, and the downstream adjacency.
+        self._sources: dict[str, tuple[str, ...]] = {}
+        self._downstream: dict[str, tuple[str, ...]] | None = None
         for loss in model.losses:
             self.losses.setdefault(loss.id, loss)
         for hazard in model.hazards:
@@ -306,54 +324,78 @@ class ModelIndex:
                         self._targeting.setdefault(target, []).append(link)
 
     def operator(self) -> Component | None:
-        found = [c for c in self.model.components() if c.kind is ComponentKind.OPERATOR]
+        found = [c for c in self._order if c.kind is ComponentKind.OPERATOR]
         return found[0] if found else None
 
-    def dependency_sources(self, consumer: Component) -> list[str]:
-        """Ordered, deduplicated upstream ids: inputs, then non-feedback link sources."""
-        out: list[str] = []
-        for ref in consumer.inputs:
-            if ref.component not in out:
-                out.append(ref.component)
+    def _sources_of(self, consumer: Component) -> tuple[str, ...]:
+        sources = dict.fromkeys(ref.component for ref in consumer.inputs)
+        feedback = {(ref.component, ref.port) for ref in consumer.feedback_inputs}
         for link in self._targeting.get(consumer.id, ()):
-            if link.source in out or any(
-                ref.component == link.source and ref.port in (None, link.id)
-                for ref in consumer.feedback_inputs
-            ):
-                continue
-            out.append(link.source)
-        return out
+            if (link.source, None) not in feedback and (link.source, link.id) not in feedback:
+                sources[link.source] = None
+        return tuple(sources)
 
-    def downstream_adjacency(self) -> dict[str, list[str]]:
+    def dependency_sources(self, consumer: Component) -> tuple[str, ...]:
+        """Ordered, deduplicated upstream ids: inputs, then non-feedback link sources.
+
+        Kept for the component the index lists under its id; a later
+        duplicate's are computed afresh.
+        """
+        if self.components.get(consumer.id) is not consumer:
+            return self._sources_of(consumer)
+        sources = self._sources.get(consumer.id)
+        if sources is None:
+            sources = self._sources[consumer.id] = self._sources_of(consumer)
+        return sources
+
+    def downstream_adjacency(self) -> dict[str, tuple[str, ...]]:
         """source id -> ordered consumer ids (inverse of dependency edges).
 
         Built on the first call and shared by later ones; do not mutate it.
         """
         if self._downstream is None:
-            down: dict[str, list[str]] = {c.id: [] for c in self.model.components()}
-            for consumer in self.model.components():
+            consumers: dict[str, dict[str, None]] = {c.id: {} for c in self._order}
+            for consumer in self._order:
                 for source in self.dependency_sources(consumer):
-                    if source in down and consumer.id not in down[source]:
-                        down[source].append(consumer.id)
-            self._downstream = down
+                    if source in consumers:
+                        consumers[source][consumer.id] = None
+            self._downstream = {source: tuple(ids) for source, ids in consumers.items()}
         return self._downstream
 
+    def _digital_dependents(self, component_id: str) -> Iterator[str]:
+        """Digital components in the same division reachable downstream,
+        yielded as the walk reaches them, so a caller can stop it early.
+
+        The walk itself crosses any component; the start is never yielded.
+        """
+        division = self.division_of.get(component_id)
+        down = self.downstream_adjacency()
+        seen = {component_id}
+        stack = [component_id] if component_id in down else []
+        while stack:
+            for nxt in down[stack.pop()]:
+                if nxt in seen:
+                    continue
+                seen.add(nxt)
+                stack.append(nxt)
+                if (
+                    self.components[nxt].tech is Technology.DIGITAL
+                    and self.division_of[nxt] == division
+                ):
+                    yield nxt
+
     def transitive_digital_dependents(self, component_id: str) -> list[str]:
-        """Digital components in the same division reachable downstream.
+        """Digital components in the same division reachable downstream, sorted.
 
         The walk itself crosses any component; only digital same-division
         components are collected.  The start component is excluded.
         """
-        division = self.division_of.get(component_id)
-        down = self.downstream_adjacency()
-        reached = depth_first([component_id], down.__getitem__, down)[0]
-        return sorted(
-            c
-            for c in reached
-            if c != component_id
-            and self.components[c].tech is Technology.DIGITAL
-            and self.division_of[c] == division
-        )
+        return sorted(self._digital_dependents(component_id))
+
+    def has_two_digital_dependents(self, component_id: str) -> bool:
+        """Whether ``transitive_digital_dependents`` would list at least two;
+        the walk stops at the second."""
+        return len(list(islice(self._digital_dependents(component_id), 2))) == 2
 
     def in_group(self, group: RedundancyGroup, component_id: str) -> bool:
         """Division-level groups list divisions; other levels list component ids."""
@@ -361,7 +403,7 @@ class ModelIndex:
             return self.division_of.get(component_id) in group.members
         return component_id in group.members
 
-    def group_matched_sources(self, group: RedundancyGroup, source_ids: list[str]) -> list[str]:
+    def group_matched_sources(self, group: RedundancyGroup, source_ids: Sequence[str]) -> list[str]:
         """The members of ``group`` among source_ids, when they bind.
 
         Division-level groups bind when the matches span at least two
@@ -532,8 +574,9 @@ def validate_model(model: SystemModel) -> ValidationReport:
 def _validate_and_expand(model: SystemModel) -> tuple[ValidationReport, SystemModel]:
     """``validate_model`` plus the expanded model it checked.
 
-    When expansion fails the report says so and the authored model is
-    returned in its place.
+    When expansion fails the report says so and a shallow copy of the
+    authored model is checked and returned in its place: the index cached on
+    the copy never sticks to the caller's model, which may still change.
     """
     report = ValidationReport()
     _validate_declarations(model, report)
@@ -541,7 +584,7 @@ def _validate_and_expand(model: SystemModel) -> tuple[ValidationReport, SystemMo
         expanded = expand_replication(model)
     except ModelError as exc:
         report.violations.append(Violation("replication", str(exc), exc.span))
-        expanded = model
+        expanded = replace(model)
     _validate_references(expanded, report)
     return report, expanded
 
@@ -596,7 +639,7 @@ def _validate_declarations(model: SystemModel, report: ValidationReport) -> None
 
 
 def _validate_references(model: SystemModel, report: ValidationReport) -> None:
-    idx = ModelIndex(model)
+    idx = model.index
 
     def bad(code: str, message: str, span: SourceSpan | None) -> None:
         report.violations.append(Violation(code, message, span))

@@ -10,7 +10,7 @@ from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 from .ftree import BasicEvent, EventCategory, FaultTree, Gate, GateOp, Node
-from .model import FailureModeType, ModelError, ModelIndex, SystemModel
+from .model import FailureModeType, ModelError, SystemModel
 
 if TYPE_CHECKING:
     from .ccf import CcfGroup
@@ -99,7 +99,7 @@ def generate_guidance(
     tree: FaultTree,
     instances: list[UcaUifInstance],
 ) -> GuidanceReport:
-    idx = ModelIndex(model)
+    idx = model.index
     instance_by_id = {i.id: i for i in instances}
     report = GuidanceReport()
     report.letters_present = sorted({i.type.letter for i in instances})
@@ -330,27 +330,27 @@ def ccf_csv(groups: list[CcfGroup]) -> str:
 
 
 def traceability_csv(instances: list[UcaUifInstance], model: SystemModel) -> str:
-    from .stpa import traceability_rows
-
-    rows = traceability_rows(instances, model)
+    """One row per instance, with its hazards and, through them, its sorted losses."""
+    hazards = model.index.hazards
     out = io.StringIO()
-    writer = csv.DictWriter(
-        out,
-        fieldnames=[
-            "instance",
-            "flavor",
-            "type",
-            "stpa_category",
-            "owner",
-            "link",
-            "division",
-            "hazards",
-            "losses",
-        ],
-        lineterminator="\n",
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(
+        ("instance", "flavor", "type", "stpa_category", "owner", "link", "division", "hazards", "losses")
     )
-    writer.writeheader()
-    writer.writerows(rows)
+    writer.writerows(
+        (
+            instance.id,
+            instance.flavor.value,
+            instance.type.letter,
+            instance.stpa_category.value,
+            instance.owner,
+            instance.link,
+            instance.division,
+            ";".join(instance.hazards),
+            ";".join(sorted({loss for h in instance.hazards for loss in hazards[h].losses})),
+        )
+        for instance in instances
+    )
     return out.getvalue()
 
 

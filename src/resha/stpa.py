@@ -16,7 +16,6 @@ from .model import (
     FailureModeType,
     Link,
     LinkKind,
-    ModelIndex,
     StpaCategory,
     SystemModel,
 )
@@ -58,7 +57,7 @@ def extract_control_structure(model: SystemModel) -> ControlStructure:
             control_edges.append(link)
         else:
             info_edges.append(link)
-    return ControlStructure(control_edges, info_edges, ModelIndex(model).division_of)
+    return ControlStructure(control_edges, info_edges, model.index.division_of)
 
 
 @dataclass
@@ -121,32 +120,6 @@ def apply_applicability(
             kept.append(replace(candidate, hazards=hazards))
     kept.sort(key=lambda i: (i.division, i.owner, i.type.letter, i.id))
     return kept
-
-
-def traceability_rows(
-    instances: list[UcaUifInstance], model: SystemModel
-) -> list[dict[str, str]]:
-    """Flat rows (one per instance) for table export."""
-    idx = ModelIndex(model)
-    rows: list[dict[str, str]] = []
-    for instance in instances:
-        losses: set[str] = set()
-        for hazard_id in instance.hazards:
-            losses.update(idx.hazards[hazard_id].losses)
-        rows.append(
-            {
-                "instance": instance.id,
-                "flavor": instance.flavor.value,
-                "type": instance.type.letter,
-                "stpa_category": instance.stpa_category.value,
-                "owner": instance.owner,
-                "link": instance.link,
-                "division": instance.division,
-                "hazards": ";".join(instance.hazards),
-                "losses": ";".join(sorted(losses)),
-            }
-        )
-    return rows
 
 
 def instances_by_division(instances: list[UcaUifInstance]) -> dict[str, list[UcaUifInstance]]:

@@ -267,8 +267,8 @@ def test_expand_renames_the_port_of_a_local_reference():
     assert (ref.component, ref.port) == ("calc_1__B", "trim__B")
     assert [link.id for link in idx.components["calc_1__B"].links] == ["level_1__B", "trim__B"]
     # The feedback link is dropped from the replica's sources, as from the source's.
-    assert idx.dependency_sources(idx.components["ctrl"]) == []
-    assert idx.dependency_sources(idx.components["ctrl__B"]) == []
+    assert idx.dependency_sources(idx.components["ctrl"]) == ()
+    assert idx.dependency_sources(idx.components["ctrl__B"]) == ()
 
 
 def test_expand_is_idempotent(qiasp_text):
@@ -501,18 +501,18 @@ def test_dependency_sources_exclude_feedback(qiasp_text):
     expanded = expand_replication(parse_model(qiasp_text))
     idx = ModelIndex(expanded)
     ctrl = idx.components["hjtc_power_controller"]
-    assert idx.dependency_sources(ctrl) == []
+    assert idx.dependency_sources(ctrl) == ()
     array = idx.components["hjtc_sensor_array"]
-    assert idx.dependency_sources(array) == ["hjtc_power_controller"]
+    assert idx.dependency_sources(array) == ("hjtc_power_controller",)
     display = idx.components["display_interface"]
-    assert idx.dependency_sources(display) == [
+    assert idx.dependency_sources(display) == (
         "power_supply",
         "hjtc_alarm",
         "cet_alarm",
         "rvl_alarm",
         "rcsm_alarm",
         "icc_alarm",
-    ]
+    )
 
 
 def test_transitive_digital_dependents(qiasp_text):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 from collections import Counter
 
 from conftest import MINI_MODEL
@@ -20,8 +21,8 @@ from resha.stpa import (
     enumerate_candidates,
     extract_control_structure,
     instances_by_division,
-    traceability_rows,
 )
+from resha.report import traceability_csv
 
 
 def test_structure_edge_split(qiasp_result):
@@ -118,12 +119,17 @@ def test_losses_for_controller_instance(qiasp_result):
         if i.owner == "hjtc_power_controller" and i.type is FailureModeType.MISSING
     )
     assert instance.hazards == ["H-2", "H-4"]
-    (row,) = traceability_rows([instance], qiasp_result.expanded)
+    (row,) = traceability_table([instance], qiasp_result.expanded)
     assert row["losses"] == "L-1;L-2;L-5"
 
 
+def traceability_table(instances, model) -> list[dict[str, str]]:
+    """The rows of ``traceability.csv``, read back by column name."""
+    return list(csv.DictReader(traceability_csv(instances, model).splitlines()))
+
+
 def test_traceability_rows(qiasp_result):
-    rows = traceability_rows(qiasp_result.instances, qiasp_result.expanded)
+    rows = traceability_table(qiasp_result.instances, qiasp_result.expanded)
     assert len(rows) == 56
     columns = [
         "instance",
