@@ -64,59 +64,50 @@ def _scope_for(idx: ModelIndex, component_ids: list[str]) -> RedundancyLevel:
 def detect_ccf_groups(model: SystemModel, instances: list[UcaUifInstance]) -> list[CcfGroup]:
     """Apply the four detection rules to an expanded model.
 
-    Deterministic: output is sorted by (type, trigger, failure letter), and
-    groups are deduplicated on (type, trigger, failure_type).
+    Each control action forms its own Type 1 group per failure letter, so a
+    controller with two commanding actions triggers two groups.
+    Deterministic: output is sorted by (type, trigger, failure letter, id).
     """
     idx = model.index
-    groups: dict[tuple[int, str, str], CcfGroup] = {}
-
-    def emit(group: CcfGroup) -> None:
-        key = (group.ccf_type, group.trigger, group.failure_type.letter if group.failure_type else "")
-        if key not in groups:
-            groups[key] = group
-
     # Type 4: one design class with applicable instances in several divisions.
-    by_class: dict[tuple[str, str], list[UcaUifInstance]] = {}
+    # Type 2: an owner whose output feeds >= 2 digital components in its
+    # division, merged by design class so replicated divisions share one group.
+    shared_design: dict[tuple[str, FailureModeType], list[UcaUifInstance]] = {}
+    interdependent: dict[tuple[str, FailureModeType], list[UcaUifInstance]] = {}
+    feeds_two: dict[str, bool] = {}
     for instance in instances:
-        owner = idx.components[instance.owner]
-        by_class.setdefault((owner.design_class, instance.type.letter), []).append(instance)
-    for (class_id, letter), found in sorted(by_class.items()):
-        divisions = {i.division for i in found}
-        if len(divisions) < 2:
+        owner = instance.owner
+        key = (idx.components[owner].design_class, instance.type)
+        shared_design.setdefault(key, []).append(instance)
+        if owner not in feeds_two:
+            feeds_two[owner] = idx.has_two_digital_dependents(owner)
+        if feeds_two[owner]:
+            interdependent.setdefault(key, []).append(instance)
+
+    groups: list[CcfGroup] = []
+    for (class_id, failure_type), found in shared_design.items():
+        if len({i.division for i in found}) < 2:
             continue
-        emit(
+        groups.append(
             CcfGroup(
-                id=f"T4:{class_id}:{letter}",
+                id=f"T4:{class_id}:{failure_type.letter}",
                 ccf_type=4,
                 scope=RedundancyLevel.SYSTEM,
                 trigger=class_id,
                 members=sorted(i.id for i in found),
-                failure_type=FailureModeType(letter),
+                failure_type=failure_type,
             )
         )
-
-    # Type 2: output feeding >= 2 digital components in the owner's division,
-    # merged by design class so replicated divisions share one group.
-    by_owner: dict[str, list[UcaUifInstance]] = {}
-    for instance in instances:
-        by_owner.setdefault(instance.owner, []).append(instance)
-    merged: dict[tuple[str, str], list[UcaUifInstance]] = {}
-    for owner_id, found in by_owner.items():
-        if not idx.has_two_digital_dependents(owner_id):
-            continue
-        design_class = idx.components[owner_id].design_class
-        for instance in found:
-            merged.setdefault((design_class, instance.type.letter), []).append(instance)
-    for (class_id, letter), found in sorted(merged.items()):
+    for (_, failure_type), found in interdependent.items():
         trigger = min(i.owner for i in found)
-        emit(
+        groups.append(
             CcfGroup(
-                id=f"T2:{trigger}:{letter}",
+                id=f"T2:{trigger}:{failure_type.letter}",
                 ccf_type=2,
                 scope=RedundancyLevel.DIVISION,
                 trigger=trigger,
                 members=sorted(i.id for i in found),
-                failure_type=FailureModeType(letter),
+                failure_type=failure_type,
             )
         )
 
@@ -124,7 +115,7 @@ def detect_ccf_groups(model: SystemModel, instances: list[UcaUifInstance]) -> li
     for resource in model.shared_resources:
         if resource.scope is not ResourceScope.EXTERNAL:
             continue
-        emit(
+        groups.append(
             CcfGroup(
                 id=f"T3:{resource.id}",
                 ccf_type=3,
@@ -140,7 +131,7 @@ def detect_ccf_groups(model: SystemModel, instances: list[UcaUifInstance]) -> li
         if not members:
             continue
         for app in link.applicability:
-            emit(
+            groups.append(
                 CcfGroup(
                     id=f"T1:{link.id}:{app.type.letter}",
                     ccf_type=1,
@@ -152,8 +143,8 @@ def detect_ccf_groups(model: SystemModel, instances: list[UcaUifInstance]) -> li
             )
 
     return sorted(
-        groups.values(),
-        key=lambda g: (g.ccf_type, g.trigger, g.failure_type.letter if g.failure_type else ""),
+        groups,
+        key=lambda g: (g.ccf_type, g.trigger, g.failure_type.letter if g.failure_type else "", g.id),
     )
 
 
@@ -171,41 +162,34 @@ def inject_ccf_events(tree: FaultTree, groups: list[CcfGroup]) -> FaultTree:
     Instance members attach the event beside the member event (under the
     owner's software gate); component members attach it under the
     component's failure gate.  A shared node with several parents models the
-    common cause: the one event fails every member at once.  Validation
-    ensures every member of a validated model's groups has a place in the
-    tree synthesized from it; a member with none means the tree came from
-    another model.
+    common cause: the one event fails every member at once.  The new tree
+    shares every node it does not change with the input tree, which is never
+    modified.  Validation ensures every member of a validated model's groups
+    has a place in the tree synthesized from it; a member with none means
+    the tree came from another model.
     """
-    out = tree.copy()
-    parents = out.parents_of()
-
+    parents = tree.parents_of()
+    events: dict[str, BasicEvent] = {}
+    # Gate id -> event ids to append; attach drops repeats and ids a gate has.
+    under: dict[str, list[str]] = {}
     for group in groups:
         event_id = f"ccf:{group.id}"
-        # Insertion-ordered, so the gates keep the order they are first found in.
-        parent_gates: dict[str, None] = {}
         for member in group.members:
-            node = out.nodes.get(member)
-            if isinstance(node, BasicEvent):
-                parent_gates.update(dict.fromkeys(parents[member]))
-                continue
-            fail_gate = f"fail:{member}"
-            if fail_gate in out.nodes:
-                parent_gates[fail_gate] = None
-                continue
-            raise ModelError(
-                f"group '{group.id}' member '{member}' has no location in the fault tree"
-            )
-        if event_id not in out.nodes:
-            out.add(
-                BasicEvent(
-                    id=event_id,
-                    category=EventCategory.CCF,
-                    label=f"common cause: {group.describe()}",
-                    software=group.software,
+            if isinstance(tree.nodes.get(member), BasicEvent):
+                gate_ids = parents[member]
+            elif f"fail:{member}" in tree.nodes:
+                gate_ids = [f"fail:{member}"]
+            else:
+                raise ModelError(
+                    f"group '{group.id}' member '{member}' has no location in the fault tree"
                 )
+            for gate_id in gate_ids:
+                under.setdefault(gate_id, []).append(event_id)
+        if event_id not in tree.nodes and event_id not in events:
+            events[event_id] = BasicEvent(
+                id=event_id,
+                category=EventCategory.CCF,
+                label=f"common cause: {group.describe()}",
+                software=group.software,
             )
-        for gate_id in parent_gates:
-            gate = out.gate(gate_id)
-            if event_id not in gate.children:
-                gate.children.append(event_id)
-    return out
+    return tree.attach(events.values(), under)

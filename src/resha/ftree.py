@@ -24,14 +24,16 @@ sources it groups, and the resource leaves and ``sw:`` gate after all of
 them.  A component reached again reuses its ``fail:`` gate.
 
 Software design gates start empty (unresolved placeholders) and are filled
-by :func:`integrate_software`.
+by :func:`integrate_software`.  A stage that extends a tree does so through
+:meth:`FaultTree.attach`: the new tree shares every node the stage does not
+change, and the input tree is never modified.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from .model import (
     GroupLogic,
@@ -107,24 +109,26 @@ class FaultTree:
         self.nodes[node.id] = node
         return node
 
-    def copy(self) -> FaultTree:
-        """A tree whose gates and child lists are new and whose basic events
-        are shared; no stage mutates a basic event."""
-        nodes: dict[str, Node] = {
-            node_id: Gate(
-                node.id,
-                node.op,
-                list(node.children),
-                node.label,
-                node.failure_for,
-                node.dependency_for,
-                node.placeholder_for,
+    def attach(self, events: Iterable[BasicEvent], under: dict[str, list[str]]) -> FaultTree:
+        """A new tree that adds ``events``, in order, and extends each gate
+        named in ``under`` with the listed ids it lacks, in order.
+
+        An extended gate is replaced by a new one with the same fields and
+        the longer child list; every other node is shared with this tree,
+        which is left unchanged.
+        """
+        out = FaultTree(self.model_name, self.root, dict(self.nodes), self.include_hw_design)
+        for event in events:
+            out.add(event)
+        for gate_id, new_ids in under.items():
+            g = self.gate(gate_id)
+            present = set(g.children)
+            children = g.children + [c for c in dict.fromkeys(new_ids) if c not in present]
+            # The constructor, not dataclasses.replace, which is several times slower.
+            out.nodes[gate_id] = Gate(
+                g.id, g.op, children, g.label, g.failure_for, g.dependency_for, g.placeholder_for
             )
-            if isinstance(node, Gate)
-            else node
-            for node_id, node in self.nodes.items()
-        }
-        return FaultTree(self.model_name, self.root, nodes, self.include_hw_design)
+        return out
 
     def parents_of(self) -> dict[str, list[str]]:
         parents: dict[str, list[str]] = {node_id: [] for node_id in self.nodes}
@@ -326,29 +330,25 @@ def integrate_software(tree: FaultTree, instances: list["UcaUifInstance"]) -> Fa
     """Return a new tree with applicable instances attached as basic events.
 
     Each instance becomes a software basic event under its owner's
-    software-design placeholder gate.  The input tree is not modified.
+    software-design placeholder gate.  The new tree shares every node it
+    does not change with the input tree, which is never modified.
     Validation ensures every owner in a validated model has that gate in
     the tree synthesized from it; an owner without one means the tree came
     from another model.
     """
-    out = tree.copy()
     placeholders = {
-        gate.placeholder_for: gate for gate in out.gates() if gate.placeholder_for is not None
+        gate.placeholder_for: gate.id for gate in tree.gates() if gate.placeholder_for is not None
     }
+    events: list[BasicEvent] = []
+    under: dict[str, list[str]] = {}
     for instance in sorted(instances, key=lambda i: i.id):
-        gate = placeholders.get(instance.owner)
-        if gate is None:
+        gate_id = placeholders.get(instance.owner)
+        if gate_id is None:
             raise ModelError(
                 f"instance '{instance.id}' belongs to '{instance.owner}', "
                 "which has no software gate in the tree"
             )
         category = EventCategory.SW_UCA if instance.flavor.value == "uca" else EventCategory.SW_UIF
-        event = BasicEvent(
-            id=instance.id,
-            category=category,
-            label=instance.describe(),
-            software=True,
-        )
-        out.add(event)
-        gate.children.append(event.id)
-    return out
+        events.append(BasicEvent(instance.id, category, instance.describe(), software=True))
+        under.setdefault(gate_id, []).append(instance.id)
+    return tree.attach(events, under)

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
-import pytest
+import dataclasses
+import random
 
-from conftest import MINI_MODEL, basic_events, mk_tree, scaled_qiasp
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import MINI_MODEL, basic_events, mk_tree, random_analyzable_model, scaled_qiasp
 from resha.ccf import (
     CcfGroup,
     count_by_type,
@@ -12,7 +17,14 @@ from resha.ccf import (
     inject_ccf_events,
 )
 from resha.dsl import parse_model
-from resha.ftree import EventCategory, FaultTree, Gate, integrate_software, synthesize_hardware_ft
+from resha.ftree import (
+    BasicEvent,
+    EventCategory,
+    FaultTree,
+    Gate,
+    integrate_software,
+    synthesize_hardware_ft,
+)
 from resha.model import (
     FailureModeType,
     ModelError,
@@ -53,11 +65,45 @@ shared_resource lan scope: internal dependents: left, right
 """
 
 
+# One controller with two control actions, each commanding two targets.
+TWO_ACTIONS = """\
+system "two actions"
+top_event "bad indication"
+
+loss L-1 "damage"
+hazard H-1 "misleading state" losses: L-1
+
+design_class DC-C "commander"
+design_class DC-T "probes"
+design_class DC-O "crew"
+
+division A {
+  component ctrl kind: controller tech: digital class: DC-C {
+    control_action ca1 -> t1, t2 {
+      applicable: A hazards: H-1
+    }
+    control_action ca2 -> t3, t4 {
+      applicable: A hazards: H-1
+    }
+  }
+  component t1 kind: sensor tech: analog class: DC-T
+  component t2 kind: sensor tech: analog class: DC-T
+  component t3 kind: sensor tech: analog class: DC-T
+  component t4 kind: sensor tech: analog class: DC-T
+  component op kind: operator tech: human class: DC-O {
+    inputs: t1, t2, t3, t4
+  }
+}
+"""
+
+
 def analyzed(text: str):
-    model = expand_replication(parse_model(text))
+    return with_instances(expand_replication(parse_model(text)))
+
+
+def with_instances(model: SystemModel):
     structure = extract_control_structure(model)
-    instances = apply_applicability(enumerate_candidates(structure), model)
-    return model, instances
+    return model, apply_applicability(enumerate_candidates(structure), model)
 
 
 def test_qiasp_counts(qiasp_result):
@@ -150,6 +196,20 @@ def test_type1_detection():
     assert group.scope is RedundancyLevel.DIVISION
     assert group.failure_type is FailureModeType.MISSING
     assert group.software
+
+
+def test_each_control_action_forms_its_own_type1_group():
+    model, instances = analyzed(TWO_ACTIONS)
+    groups = detect_ccf_groups(model, instances)
+    assert [(g.id, g.trigger, g.members) for g in groups] == [
+        ("T1:ca1:A", "ctrl", ["t1", "t2"]),
+        ("T1:ca2:A", "ctrl", ["t3", "t4"]),
+    ]
+    hardware = synthesize_hardware_ft(model)
+    injected = inject_ccf_events(integrate_software(hardware, instances), groups)
+    parents = injected.parents_of()
+    assert set(parents["ccf:T1:ca1:A"]) == {"fail:t1", "fail:t2"}
+    assert set(parents["ccf:T1:ca2:A"]) == {"fail:t3", "fail:t4"}
 
 
 def test_type3_external_resources_only():
@@ -260,29 +320,101 @@ def test_detection_scans_the_links_a_constant_number_of_times(qiasp_text, monkey
     assert steps <= 2 * n_links
 
 
-def _assert_copied(before: FaultTree, after: FaultTree) -> None:
-    """``after`` shares no gate and no child list with ``before``."""
-    for gate in before.gates():
-        copy = after.nodes[gate.id]
-        assert isinstance(copy, Gate)
-        assert copy is not gate
-        assert copy.children is not gate.children
+def _extended_gates(before: FaultTree, before_bytes: str, after: FaultTree) -> int:
+    """Check that ``after`` extends ``before``, which is unchanged, and shares
+    every node it does not extend; return how many gates it extends."""
+    assert export_ft(before) == before_bytes
+    extended = 0
+    for node_id, node in before.nodes.items():
+        new = after.nodes[node_id]
+        if not isinstance(node, Gate) or new.children == node.children:
+            assert new is node, node_id
+            continue
+        extended += 1
+        assert isinstance(new, Gate) and new is not node
+        for f in dataclasses.fields(Gate):
+            if f.name != "children":
+                assert getattr(new, f.name) == getattr(node, f.name), (node_id, f.name)
+        old = len(node.children)
+        assert new.children[:old] == node.children
+        assert set(new.children[old:]).isdisjoint(node.children)
+    return extended
 
 
 def test_integration_and_injection_leave_their_input_tree_unchanged(qiasp_result):
     hardware = qiasp_result.hardware_tree
     hardware_bytes = export_ft(hardware)
     integrated = integrate_software(hardware, qiasp_result.instances)
-    assert export_ft(hardware) == hardware_bytes
-    _assert_copied(hardware, integrated)
+    assert _extended_gates(hardware, hardware_bytes, integrated) == 22
 
     integrated_bytes = export_ft(integrated)
     injected = inject_ccf_events(integrated, qiasp_result.groups)
-    assert export_ft(integrated) == integrated_bytes
-    _assert_copied(integrated, injected)
+    assert _extended_gates(integrated, integrated_bytes, injected) == 22
     assert export_ft(injected) == export_ft(qiasp_result.injected_tree)
 
 
 def test_trees_before_injection_hold_no_ccf_events(qiasp_result):
     for tree in (qiasp_result.hardware_tree, qiasp_result.integrated_tree):
         assert not [e for e in basic_events(tree) if e.category is EventCategory.CCF]
+
+
+def _reference_copy(tree: FaultTree) -> FaultTree:
+    nodes = {
+        node_id: dataclasses.replace(node, children=list(node.children))
+        if isinstance(node, Gate)
+        else node
+        for node_id, node in tree.nodes.items()
+    }
+    return FaultTree(tree.model_name, tree.root, nodes, tree.include_hw_design)
+
+
+def reference_integrate_software(tree: FaultTree, instances) -> FaultTree:
+    """Copy every gate, then append each instance under its owner's placeholder."""
+    out = _reference_copy(tree)
+    placeholders = {g.placeholder_for: g for g in out.gates() if g.placeholder_for is not None}
+    for instance in sorted(instances, key=lambda i: i.id):
+        category = EventCategory.SW_UCA if instance.flavor.value == "uca" else EventCategory.SW_UIF
+        out.add(BasicEvent(instance.id, category, instance.describe(), software=True))
+        placeholders[instance.owner].children.append(instance.id)
+    return out
+
+
+def reference_inject_ccf_events(tree: FaultTree, groups: list[CcfGroup]) -> FaultTree:
+    """Copy every gate, then append each group's event beside its members."""
+    out = _reference_copy(tree)
+    parents = out.parents_of()
+    for group in groups:
+        event_id = f"ccf:{group.id}"
+        if event_id not in out.nodes:
+            label = f"common cause: {group.describe()}"
+            out.add(BasicEvent(event_id, EventCategory.CCF, label, group.software))
+        for member in group.members:
+            is_event = isinstance(out.nodes.get(member), BasicEvent)
+            for gate_id in parents[member] if is_event else [f"fail:{member}"]:
+                if event_id not in out.gate(gate_id).children:
+                    out.gate(gate_id).children.append(event_id)
+    return out
+
+
+def _assert_stages_match_reference(model: SystemModel, include_hw_design: bool) -> None:
+    model, instances = with_instances(model)
+    hardware = synthesize_hardware_ft(model, include_hw_design)
+    integrated = integrate_software(hardware, instances)
+    assert export_ft(integrated) == export_ft(reference_integrate_software(hardware, instances))
+    groups = detect_ccf_groups(model, instances)
+    injected = inject_ccf_events(integrated, groups)
+    assert export_ft(injected) == export_ft(reference_inject_ccf_events(integrated, groups))
+    again = inject_ccf_events(injected, groups)
+    assert export_ft(again) == export_ft(reference_inject_ccf_events(injected, groups))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.booleans())
+def test_stages_match_copy_then_append_reference(seed, include_hw_design):
+    model = expand_replication(random_analyzable_model(random.Random(seed)))
+    _assert_stages_match_reference(model, include_hw_design)
+
+
+@pytest.mark.parametrize("include_hw_design", [False, True])
+def test_stages_match_copy_then_append_reference_on_two_actions(include_hw_design):
+    _assert_stages_match_reference(expand_replication(parse_model(TWO_ACTIONS)), include_hw_design)

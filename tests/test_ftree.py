@@ -167,18 +167,26 @@ def test_integration_rejects_unknown_owner():
         integrate_software(tree, [ghost])
 
 
-def test_copy_carries_every_gate_field_and_no_child_list():
+def test_attach_carries_every_gate_field_and_shares_the_rest():
     gate = Gate("g", GateOp.AND, ["e"], "label", "c1", "c2", "c3")
     for f in dataclasses.fields(Gate):
         if f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING:
             default = f.default_factory() if f.default is dataclasses.MISSING else f.default
             assert getattr(gate, f.name) != default, f.name
     event = BasicEvent("e", EventCategory.SW_UCA, "event", software=True)
-    tree = FaultTree("m", "g", {"g": gate, "e": event}, include_hw_design=True)
-    copied = tree.copy()
-    assert copied == tree
-    assert copied.nodes["g"] is not gate and copied.nodes["g"].children is not gate.children
-    assert copied.nodes["e"] is event
+    other = Gate("h", GateOp.OR, ["e"])
+    tree = FaultTree("m", "g", {"g": gate, "e": event, "h": other}, include_hw_design=True)
+    added = BasicEvent("n", EventCategory.CCF, "added", software=True)
+    out = tree.attach([added], {"g": ["e", "n", "n"]})
+    assert out.nodes["g"] == Gate("g", GateOp.AND, ["e", "n"], "label", "c1", "c2", "c3")
+    assert out.nodes["g"] is not gate and gate.children == ["e"]
+    assert out.nodes["e"] is event and out.nodes["h"] is other and out.nodes["n"] is added
+    assert list(out.nodes) == ["g", "e", "h", "n"] and list(tree.nodes) == ["g", "e", "h"]
+    assert (out.model_name, out.root, out.include_hw_design) == ("m", "g", True)
+    with pytest.raises(ModelError, match="duplicate node id 'e'"):
+        tree.attach([BasicEvent("e", EventCategory.CCF)], {})
+    with pytest.raises(ModelError, match="node 'e' is not a gate"):
+        tree.attach([], {"e": ["n"]})
 
 
 def test_evaluate_monotone_chain():
