@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 from .ftree import BasicEvent, EventCategory, FaultTree
 from .model import (
+    LETTERS,
     FailureModeType,
     ModelError,
     ModelIndex,
@@ -46,7 +47,7 @@ class CcfGroup:
         return self.ccf_type in SOFTWARE_CCF_TYPES
 
     def describe(self) -> str:
-        letter = f" ({self.failure_type.letter})" if self.failure_type else ""
+        letter = f" ({LETTERS[self.failure_type]})" if self.failure_type else ""
         if self.ccf_type == 1:
             return f"shared commanding controller {self.trigger}{letter}"
         if self.ccf_type == 2:
@@ -90,7 +91,7 @@ def detect_ccf_groups(model: SystemModel, instances: list[UcaUifInstance]) -> li
             continue
         groups.append(
             CcfGroup(
-                id=f"T4:{class_id}:{failure_type.letter}",
+                id=f"T4:{class_id}:{LETTERS[failure_type]}",
                 ccf_type=4,
                 scope=RedundancyLevel.SYSTEM,
                 trigger=class_id,
@@ -102,7 +103,7 @@ def detect_ccf_groups(model: SystemModel, instances: list[UcaUifInstance]) -> li
         trigger = min(i.owner for i in found)
         groups.append(
             CcfGroup(
-                id=f"T2:{trigger}:{failure_type.letter}",
+                id=f"T2:{trigger}:{LETTERS[failure_type]}",
                 ccf_type=2,
                 scope=RedundancyLevel.DIVISION,
                 trigger=trigger,
@@ -133,7 +134,7 @@ def detect_ccf_groups(model: SystemModel, instances: list[UcaUifInstance]) -> li
         for app in link.applicability:
             groups.append(
                 CcfGroup(
-                    id=f"T1:{link.id}:{app.type.letter}",
+                    id=f"T1:{link.id}:{LETTERS[app.type]}",
                     ccf_type=1,
                     scope=_scope_for(idx, members),
                     trigger=link.source,
@@ -144,7 +145,7 @@ def detect_ccf_groups(model: SystemModel, instances: list[UcaUifInstance]) -> li
 
     return sorted(
         groups,
-        key=lambda g: (g.ccf_type, g.trigger, g.failure_type.letter if g.failure_type else "", g.id),
+        key=lambda g: (g.ccf_type, g.trigger, LETTERS[g.failure_type] if g.failure_type else "", g.id),
     )
 
 

@@ -36,6 +36,8 @@ from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from .model import (
+    LOGIC_NAMES,
+    SCOPE_NAMES,
     GroupLogic,
     ModelError,
     ModelIndex,
@@ -60,6 +62,11 @@ class EventCategory(str, Enum):
     SW_UCA = "sw_uca"
     SW_UIF = "sw_uif"
     CCF = "ccf"
+
+
+# Each member's string, read in place of ``member.value`` (see ``resha.model``).
+GATE_OP_NAMES: dict[GateOp, str] = {op: op.value for op in GateOp}
+EVENT_CATEGORY_NAMES: dict[EventCategory, str] = {c: c.value for c in EventCategory}
 
 
 @dataclass
@@ -124,7 +131,7 @@ class FaultTree:
             g = self.gate(gate_id)
             present = set(g.children)
             children = g.children + [c for c in dict.fromkeys(new_ids) if c not in present]
-            # The constructor, not dataclasses.replace, which is several times slower.
+            # Built with the constructor, as the ``resha.model`` docstring says.
             out.nodes[gate_id] = Gate(
                 g.id, g.op, children, g.label, g.failure_for, g.dependency_for, g.placeholder_for
             )
@@ -237,7 +244,7 @@ def _group_children(
             id=f"{gate_id}:{group.id}",
             op=GateOp.AND if group.logic is GroupLogic.ALL_MUST_FAIL else GateOp.OR,
             children=[f"fail:{s}" for s in matched],
-            label=f"{group.id} redundancy defeated ({group.logic.value})",
+            label=f"{group.id} redundancy defeated ({LOGIC_NAMES[group.logic]})",
         )
         steps += [*matched, sub]
         children.append(sub.id)
@@ -260,7 +267,7 @@ def synthesize_hardware_ft(model: SystemModel, include_hw_design: bool = False) 
     tree = FaultTree(model_name=model.name, root="top", include_hw_design=include_hw_design)
     leaves_of: dict[str, list[BasicEvent]] = {}
     for resource in model.shared_resources:
-        label = f"shared {resource.scope.value} resource {resource.id} fails"
+        label = f"shared {SCOPE_NAMES[resource.scope]} resource {resource.id} fails"
         leaf = BasicEvent(f"resource:{resource.id}", EventCategory.DEPENDENCY_LEAF, label)
         for dependent in resource.dependents:
             leaves_of.setdefault(dependent, []).append(leaf)
@@ -348,7 +355,8 @@ def integrate_software(tree: FaultTree, instances: list["UcaUifInstance"]) -> Fa
                 f"instance '{instance.id}' belongs to '{instance.owner}', "
                 "which has no software gate in the tree"
             )
-        category = EventCategory.SW_UCA if instance.flavor.value == "uca" else EventCategory.SW_UIF
+        # Flavor is a str enum; comparing with its string reads no ``.value``.
+        category = EventCategory.SW_UCA if instance.flavor == "uca" else EventCategory.SW_UIF
         events.append(BasicEvent(instance.id, category, instance.describe(), software=True))
         under.setdefault(gate_id, []).append(instance.id)
     return tree.attach(events, under)

@@ -9,6 +9,17 @@ depends on), ``ModelIndex.in_group`` (redundancy-group membership) and
 ``depth_first`` (children-first order and cycles, for models and trees).
 Each model has one index, ``SystemModel.index``, which validation builds
 over the expanded model and every later stage reads.
+
+Two rules keep the per-object loops of the stages cheap:
+
+- A value built once per component, link, instance or tree node is built
+  with its class's constructor, every field passed, never with
+  ``dataclasses.replace``, which costs several times more per call.
+- An enum's strings are read from one table beside the enum, such as
+  ``LETTERS`` below, never through ``member.value`` in such a loop: the
+  ``value`` descriptor costs several times a dict lookup.  A member is
+  never formatted (an f-string, ``str()`` or ``format()``), because
+  Python 3.11 changed what that gives for mixed-in enums.
 """
 
 from __future__ import annotations
@@ -106,7 +117,7 @@ class FailureModeType(str, Enum):
 
     @property
     def letter(self) -> str:
-        return self.value
+        return LETTERS[self]
 
     @property
     def stpa_category(self) -> StpaCategory:
@@ -138,6 +149,14 @@ class GroupLogic(str, Enum):
 class ResourceScope(str, Enum):
     INTERNAL = "internal"
     EXTERNAL = "external"
+
+
+# Each member's string, read in place of ``member.value`` (see the module docstring).
+LETTERS: dict[FailureModeType, str] = {t: t.value for t in FailureModeType}
+STPA_CATEGORY_NAMES: dict[StpaCategory, str] = {c: c.value for c in StpaCategory}
+LEVEL_NAMES: dict[RedundancyLevel, str] = {level: level.value for level in RedundancyLevel}
+LOGIC_NAMES: dict[GroupLogic, str] = {logic: logic.value for logic in GroupLogic}
+SCOPE_NAMES: dict[ResourceScope, str] = {scope: scope.value for scope in ResourceScope}
 
 
 @dataclass(frozen=True)
@@ -461,7 +480,7 @@ def expand_replication(model: SystemModel) -> SystemModel:
             if ref.component not in local_ids:
                 return ref
             port = None if ref.port is None else ref.port + suffix
-            return replace(ref, component=ref.component + suffix, port=port)
+            return Ref(ref.component + suffix, port, ref.span)
 
         components: list[Component] = []
         for component in source.components:
@@ -472,24 +491,31 @@ def expand_replication(model: SystemModel) -> SystemModel:
                     division.span,
                 )
             all_component_ids.add(clone_id)
+            # The authored applicability list is shared, not copied.
             links = [
-                replace(
-                    link, id=link.id + suffix, source=clone_id, targets=[rename(t) for t in link.targets]
+                Link(
+                    link.id + suffix,
+                    link.kind,
+                    clone_id,
+                    [rename(t) for t in link.targets],
+                    link.applicability,
+                    link.span,
                 )
                 for link in component.links
             ]
             components.append(
-                replace(
-                    component,
-                    id=clone_id,
-                    inputs=[rename_ref(ref) for ref in component.inputs],
-                    feedback_inputs=[rename_ref(ref) for ref in component.feedback_inputs],
-                    links=links,
+                Component(
+                    clone_id,
+                    component.kind,
+                    component.tech,
+                    component.design_class,
+                    [rename_ref(ref) for ref in component.inputs],
+                    [rename_ref(ref) for ref in component.feedback_inputs],
+                    links,
+                    component.span,
                 )
             )
-        divisions.append(
-            replace(division, components=components, replicates=None, replicated_from=source_id)
-        )
+        divisions.append(Division(division.id, components, None, source_id, division.span))
     return replace(model, divisions=divisions)
 
 

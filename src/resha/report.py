@@ -9,8 +9,17 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
-from .ftree import BasicEvent, EventCategory, FaultTree, Gate, GateOp, Node
-from .model import FailureModeType, ModelError, SystemModel
+from .ftree import (
+    EVENT_CATEGORY_NAMES,
+    GATE_OP_NAMES,
+    BasicEvent,
+    EventCategory,
+    FaultTree,
+    Gate,
+    GateOp,
+    Node,
+)
+from .model import LETTERS, LEVEL_NAMES, STPA_CATEGORY_NAMES, FailureModeType, ModelError, SystemModel
 
 if TYPE_CHECKING:
     from .ccf import CcfGroup
@@ -102,7 +111,7 @@ def generate_guidance(
     idx = model.index
     instance_by_id = {i.id: i for i in instances}
     report = GuidanceReport()
-    report.letters_present = sorted({i.type.letter for i in instances})
+    report.letters_present = sorted({LETTERS[i.type] for i in instances})
 
     by_tag: dict[str, list[CcfGroup]] = {}
     for group in groups:
@@ -128,7 +137,7 @@ def generate_guidance(
             CouplingFinding(
                 trigger=trigger,
                 failure_types=sorted(
-                    {g.failure_type.letter for g in trigger_groups if g.failure_type}
+                    {LETTERS[g.failure_type] for g in trigger_groups if g.failure_type}
                 ),
                 dependents=idx.transitive_digital_dependents(trigger),
             )
@@ -152,6 +161,12 @@ def export_ft(tree: FaultTree) -> str:
     order, and the optional ones only when set.
     """
     q = encode_basestring_ascii
+    # Each gate's kind and op, and each event's kind and category, encoded once.
+    gate_kinds = {op: f',\n      "kind": "gate",\n      "op": {q(name)}' for op, name in GATE_OP_NAMES.items()}
+    event_kinds = {
+        category: f',\n      "kind": "event",\n      "category": {q(name)}'
+        for category, name in EVENT_CATEGORY_NAMES.items()
+    }
     out = [
         '{\n  "schema": ', q(FT_SCHEMA),
         ',\n  "model": ', q(tree.model_name),
@@ -164,7 +179,7 @@ def export_ft(tree: FaultTree) -> str:
         out += (separator, '      "id": ', q(node.id))
         separator = ",\n    {\n"
         if isinstance(node, Gate):
-            out += (',\n      "kind": "gate",\n      "op": ', q(node.op.value))
+            out.append(gate_kinds[node.op])
             if node.label:
                 out += (',\n      "label": ', q(node.label))
             if node.children:
@@ -179,7 +194,7 @@ def export_ft(tree: FaultTree) -> str:
             if node.placeholder_for is not None:
                 out += (',\n      "placeholder_for": ', q(node.placeholder_for))
         else:
-            out += (',\n      "kind": "event",\n      "category": ', q(node.category.value))
+            out.append(event_kinds[node.category])
             if node.label:
                 out += (',\n      "label": ', q(node.label))
             if node.software:
@@ -285,7 +300,7 @@ def cutsets_csv(collection: CutSetCollection, tree: FaultTree) -> str:
     ids, categories, software = collection.events, {}, set()
     for i in collection.members():
         node = tree.nodes.get(ids[i])
-        categories[i] = node.category.value if isinstance(node, BasicEvent) else "?"
+        categories[i] = EVENT_CATEGORY_NAMES[node.category] if isinstance(node, BasicEvent) else "?"
         if isinstance(node, BasicEvent) and node.software:
             software.add(i)
     special = {i for i in categories if not _CSV_SPECIAL.isdisjoint(ids[i])}
@@ -320,9 +335,9 @@ def ccf_csv(groups: list[CcfGroup]) -> str:
             [
                 group.id,
                 group.ccf_type,
-                group.scope.value,
+                LEVEL_NAMES[group.scope],
                 group.trigger,
-                group.failure_type.letter if group.failure_type else "",
+                LETTERS[group.failure_type] if group.failure_type else "",
                 ";".join(group.members),
             ]
         )
@@ -331,7 +346,16 @@ def ccf_csv(groups: list[CcfGroup]) -> str:
 
 def traceability_csv(instances: list[UcaUifInstance], model: SystemModel) -> str:
     """One row per instance, with its hazards and, through them, its sorted losses."""
+    from .stpa import FLAVOR_NAMES
+
     hazards = model.index.hazards
+    # Each distinct hazard list's joined hazards and sorted losses, built once.
+    joined: dict[tuple[str, ...], tuple[str, str]] = {}
+    for instance in instances:
+        key = tuple(instance.hazards)
+        if key not in joined:
+            losses = sorted({loss for h in key for loss in hazards[h].losses})
+            joined[key] = (";".join(key), ";".join(losses))
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(
@@ -340,14 +364,13 @@ def traceability_csv(instances: list[UcaUifInstance], model: SystemModel) -> str
     writer.writerows(
         (
             instance.id,
-            instance.flavor.value,
-            instance.type.letter,
-            instance.stpa_category.value,
+            FLAVOR_NAMES[instance.flavor],
+            LETTERS[instance.type],
+            STPA_CATEGORY_NAMES[instance.stpa_category],
             instance.owner,
             instance.link,
             instance.division,
-            ";".join(instance.hazards),
-            ";".join(sorted({loss for h in instance.hazards for loss in hazards[h].losses})),
+            *joined[tuple(instance.hazards)],
         )
         for instance in instances
     )

@@ -9,10 +9,11 @@ transitively, its losses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .model import (
+    LETTERS,
     FailureModeType,
     Link,
     LinkKind,
@@ -34,6 +35,10 @@ _TYPE_PHRASE = {
 class Flavor(str, Enum):
     UCA = "uca"
     UIF = "uif"
+
+
+# Each member's string, read in place of ``member.value`` (see ``resha.model``).
+FLAVOR_NAMES: dict[Flavor, str] = {f: f.value for f in Flavor}
 
 
 @dataclass
@@ -81,22 +86,19 @@ class UcaUifInstance:
         return f"{noun} {self.link} {_TYPE_PHRASE[self.type]}"
 
 
+# Every failure-mode type with its letter, in declaration order.
+_TYPE_LETTERS = tuple(LETTERS.items())
+
+
 def enumerate_candidates(structure: ControlStructure) -> list[UcaUifInstance]:
     """All seven types for every link, unfiltered (hazards left empty)."""
     candidates: list[UcaUifInstance] = []
     for link in structure.links:
         flavor = Flavor.UCA if link.kind is LinkKind.CONTROL_ACTION else Flavor.UIF
         division = structure.division_of[link.source]
-        for type_ in FailureModeType:
+        for type_, letter in _TYPE_LETTERS:
             candidates.append(
-                UcaUifInstance(
-                    id=f"{link.id}:{type_.letter}:{division}",
-                    flavor=flavor,
-                    type=type_,
-                    owner=link.source,
-                    link=link.id,
-                    division=division,
-                )
+                UcaUifInstance(f"{link.id}:{letter}:{division}", flavor, type_, link.source, link.id, division)
             )
     return candidates
 
@@ -109,16 +111,16 @@ def apply_applicability(
     Kept instances carry their hazard ids.  Output is sorted by (division,
     owner, type letter) and is deterministic.
     """
-    declared: dict[tuple[str, str], list[str]] = {}
+    declared: dict[tuple[str, FailureModeType], list[str]] = {}
     for link in model.links():
         for app in link.applicability:
-            declared[(link.id, app.type.letter)] = list(app.hazards)
+            declared[(link.id, app.type)] = list(app.hazards)
     kept: list[UcaUifInstance] = []
-    for candidate in candidates:
-        hazards = declared.get((candidate.link, candidate.type.letter))
+    for c in candidates:
+        hazards = declared.get((c.link, c.type))
         if hazards is not None:
-            kept.append(replace(candidate, hazards=hazards))
-    kept.sort(key=lambda i: (i.division, i.owner, i.type.letter, i.id))
+            kept.append(UcaUifInstance(c.id, c.flavor, c.type, c.owner, c.link, c.division, hazards))
+    kept.sort(key=lambda i: (i.division, i.owner, LETTERS[i.type], i.id))
     return kept
 
 

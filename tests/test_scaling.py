@@ -1,6 +1,6 @@
 """Stage cost grows near-linearly with model size.
 
-Each guard times the stages up to one goal on a generated model of size n
+Each guard times the stages up to its goals on a generated model of size n
 and of size 8n: CPU time with the cyclic collector held off, best of three,
 the two sizes taking turns.  Linear work grows about 8x and quadratic work
 about 64x, so the bound of 24x sits far from both and tolerates a noisy
@@ -14,9 +14,10 @@ import gc
 import time
 from collections.abc import Callable
 
+from conftest import scaled_qiasp
 from resha.dsl import parse_model
 from resha.model import ModelIndex
-from resha.pipeline import run_stages
+from resha.pipeline import STAGES, run_stages
 
 GROWTH_BOUND = 24.0
 
@@ -63,13 +64,15 @@ def _cpu_seconds(function: Callable[..., object], *args: object) -> float:
         gc.enable()
 
 
-def _growth(text_for: Callable[[int], str], size: int, goal: str) -> float:
-    """CPU time of the stages up to ``goal`` at 8 * size over that at size."""
+def _growth(text_for: Callable[[int], str], size: int, *goals: str, **options: object) -> float:
+    """CPU time of the stages up to ``goals`` at 8 * size over that at size;
+    ``options`` are the PipelineOptions values the stages read."""
     models = [parse_model(text_for(n)) for n in (size, 8 * size)]
     best = [float("inf"), float("inf")]
     for _ in range(3):
         for i, model in enumerate(models):
-            best[i] = min(best[i], _cpu_seconds(run_stages, {"model": model}, goal))
+            values = {"model": model, **options}
+            best[i] = min(best[i], _cpu_seconds(run_stages, values, *goals))
     return best[1] / best[0]
 
 
@@ -87,3 +90,14 @@ def test_wide_fan_in_validation_grows_linearly():
     idx = ModelIndex(run_stages({"model": parse_model(fan_in_text(3))}, "expanded")["expanded"])
     assert list(idx.dependency_sources(idx.components["op"])) == ["s0", "s1", "s2"]
     assert _growth(fan_in_text, 1000, "expanded") < GROWTH_BOUND
+
+
+def test_replicated_divisions_grow_linearly(qiasp_text):
+    # Every replica copies division A, and every link yields seven
+    # candidates; 3 against 24 divisions, through every stage at order 1.
+    divisions = parse_model(scaled_qiasp(qiasp_text, 24)).divisions
+    assert sum(d.replicates == "A" for d in divisions) == 23
+    growth = _growth(
+        lambda n: scaled_qiasp(qiasp_text, n), 3, *STAGES, include_hw_design=False, max_order=1
+    )
+    assert growth < GROWTH_BOUND

@@ -1,6 +1,7 @@
 """Source hygiene: no dead imports, no unread parameters, no default that no
 call overrides, no runtime code that only tests call, no dataclass field or
-``__init__`` attribute that nothing reads, and no ``copy`` module.
+``__init__`` attribute that nothing reads, no ``copy`` module, and no enum
+``.value`` read in a stage module outside its enum tables.
 
 The package is read with ``ast`` alone; nothing under ``src/resha`` is
 imported or run here.
@@ -371,3 +372,24 @@ def test_no_module_imports_copy():
             if "copy" in modules:
                 importers.append(f"{name}:{node.lineno}")
     assert importers == []
+
+
+def test_stages_read_enum_strings_from_tables():
+    # ``member.value`` runs a descriptor on every read, so the stage and
+    # renderer modules read an enum's strings from the one module-level
+    # table beside it (see the ``resha.model`` docstring).
+    modules = _modules()
+    reads = []
+    for name in ("ccf.py", "cutsets.py", "ftree.py", "model.py", "report.py", "stpa.py"):
+        tables = [
+            node
+            for node in modules[name].body
+            if isinstance(node, ast.AnnAssign) and isinstance(node.value, ast.DictComp)
+        ]
+        in_tables = {id(inner) for table in tables for inner in ast.walk(table)}
+        reads += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(modules[name])
+            if isinstance(node, ast.Attribute) and node.attr == "value" and id(node) not in in_tables
+        ]
+    assert reads == []
