@@ -28,7 +28,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .dsl import ParseError, parse_model
-from .model import ModelError, SystemModel
+from .model import LEVEL_NAMES, ModelError, SystemModel
 from .pipeline import PipelineOptions, ValidationFailed, analyze_model, read_input
 from .pipeline import run_pipeline, run_stages
 
@@ -84,6 +84,7 @@ def cmd_stpa(args) -> int:
     import json
 
     from .report import traceability_csv
+    from .stpa import FLAVOR_NAMES
 
     values = _run(args, "candidates", "instances")
     candidates, instances = values["candidates"], values["instances"]
@@ -95,7 +96,7 @@ def cmd_stpa(args) -> int:
             "instances": [
                 {
                     "id": i.id,
-                    "flavor": i.flavor.value,
+                    "flavor": FLAVOR_NAMES[i.flavor],
                     "type": i.type.letter,
                     "owner": i.owner,
                     "link": i.link,
@@ -109,7 +110,7 @@ def cmd_stpa(args) -> int:
     else:
         lines = [f"candidates: {len(candidates)}", f"applicable: {len(instances)}"]
         lines += [
-            f"{i.id}  {i.flavor.value}  type {i.type.letter}  owner {i.owner}  "
+            f"{i.id}  {FLAVOR_NAMES[i.flavor]}  type {i.type.letter}  owner {i.owner}  "
             f"hazards {','.join(i.hazards)}"
             for i in instances
         ]
@@ -158,7 +159,7 @@ def cmd_ccf(args) -> int:
             {
                 "id": g.id,
                 "type": g.ccf_type,
-                "scope": g.scope.value,
+                "scope": LEVEL_NAMES[g.scope],
                 "trigger": g.trigger,
                 "failure_type": g.failure_type.letter if g.failure_type else None,
                 "members": g.members,

@@ -201,15 +201,15 @@ class BranchCensus:
 
 
 def branch_census(tree: FaultTree) -> BranchCensus:
-    """Count structural branches reachable from the root.
+    """Count the structural branches of a synthesized hardware tree.
 
-    Shared nodes count once (the arena holds one node per id, however many
-    parents reference it).  Dependency branches are the per-component
+    Synthesis adds only nodes reachable from the root, so this counts the
+    arena, which holds one node per id however many parents reference it:
+    shared nodes count once.  Dependency branches are the per-component
     dependency gates; group sub-gates inside them are not counted.
     """
     census = BranchCensus()
-    for node_id in tree.topological_nodes():
-        node = tree.nodes[node_id]
+    for node in tree.nodes.values():
         if isinstance(node, BasicEvent):
             if node.category is EventCategory.HW_STOCHASTIC:
                 census.hw_stochastic += 1

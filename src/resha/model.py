@@ -17,9 +17,12 @@ Two rules keep the per-object loops of the stages cheap:
   ``dataclasses.replace``, which costs several times more per call.
 - An enum's strings are read from one table beside the enum, such as
   ``LETTERS`` below, never through ``member.value`` in such a loop: the
-  ``value`` descriptor costs several times a dict lookup.  A member is
-  never formatted (an f-string, ``str()`` or ``format()``), because
-  Python 3.11 changed what that gives for mixed-in enums.
+  ``value`` descriptor costs several times a dict lookup.  The CLI
+  listings read the same tables.  A string that is not an enum's value
+  gets its own table keyed by the enum: ``STPA_CATEGORY_NAMES`` gives each
+  failure-mode type's STPA category.  A member is never formatted (an
+  f-string, ``str()`` or ``format()``), because Python 3.11 changed what
+  that gives for mixed-in enums.
 """
 
 from __future__ import annotations
@@ -86,15 +89,6 @@ class LinkKind(str, Enum):
     INFORMATION_FLOW = "information_flow"
 
 
-class StpaCategory(str, Enum):
-    """The four classic control-action failure categories."""
-
-    MISSING = "missing_when_needed"
-    NOT_NEEDED = "provided_when_not_needed"
-    TIMING_ORDER = "wrong_timing_or_order"
-    DURATION_MAGNITUDE = "wrong_duration_or_magnitude"
-
-
 class FailureModeType(str, Enum):
     """Seven lettered failure modes for control actions and information flows.
 
@@ -119,19 +113,16 @@ class FailureModeType(str, Enum):
     def letter(self) -> str:
         return LETTERS[self]
 
-    @property
-    def stpa_category(self) -> StpaCategory:
-        return _STPA_BY_TYPE[self]
 
-
-_STPA_BY_TYPE = {
-    FailureModeType.MISSING: StpaCategory.MISSING,
-    FailureModeType.UNNEEDED: StpaCategory.NOT_NEEDED,
-    FailureModeType.TOO_EARLY: StpaCategory.TIMING_ORDER,
-    FailureModeType.TOO_LATE: StpaCategory.TIMING_ORDER,
-    FailureModeType.WRONG_ORDER: StpaCategory.TIMING_ORDER,
-    FailureModeType.EXCESSIVE: StpaCategory.DURATION_MAGNITUDE,
-    FailureModeType.INSUFFICIENT: StpaCategory.DURATION_MAGNITUDE,
+# The classic STPA control-action failure category of each failure-mode type.
+STPA_CATEGORY_NAMES: dict[FailureModeType, str] = {
+    FailureModeType.MISSING: "missing_when_needed",
+    FailureModeType.UNNEEDED: "provided_when_not_needed",
+    FailureModeType.TOO_EARLY: "wrong_timing_or_order",
+    FailureModeType.TOO_LATE: "wrong_timing_or_order",
+    FailureModeType.WRONG_ORDER: "wrong_timing_or_order",
+    FailureModeType.EXCESSIVE: "wrong_duration_or_magnitude",
+    FailureModeType.INSUFFICIENT: "wrong_duration_or_magnitude",
 }
 
 
@@ -153,7 +144,6 @@ class ResourceScope(str, Enum):
 
 # Each member's string, read in place of ``member.value`` (see the module docstring).
 LETTERS: dict[FailureModeType, str] = {t: t.value for t in FailureModeType}
-STPA_CATEGORY_NAMES: dict[StpaCategory, str] = {c: c.value for c in StpaCategory}
 LEVEL_NAMES: dict[RedundancyLevel, str] = {level: level.value for level in RedundancyLevel}
 LOGIC_NAMES: dict[GroupLogic, str] = {logic: logic.value for logic in GroupLogic}
 SCOPE_NAMES: dict[ResourceScope, str] = {scope: scope.value for scope in ResourceScope}

@@ -141,17 +141,18 @@ def analyze_text(text: str, file_name: str = "<model>", options: PipelineOptions
 
 def write_artifacts(result: AnalysisResult, out_dir: Path) -> list[Path]:
     """Write the six artifact files; returns their paths in a fixed order."""
-    from .report import ccf_csv, cutsets_csv, export_ft, render_summary, traceability_csv
+    from .report import ccf_csv, cutsets_csv, export_ft, markup_summary, summary_lines, traceability_csv
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    summary = summary_lines(result)
     contents = {
         "ft.json": export_ft(result.injected_tree),
         "cutsets.csv": cutsets_csv(result.collection, result.injected_tree),
         "ccf.csv": ccf_csv(result.groups),
         "traceability.csv": traceability_csv(result.instances, result.expanded),
-        "summary.md": render_summary(result, "md"),
-        "summary.txt": render_summary(result, "txt"),
+        "summary.md": markup_summary(summary, "md"),
+        "summary.txt": markup_summary(summary, "txt"),
     }
     paths = []
     for name in ARTIFACT_NAMES:

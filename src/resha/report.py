@@ -366,7 +366,7 @@ def traceability_csv(instances: list[UcaUifInstance], model: SystemModel) -> str
             instance.id,
             FLAVOR_NAMES[instance.flavor],
             LETTERS[instance.type],
-            STPA_CATEGORY_NAMES[instance.stpa_category],
+            STPA_CATEGORY_NAMES[instance.type],
             instance.owner,
             instance.link,
             instance.division,
@@ -392,85 +392,73 @@ def cut_set_counts(collection: CutSetCollection, first_order: FirstOrderReport) 
     ]
 
 
-def render_summary(result: AnalysisResult, fmt: str = "md") -> str:
-    """Render the run summary of an analysis; formats: ``md`` and ``txt``."""
+def summary_lines(result: AnalysisResult) -> list[tuple[str, str]]:
+    """The run summary of an analysis, once for every format, as ``(kind,
+    text)`` lines; a kind is ``title``, ``heading``, ``bullet`` or ``line``."""
     from .ccf import count_by_type
     from .stpa import instances_by_division
 
+    model, census, guidance = result.expanded, result.census, result.guidance
+    lines = [
+        ("title", f"Hazard analysis summary: {model.name}"),
+        ("heading", "Model"),
+        ("bullet", f"Divisions: {len(model.divisions)}"),
+        ("bullet", f"Components: {sum(1 for _ in model.components())}"),
+        ("bullet", f"Links: {sum(1 for _ in model.links())}"),
+        ("bullet", f"Top event: {model.top_event}"),
+        ("heading", "Interaction analysis"),
+        ("bullet", f"Candidates enumerated: {len(result.candidates)}"),
+    ]
+    for division, found in sorted(instances_by_division(result.candidates).items()):
+        lines.append(("bullet", f"Candidates in division {division}: {len(found)}"))
+    lines.append(("bullet", f"Applicable instances: {len(result.instances)}"))
+    for division, found in sorted(instances_by_division(result.instances).items()):
+        lines.append(("bullet", f"Applicable in division {division}: {len(found)}"))
+    lines += [
+        ("heading", "Fault tree"),
+        ("bullet", f"Hardware stochastic basic events: {census.hw_stochastic}"),
+        ("bullet", f"Dependency failure branches: {census.dependency}"),
+        ("bullet", f"Software design branches: {census.sw_design}"),
+        ("bullet", f"Hardware design basic events: {census.hw_design}"),
+        ("bullet", f"Hardware design events included: {'yes' if result.options.include_hw_design else 'no'}"),
+        ("heading", "Common cause failures"),
+        *(("line", f"Type {t} sCCF: {count}") for t, count in count_by_type(result.groups).items()),
+        ("line", f"Total sCCF groups: {len(result.groups)}"),
+        ("heading", "Minimal cut sets"),
+        *(("line", text) for text in cut_set_counts(result.collection, result.first_order)),
+    ]
+    spof = [f"{e.id} ({'software' if e.software else 'hardware'}): {e.label}" for e in guidance.spof_entries]
+    for heading, bullets in (
+        ("Single points of failure", spof),
+        ("Diversity findings", [f.advice() for f in guidance.diversity_findings]),
+        ("Coupling findings", [f.advice() for f in guidance.coupling_findings]),
+    ):
+        lines.append(("heading", heading))
+        lines += [("bullet", text) for text in bullets or ["none found"]]
+    lines.append(("heading", "Cause guidance"))
+    for letter in guidance.letters_present:
+        lines.append(("bullet", f"Type {letter}: {CAUSE_MAP[FailureModeType(letter)]}"))
+    return lines
+
+
+def markup_summary(lines: list[tuple[str, str]], fmt: str) -> str:
+    """Mark up ``summary_lines`` as ``md`` or ``txt``."""
     if fmt not in ("md", "txt"):
         raise ModelError(f"unknown summary format '{fmt}' (one of: md, txt)")
     md = fmt == "md"
-    lines: list[str] = []
-
-    def heading(text: str) -> None:
-        if lines:
-            lines.append("")
-        if md:
-            lines.append(f"## {text}")
+    out: list[str] = []
+    for kind, text in lines:
+        if kind == "title":
+            out += [f"# {text}"] if md else [text, "=" * len(text)]
+        elif kind == "heading":
+            out += ["", f"## {text}"] if md else ["", text, "-" * len(text)]
+        elif kind == "bullet":
+            out.append(f"- {text}" if md else f"  * {text}")
         else:
-            lines.append(text)
-            lines.append("-" * len(text))
+            out.append(text)
+    return "\n".join(out) + "\n"
 
-    def bullet(text: str) -> None:
-        lines.append(f"- {text}" if md else f"  * {text}")
 
-    model = result.expanded
-    title = f"Hazard analysis summary: {model.name}"
-    lines.append(f"# {title}" if md else title)
-    if not md:
-        lines.append("=" * len(title))
-
-    heading("Model")
-    components = list(model.components())
-    bullet(f"Divisions: {len(model.divisions)}")
-    bullet(f"Components: {len(components)}")
-    bullet(f"Links: {sum(1 for _ in model.links())}")
-    bullet(f"Top event: {model.top_event}")
-
-    heading("Interaction analysis")
-    bullet(f"Candidates enumerated: {len(result.candidates)}")
-    for division, found in sorted(instances_by_division(result.candidates).items()):
-        bullet(f"Candidates in division {division}: {len(found)}")
-    bullet(f"Applicable instances: {len(result.instances)}")
-    for division, found in sorted(instances_by_division(result.instances).items()):
-        bullet(f"Applicable in division {division}: {len(found)}")
-
-    heading("Fault tree")
-    bullet(f"Hardware stochastic basic events: {result.census.hw_stochastic}")
-    bullet(f"Dependency failure branches: {result.census.dependency}")
-    bullet(f"Software design branches: {result.census.sw_design}")
-    bullet(f"Hardware design basic events: {result.census.hw_design}")
-    bullet(f"Hardware design events included: {'yes' if result.options.include_hw_design else 'no'}")
-
-    heading("Common cause failures")
-    for ccf_type, count in count_by_type(result.groups).items():
-        lines.append(f"Type {ccf_type} sCCF: {count}")
-    lines.append(f"Total sCCF groups: {len(result.groups)}")
-
-    heading("Minimal cut sets")
-    lines.extend(cut_set_counts(result.collection, result.first_order))
-
-    heading("Single points of failure")
-    if not result.guidance.spof_entries:
-        bullet("none found")
-    for entry in result.guidance.spof_entries:
-        origin = "software" if entry.software else "hardware"
-        bullet(f"{entry.id} ({origin}): {entry.label}")
-
-    heading("Diversity findings")
-    if not result.guidance.diversity_findings:
-        bullet("none found")
-    for finding in result.guidance.diversity_findings:
-        bullet(finding.advice())
-
-    heading("Coupling findings")
-    if not result.guidance.coupling_findings:
-        bullet("none found")
-    for finding in result.guidance.coupling_findings:
-        bullet(finding.advice())
-
-    heading("Cause guidance")
-    for letter in result.guidance.letters_present:
-        bullet(f"Type {letter}: {CAUSE_MAP[FailureModeType(letter)]}")
-
-    return "\n".join(lines) + "\n"
+def render_summary(result: AnalysisResult, fmt: str = "md") -> str:
+    """Render the run summary of an analysis; formats: ``md`` and ``txt``."""
+    return markup_summary(summary_lines(result), fmt)

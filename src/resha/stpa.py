@@ -17,7 +17,6 @@ from .model import (
     FailureModeType,
     Link,
     LinkKind,
-    StpaCategory,
     SystemModel,
 )
 
@@ -43,26 +42,17 @@ FLAVOR_NAMES: dict[Flavor, str] = {f: f.value for f in Flavor}
 
 @dataclass
 class ControlStructure:
-    """The model's links, split by kind; wiring that carries no link stays out."""
+    """The model's links, control actions first and in declaration order
+    within each kind; wiring that carries no link stays out."""
 
-    control_edges: list[Link]
-    info_edges: list[Link]
+    links: list[Link]
     division_of: dict[str, str]
-
-    @property
-    def links(self) -> list[Link]:
-        return self.control_edges + self.info_edges
 
 
 def extract_control_structure(model: SystemModel) -> ControlStructure:
-    control_edges: list[Link] = []
-    info_edges: list[Link] = []
-    for link in model.links():
-        if link.kind is LinkKind.CONTROL_ACTION:
-            control_edges.append(link)
-        else:
-            info_edges.append(link)
-    return ControlStructure(control_edges, info_edges, model.index.division_of)
+    # sorted is stable, so each kind keeps its declaration order.
+    links = sorted(model.links(), key=lambda link: link.kind is not LinkKind.CONTROL_ACTION)
+    return ControlStructure(links, model.index.division_of)
 
 
 @dataclass
@@ -76,10 +66,6 @@ class UcaUifInstance:
     link: str
     division: str
     hazards: list[str] = field(default_factory=list)
-
-    @property
-    def stpa_category(self) -> StpaCategory:
-        return self.type.stpa_category
 
     def describe(self) -> str:
         noun = "control action" if self.flavor is Flavor.UCA else "information flow"

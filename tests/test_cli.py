@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import json
 import os
@@ -208,6 +209,27 @@ def test_stpa_json(model_path, tmp_path):
     payload = json.loads(out_file.read_text(encoding="utf-8"))
     assert payload["candidates"] == 154
     assert len(payload["instances"]) == 56
+
+
+# SHA-256 of each listing's bytes on the bundled model.  A listing must
+# print each enum's string, never a member's name or repr, and these pin it.
+LISTING_DIGESTS = {
+    "stpa": "188854442338902741b9d2c9672456f779c336c548ec00be955006bbd4e998d7",
+    "stpa --format json": "6327077f6096f9e1b2bd54c46e10e2bb34551792e1956d861f996fdf0fdf9b7a",
+    "stpa --format csv": "f8826f9b3af86a758e83d502c06b772c24380d7b0ad85934fea3adb64134a5f4",
+    "ccf": "e6ae37699374636a2ffa3e21979785fa88e2c68414a6757a931c15838eb86cf2",
+    "ccf --format json": "818402597432ed85042cbded58ba6da389ff3ad103bf902f65bcab819ca51b25",
+    "ccf --format csv": "c7df1ff06a01e027336478805081061350e66ad8066c0a2d527a261e33171063",
+    "cutsets --max-order 2": "6c8866e7f356025892c69eea45fdee181b20063d939f35127506bb49903374b3",
+}
+
+
+@pytest.mark.parametrize("command", sorted(LISTING_DIGESTS))
+def test_listing_bytes_are_pinned(command, model_path, capsys):
+    name, *options = command.split()
+    assert main([name, model_path, *options]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LISTING_DIGESTS[command]
 
 
 def test_stage_chaining_matches_pipeline(model_path, tmp_path, capsys):

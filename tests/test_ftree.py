@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MINI_MODEL, SYNTHESIS_MODEL, basic_events, census_tuple, mk_tree, random_analyzable_model
+from conftest import (
+    MINI_MODEL,
+    SYNTHESIS_MODEL,
+    basic_events,
+    census_tuple,
+    mk_tree,
+    random_analyzable_model,
+    scaled_qiasp,
+)
 from resha.cutsets import minimal_cut_sets
 from resha.dsl import parse_model
 from resha.ftree import (
@@ -23,7 +31,7 @@ from resha.ftree import (
     synthesize_hardware_ft,
 )
 from resha.model import ModelError, expand_replication
-from resha.pipeline import analyze_model
+from resha.pipeline import analyze_model, run_stages
 from resha.report import export_ft, import_ft
 from resha.stpa import UcaUifInstance, Flavor
 from resha.model import FailureModeType
@@ -251,6 +259,25 @@ def test_stage_trees_pass_structure_check(qiasp_result):
 @given(st.integers(min_value=0, max_value=10**9))
 def test_stage_trees_pass_structure_check_on_random_models(seed):
     _assert_stage_trees_well_formed(analyze_model(random_analyzable_model(random.Random(seed))))
+
+
+def _assert_hardware_arena_is_reachable(model, include_hw_design):
+    # branch_census counts the arena, so synthesis must add only nodes
+    # that are reachable from the root.
+    values = {"model": model, "include_hw_design": include_hw_design}
+    tree = run_stages(values, "hardware_tree")["hardware_tree"]
+    assert set(tree.topological_nodes()) == set(tree.nodes)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.booleans())
+def test_hardware_tree_holds_only_reachable_nodes(seed, include_hw_design):
+    _assert_hardware_arena_is_reachable(random_analyzable_model(random.Random(seed)), include_hw_design)
+
+
+@pytest.mark.parametrize("include_hw_design", [False, True])
+def test_eight_division_hardware_tree_holds_only_reachable_nodes(qiasp_text, include_hw_design):
+    _assert_hardware_arena_is_reachable(parse_model(scaled_qiasp(qiasp_text, 8)), include_hw_design)
 
 
 def test_check_structure_rejects_dangling_child():

@@ -1,7 +1,7 @@
 """Source hygiene: no dead imports, no unread parameters, no default that no
 call overrides, no runtime code that only tests call, no dataclass field or
 ``__init__`` attribute that nothing reads, no ``copy`` module, and no enum
-``.value`` read in a stage module outside its enum tables.
+``.value`` read in a stage module or the CLI outside its enum tables.
 
 The package is read with ``ast`` alone; nothing under ``src/resha`` is
 imported or run here.
@@ -376,11 +376,11 @@ def test_no_module_imports_copy():
 
 def test_stages_read_enum_strings_from_tables():
     # ``member.value`` runs a descriptor on every read, so the stage and
-    # renderer modules read an enum's strings from the one module-level
-    # table beside it (see the ``resha.model`` docstring).
+    # renderer modules, and the CLI listings, read an enum's strings from the
+    # one module-level table beside it (see the ``resha.model`` docstring).
     modules = _modules()
     reads = []
-    for name in ("ccf.py", "cutsets.py", "ftree.py", "model.py", "report.py", "stpa.py"):
+    for name in ("ccf.py", "cli.py", "cutsets.py", "ftree.py", "model.py", "report.py", "stpa.py"):
         tables = [
             node
             for node in modules[name].body

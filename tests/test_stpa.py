@@ -11,8 +11,9 @@ from resha.model import (
     REPLICA_SEP,
     ComponentKind,
     FailureModeType,
+    STPA_CATEGORY_NAMES,
+    LinkKind,
     ModelIndex,
-    StpaCategory,
     expand_replication,
 )
 from resha.stpa import (
@@ -26,14 +27,20 @@ from resha.report import traceability_csv
 
 
 def test_structure_edge_split(qiasp_result):
-    structure = qiasp_result.structure
-    assert len(structure.control_edges) == 2
-    assert len(structure.info_edges) == 20
-    assert {link.id for link in structure.control_edges} == {
+    links = qiasp_result.structure.links
+    control = [link for link in links if link.kind is LinkKind.CONTROL_ACTION]
+    assert Counter(link.kind for link in links) == {
+        LinkKind.CONTROL_ACTION: 2,
+        LinkKind.INFORMATION_FLOW: 20,
+    }
+    assert {link.id for link in control} == {
         "heater_power",
         "heater_power__B",
     }
-    assert len(structure.links) == 22
+    # Control actions first, each kind in declaration order.
+    assert links[:2] == control
+    assert links[2:] == [link for link in qiasp_result.expanded.links() if link not in control]
+    assert len(links) == 22
 
 
 def test_structure_without_links_keeps_operator():
@@ -93,11 +100,11 @@ def test_instances_sorted_and_typed(qiasp_result):
 
 
 def test_stpa_category_mapping(qiasp_result):
-    by_letter = {i.type.letter: i.stpa_category for i in qiasp_result.instances}
-    assert by_letter["A"] is StpaCategory.MISSING
-    assert by_letter["B"] is StpaCategory.NOT_NEEDED
-    assert by_letter["F"] is StpaCategory.DURATION_MAGNITUDE
-    assert by_letter["G"] is StpaCategory.DURATION_MAGNITUDE
+    by_letter = {i.type.letter: STPA_CATEGORY_NAMES[i.type] for i in qiasp_result.instances}
+    assert by_letter["A"] == "missing_when_needed"
+    assert by_letter["B"] == "provided_when_not_needed"
+    assert by_letter["F"] == "wrong_duration_or_magnitude"
+    assert by_letter["G"] == "wrong_duration_or_magnitude"
 
 
 def test_divisions_match_type_for_type(qiasp_result):
