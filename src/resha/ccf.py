@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ftree import BasicEvent, EventCategory, FaultTree
+from .ftree import BasicEvent, EventCategory, FaultTree, Gate
 from .model import (
     LETTERS,
     FailureModeType,
@@ -169,16 +169,28 @@ def inject_ccf_events(tree: FaultTree, groups: list[CcfGroup]) -> FaultTree:
     has a place in the tree synthesized from it; a member with none means
     the tree came from another model.
     """
-    parents = tree.parents_of()
+    nodes = tree.nodes
+    # Each basic-event member's parent gates, in arena order, from one scan.
+    parents: dict[str, list[str]] = {
+        member: []
+        for group in groups
+        for member in group.members
+        if isinstance(nodes.get(member), BasicEvent)
+    }
+    for node in nodes.values():
+        if isinstance(node, Gate) and not parents.keys().isdisjoint(node.children):
+            for child in node.children:
+                if child in parents:
+                    parents[child].append(node.id)
     events: dict[str, BasicEvent] = {}
     # Gate id -> event ids to append; attach drops repeats and ids a gate has.
     under: dict[str, list[str]] = {}
     for group in groups:
         event_id = f"ccf:{group.id}"
         for member in group.members:
-            if isinstance(tree.nodes.get(member), BasicEvent):
+            if member in parents:
                 gate_ids = parents[member]
-            elif f"fail:{member}" in tree.nodes:
+            elif f"fail:{member}" in nodes:
                 gate_ids = [f"fail:{member}"]
             else:
                 raise ModelError(
@@ -186,7 +198,7 @@ def inject_ccf_events(tree: FaultTree, groups: list[CcfGroup]) -> FaultTree:
                 )
             for gate_id in gate_ids:
                 under.setdefault(gate_id, []).append(event_id)
-        if event_id not in tree.nodes and event_id not in events:
+        if event_id not in nodes and event_id not in events:
             events[event_id] = BasicEvent(
                 id=event_id,
                 category=EventCategory.CCF,

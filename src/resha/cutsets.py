@@ -54,15 +54,6 @@ Run = tuple[tuple[int, ...], list[int]]
 _NO_SETS: frozenset[int] = frozenset()
 
 
-def event_sort_key(tree: FaultTree):
-    """Canonical (category, id) ordering for the tree's basic events."""
-
-    def key(event_id: str) -> tuple[int, str]:
-        return (_CATEGORY_RANK[tree.nodes[event_id].category], event_id)
-
-    return key
-
-
 @dataclass
 class CutSetCollection:
     """The minimal cut sets of a root family over ``events``, the canonical
@@ -304,26 +295,31 @@ def minimal_cut_sets(tree: FaultTree, max_order: int | None = None) -> CutSetCol
     """Minimal cut sets of the root, optionally truncated to an order bound."""
     if max_order is not None and max_order < 1:
         raise ModelError(f"max_order must be at least 1, got {max_order}")
-    order = tree.check_structure()
-    # Reachable basic events in canonical order; event i owns bit 1 << (n-1-i).
-    events = [node_id for node_id in order if isinstance(tree.nodes[node_id], BasicEvent)]
-    events.sort(key=event_sort_key(tree))
+    nodes = tree.nodes
+    # Reachable gates children first, and reachable basic events in
+    # canonical (category rank, id) order; event i owns bit 1 << (n-1-i).
+    gates, ranked = [], []
+    for node_id in tree.check_structure():
+        node = nodes[node_id]
+        if isinstance(node, BasicEvent):
+            ranked.append((_CATEGORY_RANK[node.category], node_id))
+        else:
+            gates.append(node)
+    ranked.sort()
+    events = [event_id for _, event_id in ranked]
     n = len(events)
     # No set has more members than there are events.
     bound = n if max_order is None else max_order
     memo: dict[str, Family] = {e: (1 << (n - 1 - i), _NO_SETS, ()) for i, e in enumerate(events)}
-    for node_id in order:
-        node = tree.nodes[node_id]
-        if isinstance(node, BasicEvent):
-            continue
-        child_families = [memo[c] for c in node.children]
-        if node.op is GateOp.OR:
-            memo[node_id] = _or_families(child_families, bound)
+    for gate in gates:
+        child_families = [memo[c] for c in gate.children]
+        if gate.op is GateOp.OR:
+            memo[gate.id] = _or_families(child_families, bound)
         else:
             acc = child_families[0]
             for family in child_families[1:]:
                 acc = _and_combine(acc, family, bound)
-            memo[node_id] = acc
+            memo[gate.id] = acc
     return CutSetCollection(events, memo[tree.root], max_order)
 
 

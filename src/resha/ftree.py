@@ -137,31 +137,26 @@ class FaultTree:
             )
         return out
 
-    def parents_of(self) -> dict[str, list[str]]:
-        parents: dict[str, list[str]] = {node_id: [] for node_id in self.nodes}
-        for gate in self.gates():
-            for child in gate.children:
-                if child in parents:
-                    parents[child].append(gate.id)
-        return parents
-
     def check_structure(self) -> list[str]:
         """Raise ModelError on dangling children, a non-gate root, cycles,
         or empty gates other than software placeholders (OR gates with
         ``placeholder_for``); return ``topological_nodes()``."""
-        if self.root not in self.nodes:
+        nodes = self.nodes
+        if self.root not in nodes:
             raise ModelError(f"root '{self.root}' is not in the tree")
-        if not isinstance(self.nodes[self.root], Gate):
+        if not isinstance(nodes[self.root], Gate):
             raise ModelError("root must be a gate")
-        for gate in self.gates():
-            if not gate.children and (gate.placeholder_for is None or gate.op is not GateOp.OR):
+        for node in nodes.values():
+            if isinstance(node, BasicEvent):
+                continue
+            if not node.children and (node.placeholder_for is None or node.op is not GateOp.OR):
                 raise ModelError(
-                    f"gate '{gate.id}' is empty and not a software placeholder "
+                    f"gate '{node.id}' is empty and not a software placeholder "
                     "(only an OR gate with placeholder_for may be empty)"
                 )
-            for child in gate.children:
-                if child not in self.nodes:
-                    raise ModelError(f"gate '{gate.id}' references unknown node '{child}'")
+            for child in node.children:
+                if child not in nodes:
+                    raise ModelError(f"gate '{node.id}' references unknown node '{child}'")
         return self.topological_nodes()
 
     def topological_nodes(self) -> list[str]:
@@ -229,16 +224,22 @@ def _group_children(
 
     Each redundancy group that binds among the sources becomes an AND
     (all_must_fail) or OR (any_misleads) sub-gate over the matched sources;
-    the other sources attach directly.  The steps are, in build order, each
-    group's matched source ids and then its sub-gate, and after them the
-    ungrouped source ids.
+    the other sources attach directly.  Groups are tried in declared order,
+    only those that list a source, and each matches the sources it lists
+    that no earlier group took.  The steps are, in build order, each group's
+    matched source ids and then its sub-gate, and after them the ungrouped
+    source ids.
     """
-    remaining = source_ids
+    if len(source_ids) < 2:
+        # No group binds over fewer than two sources.
+        return [f"fail:{s}" for s in source_ids], list(source_ids)
     children: list[str] = []
     steps: list[Step] = []
-    for group in idx.redundancy_groups:
-        matched = idx.group_matched_sources(group, remaining)
-        if not matched:
+    taken: set[str] = set()
+    for position, listed in idx.grouped_sources(source_ids).items():
+        group = idx.redundancy_groups[position]
+        matched = [s for s in listed if s not in taken]
+        if not idx.binds(group, matched):
             continue
         sub = Gate(
             id=f"{gate_id}:{group.id}",
@@ -248,7 +249,8 @@ def _group_children(
         )
         steps += [*matched, sub]
         children.append(sub.id)
-        remaining = [s for s in remaining if s not in matched]
+        taken.update(matched)
+    remaining = [s for s in source_ids if s not in taken]
     steps += remaining
     children += [f"fail:{s}" for s in remaining]
     return children, steps

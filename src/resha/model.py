@@ -5,8 +5,10 @@ dependency inputs and by explicit control-action / information-flow links,
 plus the loss and hazard taxonomy the analysis traces back to.  The module
 also provides structural validation, replication expansion, and one answer
 to each graph question: ``ModelIndex.dependency_sources`` (what a component
-depends on), ``ModelIndex.in_group`` (redundancy-group membership) and
-``depth_first`` (children-first order and cycles, for models and trees).
+depends on), ``ModelIndex.grouped_sources`` and ``ModelIndex.binds``
+(which redundancy groups list which sources, and whether a group binds over
+them) and ``depth_first`` (children-first order and cycles, for models and
+trees).
 Each model has one index, ``SystemModel.index``, which validation builds
 over the expanded model and every later stage reads.
 
@@ -295,8 +297,9 @@ class ModelIndex:
     Each model object has one index, built on first use of
     ``SystemModel.index``, and the model must not be changed after that.
     The index keeps the tables it reads, never the model itself, so a model
-    and its index form no reference cycle.  Links are grouped by target once;
-    each component's dependency sources and the downstream adjacency are
+    and its index form no reference cycle.  Links are grouped by target, and
+    redundancy groups by member, once; each component's dependency sources,
+    its redundancy-group positions and the downstream adjacency are
     computed at most once, on first use, and kept as tuples, which the
     cyclic collector stops tracking.
     """
@@ -317,6 +320,19 @@ class ModelIndex:
         # component listed under that id, and the downstream adjacency.
         self._sources: dict[str, tuple[str, ...]] = {}
         self._downstream: dict[str, tuple[str, ...]] | None = None
+        # Redundancy-group positions, ascending: division-level groups under
+        # each member division, the other groups under each member id.
+        self._groups_of_division: dict[str, tuple[int, ...]] = {}
+        self._groups_of_member: dict[str, tuple[int, ...]] = {}
+        for position, group in enumerate(model.redundancy_groups):
+            if group.level is RedundancyLevel.DIVISION:
+                table = self._groups_of_division
+            else:
+                table = self._groups_of_member
+            for member in dict.fromkeys(group.members):
+                table[member] = table.get(member, ()) + (position,)
+        # Filled on first use: component id -> the positions of its groups.
+        self._group_positions: dict[str, tuple[int, ...]] = {}
         for loss in model.losses:
             self.losses.setdefault(loss.id, loss)
         for hazard in model.hazards:
@@ -406,22 +422,35 @@ class ModelIndex:
         the walk stops at the second."""
         return len(list(islice(self._digital_dependents(component_id), 2))) == 2
 
-    def in_group(self, group: RedundancyGroup, component_id: str) -> bool:
-        """Division-level groups list divisions; other levels list component ids."""
-        if group.level is RedundancyLevel.DIVISION:
-            return self.division_of.get(component_id) in group.members
-        return component_id in group.members
+    def group_positions(self, component_id: str) -> tuple[int, ...]:
+        """Positions in ``redundancy_groups`` of the groups that list the
+        component, ascending: a division-level group lists its division, any
+        other group its id."""
+        positions = self._group_positions.get(component_id)
+        if positions is None:
+            positions = self._groups_of_division.get(self.division_of.get(component_id), ())
+            by_id = self._groups_of_member.get(component_id)
+            if by_id:
+                positions = tuple(sorted(positions + by_id))
+            self._group_positions[component_id] = positions
+        return positions
 
-    def group_matched_sources(self, group: RedundancyGroup, source_ids: Sequence[str]) -> list[str]:
-        """The members of ``group`` among source_ids, when they bind.
+    def grouped_sources(self, source_ids: Iterable[str]) -> dict[int, list[str]]:
+        """Group position -> the sources that group lists, in source order,
+        for each redundancy group that lists any of them, in group order."""
+        grouped: dict[int, list[str]] = {}
+        for source in source_ids:
+            for position in self.group_positions(source):
+                grouped.setdefault(position, []).append(source)
+        return dict(sorted(grouped.items())) if len(grouped) > 1 else grouped
 
-        Division-level groups bind when the matches span at least two
-        distinct member divisions; other levels when at least two match.
-        """
-        matched = [s for s in source_ids if self.in_group(group, s)]
+    def binds(self, group: RedundancyGroup, listed: Sequence[str]) -> bool:
+        """Whether ``group`` binds over sources it lists: a division-level
+        group when they span at least two distinct member divisions, any
+        other group when at least two are listed."""
         if group.level is RedundancyLevel.DIVISION:
-            return matched if len({self.division_of.get(s) for s in matched}) >= 2 else []
-        return matched if len(matched) >= 2 else []
+            return len({self.division_of.get(s) for s in listed}) >= 2
+        return len(listed) >= 2
 
 
 def expand_replication(model: SystemModel) -> SystemModel:
@@ -548,7 +577,9 @@ def depth_first(
     and the first cycle met as a path ``[a, ..., a]``, or None.
 
     The walk goes on past a cycle, so the order is complete, and uses an
-    explicit stack, so chains of any length are safe."""
+    explicit stack, so chains of any length are safe.  A node whose children
+    are an empty collection is finished as soon as it is reached, with no
+    stack entry; it can lie on no cycle."""
     GREY, BLACK = 1, 2
     color: dict[str, int] = {}
     order: list[str] = []
@@ -556,16 +587,26 @@ def depth_first(
     for root in roots:
         if root in color or root not in known:
             continue
+        below = children(root)
+        if not below:
+            color[root] = BLACK
+            order.append(root)
+            continue
         color[root] = GREY
         path = [root]
-        pending = [iter(children(root))]
+        pending = [iter(below)]
         while pending:
             for nxt in pending[-1]:
                 state = color.get(nxt)
                 if state is None and nxt in known:
+                    below = children(nxt)
+                    if not below:
+                        color[nxt] = BLACK
+                        order.append(nxt)
+                        continue
                     color[nxt] = GREY
                     path.append(nxt)
-                    pending.append(iter(children(nxt)))
+                    pending.append(iter(below))
                     break
                 if state == GREY and cycle is None:
                     cycle = path[path.index(nxt):] + [nxt]
@@ -742,7 +783,19 @@ def _validate_references(model: SystemModel, report: ValidationReport) -> None:
                             app.span or link.span,
                         )
 
-    for group in model.redundancy_groups:
+    groups = model.redundancy_groups
+    # Group position -> the consumers that are not human-tech and at which
+    # that any_misleads group binds, in component order.
+    misled: dict[int, list[Component]] = {}
+    if any(group.logic is GroupLogic.ANY_MISLEADS for group in groups):
+        for consumer in model.components():
+            if consumer.tech is Technology.HUMAN:
+                continue
+            for position, listed in idx.grouped_sources(idx.dependency_sources(consumer)).items():
+                group = groups[position]
+                if group.logic is GroupLogic.ANY_MISLEADS and idx.binds(group, listed):
+                    misled.setdefault(position, []).append(consumer)
+    for position, group in enumerate(groups):
         if len(group.members) < 2:
             bad("group-size", f"redundancy_group '{group.id}' needs at least 2 members", group.span)
         for member in group.members:
@@ -759,16 +812,13 @@ def _validate_references(model: SystemModel, report: ValidationReport) -> None:
                     f"redundancy_group '{group.id}' references unknown component '{member}'",
                     group.span,
                 )
-        if group.logic is GroupLogic.ANY_MISLEADS:
-            for consumer in model.components():
-                matched = idx.group_matched_sources(group, idx.dependency_sources(consumer))
-                if matched and consumer.tech is not Technology.HUMAN:
-                    bad(
-                        "any-misleads-consumer",
-                        f"any_misleads group '{group.id}' converges at '{consumer.id}', "
-                        "which is not human-tech",
-                        group.span,
-                    )
+        for consumer in misled.get(position, ()):
+            bad(
+                "any-misleads-consumer",
+                f"any_misleads group '{group.id}' converges at '{consumer.id}', "
+                "which is not human-tech",
+                group.span,
+            )
 
     for resource in model.shared_resources:
         if len(resource.dependents) < 2:

@@ -1,4 +1,15 @@
-"""Guidance findings, summary rendering, and artifact serialization."""
+r"""Guidance findings, summary rendering, and artifact serialization.
+
+The CSV rule: ``ccf.csv`` and ``traceability.csv`` are built as string
+tuples and joined with ``,`` and ``\n`` by ``csv_table``, which keeps the
+joined text only when its ``,`` and ``\n`` counts show that no field holds
+one and no ``"``, ``\r`` or NUL appears; otherwise ``csv.writer`` renders
+the same rows.  ``cutsets_csv`` tests each event id once instead, so that
+its rows can later be written as they are walked.  Either way the bytes are
+``csv.writer(lineterminator="\n")``'s, whose quoting differs between
+Python versions, and one set of special characters, ``_CSV_SPECIAL``,
+decides when the csv module is asked.
+"""
 
 from __future__ import annotations
 
@@ -285,6 +296,34 @@ def import_ft(text: str) -> FaultTree:
 # them do depends on the Python version: 3.11 and 3.12 leave a lone "\r"
 # bare and 3.13 quotes it; 3.10 refuses a NUL.
 _CSV_SPECIAL = frozenset(',"\r\n\x00')
+# Those of them that a plain-joined table may not hold at all; it holds ","
+# and "\n" only as separators, which csv_table checks by counting.
+_CSV_NEVER_BARE = tuple(sorted(_CSV_SPECIAL - {",", "\n"}))
+
+
+def csv_table(rows: list[tuple[str, ...]]) -> str:
+    r"""The text ``csv.writer(lineterminator="\n")`` writes for ``rows``,
+    string tuples of two fields or more.
+
+    The rows are joined with ``,`` and ``\n``.  That text is the csv
+    module's own exactly when it holds one ``,`` per field boundary, one
+    ``\n`` per row and none of ``_CSV_NEVER_BARE``, since then no field
+    holds a special character; otherwise ``csv.writer`` renders the rows,
+    so quoting, and refusing what cannot be written, stays the csv
+    module's decision on every Python version.
+    """
+    if not rows:
+        return ""
+    text = "\n".join(map(",".join, rows)) + "\n"
+    if (
+        text.count(",") == sum(map(len, rows)) - len(rows)
+        and text.count("\n") == len(rows)
+        and not any(c in text for c in _CSV_NEVER_BARE)
+    ):
+        return text
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 def cutsets_csv(collection: CutSetCollection, tree: FaultTree) -> str:
@@ -327,25 +366,26 @@ def cutsets_csv(collection: CutSetCollection, tree: FaultTree) -> str:
 
 
 def ccf_csv(groups: list[CcfGroup]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["group", "type", "scope", "trigger", "failure_type", "members"])
-    for group in groups:
-        writer.writerow(
-            [
-                group.id,
-                group.ccf_type,
-                LEVEL_NAMES[group.scope],
-                group.trigger,
-                LETTERS[group.failure_type] if group.failure_type else "",
-                ";".join(group.members),
-            ]
+    """One row per sCCF group: id, type, scope, trigger, failure letter and
+    members, written by ``csv_table``."""
+    rows = [("group", "type", "scope", "trigger", "failure_type", "members")]
+    rows += [
+        (
+            group.id,
+            str(group.ccf_type),
+            LEVEL_NAMES[group.scope],
+            group.trigger,
+            LETTERS[group.failure_type] if group.failure_type else "",
+            ";".join(group.members),
         )
-    return out.getvalue()
+        for group in groups
+    ]
+    return csv_table(rows)
 
 
 def traceability_csv(instances: list[UcaUifInstance], model: SystemModel) -> str:
-    """One row per instance, with its hazards and, through them, its sorted losses."""
+    """One row per instance, with its hazards and, through them, its sorted
+    losses, written by ``csv_table``."""
     from .stpa import FLAVOR_NAMES
 
     hazards = model.index.hazards
@@ -356,12 +396,8 @@ def traceability_csv(instances: list[UcaUifInstance], model: SystemModel) -> str
         if key not in joined:
             losses = sorted({loss for h in key for loss in hazards[h].losses})
             joined[key] = (";".join(key), ";".join(losses))
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ("instance", "flavor", "type", "stpa_category", "owner", "link", "division", "hazards", "losses")
-    )
-    writer.writerows(
+    rows = [("instance", "flavor", "type", "stpa_category", "owner", "link", "division", "hazards", "losses")]
+    rows += [
         (
             instance.id,
             FLAVOR_NAMES[instance.flavor],
@@ -373,8 +409,8 @@ def traceability_csv(instances: list[UcaUifInstance], model: SystemModel) -> str
             *joined[tuple(instance.hazards)],
         )
         for instance in instances
-    )
-    return out.getvalue()
+    ]
+    return csv_table(rows)
 
 
 def cut_set_counts(collection: CutSetCollection, first_order: FirstOrderReport) -> list[str]:

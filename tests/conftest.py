@@ -249,6 +249,18 @@ def reachable_events(tree: FaultTree) -> list[BasicEvent]:
     return [node for node in map(tree.nodes.get, tree.topological_nodes()) if isinstance(node, BasicEvent)]
 
 
+def parents_of(tree: FaultTree) -> dict[str, list[str]]:
+    """Every node's parent gate ids, in arena order, one entry per child
+    reference; the injection stage collects the same lists for its
+    basic-event members alone."""
+    parents: dict[str, list[str]] = {node_id: [] for node_id in tree.nodes}
+    for gate in tree.gates():
+        for child in gate.children:
+            if child in parents:
+                parents[child].append(gate.id)
+    return parents
+
+
 def as_frozensets(collection: CutSetCollection) -> set[frozenset[str]]:
     return {frozenset(cut) for cut in collection.sets}
 

@@ -12,11 +12,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from resha.cutsets import CutSetCollection, event_sort_key
-from resha.ftree import BasicEvent, FaultTree, GateOp
+from resha.cutsets import CutSetCollection
+from resha.ftree import BasicEvent, EventCategory, FaultTree, GateOp
 from resha.model import ModelError
 
 ORACLE_EVENT_BOUND = 24
+
+# The engine's canonical event order ranks categories as EventCategory
+# declares them, then orders by id.
+_CATEGORY_RANK = {category: rank for rank, category in enumerate(EventCategory)}
+
+
+def event_sort_key(tree: FaultTree):
+    """Canonical (category, id) ordering for the tree's basic events."""
+
+    def key(event_id: str) -> tuple[int, str]:
+        return (_CATEGORY_RANK[tree.nodes[event_id].category], event_id)
+
+    return key
 
 
 @dataclass

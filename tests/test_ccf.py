@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MINI_MODEL, basic_events, mk_tree, random_analyzable_model, scaled_qiasp
+from conftest import (
+    MINI_MODEL,
+    basic_events,
+    mk_tree,
+    parents_of,
+    random_analyzable_model,
+    scaled_qiasp,
+)
 from resha.ccf import (
     CcfGroup,
     count_by_type,
@@ -207,7 +214,7 @@ def test_each_control_action_forms_its_own_type1_group():
     ]
     hardware = synthesize_hardware_ft(model)
     injected = inject_ccf_events(integrate_software(hardware, instances), groups)
-    parents = injected.parents_of()
+    parents = parents_of(injected)
     assert set(parents["ccf:T1:ca1:A"]) == {"fail:t1", "fail:t2"}
     assert set(parents["ccf:T1:ca2:A"]) == {"fail:t3", "fail:t4"}
 
@@ -237,7 +244,7 @@ def test_describe_mentions_trigger(qiasp_result):
 
 def test_injection_shares_event_across_divisions(qiasp_result):
     tree = qiasp_result.injected_tree
-    parents = tree.parents_of()
+    parents = parents_of(tree)
     assert set(parents["ccf:T4:DC-HJTC-CALC:A"]) == {
         "sw:hjtc_calculator",
         "sw:hjtc_calculator__B",
@@ -263,7 +270,7 @@ def test_injection_component_members_attach_to_failure_gates():
     tree = synthesize_hardware_ft(model)
     groups = [g for g in detect_ccf_groups(model, instances) if g.ccf_type == 3]
     injected = inject_ccf_events(tree, groups)
-    parents = injected.parents_of()
+    parents = parents_of(injected)
     assert set(parents["ccf:T3:bus"]) == {"fail:left", "fail:right"}
     assert not injected.nodes["ccf:T3:bus"].software
 
@@ -382,7 +389,7 @@ def reference_integrate_software(tree: FaultTree, instances) -> FaultTree:
 def reference_inject_ccf_events(tree: FaultTree, groups: list[CcfGroup]) -> FaultTree:
     """Copy every gate, then append each group's event beside its members."""
     out = _reference_copy(tree)
-    parents = out.parents_of()
+    parents = parents_of(out)
     for group in groups:
         event_id = f"ccf:{group.id}"
         if event_id not in out.nodes:

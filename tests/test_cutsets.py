@@ -18,6 +18,7 @@ from conftest import (
     as_frozensets,
     chain_text,
     mk_tree,
+    random_analyzable_model,
     random_tree,
     reachable_events,
     reference_cutsets_csv,
@@ -495,3 +496,27 @@ def test_three_divisions_exact_sets_are_pinned(qiasp_text):
     assert result.collection.order_index() == {1: 44, 3: 110592}
     digest = hashlib.sha256(repr(result.collection.sets).encode()).hexdigest()
     assert digest == THREE_DIVISIONS_EXACT_SHA256
+
+
+def assert_truncation_keeps_exact_sets(model) -> None:
+    """At every bound k up to the largest order, ``analyze_model`` gives the
+    exact run's sets of order at most k, in the same order, and its order
+    index cut at k."""
+    exact = analyze_model(model).collection
+    exact_sets, exact_index = exact.sets, exact.order_index()
+    for k in range(1, max(exact_index, default=1) + 1):
+        truncated = analyze_model(model, PipelineOptions(max_order=k)).collection
+        assert truncated.sets == [cut for cut in exact_sets if len(cut) <= k]
+        assert truncated.order_index() == {order: n for order, n in exact_index.items() if order <= k}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_truncation_keeps_the_exact_sets_up_to_the_bound(seed):
+    assert_truncation_keeps_exact_sets(random_analyzable_model(random.Random(seed)))
+
+
+@pytest.mark.parametrize("divisions", [2, 3])
+def test_truncation_keeps_the_exact_sets_up_to_the_bound_on_the_case_study(qiasp_text, divisions):
+    # Random models reach order 2 at most; three divisions reach order 3.
+    assert_truncation_keeps_exact_sets(parse_model(scaled_qiasp(qiasp_text, divisions)))

@@ -15,6 +15,7 @@ from conftest import (
     basic_events,
     census_tuple,
     mk_tree,
+    parents_of,
     random_analyzable_model,
     scaled_qiasp,
 )
@@ -75,7 +76,7 @@ def test_hw_design_events_optional(qiasp_result):
 
 
 def test_shared_component_has_one_gate_many_parents(qiasp_result):
-    parents = qiasp_result.hardware_tree.parents_of()
+    parents = parents_of(qiasp_result.hardware_tree)
     assert set(parents["fail:signal_conditioner"]) == {
         "dep:rvl_calculator",
         "dep:rcsm_calculator",
@@ -152,7 +153,7 @@ def test_integration_adds_software_events(qiasp_result):
     event = tree.nodes["heater_power:A:A"]
     assert isinstance(event, BasicEvent)
     assert "control action" in event.label
-    assert tree.parents_of()["heater_power:A:A"] == ["sw:hjtc_power_controller"]
+    assert parents_of(tree)["heater_power:A:A"] == ["sw:hjtc_power_controller"]
 
 
 def test_integration_is_non_destructive(qiasp_result):
@@ -388,7 +389,7 @@ def test_resource_leaf_shared():
     assert isinstance(leaf, BasicEvent)
     assert leaf.category is EventCategory.DEPENDENCY_LEAF
     assert "external" in leaf.label
-    parents = tree.parents_of()["resource:bus"]
+    parents = parents_of(tree)["resource:bus"]
     assert set(parents) == {"dep:s1", "dep:s2"}
     assert branch_census(tree).dependency == 2
 
@@ -400,7 +401,7 @@ def test_synthesis_model_takes_the_branches_it_pins():
     assert (calcs.op, calcs.children) == (GateOp.OR, ["fail:calc_1", "fail:calc_2"])
     assert (probes.op, probes.children) == (GateOp.AND, ["fail:probe_1", "fail:probe_2"])
     assert tree.gate("dep:calc_1").children == ["dep:calc_1:probes", "fail:probe_3"]
-    parents = tree.parents_of()
+    parents = parents_of(tree)
     assert parents["resource:mains"] == ["dep:probe_3", "dep:psu", "dep:psu__B"]
     assert parents["resource:rack"] == ["dep:probe_1", "dep:probe_2", "dep:probe_3", "dep:panel"]
     assert tree.gate("dep:probe_3").children == ["resource:mains", "resource:rack"]

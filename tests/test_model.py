@@ -198,6 +198,52 @@ def test_depth_first_orders_every_node_past_a_cycle():
     assert order == ["c", "b", "x", "a"]
 
 
+def recursive_depth_first(roots, graph, known):
+    """``depth_first`` by plain recursion, every node through the same
+    steps: the reference its stack walk must match."""
+    color: dict[str, str] = {}
+    order: list[str] = []
+    path: list[str] = []
+    cycles: list[list[str]] = []
+
+    def visit(node: str) -> None:
+        color[node] = "grey"
+        path.append(node)
+        for nxt in graph[node]:
+            if nxt not in color and nxt in known:
+                visit(nxt)
+            elif color.get(nxt) == "grey":
+                cycles.append(path[path.index(nxt):] + [nxt])
+        path.pop()
+        color[node] = "black"
+        order.append(node)
+
+    for root in roots:
+        if root not in color and root in known:
+            visit(root)
+    return order, cycles[0] if cycles else None
+
+
+@st.composite
+def digraphs(draw):
+    """Roots, adjacency lists and the known nodes of a small random digraph:
+    leaves, self-loops, cycles, repeated edges and ids outside ``known``."""
+    ids = [f"n{i}" for i in range(draw(st.integers(1, 10)))]
+    node = st.sampled_from(ids)
+    graph = {i: draw(st.lists(node, max_size=4)) for i in ids}
+    known = set(draw(st.lists(node, unique=True)))
+    return draw(st.lists(node, max_size=8)), graph, known
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs(), st.booleans())
+def test_depth_first_matches_recursive_reference(drawn, as_tuples):
+    roots, graph, known = drawn
+    if as_tuples:
+        graph = {node: tuple(children) for node, children in graph.items()}
+    assert depth_first(roots, graph.__getitem__, known) == recursive_depth_first(roots, graph, known)
+
+
 def test_group_rules():
     model = _shell(_plain("a"), _plain("b"), _operator(inputs=["a", "b"]))
     model.redundancy_groups = [
@@ -527,11 +573,16 @@ def test_transitive_digital_dependents(qiasp_text):
     )
 
 
-def test_group_matched_sources_division_level(qiasp_text):
+def test_group_binding_division_level(qiasp_text):
     expanded = expand_replication(parse_model(qiasp_text))
     idx = ModelIndex(expanded)
     group = expanded.redundancy_groups[0]
-    both = idx.group_matched_sources(group, ["display_interface", "display_interface__B"])
-    assert both == ["display_interface", "display_interface__B"]
+    both = idx.grouped_sources(["display_interface", "display_interface__B"])
+    assert both == {0: ["display_interface", "display_interface__B"]}
+    assert idx.binds(group, both[0])
     # A single member division does not bind.
-    assert idx.group_matched_sources(group, ["display_interface", "power_supply"]) == []
+    one = idx.grouped_sources(["display_interface", "power_supply"])
+    assert one == {0: ["display_interface", "power_supply"]}
+    assert not idx.binds(group, one[0])
+    # A component outside every group's divisions is listed by none.
+    assert idx.grouped_sources(["nowhere"]) == {}

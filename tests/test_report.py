@@ -18,6 +18,7 @@ from resha.ftree import BasicEvent, EventCategory, FaultTree, Gate, GateOp
 from resha.model import FailureModeType, ModelError
 from resha.report import (
     CAUSE_MAP,
+    csv_table,
     cutsets_csv,
     ccf_csv,
     export_ft,
@@ -352,6 +353,49 @@ def test_cutsets_csv_quotes_as_csv_writer_does(char):
     # How csv.writer treats a lone "\r" or a NUL depends on the Python
     # version, so its output on this one is the reference.
     assert csv_outcome(cutsets_csv, collection, tree) == csv_outcome(reference_cutsets_csv, collection, tree)
+
+
+def csv_writer_text(rows: list[tuple[str, ...]]) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def writer_outcome(render, rows: list[tuple[str, ...]]) -> str:
+    """The rendered rows, or the csv module's refusal."""
+    try:
+        return render(rows)
+    except csv.Error as exc:
+        return f"csv.Error: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(TEXT, min_size=2, max_size=9).map(tuple), max_size=6))
+def test_csv_table_matches_csv_writer(rows):
+    # TEXT holds the csv module's special characters, ";", spaces and empty
+    # fields, so both the joined text and csv.writer's rendering are drawn.
+    assert writer_outcome(csv_table, rows) == writer_outcome(csv_writer_text, rows)
+
+
+def _marked(rows: list[list[str]]) -> list[list[str]]:
+    """The rows with a comma and a double quote added to the first row's id."""
+    return [rows[0], [f'{rows[1][0]},x"y', *rows[1][1:]], *rows[2:]]
+
+
+def test_ccf_csv_quotes_a_group_id_as_csv_writer_does(qiasp_result):
+    groups = qiasp_result.groups[:3]
+    rows = list(csv.reader(io.StringIO(ccf_csv(groups))))
+    marked = [dataclasses.replace(groups[0], id=f'{groups[0].id},x"y'), *groups[1:]]
+    text = ccf_csv(marked)
+    assert text == csv_writer_text(_marked(rows))
+    assert f'\n"{groups[0].id},x""y",2,' in text
+
+
+def test_traceability_csv_quotes_an_instance_id_as_csv_writer_does(qiasp_result):
+    instances, model = qiasp_result.instances[:3], qiasp_result.expanded
+    rows = list(csv.reader(io.StringIO(traceability_csv(instances, model))))
+    marked = [dataclasses.replace(instances[0], id=f'{instances[0].id},x"y'), *instances[1:]]
+    assert traceability_csv(marked, model) == csv_writer_text(_marked(rows))
 
 
 @pytest.mark.parametrize(

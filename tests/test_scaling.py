@@ -52,6 +52,25 @@ def fan_in_text(width: int) -> str:
     return _HEADER + "division MAIN {\n" + "\n".join(components) + "\n}\n"
 
 
+def sensor_pairs_text(pairs: int) -> str:
+    """Analog sensor pairs s<i>a, s<i>b, each pair a module-level
+    all_must_fail redundancy group p<i>, all read directly by the operator."""
+    components = [
+        f"  component s{i}{side} kind: sensor tech: analog class: DC-S"
+        for i in range(pairs)
+        for side in "ab"
+    ]
+    inputs = ", ".join(f"s{i}a, s{i}b" for i in range(pairs))
+    components.append(
+        f"  component op kind: operator tech: human class: DC-O {{\n    inputs: {inputs}\n  }}"
+    )
+    groups = "".join(
+        f"redundancy_group p{i} level: module logic: all_must_fail members: s{i}a, s{i}b\n"
+        for i in range(pairs)
+    )
+    return _HEADER + "division MAIN {\n" + "\n".join(components) + "\n}\n" + groups
+
+
 def _cpu_seconds(function: Callable[..., object], *args: object) -> float:
     """CPU time of one call, with the cyclic collector held off."""
     gc.collect()
@@ -90,6 +109,17 @@ def test_wide_fan_in_validation_grows_linearly():
     idx = ModelIndex(run_stages({"model": parse_model(fan_in_text(3))}, "expanded")["expanded"])
     assert list(idx.dependency_sources(idx.components["op"])) == ["s0", "s1", "s2"]
     assert _growth(fan_in_text, 1000, "expanded") < GROWTH_BOUND
+
+
+def test_module_pair_synthesis_grows_linearly():
+    # The root gate groups the operator's 16000 sources into 8000 pairs;
+    # trying every group at every gate, and filtering the sources left after
+    # each match, was quadratic.
+    model = parse_model(sensor_pairs_text(2))
+    tree = run_stages({"model": model, "include_hw_design": False}, "hardware_tree")["hardware_tree"]
+    assert tree.nodes["top"].children == ["top:p0", "top:p1"]
+    assert tree.nodes["top:p1"].children == ["fail:s1a", "fail:s1b"]
+    assert _growth(sensor_pairs_text, 250, "hardware_tree", include_hw_design=False) < GROWTH_BOUND
 
 
 def test_replicated_divisions_grow_linearly(qiasp_text):
