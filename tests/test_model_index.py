@@ -1,5 +1,5 @@
-"""ModelIndex dependency lookups agree with their naive definitions, and
-one analysis builds one index.
+"""ModelIndex dependency and group lookups agree with their naive
+definitions, and one analysis builds one index.
 
 ``dependency_sources`` is the one place the index reads the links that
 target a component and the component's feedback refs; the downstream
@@ -24,9 +24,12 @@ from resha.golden import compute_metrics
 from resha.model import (
     Component,
     ComponentKind,
+    GroupLogic,
     Link,
     LinkKind,
     ModelIndex,
+    RedundancyGroup,
+    RedundancyLevel,
     Ref,
     SystemModel,
     Technology,
@@ -94,6 +97,24 @@ def naive_transitive_digital_dependents(
     return sorted(collected)
 
 
+def naive_grouped_sources(model: SystemModel, source_ids: list[str]) -> dict[int, list[str]]:
+    """Scan every group: a division-level group lists a component whose
+    first-listed division it names, any other group lists the ids it names."""
+    division_of: dict[str, str] = {}
+    for division in model.divisions:
+        for component in division.components:
+            division_of.setdefault(component.id, division.id)
+    grouped: dict[int, list[str]] = {}
+    for position, group in enumerate(model.redundancy_groups):
+        if group.level is RedundancyLevel.DIVISION:
+            listed = [s for s in source_ids if s in division_of and division_of[s] in group.members]
+        else:
+            listed = [s for s in source_ids if s in group.members]
+        if listed:
+            grouped[position] = listed
+    return grouped
+
+
 def assert_index_matches_naive(model: SystemModel) -> None:
     idx = ModelIndex(model)
     targets = {t for link in model.links() for t in link.targets}
@@ -106,10 +127,20 @@ def assert_index_matches_naive(model: SystemModel) -> None:
         assert idx.transitive_digital_dependents(component_id) == (
             naive_transitive_digital_dependents(idx, down, component_id)
         )
+    rng = random.Random(len(ids))
+    pool = ids + [member for group in model.redundancy_groups for member in group.members]
+    draws = [[source] for source in pool]
+    draws += [[rng.choice(pool) for _ in range(rng.randint(0, 6))] for _ in range(20)]
+    for sources in draws:
+        assert list(idx.grouped_sources(sources).items()) == (
+            list(naive_grouped_sources(model, sources).items())
+        )
 
 
 def _rewire(model: SystemModel, rng: random.Random) -> SystemModel:
-    """Add repeated and extra link targets, which may close cycles."""
+    """Add repeated and extra link targets, which may close cycles, and
+    redundancy groups of both levels that name components, divisions and
+    unknown ids, some more than once."""
     component_ids = [c.id for c in model.components()]
     for link in model.links():
         if link.targets and rng.random() < 0.5:
@@ -117,6 +148,13 @@ def _rewire(model: SystemModel, rng: random.Random) -> SystemModel:
         if rng.random() < 0.3:
             extra = rng.choice(component_ids)
             link.targets.extend([extra, extra])
+    names = [*component_ids, *(d.id for d in model.divisions), "no-such-component"]
+    for k in range(rng.randint(0, 3)):
+        members = [rng.choice(names) for _ in range(rng.randint(1, 4))]
+        level = rng.choice(list(RedundancyLevel))
+        model.redundancy_groups.append(
+            RedundancyGroup(f"extra{k}", level, rng.choice(list(GroupLogic)), members)
+        )
     return model
 
 
