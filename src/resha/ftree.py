@@ -274,7 +274,7 @@ def synthesize_hardware_ft(model: SystemModel, include_hw_design: bool = False) 
         for dependent in resource.dependents:
             leaves_of.setdefault(dependent, []).append(leaf)
 
-    children, steps = _group_children(idx, idx.dependency_sources(idx.operator()), "top")
+    children, steps = _group_children(idx, idx.dependency_sources(idx.operator), "top")
     tree.add(Gate(id="top", op=GateOp.OR, children=children, label=model.top_event))
     # A component id adds the component's failure gate, hardware events and
     # dependency gate, then pushes what those gates still need: its sources'

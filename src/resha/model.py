@@ -10,7 +10,9 @@ depends on), ``ModelIndex.grouped_sources`` and ``ModelIndex.binds``
 them) and ``depth_first`` (children-first order and cycles, for models and
 trees).
 Each model has one index, ``SystemModel.index``, which validation builds
-over the expanded model and every later stage reads.
+over the expanded model and every later stage reads.  The index builds all
+its tables when it is constructed, among them one map from each component
+to the redundancy groups that list it, for both group levels.
 
 Two rules keep the per-object loops of the stages cheap:
 
@@ -287,52 +289,32 @@ class SystemModel:
 
     @cached_property
     def index(self) -> ModelIndex:
-        """This model's one index, built on first use; see ModelIndex."""
+        """This model's one index; see ModelIndex."""
         return ModelIndex(self)
 
 
 class ModelIndex:
     """Lookup tables over one model; duplicate ids keep the first occurrence.
 
-    Each model object has one index, built on first use of
-    ``SystemModel.index``, and the model must not be changed after that.
-    The index keeps the tables it reads, never the model itself, so a model
-    and its index form no reference cycle.  Links are grouped by target, and
-    redundancy groups by member, once; each component's dependency sources,
-    its redundancy-group positions and the downstream adjacency are
-    computed at most once, on first use, and kept as tuples, which the
-    cyclic collector stops tracking.
+    Each model object has one index, ``SystemModel.index``.  The constructor
+    builds every table, so the model must not be changed after it.  The
+    index keeps no reference to the model, so the two form no cycle, and
+    its per-component entries are tuples, which the cyclic collector stops
+    tracking.
     """
 
     def __init__(self, model: SystemModel):
         self.redundancy_groups = model.redundancy_groups
-        # Every component in model.components() order, duplicate ids included.
-        self._order = list(model.components())
         self.losses: dict[str, Loss] = {}
         self.hazards: dict[str, Hazard] = {}
         self.design_classes: dict[str, DesignClass] = {}
         self.divisions: dict[str, Division] = {}
         self.components: dict[str, Component] = {}
         self.division_of: dict[str, str] = {}
+        in_division: dict[str, list[str]] = {}
+        self.operator: Component | None = None
         # target id -> links naming it, in model.links() order, each once.
         self._targeting: dict[str, list[Link]] = {}
-        # Filled on first use: component id -> the dependency sources of the
-        # component listed under that id, and the downstream adjacency.
-        self._sources: dict[str, tuple[str, ...]] = {}
-        self._downstream: dict[str, tuple[str, ...]] | None = None
-        # Redundancy-group positions, ascending: division-level groups under
-        # each member division, the other groups under each member id.
-        self._groups_of_division: dict[str, tuple[int, ...]] = {}
-        self._groups_of_member: dict[str, tuple[int, ...]] = {}
-        for position, group in enumerate(model.redundancy_groups):
-            if group.level is RedundancyLevel.DIVISION:
-                table = self._groups_of_division
-            else:
-                table = self._groups_of_member
-            for member in dict.fromkeys(group.members):
-                table[member] = table.get(member, ()) + (position,)
-        # Filled on first use: component id -> the positions of its groups.
-        self._group_positions: dict[str, tuple[int, ...]] = {}
         for loss in model.losses:
             self.losses.setdefault(loss.id, loss)
         for hazard in model.hazards:
@@ -342,15 +324,33 @@ class ModelIndex:
         for division in model.divisions:
             self.divisions.setdefault(division.id, division)
             for component in division.components:
-                self.components.setdefault(component.id, component)
-                self.division_of.setdefault(component.id, division.id)
+                if component.id not in self.components:
+                    self.components[component.id] = component
+                    self.division_of[component.id] = division.id
+                    in_division.setdefault(division.id, []).append(component.id)
+                if self.operator is None and component.kind is ComponentKind.OPERATOR:
+                    self.operator = component
                 for link in component.links:
                     for target in dict.fromkeys(link.targets):
                         self._targeting.setdefault(target, []).append(link)
-
-    def operator(self) -> Component | None:
-        found = [c for c in self._order if c.kind is ComponentKind.OPERATOR]
-        return found[0] if found else None
+        self._sources = {cid: self._sources_of(c) for cid, c in self.components.items()}
+        # source id -> ordered consumer ids (inverse of dependency edges).
+        consumers: dict[str, dict[str, None]] = {cid: {} for cid in self.components}
+        for consumer in model.components():
+            for source in self.dependency_sources(consumer):
+                if source in consumers:
+                    consumers[source][consumer.id] = None
+        self.downstream = {source: tuple(ids) for source, ids in consumers.items()}
+        # id -> ascending positions of the redundancy groups that list it: a
+        # division-level group lists every component of its member
+        # divisions, any other group the ids it names.
+        self.groups_of: dict[str, tuple[int, ...]] = {}
+        for position, group in enumerate(model.redundancy_groups):
+            listed: Iterable[str] = dict.fromkeys(group.members)
+            if group.level is RedundancyLevel.DIVISION:
+                listed = [cid for d in listed for cid in in_division.get(d, ())]
+            for cid in listed:
+                self.groups_of[cid] = self.groups_of.get(cid, ()) + (position,)
 
     def _sources_of(self, consumer: Component) -> tuple[str, ...]:
         sources = dict.fromkeys(ref.component for ref in consumer.inputs)
@@ -366,26 +366,9 @@ class ModelIndex:
         Kept for the component the index lists under its id; a later
         duplicate's are computed afresh.
         """
-        if self.components.get(consumer.id) is not consumer:
-            return self._sources_of(consumer)
-        sources = self._sources.get(consumer.id)
-        if sources is None:
-            sources = self._sources[consumer.id] = self._sources_of(consumer)
-        return sources
-
-    def downstream_adjacency(self) -> dict[str, tuple[str, ...]]:
-        """source id -> ordered consumer ids (inverse of dependency edges).
-
-        Built on the first call and shared by later ones; do not mutate it.
-        """
-        if self._downstream is None:
-            consumers: dict[str, dict[str, None]] = {c.id: {} for c in self._order}
-            for consumer in self._order:
-                for source in self.dependency_sources(consumer):
-                    if source in consumers:
-                        consumers[source][consumer.id] = None
-            self._downstream = {source: tuple(ids) for source, ids in consumers.items()}
-        return self._downstream
+        if self.components.get(consumer.id) is consumer:
+            return self._sources[consumer.id]
+        return self._sources_of(consumer)
 
     def _digital_dependents(self, component_id: str) -> Iterator[str]:
         """Digital components in the same division reachable downstream,
@@ -394,7 +377,7 @@ class ModelIndex:
         The walk itself crosses any component; the start is never yielded.
         """
         division = self.division_of.get(component_id)
-        down = self.downstream_adjacency()
+        down = self.downstream
         seen = {component_id}
         stack = [component_id] if component_id in down else []
         while stack:
@@ -422,25 +405,12 @@ class ModelIndex:
         the walk stops at the second."""
         return len(list(islice(self._digital_dependents(component_id), 2))) == 2
 
-    def group_positions(self, component_id: str) -> tuple[int, ...]:
-        """Positions in ``redundancy_groups`` of the groups that list the
-        component, ascending: a division-level group lists its division, any
-        other group its id."""
-        positions = self._group_positions.get(component_id)
-        if positions is None:
-            positions = self._groups_of_division.get(self.division_of.get(component_id), ())
-            by_id = self._groups_of_member.get(component_id)
-            if by_id:
-                positions = tuple(sorted(positions + by_id))
-            self._group_positions[component_id] = positions
-        return positions
-
     def grouped_sources(self, source_ids: Iterable[str]) -> dict[int, list[str]]:
         """Group position -> the sources that group lists, in source order,
         for each redundancy group that lists any of them, in group order."""
         grouped: dict[int, list[str]] = {}
         for source in source_ids:
-            for position in self.group_positions(source):
+            for position in self.groups_of.get(source, ()):
                 grouped.setdefault(position, []).append(source)
         return dict(sorted(grouped.items())) if len(grouped) > 1 else grouped
 

@@ -180,7 +180,3 @@ def run_pipeline(
 
 def bundled_model_path() -> Path:
     return Path(__file__).resolve().parent / "data" / "qiasp.resha"
-
-
-def bundled_golden_path() -> Path:
-    return Path(__file__).resolve().parent / "data" / "qiasp.golden.json"

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
@@ -432,7 +433,6 @@ def summary_lines(result: AnalysisResult) -> list[tuple[str, str]]:
     """The run summary of an analysis, once for every format, as ``(kind,
     text)`` lines; a kind is ``title``, ``heading``, ``bullet`` or ``line``."""
     from .ccf import count_by_type
-    from .stpa import instances_by_division
 
     model, census, guidance = result.expanded, result.census, result.guidance
     lines = [
@@ -445,11 +445,11 @@ def summary_lines(result: AnalysisResult) -> list[tuple[str, str]]:
         ("heading", "Interaction analysis"),
         ("bullet", f"Candidates enumerated: {len(result.candidates)}"),
     ]
-    for division, found in sorted(instances_by_division(result.candidates).items()):
-        lines.append(("bullet", f"Candidates in division {division}: {len(found)}"))
+    for division, count in sorted(Counter(c.division for c in result.candidates).items()):
+        lines.append(("bullet", f"Candidates in division {division}: {count}"))
     lines.append(("bullet", f"Applicable instances: {len(result.instances)}"))
-    for division, found in sorted(instances_by_division(result.instances).items()):
-        lines.append(("bullet", f"Applicable in division {division}: {len(found)}"))
+    for division, count in sorted(Counter(i.division for i in result.instances).items()):
+        lines.append(("bullet", f"Applicable in division {division}: {count}"))
     lines += [
         ("heading", "Fault tree"),
         ("bullet", f"Hardware stochastic basic events: {census.hw_stochastic}"),

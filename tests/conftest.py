@@ -7,6 +7,7 @@ import io
 import json
 import random
 import string
+from pathlib import Path
 
 import pytest
 
@@ -33,7 +34,7 @@ from resha.model import (
     Technology,
     validate_model,
 )
-from resha.pipeline import analyze_text, bundled_golden_path, bundled_model_path
+from resha.pipeline import analyze_text, bundled_model_path
 from reference_cutsets import ReferenceCollection
 
 MINI_MODEL = """\
@@ -227,6 +228,11 @@ def qiasp_text() -> str:
 @pytest.fixture(scope="session")
 def qiasp_result(qiasp_text):
     return analyze_text(qiasp_text, "qiasp.resha")
+
+
+def bundled_golden_path() -> Path:
+    """The golden record pinned for the bundled case study."""
+    return bundled_model_path().with_name("qiasp.golden.json")
 
 
 @pytest.fixture(scope="session")

@@ -6,22 +6,33 @@ does not, and each of the six files must hash to the literal table below.
 A change that means to alter an artifact edits this table and says why;
 nothing regenerates it.  Where a case is a benchmark workload, the order-invariant
 digests (all but ``ft.json``, whose node order follows the document) must
-also equal ``benchmark/expected.json``.
+also equal ``benchmark/expected.json``.  The same digests hold under every
+interpreter listed in ``RESHA_EXTRA_PYTHONS``, and renaming the components
+changes no row of ``cutsets.csv`` or ``ccf.csv`` beyond the names.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import re
+import subprocess
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from conftest import SYNTHESIS_MODEL, scaled_qiasp
-from resha.pipeline import PipelineOptions, analyze_text, write_artifacts
-from resha.report import cutsets_csv
+from resha.dsl import parse_model
+from resha.model import REPLICA_SEP, RedundancyLevel
+from resha.pipeline import PipelineOptions, analyze_model, analyze_text, write_artifacts
+from resha.report import ccf_csv, cutsets_csv
 
-EXPECTED_JSON = Path(__file__).resolve().parents[1] / "benchmark" / "expected.json"
+ROOT = Path(__file__).resolve().parents[1]
+
+EXPECTED_JSON = ROOT / "benchmark" / "expected.json"
 
 # case -> (divisions of the bundled model, or a model text; options;
 #          benchmark workload or None)
@@ -129,3 +140,85 @@ def test_three_divisions_exact_cutsets_csv_is_pinned(qiasp_text):
     result = analyze_text(scaled_qiasp(qiasp_text, 3), "qiasp3.resha")
     csv_text = cutsets_csv(result.collection, result.injected_tree)
     assert sha256(csv_text.encode("utf-8")) == THREE_DIVISIONS_EXACT_CUTSETS
+
+
+def _case_text(case: str, qiasp_text: str) -> str:
+    model = CASES[case][0]
+    return model if isinstance(model, str) else scaled_qiasp(qiasp_text, model)
+
+
+EXTRA_PYTHONS = [path for path in os.environ.get("RESHA_EXTRA_PYTHONS", "").split(os.pathsep) if path]
+
+
+@pytest.mark.skipif(not EXTRA_PYTHONS, reason="RESHA_EXTRA_PYTHONS lists no interpreter")
+@pytest.mark.parametrize("python", EXTRA_PYTHONS)
+def test_artifact_bytes_agree_under_other_interpreters(python, qiasp_text, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for case, (_, options, _) in CASES.items():
+        model_path = tmp_path / f"{case}.resha"
+        model_path.write_text(_case_text(case, qiasp_text), encoding="utf-8")
+        out_dir = tmp_path / case
+        args = [python, "-m", "resha.cli", "pipeline", str(model_path), "--out-dir", str(out_dir)]
+        if options.include_hw_design:
+            args.append("--include-hw-design")
+        if options.max_order is not None:
+            args += ["--max-order", str(options.max_order)]
+        proc = subprocess.run(args, capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 0, (case, proc.stderr)
+        digests = {path.name: sha256(path.read_bytes()) for path in out_dir.iterdir()}
+        assert digests == DIGESTS[case], case
+
+
+PREFIX = "zz_"
+
+
+def _prefixed_components(text: str):
+    """The parsed model with every component id prefixed wherever it is
+    named: component ids, refs, link sources and targets, module-level group
+    members and resource dependents, and the replica ids among them."""
+    model = parse_model(text)
+    ids = {c.id for c in model.components()}
+
+    def new(name: str) -> str:
+        base, sep, _ = name.rpartition(REPLICA_SEP)
+        return PREFIX + name if name in ids or (sep and base in ids) else name
+
+    for component in model.components():
+        component.id = new(component.id)
+        component.inputs = [replace(ref, component=new(ref.component)) for ref in component.inputs]
+        component.feedback_inputs = [
+            replace(ref, component=new(ref.component)) for ref in component.feedback_inputs
+        ]
+        for link in component.links:
+            link.source = new(link.source)
+            link.targets = [new(target) for target in link.targets]
+    for group in model.redundancy_groups:
+        if group.level is not RedundancyLevel.DIVISION:
+            group.members = [new(member) for member in group.members]
+    for resource in model.shared_resources:
+        resource.dependents = [new(dependent) for dependent in resource.dependents]
+    return model
+
+
+@pytest.mark.parametrize("max_order", [None, 2])
+def test_renaming_components_changes_only_the_names(qiasp_text, max_order):
+    options = PipelineOptions(max_order=max_order)
+    original = analyze_text(qiasp_text, "qiasp.resha", options)
+    renamed = analyze_model(_prefixed_components(qiasp_text), options)
+    assert renamed.collection.order_index() == original.collection.order_index()
+    assert len(renamed.groups) == len(original.groups)
+    # Map renamed ids back token by token; a token that names no renamed
+    # component, such as a division or a failure type, stays as it is.
+    back = {PREFIX + c.id: c.id for c in original.expanded.components()}
+    assert set(back) == {c.id for c in renamed.expanded.components()}
+
+    def rows(text: str) -> Counter[str]:
+        return Counter("".join(back.get(t, t) for t in re.split(r"([:;,])", line)) for line in text.splitlines())
+
+    for render in (
+        lambda result: cutsets_csv(result.collection, result.injected_tree),
+        lambda result: ccf_csv(result.groups),
+    ):
+        renamed_text, original_text = render(renamed), render(original)
+        assert PREFIX in renamed_text and PREFIX not in original_text
+        assert rows(renamed_text) == rows(original_text)

@@ -13,11 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import MINI_MODEL, scaled_qiasp, unwired_replica_text
+from conftest import MINI_MODEL, bundled_golden_path, scaled_qiasp, unwired_replica_text
 import resha
 import resha.model
 from resha.cli import _color_enabled, _style, main
-from resha.pipeline import ARTIFACT_NAMES, STAGES, bundled_golden_path, bundled_model_path
+from resha.pipeline import ARTIFACT_NAMES, STAGES, bundled_model_path
 
 
 @pytest.fixture(scope="module")

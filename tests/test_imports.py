@@ -12,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import bundled_golden_path
 import resha
 from resha.cli import main
-from resha.pipeline import bundled_golden_path, bundled_model_path
+from resha.pipeline import bundled_model_path
 
 SUBMODULES = ("ccf", "cutsets", "dsl", "ftree", "model", "pipeline", "report", "stpa")
 

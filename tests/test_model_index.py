@@ -122,7 +122,7 @@ def assert_index_matches_naive(model: SystemModel) -> None:
     for component in model.components():
         assert idx.dependency_sources(component) == naive_dependency_sources(model, component)
     down = naive_downstream_adjacency(model)
-    assert idx.downstream_adjacency() == down
+    assert idx.downstream == down
     for component_id in ids:
         assert idx.transitive_digital_dependents(component_id) == (
             naive_transitive_digital_dependents(idx, down, component_id)
@@ -262,7 +262,7 @@ division D {
     assert idx.dependency_sources(idx.components["calc"]) == ("ctrl",)
     assert idx.dependency_sources(idx.components["ctrl"]) == ("calc",)
     assert idx.dependency_sources(idx.components["panel"]) == ("calc",)
-    assert idx.downstream_adjacency()["calc"] == ("ctrl", "panel")
+    assert idx.downstream["calc"] == ("ctrl", "panel")
     assert idx.transitive_digital_dependents("ctrl") == ["calc", "panel"]
     assert_index_matches_naive(model)
 

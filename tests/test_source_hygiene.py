@@ -20,7 +20,6 @@ SRC = ROOT / "src" / "resha"
 KEEP = {
     "evaluate": "the acceptance gate and benchmark/checks.py check cut sets with it",
     "bundled_model_path": "the README's library example and the tests load the case study",
-    "bundled_golden_path": "the tests load the pinned golden record with it",
     "validate_model": "the library's validation call, which the benchmark and the tests make; "
     "the package itself validates through _validate_and_expand",
     "summary_input": "benchmark/worker.py passes what it returns, the result itself, to render_summary",
