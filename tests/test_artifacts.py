@@ -26,7 +26,7 @@ import pytest
 
 from conftest import SYNTHESIS_MODEL, scaled_qiasp
 from resha.dsl import parse_model
-from resha.model import REPLICA_SEP, RedundancyLevel
+from resha.model import REPLICA_SEP, RedundancyLevel, SystemModel
 from resha.pipeline import PipelineOptions, analyze_model, analyze_text, write_artifacts
 from resha.report import ccf_csv, cutsets_csv
 
@@ -120,11 +120,14 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _case_text(case: str, qiasp_text: str) -> str:
+    model = CASES[case][0]
+    return model if isinstance(model, str) else scaled_qiasp(qiasp_text, model)
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_artifact_bytes_are_pinned(case, qiasp_text, tmp_path):
-    model, options, _ = CASES[case]
-    text = model if isinstance(model, str) else scaled_qiasp(qiasp_text, model)
-    result = analyze_text(text, "model.resha", options)
+    result = analyze_text(_case_text(case, qiasp_text), "model.resha", CASES[case][1])
     paths = write_artifacts(result, tmp_path)
     assert {path.name: sha256(path.read_bytes()) for path in paths} == DIGESTS[case]
 
@@ -140,11 +143,6 @@ def test_three_divisions_exact_cutsets_csv_is_pinned(qiasp_text):
     result = analyze_text(scaled_qiasp(qiasp_text, 3), "qiasp3.resha")
     csv_text = cutsets_csv(result.collection, result.injected_tree)
     assert sha256(csv_text.encode("utf-8")) == THREE_DIVISIONS_EXACT_CUTSETS
-
-
-def _case_text(case: str, qiasp_text: str) -> str:
-    model = CASES[case][0]
-    return model if isinstance(model, str) else scaled_qiasp(qiasp_text, model)
 
 
 EXTRA_PYTHONS = [path for path in os.environ.get("RESHA_EXTRA_PYTHONS", "").split(os.pathsep) if path]
@@ -172,7 +170,7 @@ def test_artifact_bytes_agree_under_other_interpreters(python, qiasp_text, tmp_p
 PREFIX = "zz_"
 
 
-def _prefixed_components(text: str):
+def _prefixed_components(text: str) -> SystemModel:
     """The parsed model with every component id prefixed wherever it is
     named: component ids, refs, link sources and targets, module-level group
     members and resource dependents, and the replica ids among them."""
@@ -213,7 +211,8 @@ def test_renaming_components_changes_only_the_names(qiasp_text, max_order):
     assert set(back) == {c.id for c in renamed.expanded.components()}
 
     def rows(text: str) -> Counter[str]:
-        return Counter("".join(back.get(t, t) for t in re.split(r"([:;,])", line)) for line in text.splitlines())
+        tokens = (re.split(r"([:;,])", line) for line in text.splitlines())
+        return Counter("".join(back.get(t, t) for t in line) for line in tokens)
 
     for render in (
         lambda result: cutsets_csv(result.collection, result.injected_tree),
