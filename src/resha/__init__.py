@@ -23,6 +23,8 @@ _EXPORTS = {
         "Gate",
         "GateOp",
         "branch_census",
+        "export_ft",
+        "import_ft",
         "integrate_software",
         "synthesize_hardware_ft",
     ),
@@ -44,7 +46,7 @@ _EXPORTS = {
         "run_pipeline",
         "write_artifacts",
     ),
-    "report": ("export_ft", "generate_guidance", "import_ft", "render_summary"),
+    "report": ("generate_guidance", "render_summary"),
     "stpa": (
         "ControlStructure",
         "UcaUifInstance",

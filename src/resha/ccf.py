@@ -35,6 +35,8 @@ SOFTWARE_CCF_TYPES = (1, 2, 4)
 
 @dataclass
 class CcfGroup:
+    """A software common cause failure group: its type, scope, trigger and member events."""
+
     id: str
     ccf_type: int
     scope: RedundancyLevel

@@ -16,7 +16,9 @@ stage it replaces, so no stage upstream of it runs but validation.  Set
 Each ``resha`` process pays for every module it imports, so this module
 loads only what every subcommand uses: a command imports its writers (and
 ``verify-golden`` its ``golden`` module) when it runs, and ``run_stages``
-imports each stage's module.
+imports each stage's module.  Trees are read and written by ``ftree``, so
+``report`` loads only for the CSV and summary writers: ``synth``,
+``integrate`` and ``ccf`` in text or JSON never import it.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ def _run(args, *goals: str, ft_replaces: str | None = None) -> dict:
     ``--ft`` in place of ``ft_replaces``."""
     values = run_stages({"model": _load_model(args.model), **asdict(_options(args))}, "expanded")
     if getattr(args, "ft", None):
-        from .report import import_ft
+        from .ftree import import_ft
 
         values[ft_replaces] = import_ft(read_input(args.ft))
     return run_stages(values, *goals)
@@ -119,7 +121,7 @@ def cmd_stpa(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    from .report import export_ft
+    from .ftree import export_ft
 
     values = _run(args, "hardware_tree", "census")
     _emit(export_ft(values["hardware_tree"]), args.out)
@@ -133,7 +135,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_integrate(args) -> int:
-    from .report import export_ft
+    from .ftree import export_ft
 
     values = _run(args, "integrated_tree", ft_replaces="hardware_tree")
     _emit(export_ft(values["integrated_tree"]), args.out)
@@ -145,7 +147,7 @@ def cmd_ccf(args) -> int:
     import json
 
     from .ccf import count_by_type
-    from .report import ccf_csv, export_ft
+    from .ftree import export_ft
 
     values = _run(args, "groups", ft_replaces="integrated_tree")
     groups = values["groups"]
@@ -153,6 +155,8 @@ def cmd_ccf(args) -> int:
         injected = run_stages(values, "injected_tree")["injected_tree"]
         Path(args.tree_out).write_text(export_ft(injected), encoding="utf-8")
     if args.format == "csv":
+        from .report import ccf_csv
+
         _emit(ccf_csv(groups), args.out)
     elif args.format == "json":
         payload = [
@@ -178,13 +182,15 @@ def cmd_ccf(args) -> int:
 def cmd_cutsets(args) -> int:
     from .report import cut_set_counts, cutsets_csv
 
-    values = _run(args, "collection", "first_order", ft_replaces="injected_tree")
-    collection, first, tree = values["collection"], values["first_order"], values["injected_tree"]
+    # The CSV lists the cut sets alone; only the text adds the first-order counts.
+    goals = ("collection",) if args.format == "csv" else ("collection", "first_order")
+    values = _run(args, *goals, ft_replaces="injected_tree")
+    collection = values["collection"]
     if args.format == "csv":
-        _emit(cutsets_csv(collection, tree), args.out)
+        _emit(cutsets_csv(collection, values["injected_tree"]), args.out)
     else:
         lines = [f"order {len(cut)}: {' '.join(cut)}" for cut in collection.sets]
-        lines += cut_set_counts(collection, first)
+        lines += cut_set_counts(collection, values["first_order"])
         _emit("\n".join(lines) + "\n", args.out)
     return 0
 

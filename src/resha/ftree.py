@@ -27,12 +27,19 @@ Software design gates start empty (unresolved placeholders) and are filled
 by :func:`integrate_software`.  A stage that extends a tree does so through
 :meth:`FaultTree.attach`: the new tree shares every node the stage does not
 change, and the input tree is never modified.
+
+A tree's JSON form (schema ``resha/1``) is written by :func:`export_ft` and
+read back by :func:`import_ft`.  The stages hand trees to each other through
+it (``ft.json`` and the ``--ft`` files of the CLI), so a command that only
+reads and writes trees needs this module and no renderer.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from .model import (
@@ -71,6 +78,8 @@ EVENT_CATEGORY_NAMES: dict[EventCategory, str] = {c: c.value for c in EventCateg
 
 @dataclass
 class Gate:
+    """An AND or OR gate over child node ids."""
+
     id: str
     op: GateOp
     children: list[str] = field(default_factory=list)
@@ -83,6 +92,8 @@ class Gate:
 
 @dataclass
 class BasicEvent:
+    """A leaf of the tree: one failure that can occur on its own."""
+
     id: str
     category: EventCategory
     label: str = ""
@@ -96,6 +107,8 @@ Step = Union[str, Node]
 
 @dataclass
 class FaultTree:
+    """A rooted AND/OR DAG whose nodes are kept by id in insertion order."""
+
     model_name: str
     root: str
     nodes: dict[str, Node] = field(default_factory=dict)
@@ -189,6 +202,8 @@ class FaultTree:
 
 @dataclass
 class BranchCensus:
+    """Counts of a hardware tree's structural branches, by kind."""
+
     hw_stochastic: int = 0
     hw_design: int = 0
     dependency: int = 0
@@ -362,3 +377,140 @@ def integrate_software(tree: FaultTree, instances: list["UcaUifInstance"]) -> Fa
         events.append(BasicEvent(instance.id, category, instance.describe(), software=True))
         under.setdefault(gate_id, []).append(instance.id)
     return tree.attach(events, under)
+
+
+FT_SCHEMA = "resha/1"
+
+
+def export_ft(tree: FaultTree) -> str:
+    """Serialize a fault tree as a stable JSON document.
+
+    The bytes are those of ``json.dumps(doc, indent=2)`` and a final
+    newline, where ``doc`` is the tree as nested dicts and lists.  Given an
+    ``indent``, ``json.dumps`` runs its pure-Python encoder, which costs
+    several times more per node, so the fixed layout is written here as
+    string pieces joined once.  Every string goes through
+    ``json.encoder.encode_basestring_ascii``, the C escaper that
+    ``json.dumps`` itself uses under its default ``ensure_ascii=True``, so
+    escaping stays the json module's decision.  Keys appear in a fixed
+    order, and the optional ones only when set.
+    """
+    q = encode_basestring_ascii
+    # Each gate's kind and op, and each event's kind and category, encoded once.
+    gate_kinds = {op: f',\n      "kind": "gate",\n      "op": {q(name)}' for op, name in GATE_OP_NAMES.items()}
+    event_kinds = {
+        category: f',\n      "kind": "event",\n      "category": {q(name)}'
+        for category, name in EVENT_CATEGORY_NAMES.items()
+    }
+    out = [
+        '{\n  "schema": ', q(FT_SCHEMA),
+        ',\n  "model": ', q(tree.model_name),
+        ',\n  "options": {\n    "include_hw_design": ', "true" if tree.include_hw_design else "false",
+        '\n  },\n  "root": ', q(tree.root),
+        ',\n  "nodes": [',
+    ]
+    separator = "\n    {\n"
+    for node in tree.nodes.values():
+        out += (separator, '      "id": ', q(node.id))
+        separator = ",\n    {\n"
+        if isinstance(node, Gate):
+            out.append(gate_kinds[node.op])
+            if node.label:
+                out += (',\n      "label": ', q(node.label))
+            if node.children:
+                children = ",\n        ".join(map(q, node.children))
+                out += (',\n      "children": [\n        ', children, "\n      ]")
+            else:
+                out.append(',\n      "children": []')
+            if node.failure_for is not None:
+                out += (',\n      "failure_for": ', q(node.failure_for))
+            if node.dependency_for is not None:
+                out += (',\n      "dependency_for": ', q(node.dependency_for))
+            if node.placeholder_for is not None:
+                out += (',\n      "placeholder_for": ', q(node.placeholder_for))
+        else:
+            out.append(event_kinds[node.category])
+            if node.label:
+                out += (',\n      "label": ', q(node.label))
+            if node.software:
+                out.append(',\n      "software": true')
+        out.append("\n    }")
+    out.append("\n  ]\n}\n" if tree.nodes else "]\n}\n")
+    return "".join(out)
+
+
+# Optional node fields that export_ft writes as JSON strings, when set.
+_OPTIONAL_STRINGS = ("label", "failure_for", "dependency_for", "placeholder_for")
+
+
+def import_ft(text: str) -> FaultTree:
+    """Rebuild a fault tree from its JSON document.
+
+    Trees written outside this program come in only here, so a value that
+    ``export_ft`` writes as a string must be one, and a flag it writes as
+    ``true`` or ``false`` must be a JSON boolean: a ModelError names the
+    node whose id, label, marker, child or ``software`` flag is not.
+    """
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ModelError(f"fault tree document is not valid JSON: {exc}") from None
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != FT_SCHEMA:
+        raise ModelError(f"expected schema '{FT_SCHEMA}', got {schema!r}")
+    model_name, root = doc.get("model", ""), doc.get("root", "")
+    options, nodes = doc.get("options") or {}, doc.get("nodes", [])
+    if not (
+        isinstance(model_name, str)
+        and isinstance(root, str)
+        and isinstance(options, dict)
+        and isinstance(nodes, list)
+    ):
+        raise ModelError(
+            "fault tree document needs a string 'model' and 'root', "
+            "an object 'options' and a list 'nodes'"
+        )
+    include_hw_design = options.get("include_hw_design", False)
+    if not isinstance(include_hw_design, bool):
+        raise ModelError(f"option 'include_hw_design' is not true or false: {include_hw_design!r}")
+    tree = FaultTree(model_name=model_name, root=root, include_hw_design=include_hw_design)
+    for entry in nodes:
+        if not isinstance(entry, dict):
+            raise ModelError(f"fault tree node {entry!r} is not an object")
+        node_id, kind, children = entry.get("id"), entry.get("kind"), entry.get("children", [])
+        if not (
+            isinstance(node_id, str)
+            and all(isinstance(entry.get(key, ""), str) for key in _OPTIONAL_STRINGS)
+            and isinstance(children, list)
+            and all(isinstance(child, str) for child in children)
+            and isinstance(entry.get("software", False), bool)
+        ):
+            raise ModelError(
+                f"node {node_id!r}: its id, {', '.join(_OPTIONAL_STRINGS)} and children "
+                "must be strings, and its software flag true or false"
+            )
+        try:
+            if kind == "gate":
+                node: Node = Gate(
+                    id=node_id,
+                    op=GateOp(entry.get("op")),
+                    children=list(children),
+                    label=entry.get("label", ""),
+                    failure_for=entry.get("failure_for"),
+                    dependency_for=entry.get("dependency_for"),
+                    placeholder_for=entry.get("placeholder_for"),
+                )
+            elif kind == "event":
+                node = BasicEvent(
+                    id=node_id,
+                    category=EventCategory(entry.get("category")),
+                    label=entry.get("label", ""),
+                    software=entry.get("software", False),
+                )
+            else:
+                raise ModelError(f"node {node_id!r} has unknown kind {kind!r}")
+        except ValueError as exc:
+            raise ModelError(f"node {node_id!r}: {exc}") from None
+        tree.add(node)
+    tree.check_structure()
+    return tree

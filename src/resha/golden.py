@@ -9,25 +9,30 @@ analysis run and reports a per-field comparison.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .ccf import count_by_type
 from .model import ComponentKind, ModelError
 from .pipeline import AnalysisResult, read_input
-from .stpa import Flavor, instances_by_division
+from .stpa import Flavor
 
 GOLDEN_SCHEMA = "resha-golden/1"
 
 
 @dataclass
 class GoldenRecord:
+    """The pinned expected values of a golden file, by metric name."""
+
     model: str
     values: dict[str, object]
 
 
 @dataclass
 class FieldResult:
+    """One pinned metric beside the value recomputed from an analysis."""
+
     name: str
     expected: object
     actual: object
@@ -43,6 +48,8 @@ class FieldResult:
 
 @dataclass
 class GoldenReport:
+    """The field-by-field comparison of an analysis with a golden record."""
+
     fields: list[FieldResult] = field(default_factory=list)
 
     @property
@@ -86,23 +93,25 @@ def compute_metrics(result: AnalysisResult) -> dict[str, object]:
     metrics["census.sw_design"] = result.census.sw_design
     metrics["census.hw_design"] = result.census.hw_design
 
-    for division, found in instances_by_division(result.candidates).items():
-        metrics[f"stpa.candidates.{division}"] = len(found)
+    for division, count in Counter(c.division for c in result.candidates).items():
+        metrics[f"stpa.candidates.{division}"] = count
 
-    for division, found in instances_by_division(result.instances).items():
-        bucket = {"uca": 0, "uif_calculator": 0, "uif_alarm": 0, "uif_other": 0}
-        for instance in found:
-            owner = idx.components[instance.owner]
-            if instance.flavor is Flavor.UCA:
-                bucket["uca"] += 1
-            elif owner.kind is ComponentKind.CALCULATOR:
-                bucket["uif_calculator"] += 1
-            elif owner.kind is ComponentKind.ALARM:
-                bucket["uif_alarm"] += 1
-            else:
-                bucket["uif_other"] += 1
-        for name, count in bucket.items():
-            metrics[f"stpa.{division}.{name}"] = count
+    # Instances by division, flavor and owner kind; divisions in first-seen order.
+    buckets: Counter[tuple[str, str]] = Counter()
+    for instance in result.instances:
+        kind = idx.components[instance.owner].kind
+        if instance.flavor is Flavor.UCA:
+            name = "uca"
+        elif kind is ComponentKind.CALCULATOR:
+            name = "uif_calculator"
+        elif kind is ComponentKind.ALARM:
+            name = "uif_alarm"
+        else:
+            name = "uif_other"
+        buckets[instance.division, name] += 1
+    for division in dict.fromkeys(division for division, _ in buckets):
+        for name in ("uca", "uif_calculator", "uif_alarm", "uif_other"):
+            metrics[f"stpa.{division}.{name}"] = buckets[division, name]
 
     counts = count_by_type(result.groups)
     for ccf_type in (1, 2, 3, 4):

@@ -169,6 +169,8 @@ class Ref:
 
 @dataclass(frozen=True)
 class Loss:
+    """A loss the analysis guards against, as the model document declares it."""
+
     id: str
     description: str
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
@@ -176,6 +178,8 @@ class Loss:
 
 @dataclass(frozen=True)
 class Hazard:
+    """A system state that leads to the listed losses."""
+
     id: str
     description: str
     losses: list[str] = field(default_factory=list)
@@ -228,6 +232,8 @@ class Link:
 
 @dataclass
 class Component:
+    """One element of a division, with its inputs and the links it issues."""
+
     id: str
     kind: ComponentKind
     tech: Technology
@@ -240,6 +246,8 @@ class Component:
 
 @dataclass
 class Division:
+    """A redundant channel of components; ``replicates`` copies another division."""
+
     id: str
     components: list[Component] = field(default_factory=list)
     replicates: str | None = None
@@ -251,6 +259,8 @@ class Division:
 
 @dataclass
 class RedundancyGroup:
+    """Members whose joint failure defeats the redundancy, combined by ``logic``."""
+
     id: str
     level: RedundancyLevel
     logic: GroupLogic
@@ -260,6 +270,8 @@ class RedundancyGroup:
 
 @dataclass
 class SharedResource:
+    """A resource, such as a power supply, that several components depend on."""
+
     id: str
     scope: ResourceScope
     dependents: list[str] = field(default_factory=list)
@@ -268,6 +280,8 @@ class SharedResource:
 
 @dataclass
 class SystemModel:
+    """A whole model document: hazards, design classes, divisions, groups and resources."""
+
     name: str
     top_event: str
     losses: list[Loss] = field(default_factory=list)
@@ -510,6 +524,8 @@ def expand_replication(model: SystemModel) -> SystemModel:
 
 @dataclass
 class Violation:
+    """One validation finding: a code, a message and where in the document it is."""
+
     code: str
     message: str
     span: SourceSpan | None = field(default=None, compare=False)
@@ -521,6 +537,8 @@ class Violation:
 
 @dataclass
 class ValidationReport:
+    """Every violation that validation found in a model; empty means the model is valid."""
+
     violations: list[Violation] = field(default_factory=list)
 
     @property

@@ -45,6 +45,8 @@ class ValidationFailed(Exception):
 
 @dataclass
 class PipelineOptions:
+    """The choices that change an analysis: hardware design events and cut-set truncation."""
+
     include_hw_design: bool = False
     max_order: int | None = None
 
@@ -141,7 +143,8 @@ def analyze_text(text: str, file_name: str = "<model>", options: PipelineOptions
 
 def write_artifacts(result: AnalysisResult, out_dir: Path) -> list[Path]:
     """Write the six artifact files; returns their paths in a fixed order."""
-    from .report import ccf_csv, cutsets_csv, export_ft, markup_summary, summary_lines, traceability_csv
+    from .ftree import export_ft
+    from .report import ccf_csv, cutsets_csv, markup_summary, summary_lines, traceability_csv
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

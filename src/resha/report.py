@@ -1,4 +1,10 @@
-r"""Guidance findings, summary rendering, and artifact serialization.
+r"""Guidance findings, summary rendering, and the CSV artifacts.
+
+The fault tree's JSON form, ``export_ft`` and ``import_ft``, lives in
+``resha.ftree``; this module re-exports the two names, which
+``benchmark/worker.py`` and ``benchmark/checks.py`` import from here.  A
+command that only reads and writes trees (``synth``, ``integrate``, ``ccf``
+in text or JSON) never loads this module.
 
 The CSV rule: ``ccf.csv`` and ``traceability.csv`` are built as string
 tuples and joined with ``,`` and ``\n`` by ``csv_table``, which keeps the
@@ -8,29 +14,18 @@ the same rows.  ``cutsets_csv`` tests each event id once instead, so that
 its rows can later be written as they are walked.  Either way the bytes are
 ``csv.writer(lineterminator="\n")``'s, whose quoting differs between
 Python versions, and one set of special characters, ``_CSV_SPECIAL``,
-decides when the csv module is asked.
+decides when the csv module is asked.  The ``csv`` module is imported only
+there, so a run whose fields need no quoting never loads it.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from collections import Counter
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
-from .ftree import (
-    EVENT_CATEGORY_NAMES,
-    GATE_OP_NAMES,
-    BasicEvent,
-    EventCategory,
-    FaultTree,
-    Gate,
-    GateOp,
-    Node,
-)
+from .ftree import EVENT_CATEGORY_NAMES, BasicEvent, FaultTree
+from .ftree import export_ft, import_ft  # re-exported; see the module docstring
 from .model import LETTERS, LEVEL_NAMES, STPA_CATEGORY_NAMES, FailureModeType, ModelError, SystemModel
 
 if TYPE_CHECKING:
@@ -38,8 +33,6 @@ if TYPE_CHECKING:
     from .cutsets import CutSetCollection, FirstOrderReport
     from .pipeline import AnalysisResult
     from .stpa import UcaUifInstance
-
-FT_SCHEMA = "resha/1"
 
 # Root causes to investigate per failure-mode type, keyed by letter.
 CAUSE_MAP: dict[FailureModeType, str] = {
@@ -106,6 +99,8 @@ class CouplingFinding:
 
 @dataclass
 class GuidanceReport:
+    """The design guidance of an analysis: findings, single points of failure and cause letters."""
+
     diversity_findings: list[DiversityFinding] = field(default_factory=list)
     coupling_findings: list[CouplingFinding] = field(default_factory=list)
     # The basic events that each defeat the redundant architecture alone.
@@ -159,140 +154,6 @@ def generate_guidance(
     return report
 
 
-def export_ft(tree: FaultTree) -> str:
-    """Serialize a fault tree as a stable JSON document.
-
-    The bytes are those of ``json.dumps(doc, indent=2)`` and a final
-    newline, where ``doc`` is the tree as nested dicts and lists.  Given an
-    ``indent``, ``json.dumps`` runs its pure-Python encoder, which costs
-    several times more per node, so the fixed layout is written here as
-    string pieces joined once.  Every string goes through
-    ``json.encoder.encode_basestring_ascii``, the C escaper that
-    ``json.dumps`` itself uses under its default ``ensure_ascii=True``, so
-    escaping stays the json module's decision.  Keys appear in a fixed
-    order, and the optional ones only when set.
-    """
-    q = encode_basestring_ascii
-    # Each gate's kind and op, and each event's kind and category, encoded once.
-    gate_kinds = {op: f',\n      "kind": "gate",\n      "op": {q(name)}' for op, name in GATE_OP_NAMES.items()}
-    event_kinds = {
-        category: f',\n      "kind": "event",\n      "category": {q(name)}'
-        for category, name in EVENT_CATEGORY_NAMES.items()
-    }
-    out = [
-        '{\n  "schema": ', q(FT_SCHEMA),
-        ',\n  "model": ', q(tree.model_name),
-        ',\n  "options": {\n    "include_hw_design": ', "true" if tree.include_hw_design else "false",
-        '\n  },\n  "root": ', q(tree.root),
-        ',\n  "nodes": [',
-    ]
-    separator = "\n    {\n"
-    for node in tree.nodes.values():
-        out += (separator, '      "id": ', q(node.id))
-        separator = ",\n    {\n"
-        if isinstance(node, Gate):
-            out.append(gate_kinds[node.op])
-            if node.label:
-                out += (',\n      "label": ', q(node.label))
-            if node.children:
-                children = ",\n        ".join(map(q, node.children))
-                out += (',\n      "children": [\n        ', children, "\n      ]")
-            else:
-                out.append(',\n      "children": []')
-            if node.failure_for is not None:
-                out += (',\n      "failure_for": ', q(node.failure_for))
-            if node.dependency_for is not None:
-                out += (',\n      "dependency_for": ', q(node.dependency_for))
-            if node.placeholder_for is not None:
-                out += (',\n      "placeholder_for": ', q(node.placeholder_for))
-        else:
-            out.append(event_kinds[node.category])
-            if node.label:
-                out += (',\n      "label": ', q(node.label))
-            if node.software:
-                out.append(',\n      "software": true')
-        out.append("\n    }")
-    out.append("\n  ]\n}\n" if tree.nodes else "]\n}\n")
-    return "".join(out)
-
-
-# Optional node fields that export_ft writes as JSON strings, when set.
-_OPTIONAL_STRINGS = ("label", "failure_for", "dependency_for", "placeholder_for")
-
-
-def import_ft(text: str) -> FaultTree:
-    """Rebuild a fault tree from its JSON document.
-
-    Trees written outside this program come in only here, so a value that
-    ``export_ft`` writes as a string must be one, and a flag it writes as
-    ``true`` or ``false`` must be a JSON boolean: a ModelError names the
-    node whose id, label, marker, child or ``software`` flag is not.
-    """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelError(f"fault tree document is not valid JSON: {exc}") from None
-    schema = doc.get("schema") if isinstance(doc, dict) else None
-    if schema != FT_SCHEMA:
-        raise ModelError(f"expected schema '{FT_SCHEMA}', got {schema!r}")
-    model_name, root = doc.get("model", ""), doc.get("root", "")
-    options, nodes = doc.get("options") or {}, doc.get("nodes", [])
-    if not (
-        isinstance(model_name, str)
-        and isinstance(root, str)
-        and isinstance(options, dict)
-        and isinstance(nodes, list)
-    ):
-        raise ModelError(
-            "fault tree document needs a string 'model' and 'root', "
-            "an object 'options' and a list 'nodes'"
-        )
-    include_hw_design = options.get("include_hw_design", False)
-    if not isinstance(include_hw_design, bool):
-        raise ModelError(f"option 'include_hw_design' is not true or false: {include_hw_design!r}")
-    tree = FaultTree(model_name=model_name, root=root, include_hw_design=include_hw_design)
-    for entry in nodes:
-        if not isinstance(entry, dict):
-            raise ModelError(f"fault tree node {entry!r} is not an object")
-        node_id, kind, children = entry.get("id"), entry.get("kind"), entry.get("children", [])
-        if not (
-            isinstance(node_id, str)
-            and all(isinstance(entry.get(key, ""), str) for key in _OPTIONAL_STRINGS)
-            and isinstance(children, list)
-            and all(isinstance(child, str) for child in children)
-            and isinstance(entry.get("software", False), bool)
-        ):
-            raise ModelError(
-                f"node {node_id!r}: its id, {', '.join(_OPTIONAL_STRINGS)} and children "
-                "must be strings, and its software flag true or false"
-            )
-        try:
-            if kind == "gate":
-                node: Node = Gate(
-                    id=node_id,
-                    op=GateOp(entry.get("op")),
-                    children=list(children),
-                    label=entry.get("label", ""),
-                    failure_for=entry.get("failure_for"),
-                    dependency_for=entry.get("dependency_for"),
-                    placeholder_for=entry.get("placeholder_for"),
-                )
-            elif kind == "event":
-                node = BasicEvent(
-                    id=node_id,
-                    category=EventCategory(entry.get("category")),
-                    label=entry.get("label", ""),
-                    software=entry.get("software", False),
-                )
-            else:
-                raise ModelError(f"node {node_id!r} has unknown kind {kind!r}")
-        except ValueError as exc:
-            raise ModelError(f"node {node_id!r}: {exc}") from None
-        tree.add(node)
-    tree.check_structure()
-    return tree
-
-
 # Characters that may make the csv module quote or refuse a field.  Which of
 # them do depends on the Python version: 3.11 and 3.12 leave a lone "\r"
 # bare and 3.13 quotes it; 3.10 refuses a NUL.
@@ -322,6 +183,9 @@ def csv_table(rows: list[tuple[str, ...]]) -> str:
         and not any(c in text for c in _CSV_NEVER_BARE)
     ):
         return text
+    import csv
+    import io
+
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()
@@ -358,6 +222,9 @@ def cutsets_csv(collection: CutSetCollection, tree: FaultTree) -> str:
             prefix, middle = f"{order},{head_ids}", f",{head_categories}"
             lines += [f"{prefix}{ids[i]}{middle}{tails[i]}" for i in lasts]
             continue
+        import csv
+        import io
+
         for i in lasts:
             out = io.StringIO()
             flag = "yes" if software.issuperset((*head, i)) else "no"

@@ -108,10 +108,3 @@ def apply_applicability(
             kept.append(UcaUifInstance(c.id, c.flavor, c.type, c.owner, c.link, c.division, hazards))
     kept.sort(key=lambda i: (i.division, i.owner, LETTERS[i.type], i.id))
     return kept
-
-
-def instances_by_division(instances: list[UcaUifInstance]) -> dict[str, list[UcaUifInstance]]:
-    out: dict[str, list[UcaUifInstance]] = {}
-    for instance in instances:
-        out.setdefault(instance.division, []).append(instance)
-    return out

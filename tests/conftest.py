@@ -35,6 +35,7 @@ from resha.model import (
     validate_model,
 )
 from resha.pipeline import analyze_text, bundled_model_path
+from resha.stpa import UcaUifInstance
 from reference_cutsets import ReferenceCollection
 
 MINI_MODEL = """\
@@ -235,6 +236,13 @@ def bundled_golden_path() -> Path:
     return bundled_model_path().with_name("qiasp.golden.json")
 
 
+def instances_by_division(instances: list[UcaUifInstance]) -> dict[str, list[UcaUifInstance]]:
+    out: dict[str, list[UcaUifInstance]] = {}
+    for instance in instances:
+        out.setdefault(instance.division, []).append(instance)
+    return out
+
+
 @pytest.fixture(scope="session")
 def golden_path():
     return bundled_golden_path()
@@ -309,7 +317,7 @@ def mk_tree(spec, categories: dict[str, EventCategory] | None = None) -> FaultTr
 
 
 def reference_export_ft(tree: FaultTree) -> str:
-    """``report.export_ft`` as ``json.dumps(indent=2)`` of the tree's dict form,
+    """``ftree.export_ft`` as ``json.dumps(indent=2)`` of the tree's dict form,
     the reference the direct layout must match byte for byte."""
     nodes = []
     for node in tree.nodes.values():

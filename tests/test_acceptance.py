@@ -14,6 +14,7 @@ import numpy as np
 from conftest import (
     as_frozensets,
     census_tuple,
+    instances_by_division,
     random_analyzable_model,
     random_model,
     random_tree,
@@ -37,7 +38,6 @@ from resha.stpa import (
     apply_applicability,
     enumerate_candidates,
     extract_control_structure,
-    instances_by_division,
 )
 from reference_cutsets import brute_force_oracle
 

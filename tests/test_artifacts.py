@@ -6,8 +6,9 @@ does not, and each of the six files must hash to the literal table below.
 A change that means to alter an artifact edits this table and says why;
 nothing regenerates it.  Where a case is a benchmark workload, the order-invariant
 digests (all but ``ft.json``, whose node order follows the document) must
-also equal ``benchmark/expected.json``.  The same digests hold under every
-interpreter listed in ``RESHA_EXTRA_PYTHONS``, and renaming the components
+also equal ``benchmark/expected.json``.  The same digests, and those of the
+CLI listings pinned in ``test_cli.py``, hold under every interpreter listed
+in ``RESHA_EXTRA_PYTHONS``, and renaming the components
 changes no row of ``cutsets.csv`` or ``ccf.csv`` beyond the names.
 """
 
@@ -27,8 +28,9 @@ import pytest
 from conftest import SYNTHESIS_MODEL, scaled_qiasp
 from resha.dsl import parse_model
 from resha.model import REPLICA_SEP, RedundancyLevel, SystemModel
-from resha.pipeline import PipelineOptions, analyze_model, analyze_text, write_artifacts
+from resha.pipeline import PipelineOptions, analyze_model, analyze_text, bundled_model_path, write_artifacts
 from resha.report import ccf_csv, cutsets_csv
+from test_cli import LISTING_DIGESTS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -165,6 +167,13 @@ def test_artifact_bytes_agree_under_other_interpreters(python, qiasp_text, tmp_p
         assert proc.returncode == 0, (case, proc.stderr)
         digests = {path.name: sha256(path.read_bytes()) for path in out_dir.iterdir()}
         assert digests == DIGESTS[case], case
+    # The CLI listings on the bundled model, written to stdout.
+    for command, digest in LISTING_DIGESTS.items():
+        name, *options = command.split()
+        args = [python, "-m", "resha.cli", name, str(bundled_model_path()), *options]
+        proc = subprocess.run(args, capture_output=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 0, (command, proc.stderr)
+        assert sha256(proc.stdout) == digest, command
 
 
 PREFIX = "zz_"

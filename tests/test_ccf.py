@@ -29,6 +29,7 @@ from resha.ftree import (
     EventCategory,
     FaultTree,
     Gate,
+    export_ft,
     integrate_software,
     synthesize_hardware_ft,
 )
@@ -40,7 +41,6 @@ from resha.model import (
     expand_replication,
 )
 from resha.pipeline import PipelineOptions, analyze_text
-from resha.report import export_ft
 from resha.stpa import apply_applicability, enumerate_candidates, extract_control_structure
 
 MULTI_TARGET = """\

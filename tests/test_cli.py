@@ -15,6 +15,7 @@ import pytest
 
 from conftest import MINI_MODEL, bundled_golden_path, scaled_qiasp, unwired_replica_text
 import resha
+import resha.cutsets
 import resha.model
 from resha.cli import _color_enabled, _style, main
 from resha.pipeline import ARTIFACT_NAMES, STAGES, bundled_model_path
@@ -230,6 +231,16 @@ def test_listing_bytes_are_pinned(command, model_path, capsys):
     assert main([name, model_path, *options]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LISTING_DIGESTS[command]
+
+
+def test_cutsets_csv_computes_no_first_order_report(model_path, monkeypatch, capsys):
+    # The CSV lists the cut sets alone, so its run stops at the collection.
+    def refuse(*_):
+        raise AssertionError("first-order report computed for CSV output")
+
+    monkeypatch.setattr(resha.cutsets, "first_order_cut_sets", refuse)
+    assert main(["cutsets", model_path, "--max-order", "1", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.startswith("order,members,categories,software\n")
 
 
 def test_stage_chaining_matches_pipeline(model_path, tmp_path, capsys):

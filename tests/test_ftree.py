@@ -28,12 +28,13 @@ from resha.ftree import (
     Gate,
     GateOp,
     branch_census,
+    export_ft,
+    import_ft,
     integrate_software,
     synthesize_hardware_ft,
 )
 from resha.model import ModelError, expand_replication
 from resha.pipeline import analyze_model, run_stages
-from resha.report import export_ft, import_ft
 from resha.stpa import UcaUifInstance, Flavor
 from resha.model import FailureModeType
 

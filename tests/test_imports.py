@@ -1,5 +1,6 @@
 """Import cost: each subcommand loads only the modules of the stages it runs,
-and the package resolves its public names on first use."""
+the ``csv`` module only when a field needs quoting, and the package resolves
+its public names on first use."""
 
 from __future__ import annotations
 
@@ -20,7 +21,8 @@ from resha.pipeline import bundled_model_path
 SUBMODULES = ("ccf", "cutsets", "dsl", "ftree", "model", "pipeline", "report", "stpa")
 
 # Runs ``resha ARGS`` as ``python -m resha.cli`` does, then prints the
-# ``resha.*`` modules it loaded.  The CLI itself runs as ``__main__``.
+# ``resha.*`` modules it loaded and whether it loaded ``csv``.  The CLI
+# itself runs as ``__main__``.
 PROBE = """
 import json, runpy, sys
 sys.argv = ["resha", *sys.argv[1:]]
@@ -28,23 +30,32 @@ try:
     runpy.run_module("resha.cli", run_name="__main__")
 except SystemExit as exc:
     assert exc.code == 0, exc.code
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("resha."))))
+print(json.dumps([sorted(m for m in sys.modules if m.startswith("resha.")), "csv" in sys.modules]))
 """
 
 VALIDATE = {"dsl", "model", "pipeline"}
 EVERY_STAGE = {*VALIDATE, "ftree", "report", "stpa", "ccf", "cutsets"}
 
 # subcommand arguments (MODEL, GOLDEN and the trees from ``trees`` filled in
-# by name) -> the modules that subcommand loads.
+# by name) -> the modules that subcommand loads.  Trees are read and written
+# by ``ftree``, so only the CSV and summary writers load ``report``.
 MODULE_SETS = [
     (["validate", "MODEL"], VALIDATE),
-    (["synth", "MODEL", "--out", "out.json"], VALIDATE | {"ftree", "report"}),
-    (["integrate", "MODEL", "--ft", "hw.json", "--out", "out.json"], VALIDATE | {"ftree", "report", "stpa"}),
+    (["synth", "MODEL", "--out", "out.json"], VALIDATE | {"ftree"}),
+    (["integrate", "MODEL", "--ft", "hw.json", "--out", "out.json"], VALIDATE | {"ftree", "stpa"}),
     (
         ["ccf", "MODEL", "--ft", "int.json", "--tree-out", "out.json", "--out", "out.txt"],
-        VALIDATE | {"ftree", "report", "stpa", "ccf"},
+        VALIDATE | {"ftree", "stpa", "ccf"},
+    ),
+    (
+        ["ccf", "MODEL", "--ft", "int.json", "--format", "csv", "--out", "out.csv"],
+        VALIDATE | {"ftree", "stpa", "ccf", "report"},
     ),
     (["cutsets", "MODEL", "--ft", "inj.json", "--out", "out.txt"], VALIDATE | {"ftree", "report", "cutsets"}),
+    (
+        ["cutsets", "MODEL", "--ft", "inj.json", "--format", "csv", "--out", "out.csv"],
+        VALIDATE | {"ftree", "report", "cutsets"},
+    ),
     (["pipeline", "MODEL", "--out-dir", "out"], EVERY_STAGE),
     (["report", "MODEL", "--out", "out.md"], EVERY_STAGE),
     (["verify-golden", "MODEL", "GOLDEN"], EVERY_STAGE | {"golden"}),
@@ -74,13 +85,22 @@ def trees(tmp_path_factory) -> Path:
     return root
 
 
-@pytest.mark.parametrize("args, modules", MODULE_SETS, ids=[args[0] for args, _ in MODULE_SETS])
+def _case_id(args: list[str]) -> str:
+    """The subcommand, and its ``--format`` when one is given."""
+    if "--format" in args:
+        return f"{args[0]}-{args[args.index('--format') + 1]}"
+    return args[0]
+
+
+@pytest.mark.parametrize("args, modules", MODULE_SETS, ids=[_case_id(args) for args, _ in MODULE_SETS])
 def test_subcommand_loads_only_its_stages(args, modules, trees):
     names = {"MODEL": str(bundled_model_path()), "GOLDEN": str(bundled_golden_path())}
     proc = _run(PROBE, *(names.get(arg, arg) for arg in args), cwd=trees)
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout.splitlines()[-1])
+    loaded, csv_loaded = json.loads(proc.stdout.splitlines()[-1])
     assert loaded == sorted(f"resha.{module}" for module in modules)
+    # No field of the bundled model needs quoting, so no writer asks csv.
+    assert not csv_loaded
 
 
 def test_bare_import_loads_no_submodule(tmp_path):

@@ -23,6 +23,7 @@ from conftest import (
     unwired_resource_dependent_text,
 )
 from resha.dsl import ParseError, parse_model
+from resha.ftree import export_ft
 from resha.golden import compute_metrics
 from resha.model import (
     Component,
@@ -54,7 +55,7 @@ from resha.pipeline import (
     analyze_text,
     bundled_model_path,
 )
-from resha.report import ccf_csv, cutsets_csv, export_ft, render_summary, traceability_csv
+from resha.report import ccf_csv, cutsets_csv, render_summary, traceability_csv
 
 
 def _codes(model: SystemModel) -> set[str]:

@@ -14,15 +14,13 @@ from hypothesis import strategies as st
 
 from conftest import mk_tree, reference_cutsets_csv, reference_export_ft
 from resha.cutsets import CutSetCollection, first_order_cut_sets, minimal_cut_sets
-from resha.ftree import BasicEvent, EventCategory, FaultTree, Gate, GateOp
+from resha.ftree import BasicEvent, EventCategory, FaultTree, Gate, GateOp, export_ft, import_ft
 from resha.model import FailureModeType, ModelError
 from resha.report import (
     CAUSE_MAP,
     csv_table,
     cutsets_csv,
     ccf_csv,
-    export_ft,
-    import_ft,
     render_summary,
     traceability_csv,
 )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 from collections import Counter
 
-from conftest import MINI_MODEL
+from conftest import MINI_MODEL, instances_by_division
 from resha.dsl import parse_model
 from resha.model import (
     REPLICA_SEP,
@@ -21,7 +21,6 @@ from resha.stpa import (
     apply_applicability,
     enumerate_candidates,
     extract_control_structure,
-    instances_by_division,
 )
 from resha.report import traceability_csv
 
