@@ -18,7 +18,9 @@ loads only what every subcommand uses: a command imports its writers (and
 ``verify-golden`` its ``golden`` module) when it runs, and ``run_stages``
 imports each stage's module.  Trees are read and written by ``ftree``, so
 ``report`` loads only for the CSV and summary writers: ``synth``,
-``integrate`` and ``ccf`` in text or JSON never import it.
+``integrate`` and ``ccf`` in text or JSON never import it.  ``main`` builds
+the named command's parser alone, and every parser only for top-level help
+and for a missing or unknown command.
 """
 
 from __future__ import annotations
@@ -230,68 +232,93 @@ def cmd_verify_golden(args) -> int:
     return 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(flag: str, **options) -> tuple[str, dict]:
+    return flag, options
+
+
+_HW_DESIGN = _arg("--include-hw-design", action="store_true")
+_MAX_ORDER = _arg("--max-order", type=int, default=None)
+_FORMATS = _arg("--format", choices=("text", "csv", "json"), default="text")
+_FT_OUT = _arg("--out", help="write fault-tree JSON to a file")
+
+# name -> (function, help, the arguments after ``model``)
+COMMANDS = {
+    "validate": (cmd_validate, "check a model document", []),
+    "stpa": (
+        cmd_stpa,
+        "enumerate unsafe control actions and information flows",
+        [_FORMATS, _arg("--out", help="write output to a file instead of stdout")],
+    ),
+    "synth": (cmd_synth, "synthesize the hardware fault tree", [_HW_DESIGN, _FT_OUT]),
+    "integrate": (
+        cmd_integrate,
+        "attach software instances to the fault tree",
+        [_arg("--ft", help="hardware fault-tree JSON from a previous synth run"), _HW_DESIGN, _FT_OUT],
+    ),
+    "ccf": (
+        cmd_ccf,
+        "detect common cause failure groups",
+        [
+            _FORMATS,
+            _arg("--ft", help="integrated fault-tree JSON to inject into"),
+            _HW_DESIGN,
+            _arg("--tree-out", help="also write the injected fault-tree JSON here"),
+            _arg("--out", help="write group listing to a file"),
+        ],
+    ),
+    "cutsets": (
+        cmd_cutsets,
+        "compute minimal cut sets",
+        [
+            _arg("--ft", help="injected fault-tree JSON from a previous ccf run"),
+            _HW_DESIGN,
+            _MAX_ORDER,
+            _arg("--format", choices=("text", "csv"), default="text"),
+            _arg("--out", help="write output to a file"),
+        ],
+    ),
+    "report": (
+        cmd_report,
+        "render the analysis summary",
+        [
+            _arg("--format", choices=("md", "txt"), default="md"),
+            _HW_DESIGN,
+            _MAX_ORDER,
+            _arg("--out", help="write summary to a file"),
+        ],
+    ),
+    "pipeline": (
+        cmd_pipeline,
+        "run every stage and write all artifacts",
+        [_arg("--out-dir", required=True), _HW_DESIGN, _MAX_ORDER],
+    ),
+    "verify-golden": (cmd_verify_golden, "check pinned expected values", [_arg("golden", help="golden JSON file")]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with ``command``'s alone (argparse
+    passes each help string through ``gettext``); its usage names them all."""
     parser = argparse.ArgumentParser(
         prog="resha",
         description="Model-driven hazard analysis for redundant control architectures",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, func, help_: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_)
-        p.set_defaults(func=func)
-        p.add_argument("model", help="model document (.resha)")
-        return p
-
-    add("validate", cmd_validate, "check a model document")
-
-    p = add("stpa", cmd_stpa, "enumerate unsafe control actions and information flows")
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.add_argument("--out", help="write output to a file instead of stdout")
-
-    p = add("synth", cmd_synth, "synthesize the hardware fault tree")
-    p.add_argument("--include-hw-design", action="store_true")
-    p.add_argument("--out", help="write fault-tree JSON to a file")
-
-    p = add("integrate", cmd_integrate, "attach software instances to the fault tree")
-    p.add_argument("--ft", help="hardware fault-tree JSON from a previous synth run")
-    p.add_argument("--include-hw-design", action="store_true")
-    p.add_argument("--out", help="write fault-tree JSON to a file")
-
-    p = add("ccf", cmd_ccf, "detect common cause failure groups")
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.add_argument("--ft", help="integrated fault-tree JSON to inject into")
-    p.add_argument("--include-hw-design", action="store_true")
-    p.add_argument("--tree-out", help="also write the injected fault-tree JSON here")
-    p.add_argument("--out", help="write group listing to a file")
-
-    p = add("cutsets", cmd_cutsets, "compute minimal cut sets")
-    p.add_argument("--ft", help="injected fault-tree JSON from a previous ccf run")
-    p.add_argument("--include-hw-design", action="store_true")
-    p.add_argument("--max-order", type=int, default=None)
-    p.add_argument("--format", choices=("text", "csv"), default="text")
-    p.add_argument("--out", help="write output to a file")
-
-    p = add("report", cmd_report, "render the analysis summary")
-    p.add_argument("--format", choices=("md", "txt"), default="md")
-    p.add_argument("--include-hw-design", action="store_true")
-    p.add_argument("--max-order", type=int, default=None)
-    p.add_argument("--out", help="write summary to a file")
-
-    p = add("pipeline", cmd_pipeline, "run every stage and write all artifacts")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--include-hw-design", action="store_true")
-    p.add_argument("--max-order", type=int, default=None)
-
-    p = add("verify-golden", cmd_verify_golden, "check pinned expected values")
-    p.add_argument("golden", help="golden JSON file")
-
+    names = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=names)
+    for name, (func, help_, arguments) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_)
+            p.set_defaults(func=func)
+            p.add_argument("model", help="model document (.resha)")
+            for flag, options in arguments:
+                p.add_argument(flag, **options)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # Help and errors about the command itself list every subparser.
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except ValidationFailed as exc:

@@ -2,9 +2,13 @@
 
 Only ``\\n``, ``\\r\\n`` and ``\\r`` end a line, and each line holds one
 statement.  ``{`` opens a nested block and must end its line, ``}`` closes it
-on a line of its own.  A line is scanned left to right with one regular
-expression match per token, which also takes the whitespace before the
-token; a comment or the end of the line ends the scan.  The tokens are:
+on a line of its own.  The document is scanned once, left to right, with one
+regular expression match per token, which also takes the whitespace before
+the token; a comment or a newline ends a line, and a line that holds tokens
+gets an ``end`` token just past its last one.  Every token is read before
+the first statement is, so a bad character anywhere is the error reported.
+The parser then reads the tokens through one cursor, a statement to a
+line.  The tokens are:
 
 - whitespace: space, tab, ``\\f``, ``\\v``, ``\\x1c``-``\\x1e``, ``\\x85``,
   ``\\u2028`` and ``\\u2029``, skipped;
@@ -31,7 +35,7 @@ ahead of expansion.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 
 from .model import (
     Applicability,
@@ -55,15 +59,15 @@ from .model import (
     Technology,
 )
 
-# One match per token, whitespace before it included.  ``end`` also matches at
-# the line's end, so ``other`` never takes back a trailing whitespace character.
+# One match per token, whitespace before it included.  ``end`` takes a comment
+# and the newline, or the text's end, so ``other`` never takes back trailing
+# whitespace, and neither a string nor an escape reaches past its line.
 _TOKEN_RE = re.compile(
     r"""[ \t\f\v\x1c-\x1e\x85\u2028\u2029]*
-    (?:(?P<word>[A-Za-z][A-Za-z0-9_]*(?:-(?!>)[A-Za-z0-9_]*)*)
-    |(?P<punct>[{}:,.])
-    |(?P<string>"(?P<body>[^"\\]*(?:\\.[^"\\]*)*)(?P<close>")?)
-    |(?P<arrow>->)
-    |(?P<end>\#|\Z)
+    (?:(?P<word>[A-Za-z][A-Za-z0-9_-]*(?!(?<=-)>))
+    |(?P<punct>[{}:,.]|->)
+    |(?P<string>"(?P<body>[^"\\\n]*(?:\\.[^"\\\n]*)*)(?P<close>")?)
+    |(?P<end>(?:\#[^\n]*)?(?:\n|\Z))
     |(?P<other>.))""",
     re.VERBOSE,
 )
@@ -86,48 +90,71 @@ class ParseError(Exception):
         self.span = span
 
 
-# kind (word, string, arrow, punct or end), text (decoded for strings) and column
-Token = tuple[str, str, int]
+# kind (word, string, end, or the mark itself for punctuation and ``->``), text
+# (decoded for strings), column and line
+Token = tuple[str, str, int, int]
 
 
-def _tokenize_line(text: str, lineno: int, file_name: str) -> list[Token]:
-    """The line's tokens and an ``end`` token just past the last one, or none at all."""
+def _tokenize(text: str, file_name: str) -> list[Token]:
+    """Every line's tokens, and after a line's last one an ``end`` token just past it."""
     tokens: list[Token] = []
+    append = tokens.append
+    lineno = 1
+    base = -1  # the line's first offset less one: a column is an offset less base
+    first = 0  # the line's first token, if it has one
     for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
-        if kind == "end":
-            break
-        value = match[kind]
-        column = match.start(kind) + 1
-        if kind == "string":
+        if kind == "word":
+            append(("word", match["word"], match.start(kind) - base, lineno))
+        elif kind == "punct":
+            value = match["punct"]
+            append((value, value, match.start(kind) - base, lineno))
+        elif kind == "end":
+            if len(tokens) > first:
+                append(("end", "", match.start() - base, lineno))
+                first = len(tokens)
+            lineno += 1
+            base = match.end() - 1
+        elif kind == "string":
+            column = match.start(kind) - base
             value = match["body"]
             if "\\" in value:
                 for escape in _ESCAPE_RE.finditer(text, match.start("body"), match.end("body")):
                     if escape[1] not in _ESCAPES:
-                        where = SourceSpan(file_name, lineno, escape.start() + 1)
+                        where = SourceSpan(file_name, lineno, escape.start() - base)
                         raise ParseError(f"unsupported escape '\\{escape[1]}'", where)
                 value = _ESCAPE_RE.sub(lambda escape: _ESCAPES[escape[1]], value)
             if match["close"] is None:
                 raise ParseError("unterminated string", SourceSpan(file_name, lineno, column))
-        elif kind == "other":
-            raise ParseError(f"unexpected character {value!r}", SourceSpan(file_name, lineno, column))
-        tokens.append((kind, value, column))
-    if tokens:
-        tokens.append(("end", "", match.start() + 1))
+            append(("string", value, column, lineno))
+        else:
+            where = SourceSpan(file_name, lineno, match.start(kind) - base)
+            raise ParseError(f"unexpected character {match[kind]!r}", where)
     return tokens
 
 
-class _Line:
-    """Cursor over one line's tokens, which close with an ``end`` token."""
+class _Parser:
+    """Cursor over a document's tokens; each statement reads one line, to its ``end``."""
 
-    def __init__(self, tokens: list[Token], lineno: int, file_name: str):
+    def __init__(self, tokens: list[Token], file_name: str):
         self.tokens = tokens
         self.pos = 0
-        self.lineno = lineno
         self.file_name = file_name
+        self.model = SystemModel(name="", top_event="", span=SourceSpan(file_name, 1, 1))
+        self.saw_system = False
+        self.saw_top_event = False
+
+    def parse(self) -> SystemModel:
+        while self.pos < len(self.tokens):
+            head = self.expect("word", "statement")
+            handler = self.STATEMENTS.get(head[1])
+            if handler is None:
+                raise ParseError(f"unknown statement '{head[1]}'", self.span(head))
+            handler(self)
+        return self.model
 
     def span(self, token: Token) -> SourceSpan:
-        return SourceSpan(self.file_name, self.lineno, token[2])
+        return SourceSpan(self.file_name, token[3], token[2])
 
     def at_end(self) -> bool:
         return self.tokens[self.pos][0] == "end"
@@ -143,20 +170,43 @@ class _Line:
         self.pos += 1
         return token
 
-    def expect(self, kind: str, what: str | None = None, text: str | None = None) -> Token:
+    def expect(self, kind: str, what: str | None = None) -> Token:
         token = self.tokens[self.pos]
-        if token[0] != kind or text is not None and token[1] != text:
-            raise self.fail(f"expected {what or repr(text)}")
+        if token[0] != kind:
+            raise self.fail(f"expected {what or repr(kind)}")
         self.pos += 1
         return token
 
+    def keyword(self, text: str) -> None:
+        token = self.tokens[self.pos]
+        if token[1] != text or token[0] != "word":
+            raise self.fail(f"expected {text!r}")
+        self.pos += 1
+
     def expect_end(self) -> None:
+        """Consume the line's ``end``, so the cursor stands at the next line."""
         if self.tokens[self.pos][0] != "end":
             raise self.fail("unexpected trailing tokens")
+        self.pos += 1
+
+    def opens_block(self) -> bool:
+        """End a statement's line; whether it opened ``{``."""
+        opened = self.opt("{")
+        self.expect_end()
+        return opened is not None
+
+    def in_block(self) -> bool:
+        """Whether the next line belongs to the open block; its lone ``}`` is read and closes it."""
+        if self.pos >= len(self.tokens):
+            raise ParseError("unexpected end of document inside block", self.span(self.tokens[-1]))
+        if self.opt("}"):
+            self.expect_end()
+            return False
+        return True
 
     def id_list(self, what: str) -> list[str]:
         items = [self.expect("word", what)[1]]
-        while self.opt("punct", ","):
+        while self.opt(","):
             items.append(self.expect("word", what)[1])
         return items
 
@@ -165,232 +215,180 @@ class _Line:
         while True:
             comp = self.expect("word", "component reference")
             port: str | None = None
-            if self.opt("punct", "."):
+            if self.opt("."):
                 port = self.expect("word", "port name")[1]
             refs.append(Ref(comp[1], port, span=self.span(comp)))
-            if not self.opt("punct", ","):
+            if not self.opt(","):
                 return refs
 
+    def enum_value(self, enum_cls, token: Token, what: str):
+        member = _MEMBERS[enum_cls].get(token[1])
+        if member is None:
+            choices = ", ".join(choice.value for choice in enum_cls)
+            raise ParseError(f"unknown {what} '{token[1]}' (one of: {choices})", self.span(token))
+        return member
 
-def _enum_value(enum_cls, line: _Line, token: Token, what: str):
-    member = _MEMBERS[enum_cls].get(token[1])
-    if member is None:
-        choices = ", ".join(choice.value for choice in enum_cls)
-        raise ParseError(f"unknown {what} '{token[1]}' (one of: {choices})", line.span(token))
-    return member
+    def keyed(self, ident: Token, statement: str, readers: dict[str, Callable[[], object]]) -> dict[str, object]:
+        """Read ``key: value`` pairs to the line's end, each key once and all required, by its reader."""
+        names = [f"'{key}'" for key in readers]
+        what = f"{', '.join(names[:-1])} or {names[-1]}"
+        values: dict[str, object] = {}
+        while not self.at_end():
+            key = self.expect("word", what)
+            self.expect(":")
+            if key[1] in values:
+                raise ParseError(f"duplicate key '{key[1]}'", self.span(key))
+            if key[1] not in readers:
+                raise ParseError(f"unknown {statement} key '{key[1]}'", self.span(key))
+            values[key[1]] = readers[key[1]]()
+        for key in readers:
+            if key not in values:
+                raise ParseError(f"{statement} '{ident[1]}' is missing '{key}'", self.span(ident))
+        self.expect_end()
+        return values
 
-
-def _keyed(
-    line: _Line, ident: Token, statement: str, readers: dict[str, Callable[[], object]]
-) -> dict[str, object]:
-    """Read ``key: value`` pairs to the end of the line, each key once and all required.
-
-    Each reader consumes one value from ``line``.
-    """
-    names = [f"'{key}'" for key in readers]
-    what = f"{', '.join(names[:-1])} or {names[-1]}"
-    values: dict[str, object] = {}
-    while not line.at_end():
-        key = line.expect("word", what)
-        line.expect("punct", text=":")
-        if key[1] in values:
-            raise ParseError(f"duplicate key '{key[1]}'", line.span(key))
-        if key[1] not in readers:
-            raise ParseError(f"unknown {statement} key '{key[1]}'", line.span(key))
-        values[key[1]] = readers[key[1]]()
-    for key in readers:
-        if key not in values:
-            raise ParseError(f"{statement} '{ident[1]}' is missing '{key}'", line.span(ident))
-    return values
-
-
-class _Parser:
-    def __init__(self, lines: list[_Line], file_name: str):
-        self.lines = lines
-        self.pos = 0
-        self.model = SystemModel(name="", top_event="", span=SourceSpan(file_name, 1, 1))
-        self.saw_system = False
-        self.saw_top_event = False
-        self.statements = {
-            "system": self._system,
-            "top_event": self._top_event,
-            "loss": self._loss,
-            "hazard": self._hazard,
-            "design_class": self._design_class,
-            "division": self._division,
-            "redundancy_group": self._redundancy_group,
-            "shared_resource": self._shared_resource,
-        }
-
-    def parse(self) -> SystemModel:
-        while self.pos < len(self.lines):
-            line = self._next_line()
-            head = line.expect("word", "statement")
-            handler = self.statements.get(head[1])
-            if handler is None:
-                raise ParseError(f"unknown statement '{head[1]}'", line.span(head))
-            handler(line)
-        return self.model
-
-    def _next_line(self) -> _Line:
-        if self.pos >= len(self.lines):
-            last = self.lines[-1]
-            raise ParseError("unexpected end of document inside block", last.span(last.tokens[-1]))
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-    def _block(self, line: _Line) -> Iterator[_Line]:
-        """End a statement; if it opened ``{``, yield the block's lines up to the lone ``}``.
-
-        Nothing is read until the caller iterates.
-        """
-        opened = line.opt("punct", "{")
-        line.expect_end()
-        if opened is None:
-            return
-        while True:
-            inner = self._next_line()
-            if inner.opt("punct", "}"):
-                inner.expect_end()
-                return
-            yield inner
-
-    def _system(self, line: _Line) -> None:
+    def _system(self) -> None:
         if self.saw_system:
-            raise line.fail("'system' declared twice")
+            raise self.fail("'system' declared twice")
         self.saw_system = True
-        self.model.name = line.expect("string", "system name")[1]
-        line.expect_end()
+        self.model.name = self.expect("string", "system name")[1]
+        self.expect_end()
 
-    def _top_event(self, line: _Line) -> None:
+    def _top_event(self) -> None:
         if self.saw_top_event:
-            raise line.fail("'top_event' declared twice")
+            raise self.fail("'top_event' declared twice")
         self.saw_top_event = True
-        self.model.top_event = line.expect("string", "top event description")[1]
-        line.expect_end()
+        self.model.top_event = self.expect("string", "top event description")[1]
+        self.expect_end()
 
-    def _loss(self, line: _Line) -> None:
-        ident = line.expect("word", "loss id")
-        desc = line.expect("string", "loss description")
-        line.expect_end()
-        self.model.losses.append(Loss(ident[1], desc[1], span=line.span(ident)))
+    def _loss(self) -> None:
+        ident = self.expect("word", "loss id")
+        desc = self.expect("string", "loss description")
+        self.expect_end()
+        self.model.losses.append(Loss(ident[1], desc[1], span=self.span(ident)))
 
-    def _hazard(self, line: _Line) -> None:
-        ident = line.expect("word", "hazard id")
-        desc = line.expect("string", "hazard description")
-        line.expect("word", text="losses")
-        line.expect("punct", text=":")
-        losses = line.id_list("loss id")
-        line.expect_end()
-        self.model.hazards.append(Hazard(ident[1], desc[1], losses, span=line.span(ident)))
+    def _hazard(self) -> None:
+        ident = self.expect("word", "hazard id")
+        desc = self.expect("string", "hazard description")
+        self.keyword("losses")
+        self.expect(":")
+        losses = self.id_list("loss id")
+        self.expect_end()
+        self.model.hazards.append(Hazard(ident[1], desc[1], losses, span=self.span(ident)))
 
-    def _design_class(self, line: _Line) -> None:
-        ident = line.expect("word", "design_class id")
-        desc = line.expect("string", "design_class description")
+    def _design_class(self) -> None:
+        ident = self.expect("word", "design_class id")
+        desc = self.expect("string", "design_class description")
         tag = ""
-        if not line.at_end():
-            line.expect("word", text="diversity")
-            line.expect("punct", text=":")
-            tag = line.expect("word", "diversity tag")[1]
-        line.expect_end()
-        self.model.design_classes.append(DesignClass(ident[1], desc[1], tag, span=line.span(ident)))
+        if not self.at_end():
+            self.keyword("diversity")
+            self.expect(":")
+            tag = self.expect("word", "diversity tag")[1]
+        self.expect_end()
+        self.model.design_classes.append(DesignClass(ident[1], desc[1], tag, span=self.span(ident)))
 
-    def _division(self, line: _Line) -> None:
-        ident = line.expect("word", "division id")
-        division = Division(ident[1], span=line.span(ident))
-        if line.opt("word", "replicates"):
-            division.replicates = line.expect("word", "division id")[1]
-            line.expect_end()
-        for inner in self._block(line):
-            inner.expect("word", text="component")
-            division.components.append(self._component(inner))
+    def _division(self) -> None:
+        ident = self.expect("word", "division id")
+        division = Division(ident[1], span=self.span(ident))
+        if self.opt("word", "replicates"):
+            division.replicates = self.expect("word", "division id")[1]
+            self.expect_end()
+        elif self.opens_block():
+            while self.in_block():
+                self.keyword("component")
+                division.components.append(self._component())
         self.model.divisions.append(division)
 
-    def _component(self, line: _Line) -> Component:
-        ident = line.expect("word", "component id")
+    def _component(self) -> Component:
+        ident = self.expect("word", "component id")
         fields: dict[str, Token] = {}
         while len(fields) < 3:
-            key = line.expect("word", "'kind', 'tech' or 'class'")
+            key = self.expect("word", "'kind', 'tech' or 'class'")
             if key[1] not in ("kind", "tech", "class"):
-                raise ParseError(f"unknown component key '{key[1]}'", line.span(key))
+                raise ParseError(f"unknown component key '{key[1]}'", self.span(key))
             if key[1] in fields:
-                raise ParseError(f"duplicate component key '{key[1]}'", line.span(key))
-            line.expect("punct", text=":")
-            fields[key[1]] = line.expect("word", f"{key[1]} value")
+                raise ParseError(f"duplicate component key '{key[1]}'", self.span(key))
+            self.expect(":")
+            fields[key[1]] = self.expect("word", f"{key[1]} value")
         component = Component(
             id=ident[1],
-            kind=_enum_value(ComponentKind, line, fields["kind"], "component kind"),
-            tech=_enum_value(Technology, line, fields["tech"], "technology"),
+            kind=self.enum_value(ComponentKind, fields["kind"], "component kind"),
+            tech=self.enum_value(Technology, fields["tech"], "technology"),
             design_class=fields["class"][1],
-            span=line.span(ident),
+            span=self.span(ident),
         )
-        for inner in self._block(line):
-            key = inner.expect("word", "'control_action', 'info_flow', 'inputs' or 'feedback'")
-            if key[1] in _LINK_KINDS:
-                component.links.append(self._link(inner, _LINK_KINDS[key[1]], component.id))
-            elif key[1] in ("inputs", "feedback"):
-                inner.expect("punct", text=":")
-                refs = component.inputs if key[1] == "inputs" else component.feedback_inputs
-                refs.extend(inner.ref_list())
-                inner.expect_end()
-            else:
-                raise ParseError(f"unknown component block statement '{key[1]}'", inner.span(key))
+        if self.opens_block():
+            while self.in_block():
+                key = self.expect("word", "'control_action', 'info_flow', 'inputs' or 'feedback'")
+                if key[1] in _LINK_KINDS:
+                    component.links.append(self._link(_LINK_KINDS[key[1]], component.id))
+                elif key[1] in ("inputs", "feedback"):
+                    self.expect(":")
+                    refs = component.inputs if key[1] == "inputs" else component.feedback_inputs
+                    refs.extend(self.ref_list())
+                    self.expect_end()
+                else:
+                    raise ParseError(f"unknown component block statement '{key[1]}'", self.span(key))
         return component
 
-    def _link(self, line: _Line, kind: LinkKind, source: str) -> Link:
-        ident = line.expect("word", "link id")
-        line.expect("arrow", "'->'")
-        targets = line.id_list("target component id")
-        link = Link(ident[1], kind, source, targets, span=line.span(ident))
-        for inner in self._block(line):
-            inner.expect("word", text="applicable")
-            inner.expect("punct", text=":")
-            letter = inner.expect("word", "failure type letter")
-            type_ = _enum_value(FailureModeType, inner, letter, "failure type")
-            inner.expect("word", text="hazards")
-            inner.expect("punct", text=":")
-            hazards = inner.id_list("hazard id")
-            inner.expect_end()
-            link.applicability.append(Applicability(type_, hazards, span=inner.span(letter)))
+    def _link(self, kind: LinkKind, source: str) -> Link:
+        ident = self.expect("word", "link id")
+        self.expect("->")
+        targets = self.id_list("target component id")
+        link = Link(ident[1], kind, source, targets, span=self.span(ident))
+        if self.opens_block():
+            while self.in_block():
+                self.keyword("applicable")
+                self.expect(":")
+                letter = self.expect("word", "failure type letter")
+                type_ = self.enum_value(FailureModeType, letter, "failure type")
+                self.keyword("hazards")
+                self.expect(":")
+                hazards = self.id_list("hazard id")
+                self.expect_end()
+                link.applicability.append(Applicability(type_, hazards, span=self.span(letter)))
         return link
 
-    def _redundancy_group(self, line: _Line) -> None:
-        ident = line.expect("word", "redundancy_group id")
-        fields = _keyed(
-            line,
+    def _redundancy_group(self) -> None:
+        ident = self.expect("word", "redundancy_group id")
+        fields = self.keyed(
             ident,
             "redundancy_group",
             {
-                "level": lambda: _enum_value(
-                    RedundancyLevel, line, line.expect("word", "level"), "redundancy level"
-                ),
-                "logic": lambda: _enum_value(GroupLogic, line, line.expect("word", "logic"), "group logic"),
-                "members": lambda: line.id_list("member id"),
+                "level": lambda: self.enum_value(RedundancyLevel, self.expect("word", "level"), "redundancy level"),
+                "logic": lambda: self.enum_value(GroupLogic, self.expect("word", "logic"), "group logic"),
+                "members": lambda: self.id_list("member id"),
             },
         )
-        self.model.redundancy_groups.append(RedundancyGroup(ident[1], span=line.span(ident), **fields))
+        self.model.redundancy_groups.append(RedundancyGroup(ident[1], span=self.span(ident), **fields))
 
-    def _shared_resource(self, line: _Line) -> None:
-        ident = line.expect("word", "shared_resource id")
-        fields = _keyed(
-            line,
+    def _shared_resource(self) -> None:
+        ident = self.expect("word", "shared_resource id")
+        fields = self.keyed(
             ident,
             "shared_resource",
             {
-                "scope": lambda: _enum_value(ResourceScope, line, line.expect("word", "scope"), "resource scope"),
-                "dependents": lambda: line.id_list("component id"),
+                "scope": lambda: self.enum_value(ResourceScope, self.expect("word", "scope"), "resource scope"),
+                "dependents": lambda: self.id_list("component id"),
             },
         )
-        self.model.shared_resources.append(SharedResource(ident[1], span=line.span(ident), **fields))
+        self.model.shared_resources.append(SharedResource(ident[1], span=self.span(ident), **fields))
+
+    # A class-level table of plain functions: a table of bound methods on the
+    # parser would hold it in a reference cycle with everything it built.
+    STATEMENTS = {
+        "system": _system,
+        "top_event": _top_event,
+        "loss": _loss,
+        "hazard": _hazard,
+        "design_class": _design_class,
+        "division": _division,
+        "redundancy_group": _redundancy_group,
+        "shared_resource": _shared_resource,
+    }
 
 
 def parse_model(text: str, file_name: str = "<model>") -> SystemModel:
     """Parse a document into a SystemModel; raise ParseError with a span."""
-    lines: list[_Line] = []
-    for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
-        tokens = _tokenize_line(raw, lineno, file_name)
-        if tokens:
-            lines.append(_Line(tokens, lineno, file_name))
-    return _Parser(lines, file_name).parse()
-
+    tokens = _tokenize(text.replace("\r\n", "\n").replace("\r", "\n"), file_name)
+    return _Parser(tokens, file_name).parse()

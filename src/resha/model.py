@@ -36,9 +36,9 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from itertools import islice
-from typing import Callable, Container, Iterable, Iterator, Sequence
+from typing import Callable, Container, Iterable, Iterator, NamedTuple, Sequence
 
-ID_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
+ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
 
 # Separator used when replication materializes copies of a division's
 # components: a component `x` replicated into division `B` becomes `x__B`.
@@ -56,8 +56,7 @@ class ModelError(Exception):
         self.span = span
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     """1-based location of a token in a model document."""
 
     file: str
@@ -552,7 +551,7 @@ class ValidationReport:
 
 
 def _check_id(report: ValidationReport, identifier: str, what: str, span: SourceSpan | None) -> None:
-    if not ID_RE.match(identifier):
+    if not ID_RE.fullmatch(identifier):
         report.violations.append(
             Violation("bad-id", f"{what} id '{identifier}' does not match [A-Za-z][A-Za-z0-9_-]*", span)
         )

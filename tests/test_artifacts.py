@@ -8,7 +8,9 @@ nothing regenerates it.  Where a case is a benchmark workload, the order-invaria
 digests (all but ``ft.json``, whose node order follows the document) must
 also equal ``benchmark/expected.json``.  The same digests, and those of the
 CLI listings pinned in ``test_cli.py``, hold under every interpreter listed
-in ``RESHA_EXTRA_PYTHONS``, and renaming the components
+in ``RESHA_EXTRA_PYTHONS``; each of them compiles the package with warnings
+as errors, and reports each malformed document in ``MALFORMED`` with this
+interpreter's exit code and stderr bytes.  Renaming the components
 changes no row of ``cutsets.csv`` or ``ccf.csv`` beyond the names.
 """
 
@@ -19,6 +21,7 @@ import json
 import os
 import re
 import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -149,11 +152,44 @@ def test_three_divisions_exact_cutsets_csv_is_pinned(qiasp_text):
 
 EXTRA_PYTHONS = [path for path in os.environ.get("RESHA_EXTRA_PYTHONS", "").split(os.pathsep) if path]
 
+# Documents that end at an edge of the tokenizer's one scan, by file name.
+MALFORMED = {
+    "unterminated-at-eof.resha": 'system "s"\nloss L-1 "open',
+    "bad-escape.resha": 'system "a\\qb"\n',
+    "lone-cr.resha": 'system "s"\rtop_event "t"\rbogus x\r',
+    "ls-in-string.resha": 'system "a\u2028b"\ntop_event "t\u2029"\n',
+    "ls-outside.resha": 'system "s"\u2028\nloss\u2028L-1 "x" %\n',
+    "comment-after-token.resha": 'system "s"# c\nloss L-1"x"#c\ntop_event# c\n',
+    "trailing-whitespace.resha": 'system "s" \t\ndivision \x0b\n',
+    "dash-before-arrow.resha": 'system "s"\nloss L-->x "d"\n',
+}
+
+
+def _validate_outcomes(python: str, directory: Path, env: dict[str, str]) -> dict[str, tuple[int, bytes]]:
+    """Exit code and stderr of ``resha validate`` on each malformed document."""
+    outcomes = {}
+    for name in MALFORMED:
+        args = [python, "-m", "resha.cli", "validate", name]
+        proc = subprocess.run(args, capture_output=True, env=env, cwd=directory)
+        outcomes[name] = (proc.returncode, proc.stderr)
+    return outcomes
+
 
 @pytest.mark.skipif(not EXTRA_PYTHONS, reason="RESHA_EXTRA_PYTHONS lists no interpreter")
 @pytest.mark.parametrize("python", EXTRA_PYTHONS)
 def test_artifact_bytes_agree_under_other_interpreters(python, qiasp_text, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    # A regular expression literal is where 3.12 and later warn of an invalid escape.
+    compiled = subprocess.run(
+        [python, "-W", "error", "-m", "compileall", "-q", str(ROOT / "src" / "resha")],
+        capture_output=True,
+        text=True,
+        env={**env, "PYTHONPYCACHEPREFIX": str(tmp_path / "pycache")},
+    )
+    assert compiled.returncode == 0, compiled.stdout + compiled.stderr
+    for name, text in MALFORMED.items():
+        (tmp_path / name).write_bytes(text.encode("utf-8"))
+    assert _validate_outcomes(python, tmp_path, env) == _validate_outcomes(sys.executable, tmp_path, env)
     for case, (_, options, _) in CASES.items():
         model_path = tmp_path / f"{case}.resha"
         model_path.write_text(_case_text(case, qiasp_text), encoding="utf-8")

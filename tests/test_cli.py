@@ -233,6 +233,48 @@ def test_listing_bytes_are_pinned(command, model_path, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LISTING_DIGESTS[command]
 
 
+# SHA-256 of the exit code, stdout and stderr of ``resha`` with these
+# arguments, 80 columns wide, under Python 3.10.13, 3.11.7 and 3.12.1.
+# 3.13.0 wraps the top-level usage line differently (HELP_DIGESTS_3_13).
+HELP_DIGESTS = {
+    "--help": "f5e0726004cf4564bd5781e97d17e8227cd8fd932c1271f5376710f578d10d33",
+    "validate --help": "d2c1c65ddda154509235a6675e12d73deb01fb69ee96083f09c2c82532013f1b",
+    "stpa --help": "0f264b9351d29a254a947b8164e9084e21e0101c3b4cbdf93fae141631ea5d2b",
+    "synth --help": "1e9c33ccfcc69670417aa213af5eb1f417013ff23be909787f3921e69363aa8e",
+    "integrate --help": "604814a1c0614d2c25589dc612446e0336a19cb779ee864385a53983fee0fcd6",
+    "ccf --help": "678e84dd068ddaaba8e9ad2a3eafe14f41b7b805df7f0a392fb169a005a1d20f",
+    "cutsets --help": "42a7152e68f422e289dfe7856560a6b0f060e13cebe79e4ebc2ab471a2873469",
+    "report --help": "0050d8d8e93fcc30360e39adb2ba9b95a3e0899a799b88d17bb888c023867f3f",
+    "pipeline --help": "8cc2b05d9da2a40e3351f1307134b0c07ea09cb336f7e1a56ff7a795a1009ecd",
+    "verify-golden --help": "fc18f29cc24add849360b8c8afe5d5cf9f71ff8b7018e50c139018050ffdcafa",
+    "": "69f51eb84f138fb3a9fe6165aa9459f01138580307898f0476fc20210becb85f",
+    "bogus": "866a539802b8560fe6c2fcba7c324426a8e70080bb49671fd0785a52eb7e1473",
+    "validate m.resha extra": "83b20f3fc1c879c0e1ebe6ca0b4b5bd2b5f05d5abca5a5908ba3cc698966b192",
+}
+HELP_DIGESTS_3_13 = {
+    **HELP_DIGESTS,
+    "--help": "fd894dcdf7a338e14d5ee4c865b14cdfede634b01c77f867e1930f995e75f60b",
+    "": "f1424feda658ed6dce4633ee9ab1444e9e188202b4457d8fd4c6df602432cbd6",
+    "bogus": "a56c90c71eb2b5fc946d1182592bb9644b1ae72c43ff285674e0faad8064f4ee",
+    "validate m.resha extra": "60fda38a291733bc33164fdd5236f83eb5d6bac6eb56fb257fcd30428d3cfbe1",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] > (3, 13), reason="help digests recorded up to Python 3.13")
+@pytest.mark.parametrize("command", list(HELP_DIGESTS))
+def test_help_and_usage_errors_are_pinned(command, monkeypatch, capsys):
+    """Help and argument errors print the same bytes whichever parsers ``main`` builds."""
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(command.split())
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    record = f"exit {code}\nstdout:\n{captured.out}stderr:\n{captured.err}"
+    digests = HELP_DIGESTS_3_13 if sys.version_info[:2] == (3, 13) else HELP_DIGESTS
+    assert hashlib.sha256(record.encode("utf-8")).hexdigest() == digests[command]
+
+
 def test_cutsets_csv_computes_no_first_order_report(model_path, monkeypatch, capsys):
     # The CSV lists the cut sets alone, so its run stops at the collection.
     def refuse(*_):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -105,6 +105,15 @@ def test_bad_id_flagged():
     model = _shell(_plain("ok"), _operator(inputs=["ok"]))
     model.losses.append(Loss("1bad", "loss"))
     assert "bad-id" in _codes(model)
+
+
+def test_id_with_a_trailing_newline_is_bad():
+    # ``$`` also matches before a final newline, so ids are matched whole.
+    model = parse_model(MINI_MODEL, "mini.resha")
+    loss = model.losses[0]
+    model.losses[0] = replace(loss, id=loss.id + "\n")
+    violations = validate_model(model).violations
+    assert [v.span for v in violations if v.code == "bad-id"] == [loss.span]
 
 
 _REPEATED_A = (
@@ -353,7 +362,9 @@ def test_model_leaves_are_frozen(qiasp_text):
         (ref, "component"),
         (ref.span, "line"),
     ):
-        with pytest.raises(FrozenInstanceError):
+        # A frozen dataclass raises FrozenInstanceError, an AttributeError;
+        # SourceSpan, a NamedTuple, raises AttributeError itself.
+        with pytest.raises(AttributeError):
             setattr(leaf, name, getattr(leaf, name))
 
 
