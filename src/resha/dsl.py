@@ -4,8 +4,8 @@ Only ``\\n``, ``\\r\\n`` and ``\\r`` end a line, and each line holds one
 statement.  ``{`` opens a nested block and must end its line, ``}`` closes it
 on a line of its own.  The document is scanned once, left to right, with one
 regular expression match per token, which also takes the whitespace before
-the token; a comment or a newline ends a line, and a line that holds tokens
-gets an ``end`` token just past its last one.  Every token is read before
+the token; a comment runs to the end of its line, and a line that holds
+tokens gets an ``end`` token just past its last one.  Every token is read before
 the first statement is, so a bad character anywhere is the error reported.
 The parser then reads the tokens through one cursor, a statement to a
 line.  The tokens are:
