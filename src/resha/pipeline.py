@@ -6,14 +6,24 @@ field names its function as ``module.function`` and its inputs, and
 ``STAGES`` is read from those fields.  ``run_stages`` imports a stage's
 module only when the stage runs, so a caller that needs the first stages
 alone never loads the later ones.
+
+``analyze_model``, ``analyze_text`` and ``write_artifacts`` run with the
+cyclic garbage collector paused.  Reference counting frees everything they
+build (``tests/test_pipeline.py::test_analysis_leaves_no_cyclic_garbage``
+checks it), so a collector pass there would only scan live objects.  Each
+call restores the collector's state as it found it.  The switch is
+process-wide: another thread that turns the collector off during one of
+these calls finds it on again when the call returns.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import asdict, dataclass, field, fields
+from functools import wraps
 from importlib import import_module
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable, TypeVar
 
 from .dsl import parse_model
 from .model import ModelError, SystemModel, ValidationReport, _validate_and_expand
@@ -24,6 +34,8 @@ if TYPE_CHECKING:
     from .ftree import BranchCensus, FaultTree
     from .report import GuidanceReport
     from .stpa import ControlStructure, UcaUifInstance
+
+_Function = TypeVar("_Function", bound=Callable[..., Any])
 
 ARTIFACT_NAMES = (
     "ft.json",
@@ -120,6 +132,34 @@ def run_stages(values: dict[str, Any], *goals: str) -> dict[str, Any]:
     return values
 
 
+def _collector_paused(function: _Function) -> _Function:
+    """``function``, run with the cyclic garbage collector off.
+
+    The collector goes back on afterwards, whether the call returns or
+    raises, only if it was on when the call began; so nested calls, and a
+    caller that keeps the collector off, are left as they were.  The pause
+    is sound because reference counting alone frees what an analysis
+    builds (``test_analysis_leaves_no_cyclic_garbage``); a cycle that a
+    later change adds is still reclaimed by the first pass after the call.
+    ``gc.disable`` is process-wide, so another thread runs with the
+    collector off during the call, and finds it on afterwards even if that
+    thread turned it off meanwhile.
+    """
+
+    @wraps(function)
+    def paused(*args: Any, **kwargs: Any) -> Any:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return function(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused  # type: ignore[return-value]
+
+
+@_collector_paused
 def analyze_model(model: SystemModel, options: PipelineOptions | None = None) -> AnalysisResult:
     """Run every stage on an authored model, in STAGES order.
 
@@ -137,10 +177,12 @@ def analyze_model(model: SystemModel, options: PipelineOptions | None = None) ->
     )
 
 
+@_collector_paused
 def analyze_text(text: str, file_name: str = "<model>", options: PipelineOptions | None = None) -> AnalysisResult:
     return analyze_model(parse_model(text, file_name), options)
 
 
+@_collector_paused
 def write_artifacts(result: AnalysisResult, out_dir: Path) -> list[Path]:
     """Write the six artifact files; returns their paths in a fixed order."""
     from .ftree import export_ft
