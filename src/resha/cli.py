@@ -21,11 +21,23 @@ imports each stage's module.  Trees are read and written by ``ftree``, so
 ``integrate`` and ``ccf`` in text or JSON never import it.  ``main`` builds
 the named command's parser alone, and every parser only for top-level help
 and for a missing or unknown command.
+
+A ``resha`` process enters through ``entry``, which runs ``main`` and then
+freezes the collector (``gc.freeze``): every object still alive moves to
+the permanent generation, which the collector's passes at interpreter
+shutdown skip.  Nothing else changes at exit: reference counting still
+frees what module teardown releases, ``atexit`` handlers run, stdout and
+stderr are flushed, and every file a command writes is closed before
+``main`` returns.  Python does not promise to finalize objects that are
+still alive at exit, so the freeze skips only work that no command relies
+on.  ``main`` itself leaves the collector alone, so a test or library
+caller that runs it in process finds the collector as it left it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from dataclasses import asdict
@@ -334,5 +346,25 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def entry() -> int:
+    """Run ``main`` as the ``resha`` process and return its exit code.
+
+    On the way out, whether ``main`` returns or raises (argparse raises
+    ``SystemExit`` on a usage error), ``gc.freeze`` moves every live object
+    to the permanent generation, so the collector's shutdown passes do not
+    scan what the imports and the command built; reference counting frees
+    it as before, and ``atexit`` handlers and stream flushing run as
+    before.  That is sound because Python does not promise to finalize
+    objects still alive at exit, and every file a command writes is closed
+    before ``main`` returns.  Only the process entries call this, ``python
+    -m resha.cli`` and the installed ``resha`` command; ``main`` called in
+    process leaves the collector alone.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import gc
 import hashlib
 import importlib
 import json
@@ -15,6 +17,7 @@ import pytest
 
 from conftest import MINI_MODEL, bundled_golden_path, scaled_qiasp, unwired_replica_text
 import resha
+import resha.cli
 import resha.cutsets
 import resha.model
 from resha.cli import _color_enabled, _style, main
@@ -597,6 +600,95 @@ def test_console_script_smoke(model_path, tmp_path):
     exe = shutil.which("resha", path=env["PATH"])
     assert exe == str(launcher)
     _assert_validates(exe, model_path, env=env, cwd=tmp_path)
+
+
+def test_console_script_is_the_module_entry():
+    """The installed `resha` command calls what `python -m resha.cli` calls,
+    so both freeze the collector at exit."""
+    module, attr = _declared_script("resha")
+    assert module == "resha.cli"
+    source = Path(resha.cli.__file__).read_text(encoding="utf-8")
+    (block,) = [
+        node
+        for node in ast.parse(source).body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    assert [ast.unparse(statement) for statement in block.body] == [f"sys.exit({attr}())"]
+
+
+# Runs ``resha ARGS`` as ``python -m resha.cli`` does, then writes the exit
+# code and the collector's freeze count, as JSON, to the file named first.
+EXIT_PROBE = """
+import gc, json, runpy, sys
+report, sys.argv = sys.argv[1], ["resha", *sys.argv[2:]]
+code = None
+try:
+    runpy.run_module("resha.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+with open(report, "w", encoding="utf-8") as fh:
+    json.dump([code, gc.get_freeze_count()], fh)
+"""
+
+EXIT_CASES = [
+    (["validate", "{model}"], 0),
+    (["validate", "{violation}"], 1),
+    (["validate", "{broken}"], 2),
+    # argparse raises SystemExit out of main.
+    (["validate", "{model}", "--bogus"], 2),
+]
+EXIT_CASE_IDS = ["ok", "violation", "parse-error", "usage-error"]
+
+
+@pytest.fixture
+def exit_case_argv(model_path, tmp_path):
+    """Fills in an ``EXIT_CASES`` argv with the model that each case needs."""
+    violation = tmp_path / "violation.resha"
+    violation.write_text(MINI_MODEL.replace("hazards: H-1", "hazards: H-9"), encoding="utf-8")
+    broken = tmp_path / "broken.resha"
+    broken.write_text('system "s"\nbogus x\n', encoding="utf-8")
+    paths = {"model": model_path, "violation": violation, "broken": broken}
+    return lambda argv: [arg.format(**paths) for arg in argv]
+
+
+def _main_in_process(argv: list[str], capsys) -> tuple[int, str, str]:
+    """``main``'s exit code, stdout and stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, code", EXIT_CASES, ids=EXIT_CASE_IDS)
+def test_main_in_process_leaves_the_collector_alone(argv, code, exit_case_argv, capsys):
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert _main_in_process(exit_case_argv(argv), capsys)[0] == code
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+@pytest.mark.parametrize("argv, code", EXIT_CASES, ids=EXIT_CASE_IDS)
+def test_module_entry_freezes_the_heap_at_exit(argv, code, exit_case_argv, tmp_path, capsys):
+    """``python -m resha.cli`` exits as ``main`` does in process, with its
+    live objects frozen; the probe runs in a child, since a freeze here would
+    pin every object of the test session."""
+    argv = exit_case_argv(argv)
+    expected = _main_in_process(argv, capsys)
+    assert expected[0] == code
+    report = tmp_path / "exit.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", EXIT_PROBE, str(report), *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(Path(resha.__file__).resolve().parents[1])),
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    exit_code, frozen = json.loads(report.read_text(encoding="utf-8"))
+    assert (exit_code, proc.stdout, proc.stderr) == expected
+    assert frozen > 0
 
 
 def test_pipeline_artifacts_do_not_depend_on_the_hash_seed(model_path, tmp_path):
