@@ -203,7 +203,10 @@ def cmd_cutsets(args) -> int:
     if args.format == "csv":
         _emit(cutsets_csv(collection, values["injected_tree"]), args.out)
     else:
-        lines = [f"order {len(cut)}: {' '.join(cut)}" for cut in collection.sets]
+        ids, lines = collection.events, []
+        for head, lasts in collection.walk():
+            prefix = f"order {len(head) + 1}: " + "".join([f"{ids[i]} " for i in head])
+            lines += [prefix + ids[i] for i in lasts]
         lines += cut_set_counts(collection, values["first_order"])
         _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -232,8 +235,7 @@ def cmd_verify_golden(args) -> int:
     from .golden import load_golden, verify_golden
 
     result = analyze_model(_load_model(args.model))
-    golden = load_golden(Path(args.golden))
-    report = verify_golden(result, golden)
+    report = verify_golden(result, load_golden(Path(args.golden)))
     for field_result in report.fields:
         code = "32" if field_result.ok else "31"
         print(_style(str(field_result), code, sys.stdout))

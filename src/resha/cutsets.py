@@ -82,7 +82,9 @@ class CutSetCollection:
     def walk(self) -> Iterator[Run]:
         """Every set in canonical order: order up, then member indices
         ascending.  The mask and the other sets walk as one factor and each
-        product as its factors; their runs are sorted by first member."""
+        product as its factors; their runs are sorted by first member.  This
+        is the one view of the sets that the package renders from: a run's
+        shared members are written once, and each set adds its last one."""
         n = len(self.events)
         bound = min(self.truncation_order or n, n)
         terms = [((*self.family[:2], ()),), *(product[2] for product in self.family[2])]
@@ -90,12 +92,6 @@ class CutSetCollection:
         for order in self.order_index():
             parts = [_runs(tries, order) for counts, tries in walks if counts[order]]
             yield from parts[0] if len(parts) == 1 else sorted(chain(*parts), key=lambda run: run[0][0])
-
-    @property
-    def sets(self) -> list[tuple[str, ...]]:
-        """Member tuples of every set, built on each access and not stored."""
-        events = self.events
-        return [(*[events[i] for i in head], events[i]) for head, lasts in self.walk() for i in lasts]
 
 
 def _indices(cut: int, n: int) -> tuple[int, ...]:

@@ -279,7 +279,8 @@ class _Parser:
     def _design_class(self) -> None:
         ident = self.expect("word", "design_class id")
         desc = self.expect("string", "design_class description")
-        tag = ""
+        # A class without a diversity tag is its own lineage.
+        tag = ident[1]
         if not self.at_end():
             self.keyword("diversity")
             self.expect(":")

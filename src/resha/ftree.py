@@ -459,7 +459,7 @@ def import_ft(text: str) -> FaultTree:
     if schema != FT_SCHEMA:
         raise ModelError(f"expected schema '{FT_SCHEMA}', got {schema!r}")
     model_name, root = doc.get("model", ""), doc.get("root", "")
-    options, nodes = doc.get("options") or {}, doc.get("nodes", [])
+    options, nodes = doc.get("options", {}), doc.get("nodes", [])
     if not (
         isinstance(model_name, str)
         and isinstance(root, str)

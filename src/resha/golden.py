@@ -2,8 +2,9 @@
 
 The golden file pins what the calibrated model must reproduce: branch
 census, per-division interaction counts, common cause group counts, and
-first-order results.  ``verify_golden`` recomputes every metric from an
-analysis run and reports a per-field comparison.
+first-order results.  ``load_golden`` returns a golden file's pinned
+values by metric name, and ``verify_golden`` recomputes every metric from
+an analysis run and compares them field by field.
 """
 
 from __future__ import annotations
@@ -19,14 +20,6 @@ from .pipeline import AnalysisResult, read_input
 from .stpa import Flavor
 
 GOLDEN_SCHEMA = "resha-golden/1"
-
-
-@dataclass
-class GoldenRecord:
-    """The pinned expected values of a golden file, by metric name."""
-
-    model: str
-    values: dict[str, object]
 
 
 @dataclass
@@ -59,11 +52,10 @@ class GoldenReport:
     def mismatches(self) -> list[FieldResult]:
         return [f for f in self.fields if not f.ok]
 
-    def __str__(self) -> str:
-        return "\n".join(str(f) for f in self.fields)
 
-
-def load_golden(path: Path) -> GoldenRecord:
+def load_golden(path: Path) -> dict[str, object]:
+    """The pinned values of a golden file by metric name; an entry written
+    as ``{"value": v, ...}`` pins ``v``."""
     try:
         doc = json.loads(read_input(path))
     except json.JSONDecodeError as exc:
@@ -80,7 +72,7 @@ def load_golden(path: Path) -> GoldenRecord:
             values[name] = entry["value"]
         else:
             values[name] = entry
-    return GoldenRecord(model=doc.get("model", ""), values=values)
+    return values
 
 
 def compute_metrics(result: AnalysisResult) -> dict[str, object]:
@@ -146,12 +138,10 @@ def compute_metrics(result: AnalysisResult) -> dict[str, object]:
     return metrics
 
 
-def verify_golden(result: AnalysisResult, golden: GoldenRecord) -> GoldenReport:
+def verify_golden(result: AnalysisResult, values: dict[str, object]) -> GoldenReport:
     """Compare pinned values against recomputed metrics, field by field."""
     metrics = compute_metrics(result)
     report = GoldenReport()
-    for name in golden.values:
-        report.fields.append(
-            FieldResult(name=name, expected=golden.values[name], actual=metrics.get(name))
-        )
+    for name, expected in values.items():
+        report.fields.append(FieldResult(name=name, expected=expected, actual=metrics.get(name)))
     return report

@@ -185,18 +185,14 @@ class Hazard:
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DesignClass:
     """A design lineage; classes sharing a diversity tag are non-diverse."""
 
     id: str
-    description: str = ""
-    diversity_tag: str = ""
+    description: str
+    diversity_tag: str
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self.diversity_tag:
-            self.diversity_tag = self.id
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
 r"""Guidance findings, summary rendering, and the CSV artifacts.
 
+``GuidanceReport`` holds each diversity and coupling finding as its one
+line of advice, the text the summary prints under its heading.
+
 The fault tree's JSON form, ``export_ft`` and ``import_ft``, lives in
 ``resha.ftree``; this module re-exports the two names, which
 ``benchmark/worker.py`` and ``benchmark/checks.py`` import from here.  A
@@ -65,44 +68,13 @@ CAUSE_MAP: dict[FailureModeType, str] = {
 
 
 @dataclass
-class DiversityFinding:
-    """Design classes that share one platform lineage across divisions."""
-
-    diversity_tag: str
-    design_classes: list[str]
-    divisions: list[str]
-
-    def advice(self) -> str:
-        classes = ", ".join(self.design_classes)
-        return (
-            f"design classes on shared platform '{self.diversity_tag}' span redundant "
-            f"divisions ({classes}); qualify diverse implementations or take no "
-            "redundancy credit for their software"
-        )
-
-
-@dataclass
-class CouplingFinding:
-    """One component's output coupled into several digital consumers."""
-
-    trigger: str
-    failure_types: list[str]
-    dependents: list[str]
-
-    def advice(self) -> str:
-        return (
-            f"output of {self.trigger} couples {len(self.dependents)} downstream digital "
-            f"components (types {', '.join(self.failure_types)}); validate the shared "
-            "input at each consumer or decouple the interfaces"
-        )
-
-
-@dataclass
 class GuidanceReport:
-    """The design guidance of an analysis: findings, single points of failure and cause letters."""
+    """The design guidance of an analysis: each diversity and coupling
+    finding as its one line of advice, the single points of failure and the
+    cause letters."""
 
-    diversity_findings: list[DiversityFinding] = field(default_factory=list)
-    coupling_findings: list[CouplingFinding] = field(default_factory=list)
+    diversity_findings: list[str] = field(default_factory=list)
+    coupling_findings: list[str] = field(default_factory=list)
     # The basic events that each defeat the redundant architecture alone.
     spof_entries: list[BasicEvent] = field(default_factory=list)
     letters_present: list[str] = field(default_factory=list)
@@ -116,7 +88,6 @@ def generate_guidance(
     instances: list[UcaUifInstance],
 ) -> GuidanceReport:
     idx = model.index
-    instance_by_id = {i.id: i for i in instances}
     report = GuidanceReport()
     report.letters_present = sorted({LETTERS[i.type] for i in instances})
 
@@ -126,13 +97,10 @@ def generate_guidance(
             continue
         by_tag.setdefault(idx.design_classes[group.trigger].diversity_tag, []).append(group)
     for tag, tag_groups in sorted(by_tag.items()):
-        divisions = {instance_by_id[m].division for g in tag_groups for m in g.members}
+        classes = ", ".join(sorted({g.trigger for g in tag_groups}))
         report.diversity_findings.append(
-            DiversityFinding(
-                diversity_tag=tag,
-                design_classes=sorted({g.trigger for g in tag_groups}),
-                divisions=sorted(divisions),
-            )
+            f"design classes on shared platform '{tag}' span redundant divisions ({classes}); "
+            "qualify diverse implementations or take no redundancy credit for their software"
         )
 
     by_trigger: dict[str, list[CcfGroup]] = {}
@@ -140,14 +108,11 @@ def generate_guidance(
         if group.ccf_type == 2:
             by_trigger.setdefault(group.trigger, []).append(group)
     for trigger, trigger_groups in sorted(by_trigger.items()):
+        types = ", ".join(sorted({LETTERS[g.failure_type] for g in trigger_groups if g.failure_type}))
+        dependents = len(idx.transitive_digital_dependents(trigger))
         report.coupling_findings.append(
-            CouplingFinding(
-                trigger=trigger,
-                failure_types=sorted(
-                    {LETTERS[g.failure_type] for g in trigger_groups if g.failure_type}
-                ),
-                dependents=idx.transitive_digital_dependents(trigger),
-            )
+            f"output of {trigger} couples {dependents} downstream digital components "
+            f"(types {types}); validate the shared input at each consumer or decouple the interfaces"
         )
 
     report.spof_entries = [tree.nodes[e] for e in first_order.software + first_order.hardware]
@@ -333,8 +298,8 @@ def summary_lines(result: AnalysisResult) -> list[tuple[str, str]]:
     spof = [f"{e.id} ({'software' if e.software else 'hardware'}): {e.label}" for e in guidance.spof_entries]
     for heading, bullets in (
         ("Single points of failure", spof),
-        ("Diversity findings", [f.advice() for f in guidance.diversity_findings]),
-        ("Coupling findings", [f.advice() for f in guidance.coupling_findings]),
+        ("Diversity findings", guidance.diversity_findings),
+        ("Coupling findings", guidance.coupling_findings),
     ):
         lines.append(("heading", heading))
         lines += [("bullet", text) for text in bullets or ["none found"]]

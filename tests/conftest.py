@@ -275,8 +275,16 @@ def parents_of(tree: FaultTree) -> dict[str, list[str]]:
     return parents
 
 
+def member_sets(collection: CutSetCollection) -> list[tuple[str, ...]]:
+    """Every set of a collection as a tuple of member ids, in canonical
+    order, built from ``CutSetCollection.walk``; the tests compare these
+    with the reference engine's ``ReferenceCollection.sets``."""
+    events = collection.events
+    return [(*[events[i] for i in head], events[i]) for head, lasts in collection.walk() for i in lasts]
+
+
 def as_frozensets(collection: CutSetCollection) -> set[frozenset[str]]:
-    return {frozenset(cut) for cut in collection.sets}
+    return {frozenset(cut) for cut in member_sets(collection)}
 
 
 def census_tuple(census: BranchCensus) -> tuple[int, int, int, int]:
@@ -351,11 +359,12 @@ def reference_export_ft(tree: FaultTree) -> str:
 
 def reference_cutsets_csv(collection: CutSetCollection | ReferenceCollection, tree: FaultTree) -> str:
     """``report.cutsets_csv`` with every row written by ``csv.writer``, from
-    the canonically ordered ``sets`` of either engine's collection."""
+    the canonically ordered sets of either engine's collection."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["order", "members", "categories", "software"])
-    for cut in collection.sets:
+    sets = collection.sets if isinstance(collection, ReferenceCollection) else member_sets(collection)
+    for cut in sets:
         ids, categories, software = [], [], True
         for event_id in cut:
             node = tree.nodes.get(event_id)
@@ -643,8 +652,8 @@ def random_analyzable_model(rng: random.Random) -> SystemModel:
         hubs.append(f"{hub}__B")
 
     terminal_division = Division(id="CTRL")
-    model.design_classes.append(DesignClass("DC-TERM", "terminal"))
-    model.design_classes.append(DesignClass("DC-OP", "crew"))
+    model.design_classes.append(DesignClass("DC-TERM", "terminal", "DC-TERM"))
+    model.design_classes.append(DesignClass("DC-OP", "crew", "DC-OP"))
     operator = Component(
         id="op", kind=ComponentKind.OPERATOR, tech=Technology.HUMAN, design_class="DC-OP"
     )

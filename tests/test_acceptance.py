@@ -15,6 +15,7 @@ from conftest import (
     as_frozensets,
     census_tuple,
     instances_by_division,
+    member_sets,
     random_analyzable_model,
     random_model,
     random_tree,
@@ -176,7 +177,7 @@ def test_acceptance_07_injection_additivity():
         injected = inject_ccf_events(integrated, groups)
         pre = minimal_cut_sets(integrated)
         post = minimal_cut_sets(injected)
-        for cut in pre.sets:
+        for cut in member_sets(pre):
             if not injected.evaluate(set(cut)):
                 problems.append(f"trial {trial}: pre-injection set {cut} no longer fails")
                 break

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import (
     as_frozensets,
     chain_text,
+    member_sets,
     mk_tree,
     random_analyzable_model,
     random_tree,
@@ -24,13 +25,13 @@ from conftest import (
     reference_cutsets_csv,
     scaled_qiasp,
 )
-from resha import cutsets
+from resha import cli, cutsets
 from resha.cutsets import first_order_cut_sets, minimal_cut_sets
 from resha.dsl import parse_model
 from resha.ftree import BasicEvent, EventCategory, FaultTree, Gate, GateOp
 from resha.model import ModelError
 from resha.pipeline import PipelineOptions, analyze_model, analyze_text
-from resha.report import cutsets_csv, render_summary
+from resha.report import cut_set_counts, cutsets_csv, render_summary
 from reference_cutsets import ORACLE_EVENT_BOUND, brute_force_oracle, reference_minimal_cut_sets
 
 
@@ -155,13 +156,13 @@ def test_canonical_member_order():
     )
     collection = minimal_cut_sets(tree)
     # Category rank places software before shared-cause events.
-    assert collection.sets == [("a_hw", "z_ccf")]
+    assert member_sets(collection) == [("a_hw", "z_ccf")]
 
 
 def test_set_order_by_size_then_members():
     tree = mk_tree(("or", ("and", "b", "c"), "d", "a"))
     collection = minimal_cut_sets(tree)
-    assert collection.sets == [("a",), ("d",), ("b", "c")]
+    assert member_sets(collection) == [("a",), ("d",), ("b", "c")]
 
 
 def test_first_order_report_sorted():
@@ -177,7 +178,7 @@ def test_first_order_report_sorted():
 def test_determinism(qiasp_result):
     a = minimal_cut_sets(qiasp_result.injected_tree)
     b = minimal_cut_sets(qiasp_result.injected_tree)
-    assert a.sets == b.sets
+    assert member_sets(a) == member_sets(b)
 
 
 @settings(max_examples=60, deadline=None)
@@ -231,7 +232,7 @@ def add_covering_subtree(tree: FaultTree, rng: random.Random, prefix: str, n_eve
 
 def test_engine_matches_reference_on_qiasp(qiasp_result):
     tree = qiasp_result.injected_tree
-    assert qiasp_result.collection.sets == reference_minimal_cut_sets(tree).sets
+    assert member_sets(qiasp_result.collection) == reference_minimal_cut_sets(tree).sets
 
 
 def test_engine_matches_reference_on_three_divisions_at_order_2(qiasp_text):
@@ -239,7 +240,7 @@ def test_engine_matches_reference_on_three_divisions_at_order_2(qiasp_text):
     result = analyze_text(text, "qiasp3.resha", PipelineOptions(max_order=2))
     assert {i.division for i in result.instances} == {"A", "B", "C"}
     reference = reference_minimal_cut_sets(result.injected_tree, max_order=2)
-    assert result.collection.sets == reference.sets
+    assert member_sets(result.collection) == reference.sets
     assert result.collection.order_index() == {1: 44}
 
 
@@ -250,7 +251,7 @@ def test_engine_matches_reference_past_the_oracle_bound(seed):
     assert len(reachable_events(tree)) > ORACLE_EVENT_BOUND
     for bound in (None, 1, 2, 3):
         engine = minimal_cut_sets(tree, bound)
-        assert engine.sets == reference_minimal_cut_sets(tree, bound).sets
+        assert member_sets(engine) == reference_minimal_cut_sets(tree, bound).sets
 
 
 def _permuted(tree: FaultTree, rng: random.Random) -> FaultTree:
@@ -269,9 +270,9 @@ def _permuted(tree: FaultTree, rng: random.Random) -> FaultTree:
 def test_result_is_independent_of_node_and_child_order(seed, bound):
     rng = random.Random(seed)
     tree = random_tree(rng, max_events=16, max_gates=10)
-    expected = minimal_cut_sets(tree, bound).sets
+    expected = member_sets(minimal_cut_sets(tree, bound))
     for _ in range(3):
-        assert minimal_cut_sets(_permuted(tree, rng), bound).sets == expected
+        assert member_sets(minimal_cut_sets(_permuted(tree, rng), bound)) == expected
 
 
 @contextlib.contextmanager
@@ -363,14 +364,14 @@ def test_and_paths_match_reference_and_oracle(seed):
     for shared_inside in (False, True):
         tree = redundant_branches_tree(rng, shared_inside)
         assert len(reachable_events(tree)) <= 16
-        exact = brute_force_oracle(tree).sets
+        exact = member_sets(brute_force_oracle(tree))
         for bound in (None, 1, 2, 3):
             with spied_engine() as seen:
                 engine = minimal_cut_sets(tree, bound)
             if bound is None:
                 taken.update(seen.paths)
-            assert engine.sets == reference_minimal_cut_sets(tree, bound).sets
-            assert engine.sets == [s for s in exact if bound is None or len(s) <= bound]
+            assert member_sets(engine) == reference_minimal_cut_sets(tree, bound).sets
+            assert member_sets(engine) == [s for s in exact if bound is None or len(s) <= bound]
     assert taken == {"lazy", "expanded"}
 
 
@@ -418,13 +419,13 @@ def test_lazy_products_match_reference_and_oracle(seed):
     for overlap in (False, True):
         tree = factored_tree(rng, overlap)
         assert len(reachable_events(tree)) <= 16
-        exact = brute_force_oracle(tree).sets
+        exact = member_sets(brute_force_oracle(tree))
         for bound in (None, 1, 2, 3):
             with spied_engine() as seen:
                 engine = minimal_cut_sets(tree, bound)
             reference = reference_minimal_cut_sets(tree, bound)
-            assert engine.sets == reference.sets
-            assert engine.sets == [s for s in exact if bound is None or len(s) <= bound]
+            assert member_sets(engine) == reference.sets
+            assert member_sets(engine) == [s for s in exact if bound is None or len(s) <= bound]
             assert engine.order_index() == dict(sorted(Counter(map(len, reference.sets)).items()))
             assert len(engine) == len(reference.sets)
             assert cutsets_csv(engine, tree) == reference_cutsets_csv(reference, tree)
@@ -455,7 +456,7 @@ def test_four_divisions_at_order_3_equal_order_2(qiasp_text):
     text = scaled_qiasp(qiasp_text, 4)
     result = analyze_text(text, "qiasp4.resha", PipelineOptions(max_order=2))
     assert result.collection.order_index() == {1: 44}
-    assert minimal_cut_sets(result.injected_tree, 3).sets == result.collection.sets
+    assert member_sets(minimal_cut_sets(result.injected_tree, 3)) == member_sets(result.collection)
 
 
 @pytest.mark.parametrize(
@@ -486,16 +487,31 @@ def test_dependency_chain_absorbs_nothing():
     assert seen.sizes == []
 
 
-# SHA-256 of ``repr(collection.sets)`` for the exact 3-division variant, as
-# computed by the engine that stored one tuple of member ids per set.
+# SHA-256 of ``repr(member_sets(collection))`` for the exact 3-division
+# variant, as computed by the engine that stored one tuple of member ids per set.
 THREE_DIVISIONS_EXACT_SHA256 = "a17e232c9eb2b4cb6707edd73168cca154248eabe41cd4a823ea6c058df02e01"
 
 
-def test_three_divisions_exact_sets_are_pinned(qiasp_text):
-    result = analyze_text(scaled_qiasp(qiasp_text, 3), "qiasp3.resha")
+def test_three_divisions_exact_sets_are_pinned(qiasp_text, tmp_path, capsys):
+    text = scaled_qiasp(qiasp_text, 3)
+    result = analyze_text(text, "qiasp3.resha")
     assert result.collection.order_index() == {1: 44, 3: 110592}
-    digest = hashlib.sha256(repr(result.collection.sets).encode()).hexdigest()
+    sets = member_sets(result.collection)
+    digest = hashlib.sha256(repr(sets).encode()).hexdigest()
     assert digest == THREE_DIVISIONS_EXACT_SHA256
+    # The text listing renders from the walk's runs; here each order-3 run
+    # shares a head of two members.
+    path = tmp_path / "qiasp3.resha"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["cutsets", str(path)]) == 0
+    expected = [f"order {len(cut)}: {' '.join(cut)}" for cut in sets]
+    expected += cut_set_counts(result.collection, result.first_order)
+    # Compared line by line and the first difference named, since pytest's
+    # diff of 110,641 lines takes minutes.
+    printed = capsys.readouterr().out.split("\n")
+    assert (len(printed), printed[-1]) == (len(expected) + 1, "")
+    first = next((i for i, pair in enumerate(zip(printed, expected)) if pair[0] != pair[1]), None)
+    assert first is None, (first, printed[first], expected[first])
 
 
 def assert_truncation_keeps_exact_sets(model) -> None:
@@ -503,10 +519,10 @@ def assert_truncation_keeps_exact_sets(model) -> None:
     exact run's sets of order at most k, in the same order, and its order
     index cut at k."""
     exact = analyze_model(model).collection
-    exact_sets, exact_index = exact.sets, exact.order_index()
+    exact_sets, exact_index = member_sets(exact), exact.order_index()
     for k in range(1, max(exact_index, default=1) + 1):
         truncated = analyze_model(model, PipelineOptions(max_order=k)).collection
-        assert truncated.sets == [cut for cut in exact_sets if len(cut) <= k]
+        assert member_sets(truncated) == [cut for cut in exact_sets if len(cut) <= k]
         assert truncated.order_index() == {order: n for order, n in exact_index.items() if order <= k}
 
 

@@ -14,6 +14,7 @@ from conftest import (
     SYNTHESIS_MODEL,
     basic_events,
     census_tuple,
+    member_sets,
     mk_tree,
     parents_of,
     random_analyzable_model,
@@ -321,7 +322,7 @@ def test_deep_imported_chain_is_ordered_and_cut():
     assert len(order) == 5000 + 2 + 5
     collection = minimal_cut_sets(tree)
     assert collection.order_index() == {1: 5, 2: 1}
-    assert ("a", "b") in collection.sets
+    assert ("a", "b") in member_sets(collection)
 
 
 def test_deep_cycle_is_a_model_error():

@@ -9,7 +9,6 @@ import pytest
 
 from resha.golden import (
     GOLDEN_SCHEMA,
-    GoldenRecord,
     compute_metrics,
     load_golden,
     verify_golden,
@@ -18,25 +17,25 @@ from resha.model import ModelError
 
 
 def test_load_bundled_record(golden_path):
-    record = load_golden(golden_path)
-    assert record.model == "QIAS-P"
-    assert len(record.values) == 26
-    assert record.values["census.hw_stochastic"] == 41
-    assert record.values["ccf.type4"] == 28
+    values = load_golden(golden_path)
+    assert json.loads(golden_path.read_text(encoding="utf-8"))["model"] == "QIAS-P"
+    assert len(values) == 26
+    assert values["census.hw_stochastic"] == 41
+    assert values["ccf.type4"] == 28
 
 
 def test_bundled_record_verifies(qiasp_result, golden_path):
     report = verify_golden(qiasp_result, load_golden(golden_path))
-    assert report.ok, str(report)
+    assert report.ok, "\n".join(map(str, report.fields))
     assert len(report.fields) == 26
     assert report.mismatches() == []
     assert "[OK]" in str(report.fields[0])
 
 
 def test_tampered_value_is_named(qiasp_result, golden_path):
-    record = load_golden(golden_path)
-    record.values["census.hw_stochastic"] = 42
-    report = verify_golden(qiasp_result, record)
+    values = load_golden(golden_path)
+    values["census.hw_stochastic"] = 42
+    report = verify_golden(qiasp_result, values)
     assert not report.ok
     names = [f.name for f in report.mismatches()]
     assert names == ["census.hw_stochastic"]
@@ -47,8 +46,7 @@ def test_tampered_value_is_named(qiasp_result, golden_path):
 
 
 def test_unknown_field_compares_to_none(qiasp_result):
-    record = GoldenRecord(model="QIAS-P", values={"no.such.metric": 7})
-    report = verify_golden(qiasp_result, record)
+    report = verify_golden(qiasp_result, {"no.such.metric": 7})
     assert not report.ok
     assert report.fields[0].actual is None
 
@@ -110,5 +108,4 @@ def test_load_accepts_bare_values(tmp_path):
     path = tmp_path / "bare.json"
     doc = {"schema": GOLDEN_SCHEMA, "model": "m", "values": {"census.hw_design": 0}}
     path.write_text(json.dumps(doc), encoding="utf-8")
-    record = load_golden(path)
-    assert record.values == {"census.hw_design": 0}
+    assert load_golden(path) == {"census.hw_design": 0}

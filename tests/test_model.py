@@ -66,7 +66,7 @@ def _shell(*components: Component, **kwargs) -> SystemModel:
     model = SystemModel(name="shell", top_event="top", **kwargs)
     model.losses = [Loss("L-1", "loss")]
     model.hazards = [Hazard("H-1", "hazard", ["L-1"])]
-    model.design_classes = [DesignClass("DC", "class")]
+    model.design_classes = [DesignClass("DC", "class", "DC")]
     model.divisions = [Division(id="D", components=list(components))]
     return model
 
