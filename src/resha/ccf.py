@@ -19,15 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ftree import BasicEvent, EventCategory, FaultTree, Gate
-from .model import (
-    LETTERS,
-    FailureModeType,
-    ModelError,
-    ModelIndex,
-    RedundancyLevel,
-    ResourceScope,
-    SystemModel,
-)
+from .model import ModelError, ModelIndex, SystemModel
 from .stpa import UcaUifInstance
 
 SOFTWARE_CCF_TYPES = (1, 2, 4)
@@ -35,21 +27,22 @@ SOFTWARE_CCF_TYPES = (1, 2, 4)
 
 @dataclass
 class CcfGroup:
-    """A software common cause failure group: its type, scope, trigger and member events."""
+    """A software common cause failure group: its type, scope (``system`` or
+    ``division``), trigger, member events and failure-mode letter."""
 
     id: str
     ccf_type: int
-    scope: RedundancyLevel
+    scope: str
     trigger: str
     members: list[str] = field(default_factory=list)
-    failure_type: FailureModeType | None = None
+    failure_type: str | None = None
 
     @property
     def software(self) -> bool:
         return self.ccf_type in SOFTWARE_CCF_TYPES
 
     def describe(self) -> str:
-        letter = f" ({LETTERS[self.failure_type]})" if self.failure_type else ""
+        letter = f" ({self.failure_type})" if self.failure_type else ""
         if self.ccf_type == 1:
             return f"shared commanding controller {self.trigger}{letter}"
         if self.ccf_type == 2:
@@ -59,9 +52,9 @@ class CcfGroup:
         return f"shared design {self.trigger} across divisions{letter}"
 
 
-def _scope_for(idx: ModelIndex, component_ids: list[str]) -> RedundancyLevel:
+def _scope_for(idx: ModelIndex, component_ids: list[str]) -> str:
     divisions = {idx.division_of[c] for c in component_ids}
-    return RedundancyLevel.SYSTEM if len(divisions) >= 2 else RedundancyLevel.DIVISION
+    return "system" if len(divisions) >= 2 else "division"
 
 
 def detect_ccf_groups(model: SystemModel, instances: list[UcaUifInstance]) -> list[CcfGroup]:
@@ -75,8 +68,8 @@ def detect_ccf_groups(model: SystemModel, instances: list[UcaUifInstance]) -> li
     # Type 4: one design class with applicable instances in several divisions.
     # Type 2: an owner whose output feeds >= 2 digital components in its
     # division, merged by design class so replicated divisions share one group.
-    shared_design: dict[tuple[str, FailureModeType], list[UcaUifInstance]] = {}
-    interdependent: dict[tuple[str, FailureModeType], list[UcaUifInstance]] = {}
+    shared_design: dict[tuple[str, str], list[UcaUifInstance]] = {}
+    interdependent: dict[tuple[str, str], list[UcaUifInstance]] = {}
     feeds_two: dict[str, bool] = {}
     for instance in instances:
         owner = instance.owner
@@ -93,9 +86,9 @@ def detect_ccf_groups(model: SystemModel, instances: list[UcaUifInstance]) -> li
             continue
         groups.append(
             CcfGroup(
-                id=f"T4:{class_id}:{LETTERS[failure_type]}",
+                id=f"T4:{class_id}:{failure_type}",
                 ccf_type=4,
-                scope=RedundancyLevel.SYSTEM,
+                scope="system",
                 trigger=class_id,
                 members=sorted(i.id for i in found),
                 failure_type=failure_type,
@@ -105,9 +98,9 @@ def detect_ccf_groups(model: SystemModel, instances: list[UcaUifInstance]) -> li
         trigger = min(i.owner for i in found)
         groups.append(
             CcfGroup(
-                id=f"T2:{trigger}:{LETTERS[failure_type]}",
+                id=f"T2:{trigger}:{failure_type}",
                 ccf_type=2,
-                scope=RedundancyLevel.DIVISION,
+                scope="division",
                 trigger=trigger,
                 members=sorted(i.id for i in found),
                 failure_type=failure_type,
@@ -116,7 +109,7 @@ def detect_ccf_groups(model: SystemModel, instances: list[UcaUifInstance]) -> li
 
     # Type 3: declared shared external resources.
     for resource in model.shared_resources:
-        if resource.scope is not ResourceScope.EXTERNAL:
+        if resource.scope != "external":
             continue
         groups.append(
             CcfGroup(
@@ -136,7 +129,7 @@ def detect_ccf_groups(model: SystemModel, instances: list[UcaUifInstance]) -> li
         for app in link.applicability:
             groups.append(
                 CcfGroup(
-                    id=f"T1:{link.id}:{LETTERS[app.type]}",
+                    id=f"T1:{link.id}:{app.type}",
                     ccf_type=1,
                     scope=_scope_for(idx, members),
                     trigger=link.source,
@@ -145,10 +138,7 @@ def detect_ccf_groups(model: SystemModel, instances: list[UcaUifInstance]) -> li
                 )
             )
 
-    return sorted(
-        groups,
-        key=lambda g: (g.ccf_type, g.trigger, LETTERS[g.failure_type] if g.failure_type else "", g.id),
-    )
+    return sorted(groups, key=lambda g: (g.ccf_type, g.trigger, g.failure_type or "", g.id))
 
 
 def count_by_type(groups: list[CcfGroup]) -> dict[int, int]:

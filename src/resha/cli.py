@@ -44,7 +44,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .dsl import ParseError, parse_model
-from .model import LEVEL_NAMES, ModelError, SystemModel
+from .model import ModelError, SystemModel
 from .pipeline import PipelineOptions, ValidationFailed, analyze_model, read_input
 from .pipeline import run_pipeline, run_stages
 
@@ -100,7 +100,6 @@ def cmd_stpa(args) -> int:
     import json
 
     from .report import traceability_csv
-    from .stpa import FLAVOR_NAMES
 
     values = _run(args, "candidates", "instances")
     candidates, instances = values["candidates"], values["instances"]
@@ -112,8 +111,8 @@ def cmd_stpa(args) -> int:
             "instances": [
                 {
                     "id": i.id,
-                    "flavor": FLAVOR_NAMES[i.flavor],
-                    "type": i.type.letter,
+                    "flavor": i.flavor,
+                    "type": i.type,
                     "owner": i.owner,
                     "link": i.link,
                     "division": i.division,
@@ -126,7 +125,7 @@ def cmd_stpa(args) -> int:
     else:
         lines = [f"candidates: {len(candidates)}", f"applicable: {len(instances)}"]
         lines += [
-            f"{i.id}  {FLAVOR_NAMES[i.flavor]}  type {i.type.letter}  owner {i.owner}  "
+            f"{i.id}  {i.flavor}  type {i.type}  owner {i.owner}  "
             f"hazards {','.join(i.hazards)}"
             for i in instances
         ]
@@ -177,9 +176,9 @@ def cmd_ccf(args) -> int:
             {
                 "id": g.id,
                 "type": g.ccf_type,
-                "scope": LEVEL_NAMES[g.scope],
+                "scope": g.scope,
                 "trigger": g.trigger,
-                "failure_type": g.failure_type.letter if g.failure_type else None,
+                "failure_type": g.failure_type,
                 "members": g.members,
             }
             for g in groups

@@ -38,25 +38,24 @@ import re
 from collections.abc import Callable
 
 from .model import (
+    COMPONENT_KINDS,
+    FAILURE_TYPES,
+    GROUP_LOGICS,
+    REDUNDANCY_LEVELS,
+    RESOURCE_SCOPES,
+    TECHNOLOGIES,
     Applicability,
     Component,
-    ComponentKind,
     DesignClass,
     Division,
-    FailureModeType,
-    GroupLogic,
     Hazard,
     Link,
-    LinkKind,
     Loss,
     RedundancyGroup,
-    RedundancyLevel,
     Ref,
-    ResourceScope,
     SharedResource,
     SourceSpan,
     SystemModel,
-    Technology,
 )
 
 # One match per token, whitespace before it included.  ``end`` takes a comment
@@ -73,12 +72,8 @@ _TOKEN_RE = re.compile(
 )
 _ESCAPE_RE = re.compile(r"\\(.)")
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "r": "\r"}
-# Each enum's members by value: a dict lookup is cheaper than calling the enum.
-_MEMBERS = {
-    enum_cls: {member.value: member for member in enum_cls}
-    for enum_cls in (ComponentKind, Technology, FailureModeType, RedundancyLevel, GroupLogic, ResourceScope)
-}
-_LINK_KINDS = {"control_action": LinkKind.CONTROL_ACTION, "info_flow": LinkKind.INFORMATION_FLOW}
+# A link statement's keyword -> the link's kind.
+_LINK_KINDS = {"control_action": "control_action", "info_flow": "information_flow"}
 
 
 class ParseError(Exception):
@@ -221,12 +216,13 @@ class _Parser:
             if not self.opt(","):
                 return refs
 
-    def enum_value(self, enum_cls, token: Token, what: str):
-        member = _MEMBERS[enum_cls].get(token[1])
-        if member is None:
-            choices = ", ".join(choice.value for choice in enum_cls)
-            raise ParseError(f"unknown {what} '{token[1]}' (one of: {choices})", self.span(token))
-        return member
+    def word_of(self, words: tuple[str, ...], token: Token, what: str) -> str:
+        """The token's word as ``words`` holds it; any other word is an error that lists them."""
+        try:
+            return words[words.index(token[1])]
+        except ValueError:
+            choices = ", ".join(words)
+            raise ParseError(f"unknown {what} '{token[1]}' (one of: {choices})", self.span(token)) from None
 
     def keyed(self, ident: Token, statement: str, readers: dict[str, Callable[[], object]]) -> dict[str, object]:
         """Read ``key: value`` pairs to the line's end, each key once and all required, by its reader."""
@@ -313,8 +309,8 @@ class _Parser:
             fields[key[1]] = self.expect("word", f"{key[1]} value")
         component = Component(
             id=ident[1],
-            kind=self.enum_value(ComponentKind, fields["kind"], "component kind"),
-            tech=self.enum_value(Technology, fields["tech"], "technology"),
+            kind=self.word_of(COMPONENT_KINDS, fields["kind"], "component kind"),
+            tech=self.word_of(TECHNOLOGIES, fields["tech"], "technology"),
             design_class=fields["class"][1],
             span=self.span(ident),
         )
@@ -332,7 +328,7 @@ class _Parser:
                     raise ParseError(f"unknown component block statement '{key[1]}'", self.span(key))
         return component
 
-    def _link(self, kind: LinkKind, source: str) -> Link:
+    def _link(self, kind: str, source: str) -> Link:
         ident = self.expect("word", "link id")
         self.expect("->")
         targets = self.id_list("target component id")
@@ -342,7 +338,7 @@ class _Parser:
                 self.keyword("applicable")
                 self.expect(":")
                 letter = self.expect("word", "failure type letter")
-                type_ = self.enum_value(FailureModeType, letter, "failure type")
+                type_ = self.word_of(FAILURE_TYPES, letter, "failure type")
                 self.keyword("hazards")
                 self.expect(":")
                 hazards = self.id_list("hazard id")
@@ -356,8 +352,8 @@ class _Parser:
             ident,
             "redundancy_group",
             {
-                "level": lambda: self.enum_value(RedundancyLevel, self.expect("word", "level"), "redundancy level"),
-                "logic": lambda: self.enum_value(GroupLogic, self.expect("word", "logic"), "group logic"),
+                "level": lambda: self.word_of(REDUNDANCY_LEVELS, self.expect("word", "level"), "redundancy level"),
+                "logic": lambda: self.word_of(GROUP_LOGICS, self.expect("word", "logic"), "group logic"),
                 "members": lambda: self.id_list("member id"),
             },
         )
@@ -369,7 +365,7 @@ class _Parser:
             ident,
             "shared_resource",
             {
-                "scope": lambda: self.enum_value(ResourceScope, self.expect("word", "scope"), "resource scope"),
+                "scope": lambda: self.word_of(RESOURCE_SCOPES, self.expect("word", "scope"), "resource scope"),
                 "dependents": lambda: self.id_list("component id"),
             },
         )

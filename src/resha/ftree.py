@@ -32,6 +32,14 @@ A tree's JSON form (schema ``resha/1``) is written by :func:`export_ft` and
 read back by :func:`import_ft`.  The stages hand trees to each other through
 it (``ft.json`` and the ``--ft`` files of the CLI), so a command that only
 reads and writes trees needs this module and no renderer.
+
+A gate's op and an event's category are the package's two enums,
+``GateOp`` and ``EventCategory``.  Their strings are read from
+``GATE_OP_NAMES`` and ``EVENT_CATEGORY_NAMES``, never through
+``member.value`` in a per-node loop, since the ``value`` descriptor costs
+several times a dict lookup.  A member is never formatted (an f-string,
+``str()`` or ``format()``), because Python 3.11 changed what that gives
+for mixed-in enums.
 """
 
 from __future__ import annotations
@@ -42,16 +50,7 @@ from enum import Enum
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
-from .model import (
-    LOGIC_NAMES,
-    SCOPE_NAMES,
-    GroupLogic,
-    ModelError,
-    ModelIndex,
-    SystemModel,
-    Technology,
-    depth_first,
-)
+from .model import ModelError, ModelIndex, SystemModel, depth_first
 
 if TYPE_CHECKING:
     from .stpa import UcaUifInstance
@@ -71,7 +70,7 @@ class EventCategory(str, Enum):
     CCF = "ccf"
 
 
-# Each member's string, read in place of ``member.value`` (see ``resha.model``).
+# Each member's string, read in place of ``member.value`` (see the module docstring).
 GATE_OP_NAMES: dict[GateOp, str] = {op: op.value for op in GateOp}
 EVENT_CATEGORY_NAMES: dict[EventCategory, str] = {c: c.value for c in EventCategory}
 
@@ -258,9 +257,9 @@ def _group_children(
             continue
         sub = Gate(
             id=f"{gate_id}:{group.id}",
-            op=GateOp.AND if group.logic is GroupLogic.ALL_MUST_FAIL else GateOp.OR,
+            op=GateOp.AND if group.logic == "all_must_fail" else GateOp.OR,
             children=[f"fail:{s}" for s in matched],
-            label=f"{group.id} redundancy defeated ({LOGIC_NAMES[group.logic]})",
+            label=f"{group.id} redundancy defeated ({group.logic})",
         )
         steps += [*matched, sub]
         children.append(sub.id)
@@ -284,7 +283,7 @@ def synthesize_hardware_ft(model: SystemModel, include_hw_design: bool = False) 
     tree = FaultTree(model_name=model.name, root="top", include_hw_design=include_hw_design)
     leaves_of: dict[str, list[BasicEvent]] = {}
     for resource in model.shared_resources:
-        label = f"shared {SCOPE_NAMES[resource.scope]} resource {resource.id} fails"
+        label = f"shared {resource.scope} resource {resource.id} fails"
         leaf = BasicEvent(f"resource:{resource.id}", EventCategory.DEPENDENCY_LEAF, label)
         for dependent in resource.dependents:
             leaves_of.setdefault(dependent, []).append(leaf)
@@ -337,7 +336,7 @@ def synthesize_hardware_ft(model: SystemModel, include_hw_design: bool = False) 
             tree.add(dep)
             gate.children.append(dep.id)
             pending += leaves
-        if component.tech is Technology.DIGITAL:
+        if component.tech == "digital":
             sw = Gate(
                 id=f"sw:{step}",
                 op=GateOp.OR,
@@ -372,7 +371,6 @@ def integrate_software(tree: FaultTree, instances: list["UcaUifInstance"]) -> Fa
                 f"instance '{instance.id}' belongs to '{instance.owner}', "
                 "which has no software gate in the tree"
             )
-        # Flavor is a str enum; comparing with its string reads no ``.value``.
         category = EventCategory.SW_UCA if instance.flavor == "uca" else EventCategory.SW_UIF
         events.append(BasicEvent(instance.id, category, instance.describe(), software=True))
         under.setdefault(gate_id, []).append(instance.id)
@@ -441,6 +439,8 @@ def export_ft(tree: FaultTree) -> str:
 
 # Optional node fields that export_ft writes as JSON strings, when set.
 _OPTIONAL_STRINGS = ("label", "failure_for", "dependency_for", "placeholder_for")
+# Each kind of node -> the fields that only the other kind carries.
+_FOREIGN_FIELDS = {"gate": ("category", "software"), "event": ("op", "children", *_OPTIONAL_STRINGS[1:])}
 
 
 def import_ft(text: str) -> FaultTree:
@@ -449,7 +449,9 @@ def import_ft(text: str) -> FaultTree:
     Trees written outside this program come in only here, so a value that
     ``export_ft`` writes as a string must be one, and a flag it writes as
     ``true`` or ``false`` must be a JSON boolean: a ModelError names the
-    node whose id, label, marker, child or ``software`` flag is not.
+    node whose id, label, marker, child or ``software`` flag is not, and
+    the node that carries a field of the other kind: an event with ``op``,
+    ``children`` or a marker, or a gate with ``category`` or ``software``.
     """
     try:
         doc = json.loads(text)
@@ -489,6 +491,11 @@ def import_ft(text: str) -> FaultTree:
                 f"node {node_id!r}: its id, {', '.join(_OPTIONAL_STRINGS)} and children "
                 "must be strings, and its software flag true or false"
             )
+        other_fields = _FOREIGN_FIELDS.get(kind, ()) if isinstance(kind, str) else ()
+        foreign = [key for key in other_fields if key in entry]
+        if foreign:
+            fields = ", ".join(map(repr, foreign))
+            raise ModelError(f"{kind} node {node_id!r} has {fields}, which only the other kind of node carries")
         try:
             if kind == "gate":
                 node: Node = Gate(

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .ccf import count_by_type
-from .model import ComponentKind, ModelError
+from .model import ModelError
 from .pipeline import AnalysisResult, read_input
-from .stpa import Flavor
 
 GOLDEN_SCHEMA = "resha-golden/1"
 
@@ -92,11 +91,11 @@ def compute_metrics(result: AnalysisResult) -> dict[str, object]:
     buckets: Counter[tuple[str, str]] = Counter()
     for instance in result.instances:
         kind = idx.components[instance.owner].kind
-        if instance.flavor is Flavor.UCA:
+        if instance.flavor == "uca":
             name = "uca"
-        elif kind is ComponentKind.CALCULATOR:
+        elif kind == "calculator":
             name = "uif_calculator"
-        elif kind is ComponentKind.ALARM:
+        elif kind == "alarm":
             name = "uif_alarm"
         else:
             name = "uif_other"
@@ -118,8 +117,8 @@ def compute_metrics(result: AnalysisResult) -> dict[str, object]:
         kind = "other"
         for member in group.members:
             owner = idx.components[instance_by_id[member].owner]
-            if owner.kind.value in type4_by_kind:
-                kind = owner.kind.value
+            if owner.kind in type4_by_kind:
+                kind = owner.kind
                 break
         type4_by_kind[kind] += 1
     for kind, count in type4_by_kind.items():

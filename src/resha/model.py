@@ -14,26 +14,23 @@ over the expanded model and every later stage reads.  The index builds all
 its tables when it is constructed, among them one map from each component
 to the redundancy groups that list it, for both group levels.
 
-Two rules keep the per-object loops of the stages cheap:
+A categorical value is the plain string that documents and artifacts
+use: a component kind, technology, failure-mode letter, redundancy level
+or logic, resource scope, or link kind (``control_action`` or
+``information_flow``).  The tuples below list, in order, the words the
+parser accepts for each but the link kind; ``STPA_CATEGORY_NAMES`` gives
+each failure-mode letter its STPA category.
 
-- A value built once per component, link, instance or tree node is built
-  with its class's constructor, every field passed, never with
-  ``dataclasses.replace``, which costs several times more per call.
-- An enum's strings are read from one table beside the enum, such as
-  ``LETTERS`` below, never through ``member.value`` in such a loop: the
-  ``value`` descriptor costs several times a dict lookup.  The CLI
-  listings read the same tables.  A string that is not an enum's value
-  gets its own table keyed by the enum: ``STPA_CATEGORY_NAMES`` gives each
-  failure-mode type's STPA category.  A member is never formatted (an
-  f-string, ``str()`` or ``format()``), because Python 3.11 changed what
-  that gives for mixed-in enums.
+One rule keeps the per-object loops of the stages cheap: a value built
+once per component, link, instance or tree node is built with its class's
+constructor, every field passed, never with ``dataclasses.replace``, which
+costs several times more per call.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from functools import cached_property
 from itertools import islice
 from typing import Callable, Container, Iterable, Iterator, NamedTuple, Sequence
@@ -67,89 +64,34 @@ class SourceSpan(NamedTuple):
         return f"{self.file}:{self.line}:{self.column}"
 
 
-class ComponentKind(str, Enum):
-    CONTROLLER = "controller"
-    SENSOR = "sensor"
-    CALCULATOR = "calculator"
-    ALARM = "alarm"
-    CONVERTER = "converter"
-    CONDITIONER = "conditioner"
-    POWER_SUPPLY = "power_supply"
-    COMMS = "comms"
-    DISPLAY = "display"
-    TEST_PANEL = "test_panel"
-    OPERATOR = "operator"
+COMPONENT_KINDS = (
+    "controller", "sensor", "calculator", "alarm", "converter", "conditioner",
+    "power_supply", "comms", "display", "test_panel", "operator",
+)
+TECHNOLOGIES = ("digital", "analog", "human")
+# Seven lettered failure modes for control actions and information flows:
+#   A  missing when needed
+#   B  provided when not needed
+#   C  too early
+#   D  too late
+#   E  wrong order
+#   F  applied too long or too much
+#   G  stopped too early or applied too little
+FAILURE_TYPES = ("A", "B", "C", "D", "E", "F", "G")
+REDUNDANCY_LEVELS = ("system", "division", "module")
+GROUP_LOGICS = ("all_must_fail", "any_misleads")
+RESOURCE_SCOPES = ("internal", "external")
 
-
-class Technology(str, Enum):
-    DIGITAL = "digital"
-    ANALOG = "analog"
-    HUMAN = "human"
-
-
-class LinkKind(str, Enum):
-    CONTROL_ACTION = "control_action"
-    INFORMATION_FLOW = "information_flow"
-
-
-class FailureModeType(str, Enum):
-    """Seven lettered failure modes for control actions and information flows.
-
-    A  missing when needed
-    B  provided when not needed
-    C  too early
-    D  too late
-    E  wrong order
-    F  applied too long or too much
-    G  stopped too early or applied too little
-    """
-
-    MISSING = "A"
-    UNNEEDED = "B"
-    TOO_EARLY = "C"
-    TOO_LATE = "D"
-    WRONG_ORDER = "E"
-    EXCESSIVE = "F"
-    INSUFFICIENT = "G"
-
-    @property
-    def letter(self) -> str:
-        return LETTERS[self]
-
-
-# The classic STPA control-action failure category of each failure-mode type.
-STPA_CATEGORY_NAMES: dict[FailureModeType, str] = {
-    FailureModeType.MISSING: "missing_when_needed",
-    FailureModeType.UNNEEDED: "provided_when_not_needed",
-    FailureModeType.TOO_EARLY: "wrong_timing_or_order",
-    FailureModeType.TOO_LATE: "wrong_timing_or_order",
-    FailureModeType.WRONG_ORDER: "wrong_timing_or_order",
-    FailureModeType.EXCESSIVE: "wrong_duration_or_magnitude",
-    FailureModeType.INSUFFICIENT: "wrong_duration_or_magnitude",
+# The classic STPA control-action failure category of each failure-mode letter.
+STPA_CATEGORY_NAMES: dict[str, str] = {
+    "A": "missing_when_needed",
+    "B": "provided_when_not_needed",
+    "C": "wrong_timing_or_order",
+    "D": "wrong_timing_or_order",
+    "E": "wrong_timing_or_order",
+    "F": "wrong_duration_or_magnitude",
+    "G": "wrong_duration_or_magnitude",
 }
-
-
-class RedundancyLevel(str, Enum):
-    SYSTEM = "system"
-    DIVISION = "division"
-    MODULE = "module"
-
-
-class GroupLogic(str, Enum):
-    ALL_MUST_FAIL = "all_must_fail"
-    ANY_MISLEADS = "any_misleads"
-
-
-class ResourceScope(str, Enum):
-    INTERNAL = "internal"
-    EXTERNAL = "external"
-
-
-# Each member's string, read in place of ``member.value`` (see the module docstring).
-LETTERS: dict[FailureModeType, str] = {t: t.value for t in FailureModeType}
-LEVEL_NAMES: dict[RedundancyLevel, str] = {level: level.value for level in RedundancyLevel}
-LOGIC_NAMES: dict[GroupLogic, str] = {logic: logic.value for logic in GroupLogic}
-SCOPE_NAMES: dict[ResourceScope, str] = {scope: scope.value for scope in ResourceScope}
 
 
 @dataclass(frozen=True)
@@ -197,19 +139,20 @@ class DesignClass:
 
 @dataclass(frozen=True)
 class Applicability:
-    """Marks one failure-mode type of a link as hazardous."""
+    """Marks one failure-mode type of a link, by its letter, as hazardous."""
 
-    type: FailureModeType
+    type: str
     hazards: list[str] = field(default_factory=list)
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
 class Link:
-    """A named control action or information flow from one component to others."""
+    """A named control action or information flow from one component to others;
+    ``kind`` is ``"control_action"`` or ``"information_flow"``."""
 
     id: str
-    kind: LinkKind
+    kind: str
     source: str
     targets: list[str] = field(default_factory=list)
     applicability: list[Applicability] = field(default_factory=list)
@@ -220,7 +163,7 @@ class Link:
         cause group: a control action with applicability commanding two or
         more targets.  Empty otherwise."""
         targets = sorted(set(self.targets))
-        if self.kind is LinkKind.CONTROL_ACTION and self.applicability and len(targets) >= 2:
+        if self.kind == "control_action" and self.applicability and len(targets) >= 2:
             return targets
         return []
 
@@ -230,8 +173,8 @@ class Component:
     """One element of a division, with its inputs and the links it issues."""
 
     id: str
-    kind: ComponentKind
-    tech: Technology
+    kind: str
+    tech: str
     design_class: str
     inputs: list[Ref] = field(default_factory=list)
     feedback_inputs: list[Ref] = field(default_factory=list)
@@ -257,8 +200,8 @@ class RedundancyGroup:
     """Members whose joint failure defeats the redundancy, combined by ``logic``."""
 
     id: str
-    level: RedundancyLevel
-    logic: GroupLogic
+    level: str
+    logic: str
     members: list[str] = field(default_factory=list)
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
@@ -268,7 +211,7 @@ class SharedResource:
     """A resource, such as a power supply, that several components depend on."""
 
     id: str
-    scope: ResourceScope
+    scope: str
     dependents: list[str] = field(default_factory=list)
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
@@ -337,7 +280,7 @@ class ModelIndex:
                     self.components[component.id] = component
                     self.division_of[component.id] = division.id
                     in_division.setdefault(division.id, []).append(component.id)
-                if self.operator is None and component.kind is ComponentKind.OPERATOR:
+                if self.operator is None and component.kind == "operator":
                     self.operator = component
                 for link in component.links:
                     for target in dict.fromkeys(link.targets):
@@ -356,7 +299,7 @@ class ModelIndex:
         self.groups_of: dict[str, tuple[int, ...]] = {}
         for position, group in enumerate(model.redundancy_groups):
             listed: Iterable[str] = dict.fromkeys(group.members)
-            if group.level is RedundancyLevel.DIVISION:
+            if group.level == "division":
                 listed = [cid for d in listed for cid in in_division.get(d, ())]
             for cid in listed:
                 self.groups_of[cid] = self.groups_of.get(cid, ()) + (position,)
@@ -396,7 +339,7 @@ class ModelIndex:
                 seen.add(nxt)
                 stack.append(nxt)
                 if (
-                    self.components[nxt].tech is Technology.DIGITAL
+                    self.components[nxt].tech == "digital"
                     and self.division_of[nxt] == division
                 ):
                     yield nxt
@@ -427,7 +370,7 @@ class ModelIndex:
         """Whether ``group`` binds over sources it lists: a division-level
         group when they span at least two distinct member divisions, any
         other group when at least two are listed."""
-        if group.level is RedundancyLevel.DIVISION:
+        if group.level == "division":
             return len({self.division_of.get(s) for s in listed}) >= 2
         return len(listed) >= 2
 
@@ -661,13 +604,13 @@ def _validate_declarations(model: SystemModel, report: ValidationReport) -> None
         declare(component.id, "component", component.span)
     for link in model.links():
         declare(link.id, "link", link.span)
-        declared: set[FailureModeType] = set()
+        declared: set[str] = set()
         for app in link.applicability:
             if app.type in declared:
                 report.violations.append(
                     Violation(
                         "duplicate-applicability",
-                        f"link '{link.id}' already declares type {app.type.letter}",
+                        f"link '{link.id}' already declares type {app.type}",
                         app.span or link.span,
                     )
                 )
@@ -695,12 +638,12 @@ def _validate_references(model: SystemModel, report: ValidationReport) -> None:
             if loss_id not in idx.losses:
                 bad("unknown-loss", f"hazard '{hazard.id}' links unknown loss '{loss_id}'", hazard.span)
 
-    operators = [c for c in model.components() if c.kind is ComponentKind.OPERATOR]
+    operators = [c for c in model.components() if c.kind == "operator"]
     if len(operators) != 1:
         span = operators[1].span if operators else model.span
         bad("operator-count", f"model declares {len(operators)} operator components, expected 1", span)
     for op in operators:
-        if op.tech is not Technology.HUMAN:
+        if op.tech != "human":
             bad("operator-tech", f"operator '{op.id}' must have tech human", op.span)
         if not idx.dependency_sources(op):
             bad("operator-no-sources", f"operator '{op.id}' has no information sources", op.span)
@@ -737,13 +680,13 @@ def _validate_references(model: SystemModel, report: ValidationReport) -> None:
                         f"link '{link.id}' targets unknown component '{target_id}'",
                         link.span,
                     )
-            if link.kind is LinkKind.CONTROL_ACTION and component.kind is not ComponentKind.CONTROLLER:
+            if link.kind == "control_action" and component.kind != "controller":
                 bad(
                     "control-action-source",
                     f"control action '{link.id}' is sourced by non-controller '{component.id}'",
                     link.span,
                 )
-            if link.applicability and component.tech is not Technology.DIGITAL:
+            if link.applicability and component.tech != "digital":
                 bad(
                     "applicability-tech",
                     f"link '{link.id}' declares applicable failure types but its source "
@@ -754,14 +697,14 @@ def _validate_references(model: SystemModel, report: ValidationReport) -> None:
                 if not app.hazards:
                     bad(
                         "applicable-no-hazard",
-                        f"link '{link.id}' type {app.type.letter} is applicable but links no hazards",
+                        f"link '{link.id}' type {app.type} is applicable but links no hazards",
                         app.span or link.span,
                     )
                 for hazard_id in app.hazards:
                     if hazard_id not in idx.hazards:
                         bad(
                             "unknown-hazard",
-                            f"link '{link.id}' type {app.type.letter} references unknown hazard "
+                            f"link '{link.id}' type {app.type} references unknown hazard "
                             f"'{hazard_id}'",
                             app.span or link.span,
                         )
@@ -770,19 +713,19 @@ def _validate_references(model: SystemModel, report: ValidationReport) -> None:
     # Group position -> the consumers that are not human-tech and at which
     # that any_misleads group binds, in component order.
     misled: dict[int, list[Component]] = {}
-    if any(group.logic is GroupLogic.ANY_MISLEADS for group in groups):
+    if any(group.logic == "any_misleads" for group in groups):
         for consumer in model.components():
-            if consumer.tech is Technology.HUMAN:
+            if consumer.tech == "human":
                 continue
             for position, listed in idx.grouped_sources(idx.dependency_sources(consumer)).items():
                 group = groups[position]
-                if group.logic is GroupLogic.ANY_MISLEADS and idx.binds(group, listed):
+                if group.logic == "any_misleads" and idx.binds(group, listed):
                     misled.setdefault(position, []).append(consumer)
     for position, group in enumerate(groups):
         if len(group.members) < 2:
             bad("group-size", f"redundancy_group '{group.id}' needs at least 2 members", group.span)
         for member in group.members:
-            if group.level is RedundancyLevel.DIVISION:
+            if group.level == "division":
                 if member not in idx.divisions:
                     bad(
                         "unknown-division",
@@ -849,7 +792,7 @@ def _validate_references(model: SystemModel, report: ValidationReport) -> None:
             role = f"a common cause group member commanded by control action '{link.id}'"
             not_upstream(target, role, link.span, link.source)
     for resource in model.shared_resources:
-        if resource.scope is ResourceScope.EXTERNAL:
+        if resource.scope == "external":
             for dependent in resource.dependents:
                 role = f"a dependent of external shared_resource '{resource.id}'"
                 not_upstream(dependent, role, resource.span, None)

@@ -184,12 +184,15 @@ def analyze_text(text: str, file_name: str = "<model>", options: PipelineOptions
 
 @_collector_paused
 def write_artifacts(result: AnalysisResult, out_dir: Path) -> list[Path]:
-    """Write the six artifact files; returns their paths in a fixed order."""
+    """Write the six artifact files; returns their paths in a fixed order.
+
+    Every file is rendered before the directory is made, so a render that
+    fails, such as a ``MemoryError`` on an oversized ``cutsets.csv``,
+    leaves nothing behind.
+    """
     from .ftree import export_ft
     from .report import ccf_csv, cutsets_csv, markup_summary, summary_lines, traceability_csv
 
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     summary = summary_lines(result)
     contents = {
         "ft.json": export_ft(result.injected_tree),
@@ -199,6 +202,8 @@ def write_artifacts(result: AnalysisResult, out_dir: Path) -> list[Path]:
         "summary.md": markup_summary(summary, "md"),
         "summary.txt": markup_summary(summary, "txt"),
     }
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     for name in ARTIFACT_NAMES:
         path = out_dir / name

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 
 from .ftree import EVENT_CATEGORY_NAMES, BasicEvent, FaultTree
 from .ftree import export_ft, import_ft  # re-exported; see the module docstring
-from .model import LETTERS, LEVEL_NAMES, STPA_CATEGORY_NAMES, FailureModeType, ModelError, SystemModel
+from .model import STPA_CATEGORY_NAMES, ModelError, SystemModel
 
 if TYPE_CHECKING:
     from .ccf import CcfGroup
@@ -38,29 +38,29 @@ if TYPE_CHECKING:
     from .stpa import UcaUifInstance
 
 # Root causes to investigate per failure-mode type, keyed by letter.
-CAUSE_MAP: dict[FailureModeType, str] = {
-    FailureModeType.MISSING: (
+CAUSE_MAP: dict[str, str] = {
+    "A": (
         "output variable is unassigned after calculation, or the producing task "
         "halts before publishing its result"
     ),
-    FailureModeType.UNNEEDED: (
+    "B": (
         "activation logic fires on inappropriate boundary conditions of the module "
         "or an incorrect process model"
     ),
-    FailureModeType.TOO_EARLY: (
+    "C": (
         "scheduling releases the output before its input set is complete"
     ),
-    FailureModeType.TOO_LATE: (
+    "D": (
         "scheduling or communication delay releases the output after its validity window"
     ),
-    FailureModeType.WRONG_ORDER: (
+    "E": (
         "sequencing delivers updates out of order across redundant channels"
     ),
-    FailureModeType.EXCESSIVE: (
+    "F": (
         "setpoint variable is under or over the ideal limit, so the action runs "
         "past its intended envelope"
     ),
-    FailureModeType.INSUFFICIENT: (
+    "G": (
         "setpoint variable is under or over the ideal limit, so the action stops "
         "short of its intended envelope"
     ),
@@ -89,7 +89,7 @@ def generate_guidance(
 ) -> GuidanceReport:
     idx = model.index
     report = GuidanceReport()
-    report.letters_present = sorted({LETTERS[i.type] for i in instances})
+    report.letters_present = sorted({i.type for i in instances})
 
     by_tag: dict[str, list[CcfGroup]] = {}
     for group in groups:
@@ -108,7 +108,7 @@ def generate_guidance(
         if group.ccf_type == 2:
             by_trigger.setdefault(group.trigger, []).append(group)
     for trigger, trigger_groups in sorted(by_trigger.items()):
-        types = ", ".join(sorted({LETTERS[g.failure_type] for g in trigger_groups if g.failure_type}))
+        types = ", ".join(sorted({g.failure_type for g in trigger_groups if g.failure_type}))
         dependents = len(idx.transitive_digital_dependents(trigger))
         report.coupling_findings.append(
             f"output of {trigger} couples {dependents} downstream digital components "
@@ -206,9 +206,9 @@ def ccf_csv(groups: list[CcfGroup]) -> str:
         (
             group.id,
             str(group.ccf_type),
-            LEVEL_NAMES[group.scope],
+            group.scope,
             group.trigger,
-            LETTERS[group.failure_type] if group.failure_type else "",
+            group.failure_type or "",
             ";".join(group.members),
         )
         for group in groups
@@ -219,8 +219,6 @@ def ccf_csv(groups: list[CcfGroup]) -> str:
 def traceability_csv(instances: list[UcaUifInstance], model: SystemModel) -> str:
     """One row per instance, with its hazards and, through them, its sorted
     losses, written by ``csv_table``."""
-    from .stpa import FLAVOR_NAMES
-
     hazards = model.index.hazards
     # Each distinct hazard list's joined hazards and sorted losses, built once.
     joined: dict[tuple[str, ...], tuple[str, str]] = {}
@@ -233,8 +231,8 @@ def traceability_csv(instances: list[UcaUifInstance], model: SystemModel) -> str
     rows += [
         (
             instance.id,
-            FLAVOR_NAMES[instance.flavor],
-            LETTERS[instance.type],
+            instance.flavor,
+            instance.type,
             STPA_CATEGORY_NAMES[instance.type],
             instance.owner,
             instance.link,
@@ -305,7 +303,7 @@ def summary_lines(result: AnalysisResult) -> list[tuple[str, str]]:
         lines += [("bullet", text) for text in bullets or ["none found"]]
     lines.append(("heading", "Cause guidance"))
     for letter in guidance.letters_present:
-        lines.append(("bullet", f"Type {letter}: {CAUSE_MAP[FailureModeType(letter)]}"))
+        lines.append(("bullet", f"Type {letter}: {CAUSE_MAP[letter]}"))
     return lines
 
 

@@ -10,34 +10,19 @@ transitively, its losses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
-from .model import (
-    LETTERS,
-    FailureModeType,
-    Link,
-    LinkKind,
-    SystemModel,
-)
+from .model import FAILURE_TYPES, Link, SystemModel
 
+# Each failure-mode letter's phrase in an instance description.
 _TYPE_PHRASE = {
-    FailureModeType.MISSING: "missing when needed",
-    FailureModeType.UNNEEDED: "provided when not needed",
-    FailureModeType.TOO_EARLY: "provided too early",
-    FailureModeType.TOO_LATE: "provided too late",
-    FailureModeType.WRONG_ORDER: "provided out of order",
-    FailureModeType.EXCESSIVE: "applied too long or too much",
-    FailureModeType.INSUFFICIENT: "stopped too early or applied too little",
+    "A": "missing when needed",
+    "B": "provided when not needed",
+    "C": "provided too early",
+    "D": "provided too late",
+    "E": "provided out of order",
+    "F": "applied too long or too much",
+    "G": "stopped too early or applied too little",
 }
-
-
-class Flavor(str, Enum):
-    UCA = "uca"
-    UIF = "uif"
-
-
-# Each member's string, read in place of ``member.value`` (see ``resha.model``).
-FLAVOR_NAMES: dict[Flavor, str] = {f: f.value for f in Flavor}
 
 
 @dataclass
@@ -51,40 +36,37 @@ class ControlStructure:
 
 def extract_control_structure(model: SystemModel) -> ControlStructure:
     # sorted is stable, so each kind keeps its declaration order.
-    links = sorted(model.links(), key=lambda link: link.kind is not LinkKind.CONTROL_ACTION)
+    links = sorted(model.links(), key=lambda link: link.kind != "control_action")
     return ControlStructure(links, model.index.division_of)
 
 
 @dataclass
 class UcaUifInstance:
-    """One (link, failure-mode type) pair; an unsafe control action or flow."""
+    """One (link, failure-mode letter) pair; an unsafe control action
+    (flavor ``uca``) or information flow (``uif``)."""
 
     id: str
-    flavor: Flavor
-    type: FailureModeType
+    flavor: str
+    type: str
     owner: str
     link: str
     division: str
     hazards: list[str] = field(default_factory=list)
 
     def describe(self) -> str:
-        noun = "control action" if self.flavor is Flavor.UCA else "information flow"
+        noun = "control action" if self.flavor == "uca" else "information flow"
         return f"{noun} {self.link} {_TYPE_PHRASE[self.type]}"
-
-
-# Every failure-mode type with its letter, in declaration order.
-_TYPE_LETTERS = tuple(LETTERS.items())
 
 
 def enumerate_candidates(structure: ControlStructure) -> list[UcaUifInstance]:
     """All seven types for every link, unfiltered (hazards left empty)."""
     candidates: list[UcaUifInstance] = []
     for link in structure.links:
-        flavor = Flavor.UCA if link.kind is LinkKind.CONTROL_ACTION else Flavor.UIF
+        flavor = "uca" if link.kind == "control_action" else "uif"
         division = structure.division_of[link.source]
-        for type_, letter in _TYPE_LETTERS:
+        for letter in FAILURE_TYPES:
             candidates.append(
-                UcaUifInstance(f"{link.id}:{letter}:{division}", flavor, type_, link.source, link.id, division)
+                UcaUifInstance(f"{link.id}:{letter}:{division}", flavor, letter, link.source, link.id, division)
             )
     return candidates
 
@@ -97,7 +79,7 @@ def apply_applicability(
     Kept instances carry their hazard ids.  Output is sorted by (division,
     owner, type letter) and is deterministic.
     """
-    declared: dict[tuple[str, FailureModeType], list[str]] = {}
+    declared: dict[tuple[str, str], list[str]] = {}
     for link in model.links():
         for app in link.applicability:
             declared[(link.id, app.type)] = list(app.hazards)
@@ -106,5 +88,5 @@ def apply_applicability(
         hazards = declared.get((c.link, c.type))
         if hazards is not None:
             kept.append(UcaUifInstance(c.id, c.flavor, c.type, c.owner, c.link, c.division, hazards))
-    kept.sort(key=lambda i: (i.division, i.owner, LETTERS[i.type], i.id))
+    kept.sort(key=lambda i: (i.division, i.owner, i.type, i.id))
     return kept

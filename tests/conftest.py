@@ -14,24 +14,23 @@ import pytest
 from resha.cutsets import CutSetCollection
 from resha.ftree import BasicEvent, BranchCensus, EventCategory, FaultTree, Gate, GateOp
 from resha.model import (
+    COMPONENT_KINDS,
+    FAILURE_TYPES,
+    GROUP_LOGICS,
+    REDUNDANCY_LEVELS,
+    RESOURCE_SCOPES,
+    TECHNOLOGIES,
     Applicability,
     Component,
-    ComponentKind,
     DesignClass,
     Division,
-    FailureModeType,
-    GroupLogic,
     Hazard,
     Link,
-    LinkKind,
     Loss,
     RedundancyGroup,
-    RedundancyLevel,
     Ref,
-    ResourceScope,
     SharedResource,
     SystemModel,
-    Technology,
     validate_model,
 )
 from resha.pipeline import analyze_text, bundled_model_path
@@ -417,21 +416,21 @@ def _escape(text: str) -> str:
 
 
 def _serialize_link(link: Link, indent: str) -> list[str]:
-    keyword = "control_action" if link.kind is LinkKind.CONTROL_ACTION else "info_flow"
+    keyword = "control_action" if link.kind == "control_action" else "info_flow"
     head = f"{indent}{keyword} {link.id} -> {', '.join(link.targets)}"
     if not link.applicability:
         return [head]
     lines = [head + " {"]
     for app in link.applicability:
-        lines.append(f"{indent}  applicable: {app.type.letter} hazards: {', '.join(app.hazards)}")
+        lines.append(f"{indent}  applicable: {app.type} hazards: {', '.join(app.hazards)}")
     lines.append(indent + "}")
     return lines
 
 
 def _serialize_component(component: Component, indent: str) -> list[str]:
     head = (
-        f"{indent}component {component.id} kind: {component.kind.value} "
-        f"tech: {component.tech.value} class: {component.design_class}"
+        f"{indent}component {component.id} kind: {component.kind} "
+        f"tech: {component.tech} class: {component.design_class}"
     )
     body: list[str] = []
     for link in component.links:
@@ -482,14 +481,14 @@ def serialize_model(model: SystemModel) -> str:
         section(lines)
     section(
         [
-            f"redundancy_group {g.id} level: {g.level.value} logic: {g.logic.value} "
+            f"redundancy_group {g.id} level: {g.level} logic: {g.logic} "
             f"members: {', '.join(g.members)}"
             for g in model.redundancy_groups
         ]
     )
     section(
         [
-            f"shared_resource {r.id} scope: {r.scope.value} dependents: {', '.join(r.dependents)}"
+            f"shared_resource {r.id} scope: {r.scope} dependents: {', '.join(r.dependents)}"
             for r in model.shared_resources
         ]
     )
@@ -529,8 +528,8 @@ def random_model(rng: random.Random) -> SystemModel:
         cid = f"c{component_counter[0]}"
         component = Component(
             id=cid,
-            kind=rng.choice(list(ComponentKind)),
-            tech=rng.choice(list(Technology)),
+            kind=rng.choice(COMPONENT_KINDS),
+            tech=rng.choice(TECHNOLOGIES),
             design_class=f"DC-{rng.randint(0, 3)}",
         )
         for _ in range(rng.randint(0, 2)):
@@ -541,12 +540,12 @@ def random_model(rng: random.Random) -> SystemModel:
         for k in range(rng.randint(0, 2)):
             link = Link(
                 id=f"{cid}_l{k}",
-                kind=rng.choice((LinkKind.CONTROL_ACTION, LinkKind.INFORMATION_FLOW)),
+                kind=rng.choice(("control_action", "information_flow")),
                 source=cid,
                 targets=[_random_id(rng, "x") for _ in range(rng.randint(1, 3))],
             )
-            letters = rng.sample(list(FailureModeType), rng.randint(0, 3))
-            for letter in sorted(letters, key=lambda t: t.letter):
+            letters = rng.sample(FAILURE_TYPES, rng.randint(0, 3))
+            for letter in sorted(letters):
                 link.applicability.append(
                     Applicability(letter, [f"H-{rng.randint(0, 2)}"])
                 )
@@ -566,8 +565,8 @@ def random_model(rng: random.Random) -> SystemModel:
         model.redundancy_groups.append(
             RedundancyGroup(
                 id="rg0",
-                level=rng.choice(list(RedundancyLevel)),
-                logic=rng.choice(list(GroupLogic)),
+                level=rng.choice(REDUNDANCY_LEVELS),
+                logic=rng.choice(GROUP_LOGICS),
                 members=[f"D{rng.randint(0, 2)}", _random_id(rng, "x")],
             )
         )
@@ -575,7 +574,7 @@ def random_model(rng: random.Random) -> SystemModel:
         model.shared_resources.append(
             SharedResource(
                 id="sr0",
-                scope=rng.choice(list(ResourceScope)),
+                scope=rng.choice(RESOURCE_SCOPES),
                 dependents=[_random_id(rng, "x"), _random_id(rng, "x")],
             )
         )
@@ -604,44 +603,35 @@ def random_analyzable_model(rng: random.Random) -> SystemModel:
         model.design_classes.append(DesignClass(dc_id, f"role {i}", tag))
         class_ids.append(dc_id)
 
-    middle_kinds = (
-        ComponentKind.CALCULATOR,
-        ComponentKind.ALARM,
-        ComponentKind.COMMS,
-        ComponentKind.CONVERTER,
-    )
+    middle_kinds = ("calculator", "alarm", "comms", "converter")
     ids = [f"comp{i}" for i in range(chain_len)]
     for i, cid in enumerate(ids):
         if i == 0:
-            kind, tech = ComponentKind.CONTROLLER, Technology.DIGITAL
+            kind, tech = "controller", "digital"
         elif i == chain_len - 1:
-            kind, tech = ComponentKind.DISPLAY, Technology.ANALOG
+            kind, tech = "display", "analog"
         else:
             kind = rng.choice(middle_kinds)
-            tech = Technology.DIGITAL if rng.random() < 0.7 else Technology.ANALOG
+            tech = "digital" if rng.random() < 0.7 else "analog"
         component = Component(id=cid, kind=kind, tech=tech, design_class=class_ids[i])
         division.components.append(component)
 
     # Wire a chain: the controller commands the second component, everything
     # else consumes its predecessor; digital middles may add info flows.
     controller = division.components[0]
-    ca = Link("cmd", LinkKind.CONTROL_ACTION, controller.id, [ids[1]])
+    ca = Link("cmd", "control_action", controller.id, [ids[1]])
     for letter in sorted(rng.sample("AFG", rng.randint(1, 3))):
-        ca.applicability.append(
-            Applicability(FailureModeType(letter), [rng.choice(("H-1", "H-2"))])
-        )
+        ca.applicability.append(Applicability(letter, [rng.choice(("H-1", "H-2"))]))
     controller.links.append(ca)
     for i in range(2, chain_len):
         division.components[i].inputs.append(Ref(ids[i - 1]))
     for i in range(1, chain_len - 1):
         component = division.components[i]
-        if component.tech is Technology.DIGITAL and rng.random() < 0.6:
+        if component.tech == "digital" and rng.random() < 0.6:
             target = ids[rng.randint(i + 1, chain_len - 1)]
-            link = Link(f"flow{i}", LinkKind.INFORMATION_FLOW, component.id, [target])
+            link = Link(f"flow{i}", "information_flow", component.id, [target])
             for letter in sorted(rng.sample("ABFG", rng.randint(1, 2))):
-                link.applicability.append(
-                    Applicability(FailureModeType(letter), [rng.choice(("H-1", "H-2"))])
-                )
+                link.applicability.append(Applicability(letter, [rng.choice(("H-1", "H-2"))]))
             component.links.append(link)
     model.divisions.append(division)
 
@@ -654,19 +644,17 @@ def random_analyzable_model(rng: random.Random) -> SystemModel:
     terminal_division = Division(id="CTRL")
     model.design_classes.append(DesignClass("DC-TERM", "terminal", "DC-TERM"))
     model.design_classes.append(DesignClass("DC-OP", "crew", "DC-OP"))
-    operator = Component(
-        id="op", kind=ComponentKind.OPERATOR, tech=Technology.HUMAN, design_class="DC-OP"
-    )
+    operator = Component(id="op", kind="operator", tech="human", design_class="DC-OP")
     if any_misleads:
         operator.inputs = [Ref(h) for h in hubs]
         model.redundancy_groups.append(
-            RedundancyGroup("rg", RedundancyLevel.DIVISION, GroupLogic.ANY_MISLEADS, ["A", "B"])
+            RedundancyGroup("rg", "division", "any_misleads", ["A", "B"])
         )
     else:
         terminal = Component(
             id="term",
-            kind=ComponentKind.DISPLAY,
-            tech=Technology.ANALOG,
+            kind="display",
+            tech="analog",
             design_class="DC-TERM",
             inputs=[Ref(h) for h in hubs],
         )
@@ -674,14 +662,14 @@ def random_analyzable_model(rng: random.Random) -> SystemModel:
         operator.inputs = [Ref("term")]
         if replicate:
             model.redundancy_groups.append(
-                RedundancyGroup("rg", RedundancyLevel.DIVISION, GroupLogic.ALL_MUST_FAIL, ["A", "B"])
+                RedundancyGroup("rg", "division", "all_must_fail", ["A", "B"])
             )
     terminal_division.components.append(operator)
     model.divisions.append(terminal_division)
 
     if rng.random() < 0.4 and chain_len >= 4:
         model.shared_resources.append(
-            SharedResource("bus", rng.choice(list(ResourceScope)), [ids[1], ids[2]])
+            SharedResource("bus", rng.choice(RESOURCE_SCOPES), [ids[1], ids[2]])
         )
 
     report = validate_model(model)

@@ -64,13 +64,13 @@ def test_acceptance_01_applicable_instances(qiasp_result):
     structure = extract_control_structure(model)
     instances = apply_applicability(enumerate_candidates(structure), model)
     elapsed = time.perf_counter() - start
-    kind_of = {c.id: c.kind.value for c in model.components()}
+    kind_of = {c.id: c.kind for c in model.components()}
     by_division = instances_by_division(instances)
     for division in ("A", "B"):
         found = by_division.get(division, [])
-        uca = sum(1 for i in found if i.flavor.value == "uca")
+        uca = sum(1 for i in found if i.flavor == "uca")
         calc = sum(
-            1 for i in found if i.flavor.value == "uif" and kind_of[i.owner] == "calculator"
+            1 for i in found if i.flavor == "uif" and kind_of[i.owner] == "calculator"
         )
         alarm = sum(1 for i in found if kind_of[i.owner] == "alarm")
         if uca != 3:
@@ -108,7 +108,7 @@ def test_acceptance_04_ccf_counts(qiasp_result):
     if counts != {1: 0, 2: 15, 3: 0, 4: 28}:
         problems.append(f"counts by type {counts}, wanted {{1: 0, 2: 15, 3: 0, 4: 28}}")
     kind_of_class = {
-        c.design_class: c.kind.value for c in qiasp_result.expanded.components()
+        c.design_class: c.kind for c in qiasp_result.expanded.components()
     }
     decomposition: dict[str, int] = {}
     for group in qiasp_result.groups:

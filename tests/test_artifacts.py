@@ -30,7 +30,7 @@ import pytest
 
 from conftest import SYNTHESIS_MODEL, scaled_qiasp
 from resha.dsl import parse_model
-from resha.model import REPLICA_SEP, RedundancyLevel, SystemModel
+from resha.model import REPLICA_SEP, SystemModel
 from resha.pipeline import PipelineOptions, analyze_model, analyze_text, bundled_model_path, write_artifacts
 from resha.report import ccf_csv, cutsets_csv
 from test_cli import LISTING_DIGESTS
@@ -137,6 +137,18 @@ def test_artifact_bytes_are_pinned(case, qiasp_text, tmp_path):
     assert {path.name: sha256(path.read_bytes()) for path in paths} == DIGESTS[case]
 
 
+def test_a_failed_render_writes_nothing(qiasp_result, tmp_path, monkeypatch):
+    # Exact 5 divisions run out of memory in cutsets_csv, after ft.json is rendered.
+    def out_of_memory(*_args):
+        raise MemoryError
+
+    monkeypatch.setattr("resha.report.cutsets_csv", out_of_memory)
+    out_dir = tmp_path / "out"
+    with pytest.raises(MemoryError):
+        write_artifacts(qiasp_result, out_dir)
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("case", [case for case, (_, _, workload) in CASES.items() if workload])
 def test_pinned_digests_agree_with_the_benchmark(case):
     expected = json.loads(EXPECTED_JSON.read_text(encoding="utf-8"))[CASES[case][2]]
@@ -236,7 +248,7 @@ def _prefixed_components(text: str) -> SystemModel:
             link.source = new(link.source)
             link.targets = [new(target) for target in link.targets]
     for group in model.redundancy_groups:
-        if group.level is not RedundancyLevel.DIVISION:
+        if group.level != "division":
             group.members = [new(member) for member in group.members]
     for resource in model.shared_resources:
         resource.dependents = [new(dependent) for dependent in resource.dependents]

@@ -33,13 +33,7 @@ from resha.ftree import (
     integrate_software,
     synthesize_hardware_ft,
 )
-from resha.model import (
-    FailureModeType,
-    ModelError,
-    RedundancyLevel,
-    SystemModel,
-    expand_replication,
-)
+from resha.model import ModelError, SystemModel, expand_replication
 from resha.pipeline import PipelineOptions, analyze_text
 from resha.stpa import apply_applicability, enumerate_candidates, extract_control_structure
 
@@ -122,7 +116,7 @@ def test_type4_decomposition_by_owner_kind(qiasp_result):
     model = qiasp_result.expanded
     kind_of_class: dict[str, str] = {}
     for component in model.components():
-        kind_of_class[component.design_class] = component.kind.value
+        kind_of_class[component.design_class] = component.kind
     counts: dict[str, int] = {}
     for group in qiasp_result.groups:
         if group.ccf_type != 4:
@@ -135,7 +129,7 @@ def test_type4_decomposition_by_owner_kind(qiasp_result):
 def test_type4_scope_and_membership(qiasp_result):
     t4 = [g for g in qiasp_result.groups if g.ccf_type == 4]
     for group in t4:
-        assert group.scope is RedundancyLevel.SYSTEM
+        assert group.scope == "system"
         divisions = {m.rsplit(":", 1)[1] for m in group.members}
         assert divisions == {"A", "B"}
         assert group.software
@@ -145,7 +139,7 @@ def test_alarm_type4_letters(qiasp_result):
     letters: dict[str, set[str]] = {}
     for group in qiasp_result.groups:
         if group.ccf_type == 4 and group.trigger.endswith("-ALM"):
-            letters.setdefault(group.trigger, set()).add(group.failure_type.letter)
+            letters.setdefault(group.trigger, set()).add(group.failure_type)
     assert len(letters) == 5
     assert all(found == {"A", "B"} for found in letters.values())
 
@@ -161,7 +155,7 @@ def test_type2_triggers_and_merge(qiasp_result):
         "rvl_calculator",
     }
     for group in t2:
-        assert group.scope is RedundancyLevel.DIVISION
+        assert group.scope == "division"
         # Same-class replicas merge into one group spanning both divisions.
         divisions = {m.rsplit(":", 1)[1] for m in group.members}
         assert divisions == {"A", "B"}
@@ -178,7 +172,7 @@ def test_icc_calculator_not_a_type2_trigger(qiasp_result):
 def test_groups_sorted_and_unique(qiasp_result):
     groups = qiasp_result.groups
     keys = [
-        (g.ccf_type, g.trigger, g.failure_type.letter if g.failure_type else "")
+        (g.ccf_type, g.trigger, g.failure_type or "")
         for g in groups
     ]
     assert keys == sorted(keys)
@@ -200,8 +194,8 @@ def test_type1_detection():
     assert group.id == "T1:go:A"
     assert group.trigger == "boss"
     assert group.members == ["left", "right"]
-    assert group.scope is RedundancyLevel.DIVISION
-    assert group.failure_type is FailureModeType.MISSING
+    assert group.scope == "division"
+    assert group.failure_type == "A"
     assert group.software
 
 
@@ -280,7 +274,7 @@ def test_injection_single_event_defeats_redundancy():
     group = CcfGroup(
         id="T3:x",
         ccf_type=3,
-        scope=RedundancyLevel.SYSTEM,
+        scope="system",
         trigger="x",
         members=["a", "b"],
     )
@@ -294,7 +288,7 @@ def test_injection_single_event_defeats_redundancy():
 def test_injection_unknown_member():
     tree = mk_tree(("or", "a"))
     group = CcfGroup(
-        id="T3:x", ccf_type=3, scope=RedundancyLevel.SYSTEM, trigger="x", members=["ghost"]
+        id="T3:x", ccf_type=3, scope="system", trigger="x", members=["ghost"]
     )
     with pytest.raises(ModelError, match="no location in the fault tree"):
         inject_ccf_events(tree, [group])
@@ -380,7 +374,7 @@ def reference_integrate_software(tree: FaultTree, instances) -> FaultTree:
     out = _reference_copy(tree)
     placeholders = {g.placeholder_for: g for g in out.gates() if g.placeholder_for is not None}
     for instance in sorted(instances, key=lambda i: i.id):
-        category = EventCategory.SW_UCA if instance.flavor.value == "uca" else EventCategory.SW_UIF
+        category = EventCategory.SW_UCA if instance.flavor == "uca" else EventCategory.SW_UIF
         out.add(BasicEvent(instance.id, category, instance.describe(), software=True))
         placeholders[instance.owner].children.append(instance.id)
     return out

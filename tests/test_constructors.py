@@ -22,11 +22,10 @@ from hypothesis import strategies as st
 
 from conftest import random_analyzable_model, scaled_qiasp, serialize_model
 from resha.dsl import parse_model
-from resha.model import REPLICA_SEP, FailureModeType, LinkKind, SystemModel, expand_replication
+from resha.model import FAILURE_TYPES, REPLICA_SEP, SystemModel, expand_replication
 from resha.pipeline import PipelineOptions, analyze_text, write_artifacts
 from resha.stpa import (
     ControlStructure,
-    Flavor,
     UcaUifInstance,
     apply_applicability,
     enumerate_candidates,
@@ -81,17 +80,17 @@ def reference_expand_replication(model: SystemModel) -> SystemModel:
 
 
 def reference_enumerate_candidates(structure: ControlStructure) -> list[UcaUifInstance]:
-    """``enumerate_candidates`` as written with the ``letter`` property."""
+    """``enumerate_candidates`` as written with keyword arguments."""
     candidates = []
     for link in structure.links:
-        flavor = Flavor.UCA if link.kind is LinkKind.CONTROL_ACTION else Flavor.UIF
+        flavor = "uca" if link.kind == "control_action" else "uif"
         division = structure.division_of[link.source]
-        for type_ in FailureModeType:
+        for letter in FAILURE_TYPES:
             candidates.append(
                 UcaUifInstance(
-                    id=f"{link.id}:{type_.letter}:{division}",
+                    id=f"{link.id}:{letter}:{division}",
                     flavor=flavor,
-                    type=type_,
+                    type=letter,
                     owner=link.source,
                     link=link.id,
                     division=division,
@@ -107,13 +106,13 @@ def reference_apply_applicability(
     declared = {}
     for link in model.links():
         for app in link.applicability:
-            declared[(link.id, app.type.letter)] = list(app.hazards)
+            declared[(link.id, app.type)] = list(app.hazards)
     kept = []
     for candidate in candidates:
-        hazards = declared.get((candidate.link, candidate.type.letter))
+        hazards = declared.get((candidate.link, candidate.type))
         if hazards is not None:
             kept.append(replace(candidate, hazards=hazards))
-    kept.sort(key=lambda i: (i.division, i.owner, i.type.letter, i.id))
+    kept.sort(key=lambda i: (i.division, i.owner, i.type, i.id))
     return kept
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 import time
 from dataclasses import fields, is_dataclass, replace
 
@@ -13,7 +14,15 @@ from hypothesis import strategies as st
 
 from conftest import MINI_MODEL, random_model, serialize_model
 from resha.dsl import ParseError, parse_model
-from resha.model import ComponentKind, FailureModeType, LinkKind, Technology, validate_model
+from resha.model import (
+    COMPONENT_KINDS,
+    FAILURE_TYPES,
+    GROUP_LOGICS,
+    REDUNDANCY_LEVELS,
+    RESOURCE_SCOPES,
+    TECHNOLOGIES,
+    validate_model,
+)
 from resha.pipeline import bundled_model_path
 
 
@@ -26,16 +35,13 @@ def test_parse_mini_structure():
     division = model.divisions[0]
     assert division.id == "MAIN"
     ctrl = division.components[0]
-    assert ctrl.kind is ComponentKind.CONTROLLER
-    assert ctrl.tech is Technology.DIGITAL
+    assert ctrl.kind == "controller"
+    assert ctrl.tech == "digital"
     link = ctrl.links[0]
-    assert link.kind is LinkKind.CONTROL_ACTION
+    assert link.kind == "control_action"
     assert link.source == "ctrl"
     assert link.targets == ["probe"]
-    assert [a.type for a in link.applicability] == [
-        FailureModeType.MISSING,
-        FailureModeType.EXCESSIVE,
-    ]
+    assert [a.type for a in link.applicability] == ["A", "F"]
     assert link.applicability[0].hazards == ["H-1"]
 
 
@@ -274,12 +280,37 @@ def _spans(node) -> list[str]:
     return found
 
 
+# The digest below was taken while each categorical value was an Enum member,
+# so a field that holds one prints as its member printed: ``kind='sensor'`` as
+# ``kind=<ComponentKind.SENSOR: 'sensor'>``.
+_MEMBER_REPRS = {
+    f"{field}={word!r}": f"{field}=<{cls}.{name}: {word!r}>"
+    for field, cls, words, names in (
+        ("kind", "ComponentKind", COMPONENT_KINDS, None),
+        ("kind", "LinkKind", ("control_action", "information_flow"), None),
+        ("tech", "Technology", TECHNOLOGIES, None),
+        (
+            "type",
+            "FailureModeType",
+            FAILURE_TYPES,
+            ("MISSING", "UNNEEDED", "TOO_EARLY", "TOO_LATE", "WRONG_ORDER", "EXCESSIVE", "INSUFFICIENT"),
+        ),
+        ("level", "RedundancyLevel", REDUNDANCY_LEVELS, None),
+        ("logic", "GroupLogic", GROUP_LOGICS, None),
+        ("scope", "ResourceScope", RESOURCE_SCOPES, None),
+    )
+    for word, name in zip(words, names or [word.upper() for word in words])
+}
+_CATEGORICAL_FIELD_RE = re.compile(r"\b(?:kind|tech|type|level|logic|scope)='[^']*'")
+
+
 def _parse_outcome(text: str) -> str:
     try:
         model = parse_model(text, "m.resha")
     except ParseError as err:
         return f"error {err.message!r} at {err.span.file}:{err.span.line}:{err.span.column}"
-    return f"model {model!r} spans {_spans(model)}"
+    shown = _CATEGORICAL_FIELD_RE.sub(lambda field: _MEMBER_REPRS[field[0]], repr(model))
+    return f"model {shown} spans {_spans(model)}"
 
 
 # SHA-256 of the outcomes of seeds 0-999 of the mutation process above, each

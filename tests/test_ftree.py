@@ -36,8 +36,7 @@ from resha.ftree import (
 )
 from resha.model import ModelError, expand_replication
 from resha.pipeline import analyze_model, run_stages
-from resha.stpa import UcaUifInstance, Flavor
-from resha.model import FailureModeType
+from resha.stpa import UcaUifInstance
 
 
 def mini_tree() -> FaultTree:
@@ -167,8 +166,8 @@ def test_integration_rejects_unknown_owner():
     tree = mini_tree()
     ghost = UcaUifInstance(
         id="x:A:MAIN",
-        flavor=Flavor.UCA,
-        type=FailureModeType.MISSING,
+        flavor="uca",
+        type="A",
         owner="ghost",
         link="x",
         division="MAIN",

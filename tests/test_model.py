@@ -27,22 +27,17 @@ from resha.ftree import export_ft
 from resha.golden import compute_metrics
 from resha.model import (
     Component,
-    ComponentKind,
     DesignClass,
     Division,
-    GroupLogic,
     Hazard,
     Loss,
     ModelError,
     ModelIndex,
     RedundancyGroup,
-    RedundancyLevel,
     Ref,
-    ResourceScope,
     SharedResource,
     SourceSpan,
     SystemModel,
-    Technology,
     Violation,
     depth_first,
     expand_replication,
@@ -74,17 +69,17 @@ def _shell(*components: Component, **kwargs) -> SystemModel:
 def _operator(cid: str = "op", inputs: list[str] | None = None) -> Component:
     return Component(
         id=cid,
-        kind=ComponentKind.OPERATOR,
-        tech=Technology.HUMAN,
+        kind="operator",
+        tech="human",
         design_class="DC",
         inputs=[Ref(i) for i in inputs or []],
     )
 
 
-def _plain(cid: str, inputs: list[str] | None = None, tech=Technology.ANALOG) -> Component:
+def _plain(cid: str, inputs: list[str] | None = None, tech="analog") -> Component:
     return Component(
         id=cid,
-        kind=ComponentKind.SENSOR,
+        kind="sensor",
         tech=tech,
         design_class="DC",
         inputs=[Ref(i) for i in inputs or []],
@@ -163,7 +158,7 @@ def test_operator_count_enforced():
 
 def test_operator_must_be_human():
     op = _operator()
-    op.tech = Technology.DIGITAL
+    op.tech = "digital"
     assert "operator-tech" in _codes(_shell(op))
 
 
@@ -257,11 +252,11 @@ def test_depth_first_matches_recursive_reference(drawn, as_tuples):
 def test_group_rules():
     model = _shell(_plain("a"), _plain("b"), _operator(inputs=["a", "b"]))
     model.redundancy_groups = [
-        RedundancyGroup("rg", RedundancyLevel.MODULE, GroupLogic.ALL_MUST_FAIL, ["a"])
+        RedundancyGroup("rg", "module", "all_must_fail", ["a"])
     ]
     assert "group-size" in _codes(model)
     model.redundancy_groups = [
-        RedundancyGroup("rg", RedundancyLevel.DIVISION, GroupLogic.ALL_MUST_FAIL, ["D", "NOPE"])
+        RedundancyGroup("rg", "division", "all_must_fail", ["D", "NOPE"])
     ]
     assert "unknown-division" in _codes(model)
 
@@ -270,22 +265,22 @@ def test_any_misleads_must_converge_on_human():
     hub = _plain("hub", inputs=["a", "b"])
     model = _shell(_plain("a"), _plain("b"), hub, _operator(inputs=["hub"]))
     model.redundancy_groups = [
-        RedundancyGroup("rg", RedundancyLevel.MODULE, GroupLogic.ANY_MISLEADS, ["a", "b"])
+        RedundancyGroup("rg", "module", "any_misleads", ["a", "b"])
     ]
     assert "any-misleads-consumer" in _codes(model)
     # Converging on the operator directly is legal.
     model = _shell(_plain("a"), _plain("b"), _operator(inputs=["a", "b"]))
     model.redundancy_groups = [
-        RedundancyGroup("rg", RedundancyLevel.MODULE, GroupLogic.ANY_MISLEADS, ["a", "b"])
+        RedundancyGroup("rg", "module", "any_misleads", ["a", "b"])
     ]
     assert validate_model(model).ok
 
 
 def test_shared_resource_rules():
     model = _shell(_plain("a"), _operator(inputs=["a"]))
-    model.shared_resources = [SharedResource("sr", ResourceScope.EXTERNAL, ["a"])]
+    model.shared_resources = [SharedResource("sr", "external", ["a"])]
     assert "resource-size" in _codes(model)
-    model.shared_resources = [SharedResource("sr", ResourceScope.EXTERNAL, ["a", "ghost"])]
+    model.shared_resources = [SharedResource("sr", "external", ["a", "ghost"])]
     assert "unknown-component" in _codes(model)
 
 

@@ -22,17 +22,16 @@ from conftest import random_analyzable_model, random_model, scaled_qiasp
 from resha.dsl import parse_model
 from resha.golden import compute_metrics
 from resha.model import (
+    COMPONENT_KINDS,
+    GROUP_LOGICS,
+    REDUNDANCY_LEVELS,
+    TECHNOLOGIES,
     Component,
-    ComponentKind,
-    GroupLogic,
     Link,
-    LinkKind,
     ModelIndex,
     RedundancyGroup,
-    RedundancyLevel,
     Ref,
     SystemModel,
-    Technology,
     expand_replication,
     validate_model,
 )
@@ -90,7 +89,7 @@ def naive_transitive_digital_dependents(
             comp = idx.components.get(nxt)
             if (
                 comp is not None
-                and comp.tech is Technology.DIGITAL
+                and comp.tech == "digital"
                 and idx.division_of.get(nxt) == division
             ):
                 collected.append(nxt)
@@ -106,7 +105,7 @@ def naive_grouped_sources(model: SystemModel, source_ids: list[str]) -> dict[int
             division_of.setdefault(component.id, division.id)
     grouped: dict[int, list[str]] = {}
     for position, group in enumerate(model.redundancy_groups):
-        if group.level is RedundancyLevel.DIVISION:
+        if group.level == "division":
             listed = [s for s in source_ids if s in division_of and division_of[s] in group.members]
         else:
             listed = [s for s in source_ids if s in group.members]
@@ -151,9 +150,9 @@ def _rewire(model: SystemModel, rng: random.Random) -> SystemModel:
     names = [*component_ids, *(d.id for d in model.divisions), "no-such-component"]
     for k in range(rng.randint(0, 3)):
         members = [rng.choice(names) for _ in range(rng.randint(1, 4))]
-        level = rng.choice(list(RedundancyLevel))
+        level = rng.choice(REDUNDANCY_LEVELS)
         model.redundancy_groups.append(
-            RedundancyGroup(f"extra{k}", level, rng.choice(list(GroupLogic)), members)
+            RedundancyGroup(f"extra{k}", level, rng.choice(GROUP_LOGICS), members)
         )
     return model
 
@@ -163,7 +162,7 @@ def _reuse_ids(model: SystemModel, rng: random.Random) -> SystemModel:
     earlier ids with wiring of their own."""
     components = list(model.components())
     if not components:
-        components.append(Component("c0", ComponentKind.CALCULATOR, Technology.DIGITAL, "DC-0"))
+        components.append(Component("c0", "calculator", "digital", "DC-0"))
         model.divisions[0].components.append(components[0])
     ids = [c.id for c in components]
     for component in components:
@@ -173,12 +172,12 @@ def _reuse_ids(model: SystemModel, rng: random.Random) -> SystemModel:
     for k, original in enumerate(rng.sample(components, rng.randint(1, len(components)))):
         twin = Component(
             original.id,
-            rng.choice(list(ComponentKind)),
-            rng.choice(list(Technology)),
+            rng.choice(COMPONENT_KINDS),
+            rng.choice(TECHNOLOGIES),
             original.design_class,
             inputs=[Ref(rng.choice(ids)) for _ in range(rng.randint(0, 2))],
             feedback_inputs=[Ref(rng.choice(ids))] if rng.random() < 0.3 else [],
-            links=[Link(f"twin{k}", LinkKind.INFORMATION_FLOW, original.id, [rng.choice(ids)])],
+            links=[Link(f"twin{k}", "information_flow", original.id, [rng.choice(ids)])],
         )
         rng.choice(model.divisions).components.append(twin)
     return model

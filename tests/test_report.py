@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import mk_tree, reference_cutsets_csv, reference_export_ft
 from resha.cutsets import CutSetCollection, first_order_cut_sets, minimal_cut_sets
 from resha.ftree import BasicEvent, EventCategory, FaultTree, Gate, GateOp, export_ft, import_ft
-from resha.model import FailureModeType, ModelError
+from resha.model import FAILURE_TYPES, ModelError
 from resha.report import (
     CAUSE_MAP,
     csv_table,
@@ -31,11 +31,11 @@ SETPOINT = "setpoint variable is under or over the ideal limit"
 
 
 def test_cause_phrases():
-    assert UNASSIGNED in CAUSE_MAP[FailureModeType.MISSING]
-    assert BOUNDARY in CAUSE_MAP[FailureModeType.UNNEEDED]
-    assert SETPOINT in CAUSE_MAP[FailureModeType.EXCESSIVE]
-    assert SETPOINT in CAUSE_MAP[FailureModeType.INSUFFICIENT]
-    assert set(CAUSE_MAP) == set(FailureModeType)
+    assert UNASSIGNED in CAUSE_MAP["A"]
+    assert BOUNDARY in CAUSE_MAP["B"]
+    assert SETPOINT in CAUSE_MAP["F"]
+    assert SETPOINT in CAUSE_MAP["G"]
+    assert tuple(CAUSE_MAP) == FAILURE_TYPES
 
 
 def test_qiasp_diversity_finding(qiasp_result):
@@ -195,6 +195,25 @@ def test_import_rejects_bad_documents():
             '"category": "sw_uca", "software": "no"}]}',
             "node 'e': its id, label, failure_for, dependency_for, placeholder_for and children "
             "must be strings, and its software flag true or false",
+        ),
+        (
+            '{"schema": "resha/1", "nodes": [{"id": "e", "kind": "event", "category": "ccf", '
+            '"children": ["top"], "failure_for": "x"}]}',
+            "event node 'e' has 'children', 'failure_for', which only the other kind of node carries",
+        ),
+        (
+            '{"schema": "resha/1", "nodes": [{"id": "e", "kind": "event", "category": "ccf", "op": "or"}]}',
+            "event node 'e' has 'op', which only the other kind of node carries",
+        ),
+        (
+            '{"schema": "resha/1", "nodes": [{"id": "e", "kind": "event", "category": "ccf", '
+            '"dependency_for": "x", "placeholder_for": "x"}]}',
+            "event node 'e' has 'dependency_for', 'placeholder_for', which only the other kind of node carries",
+        ),
+        (
+            '{"schema": "resha/1", "nodes": [{"id": "g", "kind": "gate", "op": "or", '
+            '"category": "ccf", "software": false}]}',
+            "gate node 'g' has 'category', 'software', which only the other kind of node carries",
         ),
         (
             '{"schema": "resha/1", "options": {"include_hw_design": "false"}, "nodes": []}',

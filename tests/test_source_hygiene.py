@@ -1,8 +1,9 @@
 """Source hygiene: no dead imports, no unread parameters, no default that no
 call overrides, no runtime code that only tests call, no dataclass field or
 ``__init__`` attribute that nothing reads, no dataclass without a docstring,
-no ``copy`` module, and no enum ``.value`` read in a stage module or the CLI
-outside its enum tables.
+no ``copy`` module, no ``Enum`` subclass but the fault tree's ``GateOp`` and
+``EventCategory``, whose categorical values are plain strings elsewhere, and
+no enum ``.value`` read in a stage module or the CLI outside its enum tables.
 
 The package is read with ``ast`` alone; nothing under ``src/resha`` is
 imported or run here.
@@ -398,10 +399,23 @@ def test_no_module_imports_copy():
     assert importers == []
 
 
+def test_only_the_tree_enums_subclass_enum():
+    # Every other categorical value is the plain string that documents and
+    # artifacts use, so it needs no table to turn it back into that string.
+    enums = [
+        f"{name}: {node.name}"
+        for name, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(base, ast.Name) and base.id == "Enum" for base in node.bases)
+    ]
+    assert enums == ["ftree.py: GateOp", "ftree.py: EventCategory"]
+
+
 def test_stages_read_enum_strings_from_tables():
     # ``member.value`` runs a descriptor on every read, so the stage and
     # renderer modules, and the CLI listings, read an enum's strings from the
-    # one module-level table beside it (see the ``resha.model`` docstring).
+    # one module-level table beside it (see the ``resha.ftree`` docstring).
     modules = _modules()
     reads = []
     for name in ("ccf.py", "cli.py", "cutsets.py", "ftree.py", "model.py", "report.py", "stpa.py"):
