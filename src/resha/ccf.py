@@ -28,26 +28,27 @@ SOFTWARE_CCF_TYPES = (1, 2, 4)
 @dataclass
 class CcfGroup:
     """A software common cause failure group: its type, scope (``system`` or
-    ``division``), trigger, member events and failure-mode letter."""
+    ``division``), trigger, failure-mode letter and member events; ``resha
+    ccf --format json`` lists these fields in this order."""
 
     id: str
-    ccf_type: int
+    type: int
     scope: str
     trigger: str
-    members: list[str] = field(default_factory=list)
     failure_type: str | None = None
+    members: list[str] = field(default_factory=list)
 
     @property
     def software(self) -> bool:
-        return self.ccf_type in SOFTWARE_CCF_TYPES
+        return self.type in SOFTWARE_CCF_TYPES
 
     def describe(self) -> str:
         letter = f" ({self.failure_type})" if self.failure_type else ""
-        if self.ccf_type == 1:
+        if self.type == 1:
             return f"shared commanding controller {self.trigger}{letter}"
-        if self.ccf_type == 2:
+        if self.type == 2:
             return f"interdependency on {self.trigger} output{letter}"
-        if self.ccf_type == 3:
+        if self.type == 3:
             return f"shared external resource {self.trigger}"
         return f"shared design {self.trigger} across divisions{letter}"
 
@@ -87,7 +88,7 @@ def detect_ccf_groups(model: SystemModel, instances: list[UcaUifInstance]) -> li
         groups.append(
             CcfGroup(
                 id=f"T4:{class_id}:{failure_type}",
-                ccf_type=4,
+                type=4,
                 scope="system",
                 trigger=class_id,
                 members=sorted(i.id for i in found),
@@ -99,7 +100,7 @@ def detect_ccf_groups(model: SystemModel, instances: list[UcaUifInstance]) -> li
         groups.append(
             CcfGroup(
                 id=f"T2:{trigger}:{failure_type}",
-                ccf_type=2,
+                type=2,
                 scope="division",
                 trigger=trigger,
                 members=sorted(i.id for i in found),
@@ -114,7 +115,7 @@ def detect_ccf_groups(model: SystemModel, instances: list[UcaUifInstance]) -> li
         groups.append(
             CcfGroup(
                 id=f"T3:{resource.id}",
-                ccf_type=3,
+                type=3,
                 scope=_scope_for(idx, resource.dependents),
                 trigger=resource.id,
                 members=sorted(resource.dependents),
@@ -130,7 +131,7 @@ def detect_ccf_groups(model: SystemModel, instances: list[UcaUifInstance]) -> li
             groups.append(
                 CcfGroup(
                     id=f"T1:{link.id}:{app.type}",
-                    ccf_type=1,
+                    type=1,
                     scope=_scope_for(idx, members),
                     trigger=link.source,
                     members=list(members),
@@ -138,14 +139,14 @@ def detect_ccf_groups(model: SystemModel, instances: list[UcaUifInstance]) -> li
                 )
             )
 
-    return sorted(groups, key=lambda g: (g.ccf_type, g.trigger, g.failure_type or "", g.id))
+    return sorted(groups, key=lambda g: (g.type, g.trigger, g.failure_type or "", g.id))
 
 
 def count_by_type(groups: list[CcfGroup]) -> dict[int, int]:
     """Groups per CCF type, with every type 1-4 present, in type order."""
     counts = {1: 0, 2: 0, 3: 0, 4: 0}
     for group in groups:
-        counts[group.ccf_type] += 1
+        counts[group.type] += 1
     return counts
 
 

@@ -22,7 +22,9 @@ imports each stage's module.  Trees are read and written by ``ftree``, so
 the named command's parser alone, and every parser only for top-level help
 and for a missing or unknown command.
 
-A ``resha`` process enters through ``entry``, which runs ``main`` and then
+A ``resha`` process (``python -m resha.cli`` or the installed ``resha``)
+enters through ``entry``, which runs ``main`` and then, whether ``main``
+returns or raises (argparse raises ``SystemExit`` on a usage error),
 freezes the collector (``gc.freeze``): every object still alive moves to
 the permanent generation, which the collector's passes at interpreter
 shutdown skip.  Nothing else changes at exit: reference counting still
@@ -99,28 +101,14 @@ def cmd_validate(args) -> int:
 def cmd_stpa(args) -> int:
     import json
 
-    from .report import traceability_csv
-
     values = _run(args, "candidates", "instances")
     candidates, instances = values["candidates"], values["instances"]
     if args.format == "csv":
+        from .report import traceability_csv
+
         _emit(traceability_csv(instances, values["expanded"]), args.out)
     elif args.format == "json":
-        payload = {
-            "candidates": len(candidates),
-            "instances": [
-                {
-                    "id": i.id,
-                    "flavor": i.flavor,
-                    "type": i.type,
-                    "owner": i.owner,
-                    "link": i.link,
-                    "division": i.division,
-                    "hazards": i.hazards,
-                }
-                for i in instances
-            ],
-        }
+        payload = {"candidates": len(candidates), "instances": [vars(i) for i in instances]}
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
         lines = [f"candidates: {len(candidates)}", f"applicable: {len(instances)}"]
@@ -172,18 +160,7 @@ def cmd_ccf(args) -> int:
 
         _emit(ccf_csv(groups), args.out)
     elif args.format == "json":
-        payload = [
-            {
-                "id": g.id,
-                "type": g.ccf_type,
-                "scope": g.scope,
-                "trigger": g.trigger,
-                "failure_type": g.failure_type,
-                "members": g.members,
-            }
-            for g in groups
-        ]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(json.dumps([vars(g) for g in groups], indent=2) + "\n", args.out)
     else:
         counts = count_by_type(groups)
         lines = [f"Type {t} sCCF: {n}" for t, n in counts.items()]
@@ -348,19 +325,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> int:
-    """Run ``main`` as the ``resha`` process and return its exit code.
-
-    On the way out, whether ``main`` returns or raises (argparse raises
-    ``SystemExit`` on a usage error), ``gc.freeze`` moves every live object
-    to the permanent generation, so the collector's shutdown passes do not
-    scan what the imports and the command built; reference counting frees
-    it as before, and ``atexit`` handlers and stream flushing run as
-    before.  That is sound because Python does not promise to finalize
-    objects still alive at exit, and every file a command writes is closed
-    before ``main`` returns.  Only the process entries call this, ``python
-    -m resha.cli`` and the installed ``resha`` command; ``main`` called in
-    process leaves the collector alone.
-    """
+    """Run ``main`` as the ``resha`` process, then freeze the collector as
+    the module docstring says; return ``main``'s exit code."""
     try:
         return main()
     finally:

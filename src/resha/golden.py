@@ -104,15 +104,14 @@ def compute_metrics(result: AnalysisResult) -> dict[str, object]:
         for name in ("uca", "uif_calculator", "uif_alarm", "uif_other"):
             metrics[f"stpa.{division}.{name}"] = buckets[division, name]
 
-    counts = count_by_type(result.groups)
-    for ccf_type in (1, 2, 3, 4):
-        metrics[f"ccf.type{ccf_type}"] = counts[ccf_type]
+    for ccf_type, count in count_by_type(result.groups).items():
+        metrics[f"ccf.type{ccf_type}"] = count
     metrics["ccf.groups"] = len(result.groups)
 
     instance_by_id = {i.id: i for i in result.instances}
     type4_by_kind = {"controller": 0, "calculator": 0, "alarm": 0, "other": 0}
     for group in result.groups:
-        if group.ccf_type != 4:
+        if group.type != 4:
             continue
         kind = "other"
         for member in group.members:
@@ -131,7 +130,7 @@ def compute_metrics(result: AnalysisResult) -> dict[str, object]:
         {
             group.trigger
             for group in result.groups
-            if group.ccf_type == 2 and f"ccf:{group.id}" in first_order_events
+            if group.type == 2 and f"ccf:{group.id}" in first_order_events
         }
     )
     return metrics

@@ -18,8 +18,9 @@ A categorical value is the plain string that documents and artifacts
 use: a component kind, technology, failure-mode letter, redundancy level
 or logic, resource scope, or link kind (``control_action`` or
 ``information_flow``).  The tuples below list, in order, the words the
-parser accepts for each but the link kind; ``STPA_CATEGORY_NAMES`` gives
-each failure-mode letter its STPA category.
+parser accepts for each but the link kind, and validation reports any
+other word, so a model built in code is held to them too;
+``STPA_CATEGORY_NAMES`` gives each failure-mode letter its STPA category.
 
 One rule keeps the per-object loops of the stages cheap: a value built
 once per component, link, instance or tree node is built with its class's
@@ -588,6 +589,14 @@ def _validate_declarations(model: SystemModel, report: ValidationReport) -> None
         else:
             seen[identifier] = span
 
+    def check_word(
+        what: str, identifier: str, name: str, value: str, words: tuple[str, ...], span: SourceSpan | None
+    ) -> None:
+        if value not in words:
+            choices = ", ".join(words)
+            message = f"{what} '{identifier}' has unknown {name} '{value}' (one of: {choices})"
+            report.violations.append(Violation("unknown-word", message, span))
+
     for loss in model.losses:
         declare(loss.id, "loss", loss.span)
     for hazard in model.hazards:
@@ -602,10 +611,14 @@ def _validate_declarations(model: SystemModel, report: ValidationReport) -> None
         declare(division.id, "division", division.span)
     for component in model.components():
         declare(component.id, "component", component.span)
+        check_word("component", component.id, "kind", component.kind, COMPONENT_KINDS, component.span)
+        check_word("component", component.id, "tech", component.tech, TECHNOLOGIES, component.span)
     for link in model.links():
         declare(link.id, "link", link.span)
+        check_word("link", link.id, "kind", link.kind, ("control_action", "information_flow"), link.span)
         declared: set[str] = set()
         for app in link.applicability:
+            check_word("link", link.id, "type", app.type, FAILURE_TYPES, app.span or link.span)
             if app.type in declared:
                 report.violations.append(
                     Violation(
@@ -617,8 +630,11 @@ def _validate_declarations(model: SystemModel, report: ValidationReport) -> None
             declared.add(app.type)
     for group in model.redundancy_groups:
         declare(group.id, "redundancy_group", group.span)
+        check_word("redundancy_group", group.id, "level", group.level, REDUNDANCY_LEVELS, group.span)
+        check_word("redundancy_group", group.id, "logic", group.logic, GROUP_LOGICS, group.span)
     for resource in model.shared_resources:
         declare(resource.id, "shared_resource", resource.span)
+        check_word("shared_resource", resource.id, "scope", resource.scope, RESOURCE_SCOPES, resource.span)
 
 
 def _validate_references(model: SystemModel, report: ValidationReport) -> None:

@@ -10,8 +10,11 @@ alone never loads the later ones.
 ``analyze_model``, ``analyze_text`` and ``write_artifacts`` run with the
 cyclic garbage collector paused.  Reference counting frees everything they
 build (``tests/test_pipeline.py::test_analysis_leaves_no_cyclic_garbage``
-checks it), so a collector pass there would only scan live objects.  Each
-call restores the collector's state as it found it.  The switch is
+checks it), so a collector pass there would only scan live objects; a
+cycle that a later change adds is still reclaimed by the first pass after
+the call.  Each call, whether it returns or raises, turns the collector
+back on only if it was on when the call began, so nested calls and a
+caller that keeps it off are left as they were.  The switch is
 process-wide: another thread that turns the collector off during one of
 these calls finds it on again when the call returns.
 """
@@ -133,18 +136,8 @@ def run_stages(values: dict[str, Any], *goals: str) -> dict[str, Any]:
 
 
 def _collector_paused(function: _Function) -> _Function:
-    """``function``, run with the cyclic garbage collector off.
-
-    The collector goes back on afterwards, whether the call returns or
-    raises, only if it was on when the call began; so nested calls, and a
-    caller that keeps the collector off, are left as they were.  The pause
-    is sound because reference counting alone frees what an analysis
-    builds (``test_analysis_leaves_no_cyclic_garbage``); a cycle that a
-    later change adds is still reclaimed by the first pass after the call.
-    ``gc.disable`` is process-wide, so another thread runs with the
-    collector off during the call, and finds it on afterwards even if that
-    thread turned it off meanwhile.
-    """
+    """``function``, run with the cyclic garbage collector paused as the
+    module docstring says."""
 
     @wraps(function)
     def paused(*args: Any, **kwargs: Any) -> Any:

@@ -13,12 +13,13 @@ The CSV rule: ``ccf.csv`` and ``traceability.csv`` are built as string
 tuples and joined with ``,`` and ``\n`` by ``csv_table``, which keeps the
 joined text only when its ``,`` and ``\n`` counts show that no field holds
 one and no ``"``, ``\r`` or NUL appears; otherwise ``csv.writer`` renders
-the same rows.  ``cutsets_csv`` tests each event id once instead, so that
-its rows can later be written as they are walked.  Either way the bytes are
-``csv.writer(lineterminator="\n")``'s, whose quoting differs between
-Python versions, and one set of special characters, ``_CSV_SPECIAL``,
-decides when the csv module is asked.  The ``csv`` module is imported only
-there, so a run whose fields need no quoting never loads it.
+the same rows.  ``cutsets_csv`` tests each event id once against
+``_CSV_SPECIAL`` instead, so that its rows can later be written as they are
+walked, and sends the rows of a run that holds such an id through
+``csv_table``.  Either way the bytes are ``csv.writer``'s, with
+``lineterminator="\n"``, whose quoting differs between Python versions.
+``csv_table`` alone imports the ``csv`` module, so a run whose fields need
+no quoting never loads it.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def generate_guidance(
 
     by_tag: dict[str, list[CcfGroup]] = {}
     for group in groups:
-        if group.ccf_type != 4:
+        if group.type != 4:
             continue
         by_tag.setdefault(idx.design_classes[group.trigger].diversity_tag, []).append(group)
     for tag, tag_groups in sorted(by_tag.items()):
@@ -105,7 +106,7 @@ def generate_guidance(
 
     by_trigger: dict[str, list[CcfGroup]] = {}
     for group in groups:
-        if group.ccf_type == 2:
+        if group.type == 2:
             by_trigger.setdefault(group.trigger, []).append(group)
     for trigger, trigger_groups in sorted(by_trigger.items()):
         types = ", ".join(sorted({g.failure_type for g in trigger_groups if g.failure_type}))
@@ -161,10 +162,10 @@ def cutsets_csv(collection: CutSetCollection, tree: FaultTree) -> str:
     whether every member is software.
 
     Rows follow ``CutSetCollection.walk``: a run's shared members are joined
-    once, and each row adds its last member's fragments.  A row holding an
-    id with a comma, a double quote, a carriage return, a line feed or a NUL
-    (possible only in an imported tree) goes through ``csv.writer``, so
-    quoting stays the csv module's decision.
+    once, and each row adds its last member's fragments.  The rows of a run
+    that holds an id with a comma, a double quote, a carriage return, a line
+    feed or a NUL (possible only in an imported tree) go through
+    ``csv_table``, so quoting stays the csv module's decision.
     """
     ids, categories, software = collection.events, {}, set()
     for i in collection.members():
@@ -187,14 +188,9 @@ def cutsets_csv(collection: CutSetCollection, tree: FaultTree) -> str:
             prefix, middle = f"{order},{head_ids}", f",{head_categories}"
             lines += [f"{prefix}{ids[i]}{middle}{tails[i]}" for i in lasts]
             continue
-        import csv
-        import io
-
-        for i in lasts:
-            out = io.StringIO()
-            flag = "yes" if software.issuperset((*head, i)) else "no"
-            csv.writer(out, lineterminator="\n").writerow((order, head_ids + ids[i], head_categories + categories[i], flag))
-            lines.append(out.getvalue())
+        flags = {i: "yes" if software.issuperset((*head, i)) else "no" for i in lasts}
+        rows = [(str(order), head_ids + ids[i], head_categories + categories[i], flags[i]) for i in lasts]
+        lines.append(csv_table(rows))
     return "".join(lines)
 
 
@@ -205,7 +201,7 @@ def ccf_csv(groups: list[CcfGroup]) -> str:
     rows += [
         (
             group.id,
-            str(group.ccf_type),
+            str(group.type),
             group.scope,
             group.trigger,
             group.failure_type or "",

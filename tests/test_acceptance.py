@@ -112,7 +112,7 @@ def test_acceptance_04_ccf_counts(qiasp_result):
     }
     decomposition: dict[str, int] = {}
     for group in qiasp_result.groups:
-        if group.ccf_type == 4:
+        if group.type == 4:
             kind = kind_of_class.get(group.trigger, "?")
             decomposition[kind] = decomposition.get(kind, 0) + 1
     if decomposition != {"controller": 3, "calculator": 15, "alarm": 10}:
@@ -134,7 +134,7 @@ def test_acceptance_05_first_order_and_runtime(qiasp_text):
         triggers = {
             g.trigger
             for g in result.groups
-            if g.ccf_type == 2 and f"ccf:{g.id}" in set(software)
+            if g.type == 2 and f"ccf:{g.id}" in set(software)
         }
         wanted = {
             "cet_calculator",

@@ -119,7 +119,7 @@ def test_type4_decomposition_by_owner_kind(qiasp_result):
         kind_of_class[component.design_class] = component.kind
     counts: dict[str, int] = {}
     for group in qiasp_result.groups:
-        if group.ccf_type != 4:
+        if group.type != 4:
             continue
         kind = kind_of_class[group.trigger]
         counts[kind] = counts.get(kind, 0) + 1
@@ -127,7 +127,7 @@ def test_type4_decomposition_by_owner_kind(qiasp_result):
 
 
 def test_type4_scope_and_membership(qiasp_result):
-    t4 = [g for g in qiasp_result.groups if g.ccf_type == 4]
+    t4 = [g for g in qiasp_result.groups if g.type == 4]
     for group in t4:
         assert group.scope == "system"
         divisions = {m.rsplit(":", 1)[1] for m in group.members}
@@ -138,14 +138,14 @@ def test_type4_scope_and_membership(qiasp_result):
 def test_alarm_type4_letters(qiasp_result):
     letters: dict[str, set[str]] = {}
     for group in qiasp_result.groups:
-        if group.ccf_type == 4 and group.trigger.endswith("-ALM"):
+        if group.type == 4 and group.trigger.endswith("-ALM"):
             letters.setdefault(group.trigger, set()).add(group.failure_type)
     assert len(letters) == 5
     assert all(found == {"A", "B"} for found in letters.values())
 
 
 def test_type2_triggers_and_merge(qiasp_result):
-    t2 = [g for g in qiasp_result.groups if g.ccf_type == 2]
+    t2 = [g for g in qiasp_result.groups if g.type == 2]
     assert len(t2) == 15
     assert {g.trigger for g in t2} == {
         "cet_calculator",
@@ -172,7 +172,7 @@ def test_icc_calculator_not_a_type2_trigger(qiasp_result):
 def test_groups_sorted_and_unique(qiasp_result):
     groups = qiasp_result.groups
     keys = [
-        (g.ccf_type, g.trigger, g.failure_type or "")
+        (g.type, g.trigger, g.failure_type or "")
         for g in groups
     ]
     assert keys == sorted(keys)
@@ -188,7 +188,7 @@ def test_single_division_model_has_no_groups():
 def test_type1_detection():
     model, instances = analyzed(MULTI_TARGET)
     groups = detect_ccf_groups(model, instances)
-    t1 = [g for g in groups if g.ccf_type == 1]
+    t1 = [g for g in groups if g.type == 1]
     assert len(t1) == 1
     group = t1[0]
     assert group.id == "T1:go:A"
@@ -215,7 +215,7 @@ def test_each_control_action_forms_its_own_type1_group():
 
 def test_type3_external_resources_only():
     model, instances = analyzed(MULTI_TARGET)
-    t3 = [g for g in detect_ccf_groups(model, instances) if g.ccf_type == 3]
+    t3 = [g for g in detect_ccf_groups(model, instances) if g.type == 3]
     assert [g.trigger for g in t3] == ["bus"]
     group = t3[0]
     assert group.id == "T3:bus"
@@ -231,7 +231,7 @@ def test_count_by_type_always_four_keys():
 def test_describe_mentions_trigger(qiasp_result):
     for group in qiasp_result.groups:
         assert group.trigger in group.describe()
-    by_type = {g.ccf_type: g for g in qiasp_result.groups}
+    by_type = {g.type: g for g in qiasp_result.groups}
     assert "interdependency" in by_type[2].describe()
     assert "across divisions" in by_type[4].describe()
 
@@ -262,7 +262,7 @@ def test_injection_count(qiasp_result):
 def test_injection_component_members_attach_to_failure_gates():
     model, instances = analyzed(MULTI_TARGET)
     tree = synthesize_hardware_ft(model)
-    groups = [g for g in detect_ccf_groups(model, instances) if g.ccf_type == 3]
+    groups = [g for g in detect_ccf_groups(model, instances) if g.type == 3]
     injected = inject_ccf_events(tree, groups)
     parents = parents_of(injected)
     assert set(parents["ccf:T3:bus"]) == {"fail:left", "fail:right"}
@@ -273,7 +273,7 @@ def test_injection_single_event_defeats_redundancy():
     tree = mk_tree(("and", ("or", "a"), ("or", "b")))
     group = CcfGroup(
         id="T3:x",
-        ccf_type=3,
+        type=3,
         scope="system",
         trigger="x",
         members=["a", "b"],
@@ -288,7 +288,7 @@ def test_injection_single_event_defeats_redundancy():
 def test_injection_unknown_member():
     tree = mk_tree(("or", "a"))
     group = CcfGroup(
-        id="T3:x", ccf_type=3, scope="system", trigger="x", members=["ghost"]
+        id="T3:x", type=3, scope="system", trigger="x", members=["ghost"]
     )
     with pytest.raises(ModelError, match="no location in the fault tree"):
         inject_ccf_events(tree, [group])

@@ -41,6 +41,9 @@ EVERY_STAGE = {*VALIDATE, "ftree", "report", "stpa", "ccf", "cutsets"}
 # by ``ftree``, so only the CSV and summary writers load ``report``.
 MODULE_SETS = [
     (["validate", "MODEL"], VALIDATE),
+    (["stpa", "MODEL", "--out", "out.txt"], VALIDATE | {"stpa"}),
+    (["stpa", "MODEL", "--format", "json", "--out", "out.json"], VALIDATE | {"stpa"}),
+    (["stpa", "MODEL", "--format", "csv", "--out", "out.csv"], VALIDATE | {"ftree", "stpa", "report"}),
     (["synth", "MODEL", "--out", "out.json"], VALIDATE | {"ftree"}),
     (["integrate", "MODEL", "--ft", "hw.json", "--out", "out.json"], VALIDATE | {"ftree", "stpa"}),
     (

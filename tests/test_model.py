@@ -26,6 +26,12 @@ from resha.dsl import ParseError, parse_model
 from resha.ftree import export_ft
 from resha.golden import compute_metrics
 from resha.model import (
+    COMPONENT_KINDS,
+    FAILURE_TYPES,
+    GROUP_LOGICS,
+    REDUNDANCY_LEVELS,
+    RESOURCE_SCOPES,
+    TECHNOLOGIES,
     Component,
     DesignClass,
     Division,
@@ -448,6 +454,40 @@ def test_applicable_without_hazards_flagged():
     link.applicability[0] = replace(link.applicability[0], hazards=[])
     violations = validate_model(model).violations
     assert [(v.code, v.span) for v in violations] == [("applicable-no-hazard", link.applicability[0].span)]
+
+
+# Each categorical field: the declaration that holds it and the words it takes.
+_WORDS = [
+    ("component", "kind", COMPONENT_KINDS),
+    ("component", "tech", TECHNOLOGIES),
+    ("link", "kind", ("control_action", "information_flow")),
+    ("link", "type", FAILURE_TYPES),
+    ("redundancy_group", "level", REDUNDANCY_LEVELS),
+    ("redundancy_group", "logic", GROUP_LOGICS),
+    ("shared_resource", "scope", RESOURCE_SCOPES),
+]
+
+
+@pytest.mark.parametrize("what, name, words", _WORDS, ids=[f"{what}-{name}" for what, name, _ in _WORDS])
+def test_a_misspelt_word_is_a_violation_listing_the_words(qiasp_text, what, name, words):
+    """A model built in code bypasses the parser's word check; validation
+    reports the misspelt word once, at its declaration."""
+    model = parse_model(qiasp_text + "shared_resource ext_pwr scope: external dependents: power_supply\n")
+    owner = {
+        "component": next(model.components()),
+        "link": next(link for link in model.links() if link.applicability),
+        "redundancy_group": model.redundancy_groups[0],
+        "shared_resource": model.shared_resources[0],
+    }[what]
+    span = owner.span
+    if name == "type":
+        owner.applicability[0] = replace(owner.applicability[0], type="all_must_fial")
+        span = owner.applicability[0].span
+    else:
+        setattr(owner, name, "all_must_fial")
+    unknown = [(v.message, v.span) for v in validate_model(model).violations if v.code == "unknown-word"]
+    choices = ", ".join(words)
+    assert unknown == [(f"{what} '{owner.id}' has unknown {name} 'all_must_fial' (one of: {choices})", span)]
 
 
 _QIASP = bundled_model_path().read_text(encoding="utf-8")

@@ -100,7 +100,7 @@ def test_digital_chain_detection_grows_linearly():
     # components; a full downstream walk per owner made this quadratic.
     model = parse_model(digital_chain_text(4))
     groups = run_stages({"model": model}, "groups")["groups"]
-    assert [g.id for g in groups if g.ccf_type == 2] == ["T2:c0:A"]
+    assert [g.id for g in groups if g.type == 2] == ["T2:c0:A"]
     assert _growth(digital_chain_text, 250, "groups") < GROWTH_BOUND
 
 

@@ -1,9 +1,10 @@
 """Source hygiene: no dead imports, no unread parameters, no default that no
 call overrides, no runtime code that only tests call, no dataclass field or
 ``__init__`` attribute that nothing reads, no dataclass without a docstring,
-no ``copy`` module, no ``Enum`` subclass but the fault tree's ``GateOp`` and
-``EventCategory``, whose categorical values are plain strings elsewhere, and
-no enum ``.value`` read in a stage module or the CLI outside its enum tables.
+no ``copy`` module, one function that imports ``csv``, no ``Enum`` subclass
+but the fault tree's ``GateOp`` and ``EventCategory``, whose categorical
+values are plain strings elsewhere, and no enum ``.value`` read in a stage
+module or the CLI outside its enum tables.
 
 The package is read with ``ast`` alone; nothing under ``src/resha`` is
 imported or run here.
@@ -397,6 +398,27 @@ def test_no_module_imports_copy():
             if "copy" in modules:
                 importers.append(f"{name}:{node.lineno}")
     assert importers == []
+
+
+def _imports_csv(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name == "csv" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "csv"
+
+
+def test_one_function_imports_csv():
+    # Every CSV file takes one quoting fallback, ``report.csv_table``, and it
+    # alone loads the csv module, only when a field needs quoting.
+    modules = _modules()
+    importers = [
+        f"{name}: {function.name}"
+        for name, tree in modules.items()
+        for function in ast.walk(tree)
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(_imports_csv(node) for node in ast.walk(function))
+    ]
+    assert importers == ["report.py: csv_table"]
+    assert sum(_imports_csv(node) for tree in modules.values() for node in ast.walk(tree)) == 1
 
 
 def test_only_the_tree_enums_subclass_enum():
