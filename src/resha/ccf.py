@@ -16,8 +16,6 @@ independent failure event, so one group can defeat redundancy on its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .ftree import BasicEvent, EventCategory, FaultTree, Gate
 from .model import ModelError, ModelIndex, SystemModel
 from .stpa import UcaUifInstance
@@ -25,18 +23,21 @@ from .stpa import UcaUifInstance
 SOFTWARE_CCF_TYPES = (1, 2, 4)
 
 
-@dataclass
 class CcfGroup:
     """A software common cause failure group: its type, scope (``system`` or
     ``division``), trigger, failure-mode letter and member events; ``resha
-    ccf --format json`` lists these fields in this order."""
+    ccf --format json`` lists the fields that ``__init__`` sets, in its order."""
 
-    id: str
-    type: int
-    scope: str
-    trigger: str
-    failure_type: str | None = None
-    members: list[str] = field(default_factory=list)
+    def __init__(
+        self, id: str, type: int, scope: str, trigger: str, failure_type: str | None = None,
+        members: list[str] | None = None,
+    ):
+        self.id = id
+        self.type = type
+        self.scope = scope
+        self.trigger = trigger
+        self.failure_type = failure_type
+        self.members = [] if members is None else members
 
     @property
     def software(self) -> bool:

@@ -6,9 +6,9 @@ a model validates it first; on any violation ``main`` prints each one at
 its ``file:line:col``, then their count, and exits 1.  A model that
 validates exits 2 only on another input: an ``--ft`` tree that does not
 fit it, a malformed golden file, or a file that is missing or not UTF-8.
-Each subcommand runs the stages that ``pipeline.AnalysisResult``'s fields
-declare, up to the value it prints.  Stages chain through files: ``synth``
-and ``integrate`` write fault-tree JSON that ``integrate``, ``ccf`` and
+Each subcommand runs the stages that ``pipeline.STAGES`` declares, up to
+the value it prints.  Stages chain through files: ``synth`` and
+``integrate`` write fault-tree JSON that ``integrate``, ``ccf`` and
 ``cutsets`` accept back via ``--ft``; the imported tree stands in for the
 stage it replaces, so no stage upstream of it runs but validation.  Set
 ``RESHA_NO_COLOR`` to disable ANSI color on terminals.
@@ -20,7 +20,10 @@ imports each stage's module.  Trees are read and written by ``ftree``, so
 ``report`` loads only for the CSV and summary writers: ``synth``,
 ``integrate`` and ``ccf`` in text or JSON never import it.  ``main`` builds
 the named command's parser alone, and every parser only for top-level help
-and for a missing or unknown command.
+and for a missing or unknown command.  No record class is a dataclass, so
+a command loads neither ``dataclasses`` nor ``inspect``: importing the one
+loads the other, and each decorated class compiles its methods with
+``exec``, together 10-14 ms per process (Python 3.11.7, 2-core host).
 
 A ``resha`` process (``python -m resha.cli`` or the installed ``resha``)
 enters through ``entry``, which runs ``main`` and then, whether ``main``
@@ -42,7 +45,6 @@ import argparse
 import gc
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from .dsl import ParseError, parse_model
@@ -84,7 +86,7 @@ def _options(args) -> PipelineOptions:
 def _run(args, *goals: str, ft_replaces: str | None = None) -> dict:
     """Validate the model, then run the stages the goals need on it, with
     ``--ft`` in place of ``ft_replaces``."""
-    values = run_stages({"model": _load_model(args.model), **asdict(_options(args))}, "expanded")
+    values = run_stages({"model": _load_model(args.model), **_options(args)._asdict()}, "expanded")
     if getattr(args, "ft", None):
         from .ftree import import_ft
 

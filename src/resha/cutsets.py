@@ -26,7 +26,6 @@ from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterator
 from collections.abc import Set as AbstractSet
-from dataclasses import dataclass, field
 from itertools import chain
 
 from .ftree import BasicEvent, EventCategory, FaultTree, GateOp
@@ -54,16 +53,16 @@ Run = tuple[tuple[int, ...], list[int]]
 _NO_SETS: frozenset[int] = frozenset()
 
 
-@dataclass
 class CutSetCollection:
     """The minimal cut sets of a root family over ``events``, the canonical
     event list, whose event ``i`` owns bit ``1 << (len(events) - 1 - i)``.
     ``truncation_order`` is the bound they were computed under, None when
     exact."""
 
-    events: list[str]
-    family: Family
-    truncation_order: int | None = None
+    def __init__(self, events: list[str], family: Family, truncation_order: int | None = None):
+        self.events = events
+        self.family = family
+        self.truncation_order = truncation_order
 
     def __len__(self) -> int:
         return sum(self.order_index().values())
@@ -319,12 +318,12 @@ def minimal_cut_sets(tree: FaultTree, max_order: int | None = None) -> CutSetCol
     return CutSetCollection(events, memo[tree.root], max_order)
 
 
-@dataclass
 class FirstOrderReport:
     """Singleton cut sets split into hardware and software events."""
 
-    software: list[str] = field(default_factory=list)
-    hardware: list[str] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.software: list[str] = []
+        self.hardware: list[str] = []
 
 
 def first_order_cut_sets(collection: CutSetCollection, tree: FaultTree) -> FirstOrderReport:

@@ -45,10 +45,9 @@ for mixed-in enums.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
 
 from .model import ModelError, ModelIndex, SystemModel, depth_first
 
@@ -75,28 +74,32 @@ GATE_OP_NAMES: dict[GateOp, str] = {op: op.value for op in GateOp}
 EVENT_CATEGORY_NAMES: dict[EventCategory, str] = {c: c.value for c in EventCategory}
 
 
-@dataclass
 class Gate:
-    """An AND or OR gate over child node ids."""
+    """An AND or OR gate over child node ids; ``failure_for``,
+    ``dependency_for`` and ``placeholder_for`` tie a structural gate back to
+    the component it models."""
 
-    id: str
-    op: GateOp
-    children: list[str] = field(default_factory=list)
-    label: str = ""
-    # Markers tying structural gates back to the component they model.
-    failure_for: str | None = None
-    dependency_for: str | None = None
-    placeholder_for: str | None = None
+    def __init__(
+        self, id: str, op: GateOp, children: list[str] | None = None, label: str = "",
+        failure_for: str | None = None, dependency_for: str | None = None, placeholder_for: str | None = None,
+    ):
+        self.id = id
+        self.op = op
+        self.children = [] if children is None else children
+        self.label = label
+        self.failure_for = failure_for
+        self.dependency_for = dependency_for
+        self.placeholder_for = placeholder_for
 
 
-@dataclass
 class BasicEvent:
     """A leaf of the tree: one failure that can occur on its own."""
 
-    id: str
-    category: EventCategory
-    label: str = ""
-    software: bool = False
+    def __init__(self, id: str, category: EventCategory, label: str = "", software: bool = False):
+        self.id = id
+        self.category = category
+        self.label = label
+        self.software = software
 
 
 Node = Union[Gate, BasicEvent]
@@ -104,14 +107,16 @@ Node = Union[Gate, BasicEvent]
 Step = Union[str, Node]
 
 
-@dataclass
 class FaultTree:
     """A rooted AND/OR DAG whose nodes are kept by id in insertion order."""
 
-    model_name: str
-    root: str
-    nodes: dict[str, Node] = field(default_factory=dict)
-    include_hw_design: bool = False
+    def __init__(
+        self, model_name: str, root: str, nodes: dict[str, Node] | None = None, include_hw_design: bool = False
+    ):
+        self.model_name = model_name
+        self.root = root
+        self.nodes = {} if nodes is None else nodes
+        self.include_hw_design = include_hw_design
 
     def gate(self, node_id: str) -> Gate:
         node = self.nodes[node_id]
@@ -199,14 +204,13 @@ class FaultTree:
         return memo[self.root]
 
 
-@dataclass
-class BranchCensus:
+class BranchCensus(NamedTuple):
     """Counts of a hardware tree's structural branches, by kind."""
 
-    hw_stochastic: int = 0
-    hw_design: int = 0
-    dependency: int = 0
-    sw_design: int = 0
+    hw_stochastic: int
+    hw_design: int
+    dependency: int
+    sw_design: int
 
 
 def branch_census(tree: FaultTree) -> BranchCensus:
@@ -217,18 +221,18 @@ def branch_census(tree: FaultTree) -> BranchCensus:
     shared nodes count once.  Dependency branches are the per-component
     dependency gates; group sub-gates inside them are not counted.
     """
-    census = BranchCensus()
+    hw_stochastic = hw_design = dependency = sw_design = 0
     for node in tree.nodes.values():
         if isinstance(node, BasicEvent):
             if node.category is EventCategory.HW_STOCHASTIC:
-                census.hw_stochastic += 1
+                hw_stochastic += 1
             elif node.category is EventCategory.HW_DESIGN:
-                census.hw_design += 1
+                hw_design += 1
         elif node.dependency_for is not None:
-            census.dependency += 1
+            dependency += 1
         elif node.placeholder_for is not None:
-            census.sw_design += 1
-    return census
+            sw_design += 1
+    return BranchCensus(hw_stochastic, hw_design, dependency, sw_design)
 
 
 def _group_children(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .ccf import count_by_type
@@ -21,13 +20,13 @@ from .pipeline import AnalysisResult, read_input
 GOLDEN_SCHEMA = "resha-golden/1"
 
 
-@dataclass
 class FieldResult:
     """One pinned metric beside the value recomputed from an analysis."""
 
-    name: str
-    expected: object
-    actual: object
+    def __init__(self, name: str, expected: object, actual: object):
+        self.name = name
+        self.expected = expected
+        self.actual = actual
 
     @property
     def ok(self) -> bool:
@@ -38,11 +37,11 @@ class FieldResult:
         return f"{self.name}: expected {self.expected!r}, got {self.actual!r} [{status}]"
 
 
-@dataclass
 class GoldenReport:
     """The field-by-field comparison of an analysis with a golden record."""
 
-    fields: list[FieldResult] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.fields: list[FieldResult] = []
 
     @property
     def ok(self) -> bool:

@@ -22,16 +22,18 @@ parser accepts for each but the link kind, and validation reports any
 other word, so a model built in code is held to them too;
 ``STPA_CATEGORY_NAMES`` gives each failure-mode letter its STPA category.
 
-One rule keeps the per-object loops of the stages cheap: a value built
+A record takes one of two stdlib forms, both cheap to define when a
+``resha`` process starts: a ``NamedTuple`` for the frozen leaves
+(``SourceSpan``, ``Ref``, ``Loss``, ``Hazard``, ``DesignClass``,
+``Applicability``), and for the rest a plain class whose ``__init__``
+assigns its fields in order and which compares by identity.  A value built
 once per component, link, instance or tree node is built with its class's
-constructor, every field passed, never with ``dataclasses.replace``, which
-costs several times more per call.
+constructor, every field passed.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import islice
 from typing import Callable, Container, Iterable, Iterator, NamedTuple, Sequence
@@ -95,13 +97,12 @@ STPA_CATEGORY_NAMES: dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
-class Ref:
+class Ref(NamedTuple):
     """Reference to a component, optionally narrowed to one of its link ports."""
 
     component: str
     port: str | None = None
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    span: SourceSpan | None = None
 
     def __str__(self) -> str:
         if self.port is None:
@@ -109,55 +110,54 @@ class Ref:
         return f"{self.component}.{self.port}"
 
 
-@dataclass(frozen=True)
-class Loss:
+class Loss(NamedTuple):
     """A loss the analysis guards against, as the model document declares it."""
 
     id: str
     description: str
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    span: SourceSpan | None = None
 
 
-@dataclass(frozen=True)
-class Hazard:
+class Hazard(NamedTuple):
     """A system state that leads to the listed losses."""
 
     id: str
     description: str
-    losses: list[str] = field(default_factory=list)
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    losses: list[str]
+    span: SourceSpan | None = None
 
 
-@dataclass(frozen=True)
-class DesignClass:
+class DesignClass(NamedTuple):
     """A design lineage; classes sharing a diversity tag are non-diverse."""
 
     id: str
     description: str
     diversity_tag: str
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    span: SourceSpan | None = None
 
 
-@dataclass(frozen=True)
-class Applicability:
+class Applicability(NamedTuple):
     """Marks one failure-mode type of a link, by its letter, as hazardous."""
 
     type: str
-    hazards: list[str] = field(default_factory=list)
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    hazards: list[str]
+    span: SourceSpan | None = None
 
 
-@dataclass
 class Link:
     """A named control action or information flow from one component to others;
     ``kind`` is ``"control_action"`` or ``"information_flow"``."""
 
-    id: str
-    kind: str
-    source: str
-    targets: list[str] = field(default_factory=list)
-    applicability: list[Applicability] = field(default_factory=list)
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    def __init__(
+        self, id: str, kind: str, source: str, targets: list[str],
+        applicability: list[Applicability] | None = None, span: SourceSpan | None = None,
+    ):
+        self.id = id
+        self.kind = kind
+        self.source = source
+        self.targets = targets
+        self.applicability = [] if applicability is None else applicability
+        self.span = span
 
     def commanded_group(self) -> list[str]:
         """The sorted distinct targets when this link forms a Type 1 common
@@ -169,68 +169,81 @@ class Link:
         return []
 
 
-@dataclass
 class Component:
     """One element of a division, with its inputs and the links it issues."""
 
-    id: str
-    kind: str
-    tech: str
-    design_class: str
-    inputs: list[Ref] = field(default_factory=list)
-    feedback_inputs: list[Ref] = field(default_factory=list)
-    links: list[Link] = field(default_factory=list)
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    def __init__(
+        self, id: str, kind: str, tech: str, design_class: str, inputs: list[Ref] | None = None,
+        feedback_inputs: list[Ref] | None = None, links: list[Link] | None = None,
+        span: SourceSpan | None = None,
+    ):
+        self.id = id
+        self.kind = kind
+        self.tech = tech
+        self.design_class = design_class
+        self.inputs = [] if inputs is None else inputs
+        self.feedback_inputs = [] if feedback_inputs is None else feedback_inputs
+        self.links = [] if links is None else links
+        self.span = span
 
 
-@dataclass
 class Division:
-    """A redundant channel of components; ``replicates`` copies another division."""
+    """A redundant channel of components; ``replicates`` copies another division.
+    ``replicated_from`` is set by expand_replication on materialized copies
+    and is not part of the document syntax."""
 
-    id: str
-    components: list[Component] = field(default_factory=list)
-    replicates: str | None = None
-    # Set by expand_replication on materialized copies; not part of the
-    # document syntax and excluded from equality.
-    replicated_from: str | None = field(default=None, compare=False)
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    def __init__(
+        self, id: str, components: list[Component] | None = None, replicates: str | None = None,
+        replicated_from: str | None = None, span: SourceSpan | None = None,
+    ):
+        self.id = id
+        self.components = [] if components is None else components
+        self.replicates = replicates
+        self.replicated_from = replicated_from
+        self.span = span
 
 
-@dataclass
 class RedundancyGroup:
     """Members whose joint failure defeats the redundancy, combined by ``logic``."""
 
-    id: str
-    level: str
-    logic: str
-    members: list[str] = field(default_factory=list)
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    def __init__(self, id: str, level: str, logic: str, members: list[str], span: SourceSpan | None = None):
+        self.id = id
+        self.level = level
+        self.logic = logic
+        self.members = members
+        self.span = span
 
 
-@dataclass
 class SharedResource:
     """A resource, such as a power supply, that several components depend on."""
 
-    id: str
-    scope: str
-    dependents: list[str] = field(default_factory=list)
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    def __init__(self, id: str, scope: str, dependents: list[str], span: SourceSpan | None = None):
+        self.id = id
+        self.scope = scope
+        self.dependents = dependents
+        self.span = span
 
 
-@dataclass
 class SystemModel:
-    """A whole model document: hazards, design classes, divisions, groups and resources."""
+    """A whole model document: hazards, design classes, divisions, groups and
+    resources.  ``span`` is the document's start, where a missing system name
+    or top event is reported."""
 
-    name: str
-    top_event: str
-    losses: list[Loss] = field(default_factory=list)
-    hazards: list[Hazard] = field(default_factory=list)
-    design_classes: list[DesignClass] = field(default_factory=list)
-    divisions: list[Division] = field(default_factory=list)
-    redundancy_groups: list[RedundancyGroup] = field(default_factory=list)
-    shared_resources: list[SharedResource] = field(default_factory=list)
-    # The document's start, where a missing system name or top event is reported.
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    def __init__(
+        self, name: str, top_event: str, losses: list[Loss] | None = None,
+        hazards: list[Hazard] | None = None, design_classes: list[DesignClass] | None = None,
+        divisions: list[Division] | None = None, redundancy_groups: list[RedundancyGroup] | None = None,
+        shared_resources: list[SharedResource] | None = None, span: SourceSpan | None = None,
+    ):
+        self.name = name
+        self.top_event = top_event
+        self.losses = [] if losses is None else losses
+        self.hazards = [] if hazards is None else hazards
+        self.design_classes = [] if design_classes is None else design_classes
+        self.divisions = [] if divisions is None else divisions
+        self.redundancy_groups = [] if redundancy_groups is None else redundancy_groups
+        self.shared_resources = [] if shared_resources is None else shared_resources
+        self.span = span
 
     def components(self) -> Iterator[Component]:
         for division in self.divisions:
@@ -458,27 +471,35 @@ def expand_replication(model: SystemModel) -> SystemModel:
                 )
             )
         divisions.append(Division(division.id, components, None, source_id, division.span))
-    return replace(model, divisions=divisions)
+    return _copy(model, divisions)
 
 
-@dataclass
+def _copy(model: SystemModel, divisions: list[Division]) -> SystemModel:
+    """A new model with ``divisions`` and every other field of ``model``."""
+    return SystemModel(
+        model.name, model.top_event, model.losses, model.hazards, model.design_classes, divisions,
+        model.redundancy_groups, model.shared_resources, model.span,
+    )
+
+
 class Violation:
     """One validation finding: a code, a message and where in the document it is."""
 
-    code: str
-    message: str
-    span: SourceSpan | None = field(default=None, compare=False)
+    def __init__(self, code: str, message: str, span: SourceSpan | None):
+        self.code = code
+        self.message = message
+        self.span = span
 
     def __str__(self) -> str:
         where = f"{self.span}: " if self.span else ""
         return f"{where}{self.code}: {self.message}"
 
 
-@dataclass
 class ValidationReport:
     """Every violation that validation found in a model; empty means the model is valid."""
 
-    violations: list[Violation] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.violations: list[Violation] = []
 
     @property
     def ok(self) -> bool:
@@ -568,7 +589,7 @@ def _validate_and_expand(model: SystemModel) -> tuple[ValidationReport, SystemMo
         expanded = expand_replication(model)
     except ModelError as exc:
         report.violations.append(Violation("replication", str(exc), exc.span))
-        expanded = replace(model)
+        expanded = _copy(model, model.divisions)
     _validate_references(expanded, report)
     return report, expanded
 

@@ -1,11 +1,11 @@
 """End-to-end analysis: validate, expand, enumerate, synthesize, integrate,
 detect, inject, solve, and report.
 
-The chain is declared once, by ``AnalysisResult``'s fields: each stage
-field names its function as ``module.function`` and its inputs, and
-``STAGES`` is read from those fields.  ``run_stages`` imports a stage's
-module only when the stage runs, so a caller that needs the first stages
-alone never loads the later ones.
+The chain is declared once, by ``STAGES``: each stage value names its
+function as ``module.function`` and its inputs, and ``AnalysisResult``
+takes those values by keyword.  ``run_stages`` imports a stage's module
+only when the stage runs, so a caller that needs the first stages alone
+never loads the later ones.
 
 ``analyze_model``, ``analyze_text`` and ``write_artifacts`` run with the
 cyclic garbage collector paused.  Reference counting frees everything they
@@ -22,11 +22,10 @@ these calls finds it on again when the call returns.
 from __future__ import annotations
 
 import gc
-from dataclasses import asdict, dataclass, field, fields
 from functools import wraps
 from importlib import import_module
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, TypeVar
 
 from .dsl import parse_model
 from .model import ModelError, SystemModel, ValidationReport, _validate_and_expand
@@ -58,46 +57,59 @@ class ValidationFailed(Exception):
         self.report = report
 
 
-@dataclass
-class PipelineOptions:
+class PipelineOptions(NamedTuple):
     """The choices that change an analysis: hardware design events and cut-set truncation."""
 
     include_hw_design: bool = False
     max_order: int | None = None
 
 
-def _stage(function: str, *inputs: str) -> Any:
-    """A field computed by ``module.function`` from the named inputs."""
-    return field(metadata={"stage": (function, inputs)})
+# Each stage value's name -> the function that computes it, as
+# ``module.function``, and that function's inputs: ``model``, a
+# PipelineOptions field (``include_hw_design``, ``max_order``) or an earlier
+# stage.  The order is the order in which ``analyze_model`` runs them.
+STAGES: dict[str, tuple[str, tuple[str, ...]]] = {
+    "expanded": ("pipeline._expand_valid", ("model",)),
+    "structure": ("stpa.extract_control_structure", ("expanded",)),
+    "candidates": ("stpa.enumerate_candidates", ("structure",)),
+    "instances": ("stpa.apply_applicability", ("candidates", "expanded")),
+    "hardware_tree": ("ftree.synthesize_hardware_ft", ("expanded", "include_hw_design")),
+    "census": ("ftree.branch_census", ("hardware_tree",)),
+    "integrated_tree": ("ftree.integrate_software", ("hardware_tree", "instances")),
+    "groups": ("ccf.detect_ccf_groups", ("expanded", "instances")),
+    "injected_tree": ("ccf.inject_ccf_events", ("integrated_tree", "groups")),
+    "collection": ("cutsets.minimal_cut_sets", ("injected_tree", "max_order")),
+    "first_order": ("cutsets.first_order_cut_sets", ("collection", "injected_tree")),
+    "guidance": ("report.generate_guidance", ("expanded", "groups", "first_order", "injected_tree", "instances")),
+}
 
 
-@dataclass
 class AnalysisResult:
-    """Every value of one analysis, and the chain that computes them.
+    """Every value of one analysis: the authored model, its validation and
+    options, and the value of each stage in ``STAGES``, all by keyword."""
 
-    Each stage field names the function that computes it, as
-    ``module.function``, and that function's inputs: ``model``, a
-    PipelineOptions field (``include_hw_design``, ``max_order``) or an
-    earlier stage.
-    """
-
-    model: SystemModel
-    expanded: SystemModel = _stage("pipeline._expand_valid", "model")
-    validation: ValidationReport
-    structure: ControlStructure = _stage("stpa.extract_control_structure", "expanded")
-    candidates: list[UcaUifInstance] = _stage("stpa.enumerate_candidates", "structure")
-    instances: list[UcaUifInstance] = _stage("stpa.apply_applicability", "candidates", "expanded")
-    hardware_tree: FaultTree = _stage("ftree.synthesize_hardware_ft", "expanded", "include_hw_design")
-    census: BranchCensus = _stage("ftree.branch_census", "hardware_tree")
-    integrated_tree: FaultTree = _stage("ftree.integrate_software", "hardware_tree", "instances")
-    groups: list[CcfGroup] = _stage("ccf.detect_ccf_groups", "expanded", "instances")
-    injected_tree: FaultTree = _stage("ccf.inject_ccf_events", "integrated_tree", "groups")
-    collection: CutSetCollection = _stage("cutsets.minimal_cut_sets", "injected_tree", "max_order")
-    first_order: FirstOrderReport = _stage("cutsets.first_order_cut_sets", "collection", "injected_tree")
-    guidance: GuidanceReport = _stage(
-        "report.generate_guidance", "expanded", "groups", "first_order", "injected_tree", "instances"
-    )
-    options: PipelineOptions = field(default_factory=PipelineOptions)
+    def __init__(
+        self, *, model: SystemModel, expanded: SystemModel, validation: ValidationReport,
+        structure: ControlStructure, candidates: list[UcaUifInstance], instances: list[UcaUifInstance],
+        hardware_tree: FaultTree, census: BranchCensus, integrated_tree: FaultTree, groups: list[CcfGroup],
+        injected_tree: FaultTree, collection: CutSetCollection, first_order: FirstOrderReport,
+        guidance: GuidanceReport, options: PipelineOptions,
+    ):
+        self.model = model
+        self.expanded = expanded
+        self.validation = validation
+        self.structure = structure
+        self.candidates = candidates
+        self.instances = instances
+        self.hardware_tree = hardware_tree
+        self.census = census
+        self.integrated_tree = integrated_tree
+        self.groups = groups
+        self.injected_tree = injected_tree
+        self.collection = collection
+        self.first_order = first_order
+        self.guidance = guidance
+        self.options = options
 
     def summary_input(self) -> AnalysisResult:
         """The result itself, which ``render_summary`` reads."""
@@ -110,12 +122,6 @@ def _expand_valid(model: SystemModel) -> SystemModel:
     if not validation.ok:
         raise ValidationFailed(validation)
     return expanded
-
-
-# Each stage field's name -> (``module.function``, its input names), in field order.
-STAGES: dict[str, tuple[str, tuple[str, ...]]] = {
-    f.name: f.metadata["stage"] for f in fields(AnalysisResult) if f.metadata
-}
 
 
 def run_stages(values: dict[str, Any], *goals: str) -> dict[str, Any]:
@@ -160,7 +166,7 @@ def analyze_model(model: SystemModel, options: PipelineOptions | None = None) ->
     all later stages run on the replication-expanded model.
     """
     options = options or PipelineOptions()
-    values = run_stages({"model": model, **asdict(options)}, *STAGES)
+    values = run_stages({"model": model, **options._asdict()}, *STAGES)
     # The ``expanded`` stage raises on any violation, so this report is clean.
     return AnalysisResult(
         model=model,

@@ -25,7 +25,6 @@ no quoting never loads it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .ftree import EVENT_CATEGORY_NAMES, BasicEvent, FaultTree
@@ -68,17 +67,17 @@ CAUSE_MAP: dict[str, str] = {
 }
 
 
-@dataclass
 class GuidanceReport:
     """The design guidance of an analysis: each diversity and coupling
     finding as its one line of advice, the single points of failure and the
     cause letters."""
 
-    diversity_findings: list[str] = field(default_factory=list)
-    coupling_findings: list[str] = field(default_factory=list)
-    # The basic events that each defeat the redundant architecture alone.
-    spof_entries: list[BasicEvent] = field(default_factory=list)
-    letters_present: list[str] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.diversity_findings: list[str] = []
+        self.coupling_findings: list[str] = []
+        # The basic events that each defeat the redundant architecture alone.
+        self.spof_entries: list[BasicEvent] = []
+        self.letters_present: list[str] = []
 
 
 def generate_guidance(

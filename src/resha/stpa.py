@@ -9,8 +9,6 @@ transitively, its losses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .model import FAILURE_TYPES, Link, SystemModel
 
 # Each failure-mode letter's phrase in an instance description.
@@ -25,13 +23,13 @@ _TYPE_PHRASE = {
 }
 
 
-@dataclass
 class ControlStructure:
     """The model's links, control actions first and in declaration order
     within each kind; wiring that carries no link stays out."""
 
-    links: list[Link]
-    division_of: dict[str, str]
+    def __init__(self, links: list[Link], division_of: dict[str, str]):
+        self.links = links
+        self.division_of = division_of
 
 
 def extract_control_structure(model: SystemModel) -> ControlStructure:
@@ -40,18 +38,22 @@ def extract_control_structure(model: SystemModel) -> ControlStructure:
     return ControlStructure(links, model.index.division_of)
 
 
-@dataclass
 class UcaUifInstance:
     """One (link, failure-mode letter) pair; an unsafe control action
-    (flavor ``uca``) or information flow (``uif``)."""
+    (flavor ``uca``) or information flow (``uif``).  ``resha stpa --format
+    json`` lists the fields that ``__init__`` sets, in its order."""
 
-    id: str
-    flavor: str
-    type: str
-    owner: str
-    link: str
-    division: str
-    hazards: list[str] = field(default_factory=list)
+    def __init__(
+        self, id: str, flavor: str, type: str, owner: str, link: str, division: str,
+        hazards: list[str] | None = None,
+    ):
+        self.id = id
+        self.flavor = flavor
+        self.type = type
+        self.owner = owner
+        self.link = link
+        self.division = division
+        self.hazards = [] if hazards is None else hazards
 
     def describe(self) -> str:
         noun = "control action" if self.flavor == "uca" else "information flow"

@@ -7,6 +7,8 @@ import io
 import json
 import random
 import string
+from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -289,6 +291,49 @@ def as_frozensets(collection: CutSetCollection) -> set[frozenset[str]]:
 def census_tuple(census: BranchCensus) -> tuple[int, int, int, int]:
     """(hw stochastic, dependency, sw design, hw design), as the case study reports it."""
     return (census.hw_stochastic, census.dependency, census.sw_design, census.hw_design)
+
+
+# The fields ``plain`` leaves out: where in the document a value was
+# written, and which division a replica was copied from.
+LOCATION_FIELDS = ("span", "replicated_from")
+
+
+def fields_of(value: object) -> dict[str, object] | None:
+    """A ``resha`` record's fields by name, in order: a NamedTuple's
+    ``_fields``, or the attributes a plain class sets on itself (a cached
+    property such as ``SystemModel.index`` is none of them).  None for any
+    other value."""
+    if isinstance(value, Enum) or not type(value).__module__.startswith("resha."):
+        return None
+    if isinstance(value, tuple):
+        return dict(zip(value._fields, value))
+    return {
+        name: item
+        for name, item in vars(value).items()
+        if not isinstance(getattr(type(value), name, None), cached_property)
+    }
+
+
+def plain(value: object) -> object:
+    """``value`` as plain data, for comparing with ``==``: a record is its
+    class name and its fields but ``LOCATION_FIELDS``, and lists, tuples and
+    dicts are mapped item by item.  The package's records compare by
+    identity, and a NamedTuple's ``==`` sees ``span``; two models parsed from
+    different texts are ``plain``-equal when they say the same thing."""
+    fields = fields_of(value)
+    if fields is not None:
+        return type(value).__name__, {k: plain(v) for k, v in fields.items() if k not in LOCATION_FIELDS}
+    if type(value) in (list, tuple):
+        return type(value)(map(plain, value))
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    return value
+
+
+def replace(record, **changes):
+    """A new record of ``record``'s class, built by keyword from all its
+    fields, with ``changes`` in place of some."""
+    return type(record)(**{**fields_of(record), **changes})
 
 
 def mk_tree(spec, categories: dict[str, EventCategory] | None = None) -> FaultTree:

@@ -23,12 +23,11 @@ import re
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from conftest import SYNTHESIS_MODEL, scaled_qiasp
+from conftest import SYNTHESIS_MODEL, replace, scaled_qiasp
 from resha.dsl import parse_model
 from resha.model import REPLICA_SEP, SystemModel
 from resha.pipeline import PipelineOptions, analyze_model, analyze_text, bundled_model_path, write_artifacts

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
@@ -12,9 +11,12 @@ from hypothesis import strategies as st
 from conftest import (
     MINI_MODEL,
     basic_events,
+    fields_of,
     mk_tree,
     parents_of,
+    plain,
     random_analyzable_model,
+    replace,
     scaled_qiasp,
 )
 from resha.ccf import (
@@ -316,7 +318,7 @@ def test_detection_scans_the_links_a_constant_number_of_times(qiasp_text, monkey
 
     monkeypatch.setattr(SystemModel, "links", counted_links)
     groups = detect_ccf_groups(result.expanded, result.instances)
-    assert groups == result.groups
+    assert plain(groups) == plain(result.groups)
     assert calls <= 2
     assert steps <= 2 * n_links
 
@@ -333,9 +335,9 @@ def _extended_gates(before: FaultTree, before_bytes: str, after: FaultTree) -> i
             continue
         extended += 1
         assert isinstance(new, Gate) and new is not node
-        for f in dataclasses.fields(Gate):
-            if f.name != "children":
-                assert getattr(new, f.name) == getattr(node, f.name), (node_id, f.name)
+        for name, value in fields_of(node).items():
+            if name != "children":
+                assert getattr(new, name) == value, (node_id, name)
         old = len(node.children)
         assert new.children[:old] == node.children
         assert set(new.children[old:]).isdisjoint(node.children)
@@ -361,7 +363,7 @@ def test_trees_before_injection_hold_no_ccf_events(qiasp_result):
 
 def _reference_copy(tree: FaultTree) -> FaultTree:
     nodes = {
-        node_id: dataclasses.replace(node, children=list(node.children))
+        node_id: replace(node, children=list(node.children))
         if isinstance(node, Gate)
         else node
         for node_id, node in tree.nodes.items()

@@ -1,29 +1,24 @@
 """Per-object values are built by their constructors, field for field.
 
 ``expand_replication`` and ``apply_applicability`` build each replica and
-each kept instance with its class's constructor (see the ``resha.model``
-docstring).  The references below are the same two steps written with
-``dataclasses.replace``, which carries every field, those that ``==``
-ignores (``span``, ``replicated_from``) included.  The comparison walks
-every dataclass field, so a constructor that drops or swaps one fails here
-even where ``==`` would pass.
+each kept instance with its class's constructor, positionally (see the
+``resha.model`` docstring).  The references below are the same two steps
+written with the tests' ``replace``, which passes every field by keyword,
+those that ``plain`` leaves out (``span``, ``replicated_from``) included.
+The comparison walks every field of every record, so a constructor that
+drops or swaps one fails here even where a ``plain`` comparison would pass.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import random
-import sys
-from dataclasses import replace
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_analyzable_model, scaled_qiasp, serialize_model
+from conftest import fields_of, random_analyzable_model, replace, scaled_qiasp, serialize_model
 from resha.dsl import parse_model
 from resha.model import FAILURE_TYPES, REPLICA_SEP, SystemModel, expand_replication
-from resha.pipeline import PipelineOptions, analyze_text, write_artifacts
 from resha.stpa import (
     ControlStructure,
     UcaUifInstance,
@@ -34,7 +29,7 @@ from resha.stpa import (
 
 
 def reference_expand_replication(model: SystemModel) -> SystemModel:
-    """``expand_replication`` as written with ``dataclasses.replace``."""
+    """``expand_replication`` as written with ``replace``."""
     by_id = {d.id: d for d in model.divisions}
     divisions = []
     for division in model.divisions:
@@ -102,7 +97,7 @@ def reference_enumerate_candidates(structure: ControlStructure) -> list[UcaUifIn
 def reference_apply_applicability(
     candidates: list[UcaUifInstance], model: SystemModel
 ) -> list[UcaUifInstance]:
-    """``apply_applicability`` as written with ``dataclasses.replace``."""
+    """``apply_applicability`` as written with ``replace``."""
     declared = {}
     for link in model.links():
         for app in link.applicability:
@@ -117,13 +112,11 @@ def reference_apply_applicability(
 
 
 def every_field(value: object) -> object:
-    """A value's type and, for a dataclass, every field by name, recursively;
-    fields that ``==`` ignores are included."""
-    if dataclasses.is_dataclass(value):
-        return (
-            type(value),
-            [(f.name, every_field(getattr(value, f.name))) for f in dataclasses.fields(value)],
-        )
+    """A value's type and, for a record, every field by name, recursively;
+    the fields that ``plain`` leaves out are included."""
+    fields = fields_of(value)
+    if fields is not None:
+        return type(value), [(name, every_field(item)) for name, item in fields.items()]
     if isinstance(value, list):
         return [every_field(item) for item in value]
     return (type(value), value)
@@ -168,37 +161,3 @@ def test_constructors_match_replace_on_eight_divisions(qiasp_text):
     replicas = [d for d in expand_replication(model).divisions if d.replicated_from == "A"]
     assert len(replicas) == 7
     assert all(c.span is not None for d in replicas for c in d.components)
-
-
-def _replace_calls(text: str, out_dir) -> int:
-    """``dataclasses.replace`` calls in one ``analyze_text`` + ``write_artifacts``,
-    counted through every ``resha`` module's ``replace`` binding."""
-    original = dataclasses.replace
-    calls = 0
-
-    def counting(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return original(*args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dataclasses, "replace", counting)
-        bound = [
-            module
-            for name, module in sorted(sys.modules.items())
-            if name.startswith("resha.") and getattr(module, "replace", None) is original
-        ]
-        assert bound, "no resha module binds dataclasses.replace"
-        for module in bound:
-            patch.setattr(module, "replace", counting)
-        # Exact cut sets of 8 divisions are too many to write; order 1 suffices.
-        write_artifacts(analyze_text(text, "spy.resha", PipelineOptions(max_order=1)), out_dir)
-    return calls
-
-
-def test_replace_calls_do_not_grow_with_divisions(qiasp_text, tmp_path):
-    # Warm up, so every lazily imported stage module is loaded before patching.
-    write_artifacts(analyze_text(qiasp_text, "warm.resha"), tmp_path / "warm")
-    counts = [_replace_calls(scaled_qiasp(qiasp_text, n), tmp_path / str(n)) for n in (2, 8)]
-    # The one call is expand_replication's final copy of the model.
-    assert counts == [1, 1]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import hashlib
 import random
 from collections import Counter
@@ -23,6 +22,7 @@ from conftest import (
     random_tree,
     reachable_events,
     reference_cutsets_csv,
+    replace,
     scaled_qiasp,
 )
 from resha import cli, cutsets
@@ -260,7 +260,7 @@ def _permuted(tree: FaultTree, rng: random.Random) -> FaultTree:
     for node_id in rng.sample(list(tree.nodes), len(tree.nodes)):
         node = tree.nodes[node_id]
         if isinstance(node, Gate):
-            node = dataclasses.replace(node, children=rng.sample(node.children, len(node.children)))
+            node = replace(node, children=rng.sample(node.children, len(node.children)))
         out.add(node)
     return out
 

@@ -1,6 +1,7 @@
 """Import cost: each subcommand loads only the modules of the stages it runs,
-the ``csv`` module only when a field needs quoting, and the package resolves
-its public names on first use."""
+the ``csv`` module only when a field needs quoting, and neither
+``dataclasses`` nor ``inspect``; and the package resolves its public names
+on first use."""
 
 from __future__ import annotations
 
@@ -21,8 +22,8 @@ from resha.pipeline import bundled_model_path
 SUBMODULES = ("ccf", "cutsets", "dsl", "ftree", "model", "pipeline", "report", "stpa")
 
 # Runs ``resha ARGS`` as ``python -m resha.cli`` does, then prints the
-# ``resha.*`` modules it loaded and whether it loaded ``csv``.  The CLI
-# itself runs as ``__main__``.
+# ``resha.*`` modules it loaded and which of ``csv``, ``dataclasses`` and
+# ``inspect`` it loaded.  The CLI itself runs as ``__main__``.
 PROBE = """
 import json, runpy, sys
 sys.argv = ["resha", *sys.argv[1:]]
@@ -30,7 +31,8 @@ try:
     runpy.run_module("resha.cli", run_name="__main__")
 except SystemExit as exc:
     assert exc.code == 0, exc.code
-print(json.dumps([sorted(m for m in sys.modules if m.startswith("resha.")), "csv" in sys.modules]))
+unused = [m for m in ("csv", "dataclasses", "inspect") if m in sys.modules]
+print(json.dumps([sorted(m for m in sys.modules if m.startswith("resha.")), unused]))
 """
 
 VALIDATE = {"dsl", "model", "pipeline"}
@@ -100,10 +102,11 @@ def test_subcommand_loads_only_its_stages(args, modules, trees):
     names = {"MODEL": str(bundled_model_path()), "GOLDEN": str(bundled_golden_path())}
     proc = _run(PROBE, *(names.get(arg, arg) for arg in args), cwd=trees)
     assert proc.returncode == 0, proc.stderr
-    loaded, csv_loaded = json.loads(proc.stdout.splitlines()[-1])
+    loaded, unused = json.loads(proc.stdout.splitlines()[-1])
     assert loaded == sorted(f"resha.{module}" for module in modules)
-    # No field of the bundled model needs quoting, so no writer asks csv.
-    assert not csv_loaded
+    # No field of the bundled model needs quoting, so no writer asks csv;
+    # and no record class needs dataclasses, which would load inspect.
+    assert unused == []
 
 
 def test_bare_import_loads_no_submodule(tmp_path):
@@ -111,11 +114,12 @@ def test_bare_import_loads_no_submodule(tmp_path):
         "import json, sys, resha\n"
         "before = sorted(m for m in sys.modules if m.startswith('resha.'))\n"
         f"reached = [getattr(resha, name).__name__ for name in {SUBMODULES!r}]\n"
-        "print(json.dumps([before, reached]))\n"
+        "unused = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+        "print(json.dumps([before, reached, unused]))\n"
     )
     proc = _run(code, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[], [f"resha.{name}" for name in SUBMODULES]]
+    assert json.loads(proc.stdout) == [[], [f"resha.{name}" for name in SUBMODULES], []]
 
 
 def test_public_names_are_their_modules_attributes():

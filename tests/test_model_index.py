@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_analyzable_model, random_model, scaled_qiasp
+from conftest import plain, random_analyzable_model, random_model, scaled_qiasp
 from resha.dsl import parse_model
 from resha.golden import compute_metrics
 from resha.model import (
@@ -333,4 +333,4 @@ def test_a_model_repaired_in_place_validates_as_a_fresh_one():
     model.divisions[0].components.insert(0, probe)
     after = validate_model(model)
     assert [v.code for v in after.violations] == ["replication"]
-    assert after.violations == validate_model(parse_model(repaired_text)).violations
+    assert plain(after.violations) == plain(validate_model(parse_model(repaired_text)).violations)

@@ -1,10 +1,10 @@
 """Source hygiene: no dead imports, no unread parameters, no default that no
-call overrides, no runtime code that only tests call, no dataclass field or
-``__init__`` attribute that nothing reads, no dataclass without a docstring,
-no ``copy`` module, one function that imports ``csv``, no ``Enum`` subclass
-but the fault tree's ``GateOp`` and ``EventCategory``, whose categorical
-values are plain strings elsewhere, and no enum ``.value`` read in a stage
-module or the CLI outside its enum tables.
+call overrides, no runtime code that only tests call, no ``NamedTuple``
+field or ``__init__`` attribute that nothing reads, no record class without
+a docstring, no ``copy`` or ``dataclasses`` module, one function that
+imports ``csv``, no ``Enum`` subclass but the fault tree's ``GateOp`` and
+``EventCategory``, whose categorical values are plain strings elsewhere, and
+no enum ``.value`` read in a stage module or the CLI outside its enum tables.
 
 The package is read with ``ast`` alone; nothing under ``src/resha`` is
 imported or run here.
@@ -35,8 +35,8 @@ REEXPORTS = {
     "it lives in ftree",
 }
 
-# Dataclass fields and ``__init__`` attributes that nothing under src/resha
-# reads but that stay, with the reason.
+# ``NamedTuple`` fields and ``__init__`` attributes that nothing under
+# src/resha reads but that stay, with the reason.
 _AUTHORED_TEXT = "authored model text: the parser stores it and the test-side serializer reads it"
 KEEP_FIELDS = {
     "AnalysisResult.validation": "benchmark/worker.py constructs AnalysisResult with it",
@@ -137,30 +137,38 @@ def _field_names(modules: dict[str, ast.Module]) -> set[str]:
     return names
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
-    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+def _is_named_tuple(node: ast.ClassDef) -> bool:
+    return any(isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases)
+
+
+def _class_fields(node: ast.ClassDef) -> list[str]:
+    """The annotated fields of a ``NamedTuple`` class, or the attributes a
+    class sets on ``self`` in ``__init__``."""
+    if _is_named_tuple(node):
+        return [
+            item.target.id
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        ]
+    return [
+        name
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+        for statement in ast.walk(item)
+        if isinstance(statement, (ast.Assign, ast.AnnAssign))
+        for name in _self_targets(statement)
+    ]
 
 
 def _stored_fields(modules: dict[str, ast.Module]) -> dict[str, str]:
-    """``Class.field`` -> field name, for each annotated field of a
-    ``@dataclass`` and each attribute any class sets on ``self`` in ``__init__``."""
-    fields: dict[str, str] = {}
-    for tree in modules.values():
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if _is_dataclass(node):
-                for item in node.body:
-                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                        fields[f"{node.name}.{item.target.id}"] = item.target.id
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
-                    for statement in ast.walk(item):
-                        if isinstance(statement, (ast.Assign, ast.AnnAssign)):
-                            for name in _self_targets(statement):
-                                fields[f"{node.name}.{name}"] = name
-    return fields
+    """``Class.field`` -> field name, for every field of every class."""
+    return {
+        f"{node.name}.{name}": name
+        for tree in modules.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for name in _class_fields(node)
+    }
 
 
 # Methods that put values into a collection.  A load whose only use is to
@@ -189,7 +197,7 @@ def _filled_loads(tree: ast.AST) -> set[ast.Attribute]:
 
 def _read_names(modules: dict[str, ast.Module]) -> set[str]:
     """Attribute names loaded anywhere other than to be filled, plus every
-    string constant: ``asdict`` keys and ``STAGES`` input names read a field
+    string constant: ``_asdict`` keys and ``STAGES`` input names read a field
     by its name."""
     names: set[str] = set()
     for tree in modules.values():
@@ -228,15 +236,17 @@ def test_every_import_is_used():
     assert sorted(unused) == sorted(REEXPORTS)
 
 
-def test_every_dataclass_has_a_docstring():
-    # Without one, ``@dataclass`` builds ``__doc__`` from ``inspect.signature``
-    # each time the module is imported.
-    missing = [
-        f"{name}:{node.lineno}: {node.name}"
+def test_every_record_class_has_a_docstring():
+    # A class with fields is a record, and its docstring is where they are
+    # described.
+    records = [
+        (name, node)
         for name, tree in _modules().items()
         for node in ast.walk(tree)
-        if isinstance(node, ast.ClassDef) and _is_dataclass(node) and ast.get_docstring(node) is None
+        if isinstance(node, ast.ClassDef) and _class_fields(node)
     ]
+    assert len(records) >= 27
+    missing = [f"{name}:{node.lineno}: {node.name}" for name, node in records if ast.get_docstring(node) is None]
     assert missing == []
 
 
@@ -363,12 +373,13 @@ def test_keep_entries_are_defined_and_uncalled():
     assert sorted(name for name in KEEP if everywhere[name]) == []
 
 
-def test_every_dataclass_field_is_read():
-    # Dataclass fields and ``__init__`` attributes alike; a value that is only
-    # filled, never read back, counts as unread.
+def test_every_record_field_is_read():
+    # ``NamedTuple`` fields and ``__init__`` attributes alike; a value that is
+    # only filled, never read back, counts as unread.
     modules = _modules()
     read = _read_names(modules)
     fields = _stored_fields(modules)
+    assert len(fields) >= 144
     # A kept entry that is read, or is no longer a field, fails here too.
     assert sorted(key for key, name in fields.items() if name not in read) == sorted(KEEP_FIELDS)
 
@@ -384,8 +395,8 @@ def test_a_value_that_is_only_filled_is_unread():
     assert sorted(load.attr for load in _filled_loads(tree)) == ["a", "b"]
 
 
-def test_no_module_imports_copy():
-    # Model and tree stages build what they change and share the rest.
+def _importers(module: str) -> list[str]:
+    """Where a package module imports ``module``, as ``file:line``."""
     importers = []
     for name, tree in _modules().items():
         for node in ast.walk(tree):
@@ -395,9 +406,21 @@ def test_no_module_imports_copy():
                 modules = [(node.module or "").split(".")[0]]
             else:
                 continue
-            if "copy" in modules:
+            if module in modules:
                 importers.append(f"{name}:{node.lineno}")
-    assert importers == []
+    return importers
+
+
+def test_no_module_imports_copy():
+    # Model and tree stages build what they change and share the rest.
+    assert _importers("copy") == []
+
+
+def test_no_module_imports_dataclasses():
+    # Importing ``dataclasses`` loads ``inspect``, and each decorated class
+    # compiles its methods with ``exec``: together 10-14 ms at the start
+    # of every ``resha`` process.  Records are ``NamedTuple`` or plain classes.
+    assert _importers("dataclasses") == []
 
 
 def _imports_csv(node: ast.AST) -> bool:
