@@ -18,12 +18,26 @@ loads only what every subcommand uses: a command imports its writers (and
 ``verify-golden`` its ``golden`` module) when it runs, and ``run_stages``
 imports each stage's module.  Trees are read and written by ``ftree``, so
 ``report`` loads only for the CSV and summary writers: ``synth``,
-``integrate`` and ``ccf`` in text or JSON never import it.  ``main`` builds
-the named command's parser alone, and every parser only for top-level help
-and for a missing or unknown command.  No record class is a dataclass, so
-a command loads neither ``dataclasses`` nor ``inspect``: importing the one
-loads the other, and each decorated class compiles its methods with
-``exec``, together 10-14 ms per process (Python 3.11.7, 2-core host).
+``integrate`` and ``ccf`` in text or JSON never import it.  No record
+class is a dataclass, so a command loads neither ``dataclasses`` nor
+``inspect``: importing the one loads the other, and each decorated class
+compiles its methods with ``exec``, together 10-14 ms per process (Python
+3.11.7, 2-core host).
+
+``main`` reads a plain command line itself (``read_plain``): a known
+command, then only exact ``--flag`` tokens from its ``COMMANDS`` entry,
+each followed by one value that does not start with ``-`` (a
+``store_true`` flag takes none), and exactly the positionals it declares.
+The reader applies each flag's ``type``, ``choices``, ``default`` and
+``required`` from that table, the one ``build_parser`` reads, and builds
+the namespace argparse would.  Any other command line (help, a usage
+error, ``--flag=value``, an abbreviation, ``--``, a value such as ``-1``,
+a wrong positional count) goes to ``build_parser``, the one place that
+imports ``argparse``, so every help text and usage message is argparse's.
+A plain command thus loads neither ``argparse`` nor the ``gettext`` and
+``locale`` it brings, about 3.5 ms per process on the host above.
+``build_parser`` builds the named command's parser alone, and every parser
+only for top-level help and for a missing or unknown command.
 
 A ``resha`` process (``python -m resha.cli`` or the installed ``resha``)
 enters through ``entry``, which runs ``main`` and then, whether ``main``
@@ -41,16 +55,20 @@ caller that runs it in process finds the collector as it left it.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .dsl import ParseError, parse_model
 from .model import ModelError, SystemModel
 from .pipeline import PipelineOptions, ValidationFailed, analyze_model, read_input
 from .pipeline import run_pipeline, run_stages
+
+if TYPE_CHECKING:
+    import argparse
 
 
 def _color_enabled(stream) -> bool:
@@ -291,6 +309,8 @@ COMMANDS = {
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser with every subcommand, or with ``command``'s alone (argparse
     passes each help string through ``gettext``); its usage names them all."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="resha",
         description="Model-driven hazard analysis for redundant control architectures",
@@ -307,10 +327,60 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def read_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace that ``build_parser`` gives for a plain command line, or
+    None for any other.  Plain is a command, then its exact ``--flag`` tokens,
+    each but a ``store_true`` one followed by a value that does not start
+    with ``-`` and that the flag's ``type`` and ``choices`` accept, and
+    exactly its positionals; every ``required`` flag is given."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, arguments = COMMANDS[argv[0]]
+    flags = {flag: options for flag, options in arguments if flag.startswith("--")}
+    values: dict[str, object] = {}
+    positionals: list[str] = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        options = flags.get(token)
+        if options is None:
+            return None
+        if options.get("action") == "store_true":
+            values[_dest(token)] = True
+            continue
+        value = next(tokens, "-")  # a flag at the end has no value
+        if value.startswith("-"):
+            return None
+        try:
+            value = options.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in options and value not in options["choices"]:
+            return None
+        values[_dest(token)] = value
+    names = ["model", *(flag for flag, _ in arguments if flag not in flags)]
+    if len(positionals) != len(names):
+        return None
+    for flag, options in flags.items():
+        if options.get("required") and _dest(flag) not in values:
+            return None
+        unset = False if options.get("action") == "store_true" else None
+        values.setdefault(_dest(flag), options.get("default", unset))
+    return SimpleNamespace(command=argv[0], func=func, **dict(zip(names, positionals)), **values)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # Help and errors about the command itself list every subparser.
-    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+    args = read_plain(argv)
+    if args is None:
+        # Help and errors about the command itself list every subparser.
+        args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except ValidationFailed as exc:

@@ -270,7 +270,7 @@ class _Parser:
         self.expect(":")
         losses = self.id_list("loss id")
         self.expect_end()
-        self.model.hazards.append(Hazard(ident[1], desc[1], losses, span=self.span(ident)))
+        self.model.hazards.append(Hazard(ident[1], desc[1], tuple(losses), span=self.span(ident)))
 
     def _design_class(self) -> None:
         ident = self.expect("word", "design_class id")
@@ -343,7 +343,7 @@ class _Parser:
                 self.expect(":")
                 hazards = self.id_list("hazard id")
                 self.expect_end()
-                link.applicability.append(Applicability(type_, hazards, span=self.span(letter)))
+                link.applicability.append(Applicability(type_, tuple(hazards), span=self.span(letter)))
         return link
 
     def _redundancy_group(self) -> None:

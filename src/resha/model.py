@@ -123,7 +123,7 @@ class Hazard(NamedTuple):
 
     id: str
     description: str
-    losses: list[str]
+    losses: tuple[str, ...]
     span: SourceSpan | None = None
 
 
@@ -140,7 +140,7 @@ class Applicability(NamedTuple):
     """Marks one failure-mode type of a link, by its letter, as hazardous."""
 
     type: str
-    hazards: list[str]
+    hazards: tuple[str, ...]
     span: SourceSpan | None = None
 
 

@@ -559,7 +559,7 @@ def random_model(rng: random.Random) -> SystemModel:
     for i in range(rng.randint(1, 3)):
         model.losses.append(Loss(f"L-{i}", _random_text(rng)))
     for i in range(rng.randint(1, 3)):
-        losses = [f"L-{rng.randint(0, 2)}"] or ["L-0"]
+        losses = (f"L-{rng.randint(0, 2)}",)
         model.hazards.append(Hazard(f"H-{i}", _random_text(rng), losses))
     tags = ["shared-plat", ""]
     for i in range(rng.randint(1, 4)):
@@ -592,7 +592,7 @@ def random_model(rng: random.Random) -> SystemModel:
             letters = rng.sample(FAILURE_TYPES, rng.randint(0, 3))
             for letter in sorted(letters):
                 link.applicability.append(
-                    Applicability(letter, [f"H-{rng.randint(0, 2)}"])
+                    Applicability(letter, (f"H-{rng.randint(0, 2)}",))
                 )
             component.links.append(link)
         return component
@@ -631,8 +631,8 @@ def random_analyzable_model(rng: random.Random) -> SystemModel:
     model = SystemModel(name="randomized", top_event="operator misinformed")
     model.losses = [Loss("L-1", "equipment loss"), Loss("L-2", "availability loss")]
     model.hazards = [
-        Hazard("H-1", "false positive output", ["L-2"]),
-        Hazard("H-2", "false negative output", ["L-1", "L-2"]),
+        Hazard("H-1", "false positive output", ("L-2",)),
+        Hazard("H-2", "false negative output", ("L-1", "L-2")),
     ]
 
     chain_len = rng.randint(3, 6)
@@ -666,7 +666,7 @@ def random_analyzable_model(rng: random.Random) -> SystemModel:
     controller = division.components[0]
     ca = Link("cmd", "control_action", controller.id, [ids[1]])
     for letter in sorted(rng.sample("AFG", rng.randint(1, 3))):
-        ca.applicability.append(Applicability(letter, [rng.choice(("H-1", "H-2"))]))
+        ca.applicability.append(Applicability(letter, (rng.choice(("H-1", "H-2")),)))
     controller.links.append(ca)
     for i in range(2, chain_len):
         division.components[i].inputs.append(Ref(ids[i - 1]))
@@ -676,7 +676,7 @@ def random_analyzable_model(rng: random.Random) -> SystemModel:
             target = ids[rng.randint(i + 1, chain_len - 1)]
             link = Link(f"flow{i}", "information_flow", component.id, [target])
             for letter in sorted(rng.sample("ABFG", rng.randint(1, 2))):
-                link.applicability.append(Applicability(letter, [rng.choice(("H-1", "H-2"))]))
+                link.applicability.append(Applicability(letter, (rng.choice(("H-1", "H-2")),)))
             component.links.append(link)
     model.divisions.append(division)
 

@@ -30,7 +30,7 @@ def test_parse_mini_structure():
     assert model.name == "mini"
     assert model.top_event == "operator misled"
     assert [loss.id for loss in model.losses] == ["L-1"]
-    assert model.hazards[0].losses == ["L-1"]
+    assert model.hazards[0].losses == ("L-1",)
     division = model.divisions[0]
     assert division.id == "MAIN"
     ctrl = division.components[0]
@@ -41,7 +41,7 @@ def test_parse_mini_structure():
     assert link.source == "ctrl"
     assert link.targets == ["probe"]
     assert [a.type for a in link.applicability] == ["A", "F"]
-    assert link.applicability[0].hazards == ["H-1"]
+    assert link.applicability[0].hazards == ("H-1",)
 
 
 def test_parse_attaches_spans():
@@ -306,12 +306,14 @@ _CATEGORICAL_FIELD_RE = re.compile(r"\b(?:kind|tech|type|level|logic|scope)='[^'
 def _record_repr(value: object) -> str:
     """``repr(value)`` as it read when the digest below was taken, while the
     model's records were dataclasses: ``Class(field=value, ...)`` with every
-    field but ``span``, which ``_spans`` lists instead."""
+    field but ``span``, which ``_spans`` lists instead.  A tuple of ids
+    (``Hazard.losses``, ``Applicability.hazards``) shows as the list it was
+    then."""
     fields = fields_of(value)
     if fields is not None:
         shown = ", ".join(f"{name}={_record_repr(item)}" for name, item in fields.items() if name != "span")
         return f"{type(value).__name__}({shown})"
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return f"[{', '.join(map(_record_repr, value))}]"
     return repr(value)
 

@@ -1,7 +1,8 @@
 """Import cost: each subcommand loads only the modules of the stages it runs,
-the ``csv`` module only when a field needs quoting, and neither
-``dataclasses`` nor ``inspect``; and the package resolves its public names
-on first use."""
+the ``csv`` module only when a field needs quoting, neither
+``dataclasses`` nor ``inspect``, and ``argparse`` (with ``gettext`` and
+``locale``) only for help and usage errors; and the package resolves its
+public names on first use."""
 
 from __future__ import annotations
 
@@ -21,18 +22,20 @@ from resha.pipeline import bundled_model_path
 
 SUBMODULES = ("ccf", "cutsets", "dsl", "ftree", "model", "pipeline", "report", "stpa")
 
-# Runs ``resha ARGS`` as ``python -m resha.cli`` does, then prints the
-# ``resha.*`` modules it loaded and which of ``csv``, ``dataclasses`` and
-# ``inspect`` it loaded.  The CLI itself runs as ``__main__``.
-PROBE = """
+# Runs ``resha ARGS`` as ``python -m resha.cli`` does, then prints its exit
+# code, the ``resha.*`` modules it loaded and which of ``OPTIONAL`` it
+# loaded.  The CLI itself runs as ``__main__``.
+OPTIONAL = ("argparse", "csv", "dataclasses", "gettext", "inspect", "locale")
+PROBE = f"""
 import json, runpy, sys
 sys.argv = ["resha", *sys.argv[1:]]
+code = None
 try:
     runpy.run_module("resha.cli", run_name="__main__")
 except SystemExit as exc:
-    assert exc.code == 0, exc.code
-unused = [m for m in ("csv", "dataclasses", "inspect") if m in sys.modules]
-print(json.dumps([sorted(m for m in sys.modules if m.startswith("resha.")), unused]))
+    code = exc.code
+optional = [m for m in {OPTIONAL!r} if m in sys.modules]
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("resha.")), optional]))
 """
 
 VALIDATE = {"dsl", "model", "pipeline"}
@@ -97,16 +100,36 @@ def _case_id(args: list[str]) -> str:
     return args[0]
 
 
+def _probe(args: list[str], cwd: Path) -> tuple[int, list[str], list[str]]:
+    """``resha ARGS``'s exit code, ``resha.*`` modules and ``OPTIONAL``
+    modules, with MODEL and GOLDEN filled in."""
+    names = {"MODEL": str(bundled_model_path()), "GOLDEN": str(bundled_golden_path())}
+    proc = _run(PROBE, *(names.get(arg, arg) for arg in args), cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    return tuple(json.loads(proc.stdout.splitlines()[-1]))
+
+
 @pytest.mark.parametrize("args, modules", MODULE_SETS, ids=[_case_id(args) for args, _ in MODULE_SETS])
 def test_subcommand_loads_only_its_stages(args, modules, trees):
-    names = {"MODEL": str(bundled_model_path()), "GOLDEN": str(bundled_golden_path())}
-    proc = _run(PROBE, *(names.get(arg, arg) for arg in args), cwd=trees)
-    assert proc.returncode == 0, proc.stderr
-    loaded, unused = json.loads(proc.stdout.splitlines()[-1])
+    code, loaded, optional = _probe(args, trees)
+    assert code == 0
     assert loaded == sorted(f"resha.{module}" for module in modules)
     # No field of the bundled model needs quoting, so no writer asks csv;
-    # and no record class needs dataclasses, which would load inspect.
-    assert unused == []
+    # no record class needs dataclasses, which would load inspect; and a
+    # plain command line is read without argparse, gettext and locale.
+    assert optional == []
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [(["cutsets", "--help"], 0), (["validate"], 2)],
+    ids=["help", "usage-error"],
+)
+def test_help_and_usage_errors_load_argparse(args, code, tmp_path):
+    """Only argparse prints help and usage errors, so these load it."""
+    exit_code, _, optional = _probe(args, tmp_path)
+    assert exit_code == code
+    assert "argparse" in optional
 
 
 def test_bare_import_loads_no_submodule(tmp_path):

@@ -67,7 +67,7 @@ def _codes(model: SystemModel) -> set[str]:
 def _shell(*components: Component, **kwargs) -> SystemModel:
     model = SystemModel(name="shell", top_event="top", **kwargs)
     model.losses = [Loss("L-1", "loss")]
-    model.hazards = [Hazard("H-1", "hazard", ["L-1"])]
+    model.hazards = [Hazard("H-1", "hazard", ("L-1",))]
     model.design_classes = [DesignClass("DC", "class", "DC")]
     model.divisions = [Division(id="D", components=list(components))]
     return model
@@ -148,13 +148,13 @@ def test_duplicate_id_flagged_across_kinds():
 
 def test_hazard_without_losses_flagged():
     model = _shell(_plain("a"), _operator(inputs=["a"]))
-    model.hazards.append(Hazard("H-2", "floating hazard", []))
+    model.hazards.append(Hazard("H-2", "floating hazard", ()))
     assert "hazard-no-loss" in _codes(model)
 
 
 def test_hazard_unknown_loss_flagged():
     model = _shell(_plain("a"), _operator(inputs=["a"]))
-    model.hazards[0] = replace(model.hazards[0], losses=["L-9"])
+    model.hazards[0] = replace(model.hazards[0], losses=("L-9",))
     assert "unknown-loss" in _codes(model)
 
 
@@ -369,6 +369,35 @@ def test_model_leaves_are_frozen(qiasp_text):
             setattr(leaf, name, getattr(leaf, name))
 
 
+def _leaves(value: object):
+    """Every model leaf (a ``resha`` NamedTuple) reachable from ``value``."""
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        yield value
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _leaves(item)
+    elif type(value).__module__ == "resha.model":
+        for item in vars(value).values():
+            yield from _leaves(item)
+
+
+@pytest.mark.parametrize("divisions", [2, 3])
+def test_model_leaves_are_hashable(qiasp_text, divisions):
+    """A leaf holds no list, so it hashes and no list of its can be edited
+    in place."""
+    model = parse_model(scaled_qiasp(qiasp_text, divisions))
+    expanded = expand_replication(model)
+    for tree in (model, expanded):
+        leaves = list(_leaves(tree))
+        for leaf in leaves:
+            hash(leaf)
+        assert {type(leaf).__name__ for leaf in leaves} == {
+            "SourceSpan", "Ref", "Loss", "Hazard", "DesignClass", "Applicability"
+        }
+    assert {type(h.losses) for h in model.hazards} == {tuple}
+    assert {type(a.hazards) for link in expanded.links() for a in link.applicability} == {tuple}
+
+
 @pytest.mark.parametrize("divisions", [2, 3])
 def test_analysis_leaves_the_authored_model_unchanged(qiasp_text, divisions):
     text = scaled_qiasp(qiasp_text, divisions)
@@ -451,7 +480,7 @@ def test_unwired_external_dependent_fails_at_its_resource(qiasp_text):
 def test_applicable_without_hazards_flagged():
     model = parse_model(MINI_MODEL)
     link = model.divisions[0].components[0].links[0]
-    link.applicability[0] = replace(link.applicability[0], hazards=[])
+    link.applicability[0] = replace(link.applicability[0], hazards=())
     violations = validate_model(model).violations
     assert [(v.code, v.span) for v in violations] == [("applicable-no-hazard", link.applicability[0].span)]
 
