@@ -16,6 +16,8 @@ independent failure event, so one group can defeat redundancy on its own.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .ftree import BasicEvent, EventCategory, FaultTree, Gate
 from .model import ModelError, ModelIndex, SystemModel
 from .stpa import UcaUifInstance
@@ -78,7 +80,8 @@ def detect_ccf_groups(model: SystemModel, instances: list[UcaUifInstance]) -> li
         key = (idx.components[owner].design_class, instance.type)
         shared_design.setdefault(key, []).append(instance)
         if owner not in feeds_two:
-            feeds_two[owner] = idx.has_two_digital_dependents(owner)
+            # The walk stops at the second dependent.
+            feeds_two[owner] = len(list(islice(idx.digital_dependents(owner), 2))) == 2
         if feeds_two[owner]:
             interdependent.setdefault(key, []).append(instance)
 

@@ -95,10 +95,7 @@ def _load_model(path: str) -> SystemModel:
 
 
 def _options(args) -> PipelineOptions:
-    return PipelineOptions(
-        include_hw_design=getattr(args, "include_hw_design", False),
-        max_order=getattr(args, "max_order", None),
-    )
+    return PipelineOptions(**{n: getattr(args, n) for n in PipelineOptions._fields if hasattr(args, n)})
 
 
 def _run(args, *goals: str, ft_replaces: str | None = None) -> dict:

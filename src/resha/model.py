@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from itertools import islice
 from typing import Callable, Container, Iterable, Iterator, NamedTuple, Sequence
 
 ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
@@ -103,11 +102,6 @@ class Ref(NamedTuple):
     component: str
     port: str | None = None
     span: SourceSpan | None = None
-
-    def __str__(self) -> str:
-        if self.port is None:
-            return self.component
-        return f"{self.component}.{self.port}"
 
 
 class Loss(NamedTuple):
@@ -336,9 +330,9 @@ class ModelIndex:
             return self._sources[consumer.id]
         return self._sources_of(consumer)
 
-    def _digital_dependents(self, component_id: str) -> Iterator[str]:
+    def digital_dependents(self, component_id: str) -> Iterator[str]:
         """Digital components in the same division reachable downstream,
-        yielded as the walk reaches them, so a caller can stop it early.
+        each yielded once, as the walk reaches it, so a caller can stop it early.
 
         The walk itself crosses any component; the start is never yielded.
         """
@@ -357,19 +351,6 @@ class ModelIndex:
                     and self.division_of[nxt] == division
                 ):
                     yield nxt
-
-    def transitive_digital_dependents(self, component_id: str) -> list[str]:
-        """Digital components in the same division reachable downstream, sorted.
-
-        The walk itself crosses any component; only digital same-division
-        components are collected.  The start component is excluded.
-        """
-        return sorted(self._digital_dependents(component_id))
-
-    def has_two_digital_dependents(self, component_id: str) -> bool:
-        """Whether ``transitive_digital_dependents`` would list at least two;
-        the walk stops at the second."""
-        return len(list(islice(self._digital_dependents(component_id), 2))) == 2
 
     def grouped_sources(self, source_ids: Iterable[str]) -> dict[int, list[str]]:
         """Group position -> the sources that group lists, in source order,

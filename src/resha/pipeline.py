@@ -2,10 +2,11 @@
 detect, inject, solve, and report.
 
 The chain is declared once, by ``STAGES``: each stage value names its
-function as ``module.function`` and its inputs, and ``AnalysisResult``
-takes those values by keyword.  ``run_stages`` imports a stage's module
-only when the stage runs, so a caller that needs the first stages alone
-never loads the later ones.
+function as ``module.function`` and its inputs.  ``RESULT_FIELDS`` is
+those names plus ``model``, ``validation`` and ``options``, and
+``AnalysisResult`` takes exactly those values by keyword.  ``run_stages``
+imports a stage's module only when the stage runs, so a caller that needs
+the first stages alone never loads the later ones.
 
 ``analyze_model``, ``analyze_text`` and ``write_artifacts`` run with the
 cyclic garbage collector paused.  Reference counting frees everything they
@@ -25,17 +26,10 @@ import gc
 from functools import wraps
 from importlib import import_module
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple, TypeVar
+from typing import Any, Callable, NamedTuple, TypeVar
 
 from .dsl import parse_model
 from .model import ModelError, SystemModel, ValidationReport, _validate_and_expand
-
-if TYPE_CHECKING:
-    from .ccf import CcfGroup
-    from .cutsets import CutSetCollection, FirstOrderReport
-    from .ftree import BranchCensus, FaultTree
-    from .report import GuidanceReport
-    from .stpa import ControlStructure, UcaUifInstance
 
 _Function = TypeVar("_Function", bound=Callable[..., Any])
 
@@ -84,32 +78,19 @@ STAGES: dict[str, tuple[str, tuple[str, ...]]] = {
 }
 
 
-class AnalysisResult:
-    """Every value of one analysis: the authored model, its validation and
-    options, and the value of each stage in ``STAGES``, all by keyword."""
+RESULT_FIELDS = frozenset(("model", *STAGES, "validation", "options"))
 
-    def __init__(
-        self, *, model: SystemModel, expanded: SystemModel, validation: ValidationReport,
-        structure: ControlStructure, candidates: list[UcaUifInstance], instances: list[UcaUifInstance],
-        hardware_tree: FaultTree, census: BranchCensus, integrated_tree: FaultTree, groups: list[CcfGroup],
-        injected_tree: FaultTree, collection: CutSetCollection, first_order: FirstOrderReport,
-        guidance: GuidanceReport, options: PipelineOptions,
-    ):
-        self.model = model
-        self.expanded = expanded
-        self.validation = validation
-        self.structure = structure
-        self.candidates = candidates
-        self.instances = instances
-        self.hardware_tree = hardware_tree
-        self.census = census
-        self.integrated_tree = integrated_tree
-        self.groups = groups
-        self.injected_tree = injected_tree
-        self.collection = collection
-        self.first_order = first_order
-        self.guidance = guidance
-        self.options = options
+
+class AnalysisResult:
+    """Every value of one analysis, by keyword: exactly the names in
+    ``RESULT_FIELDS``.  Each stage value's type is stated once, by the
+    return annotation of the function that ``STAGES`` names for it."""
+
+    def __init__(self, **values: Any):
+        if values.keys() != RESULT_FIELDS:
+            wrong = sorted(values.keys() ^ RESULT_FIELDS)
+            raise TypeError(f"AnalysisResult fields missing or unknown: {wrong}")
+        self.__dict__.update(values)
 
     def summary_input(self) -> AnalysisResult:
         """The result itself, which ``render_summary`` reads."""

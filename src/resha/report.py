@@ -109,7 +109,7 @@ def generate_guidance(
             by_trigger.setdefault(group.trigger, []).append(group)
     for trigger, trigger_groups in sorted(by_trigger.items()):
         types = ", ".join(sorted({g.failure_type for g in trigger_groups if g.failure_type}))
-        dependents = len(idx.transitive_digital_dependents(trigger))
+        dependents = sum(1 for _ in idx.digital_dependents(trigger))
         report.coupling_findings.append(
             f"output of {trigger} couples {dependents} downstream digital components "
             f"(types {types}); validate the shared input at each consumer or decouple the interfaces"

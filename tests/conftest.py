@@ -472,6 +472,11 @@ def _serialize_link(link: Link, indent: str) -> list[str]:
     return lines
 
 
+def _serialize_refs(refs: list[Ref]) -> str:
+    """``comp`` or ``comp.port`` for each reference, as the model language writes them."""
+    return ", ".join(r.component if r.port is None else f"{r.component}.{r.port}" for r in refs)
+
+
 def _serialize_component(component: Component, indent: str) -> list[str]:
     head = (
         f"{indent}component {component.id} kind: {component.kind} "
@@ -481,9 +486,9 @@ def _serialize_component(component: Component, indent: str) -> list[str]:
     for link in component.links:
         body.extend(_serialize_link(link, indent + "  "))
     if component.inputs:
-        body.append(f"{indent}  inputs: {', '.join(str(r) for r in component.inputs)}")
+        body.append(f"{indent}  inputs: {_serialize_refs(component.inputs)}")
     if component.feedback_inputs:
-        body.append(f"{indent}  feedback: {', '.join(str(r) for r in component.feedback_inputs)}")
+        body.append(f"{indent}  feedback: {_serialize_refs(component.feedback_inputs)}")
     if not body:
         return [head]
     return [head + " {"] + body + [indent + "}"]

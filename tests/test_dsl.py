@@ -208,8 +208,8 @@ def test_ref_ports_parse():
         "    inputs: a, b.port1\n    feedback: d.port2\n  }\n}\n"
     )
     component = parse_model(text).divisions[0].components[0]
-    assert [str(r) for r in component.inputs] == ["a", "b.port1"]
-    assert component.feedback_inputs[0].port == "port2"
+    assert [(r.component, r.port) for r in component.inputs] == [("a", None), ("b", "port1")]
+    assert [(r.component, r.port) for r in component.feedback_inputs] == [("d", "port2")]
 
 
 def test_serialize_is_deterministic(qiasp_text):

@@ -637,15 +637,15 @@ def test_dependency_sources_exclude_feedback(qiasp_text):
     )
 
 
-def test_transitive_digital_dependents(qiasp_text):
+def test_digital_dependents(qiasp_text):
     expanded = expand_replication(parse_model(qiasp_text))
     idx = ModelIndex(expanded)
-    assert idx.transitive_digital_dependents("cet_calculator") == ["cet_alarm", "icc_alarm"]
-    assert idx.transitive_digital_dependents("icc_calculator") == ["icc_alarm"]
-    assert "hjtc_calculator" in idx.transitive_digital_dependents("hjtc_power_controller")
+    assert sorted(idx.digital_dependents("cet_calculator")) == ["cet_alarm", "icc_alarm"]
+    assert sorted(idx.digital_dependents("icc_calculator")) == ["icc_alarm"]
+    assert "hjtc_calculator" in idx.digital_dependents("hjtc_power_controller")
     # Same-division scope: the replica's dependents stay inside division B.
     assert all(
-        dep.endswith("__B") for dep in idx.transitive_digital_dependents("cet_calculator__B")
+        dep.endswith("__B") for dep in idx.digital_dependents("cet_calculator__B")
     )
 
 

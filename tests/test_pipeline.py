@@ -1,5 +1,5 @@
 """The analysis chain that ``STAGES`` declares is well formed, and
-``AnalysisResult`` takes each of its values, so a slip in a stage
+``AnalysisResult`` takes each of its values and no other, so a slip in a stage
 declaration fails here rather than inside ``run_stages``;
 a run leaves no garbage that only the cyclic collector could free, which is
 what lets it run with the collector paused; and the README's library
@@ -19,6 +19,7 @@ import pytest
 
 from resha.dsl import ParseError
 from resha.pipeline import (
+    RESULT_FIELDS,
     STAGES,
     AnalysisResult,
     PipelineOptions,
@@ -30,13 +31,17 @@ from test_artifacts import CASES, DIGESTS, _case_text, sha256
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
-# The fields the caller gives, or that ``analyze_model`` fills in itself.
-GIVEN = ("model", "validation", "options")
 
-
-def test_every_other_result_field_is_a_stage():
-    parameters = inspect.signature(AnalysisResult).parameters
-    assert [name for name in parameters if name not in GIVEN] == list(STAGES)
+def test_result_fields_are_the_stages_and_the_given_values():
+    # The caller gives ``model`` and ``options``; ``analyze_model`` fills in
+    # ``validation``.
+    assert RESULT_FIELDS == {"model", "validation", "options", *STAGES}
+    values = {name: object() for name in RESULT_FIELDS}
+    assert AnalysisResult(**values).census is values["census"]
+    with pytest.raises(TypeError, match="'census'"):
+        AnalysisResult(**{name: value for name, value in values.items() if name != "census"})
+    with pytest.raises(TypeError, match="'index'"):
+        AnalysisResult(**values, index=None)
 
 
 def test_each_stage_input_is_given_or_an_earlier_stage():

@@ -1,6 +1,7 @@
 """Source hygiene: no dead imports, no unread parameters, no default that no
-call overrides, no runtime code that only tests call, no ``NamedTuple``
-field or ``__init__`` attribute that nothing reads, no record class without
+call overrides, no runtime code that only tests call, no record field
+(``NamedTuple`` field, ``__init__`` attribute or ``AnalysisResult`` value)
+that nothing reads through a value of its own class, no record class without
 a docstring, no ``copy`` or ``dataclasses`` module, one function that
 imports ``csv``, no ``Enum`` subclass but the fault tree's ``GateOp`` and
 ``EventCategory``, whose categorical values are plain strings elsewhere, and
@@ -15,6 +16,7 @@ from __future__ import annotations
 import ast
 from collections import Counter
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "resha"
@@ -35,15 +37,30 @@ REEXPORTS = {
     "it lives in ftree",
 }
 
-# ``NamedTuple`` fields and ``__init__`` attributes that nothing under
-# src/resha reads but that stay, with the reason.
+# Record fields (``NamedTuple`` fields, ``__init__`` attributes and the
+# ``AnalysisResult`` values) that nothing under src/resha reads but that
+# stay, with the reader.
 _AUTHORED_TEXT = "authored model text: the parser stores it and the test-side serializer reads it"
+_LIBRARY_VALUE = "an intermediate product that the README's library section lists"
+_PARSE_DIGEST = "tests/test_dsl.py reads it into the parse-outcome digest"
 KEEP_FIELDS = {
     "AnalysisResult.validation": "benchmark/worker.py constructs AnalysisResult with it",
+    "AnalysisResult.model": f"{_LIBRARY_VALUE}; tests/test_model.py reads it",
+    "AnalysisResult.structure": f"{_LIBRARY_VALUE}; tests/test_stpa.py reads it",
+    "AnalysisResult.hardware_tree": f"{_LIBRARY_VALUE}; tests/test_ftree.py and tests/test_ccf.py read it",
+    "AnalysisResult.integrated_tree": f"{_LIBRARY_VALUE}; tests/test_ftree.py and tests/test_ccf.py read it",
+    "ParseError.message": _PARSE_DIGEST,
+    "ParseError.span": _PARSE_DIGEST,
     "Loss.description": _AUTHORED_TEXT,
     "Hazard.description": _AUTHORED_TEXT,
     "DesignClass.description": _AUTHORED_TEXT,
 }
+
+# Fields whose name other record classes share, and which src/resha reads
+# only from values whose class the field test cannot tell, with the reason
+# those reads are theirs.  Such a read counts for the fields listed here and
+# for no other.  None is needed today: every such read is typed.
+AMBIGUOUS_FIELDS: dict[str, str] = {}
 
 
 def _modules() -> dict[str, ast.Module]:
@@ -121,54 +138,86 @@ def _self_targets(node: ast.Assign | ast.AnnAssign):
             yield target.attr
 
 
-def _field_names(modules: dict[str, ast.Module]) -> set[str]:
-    """Names declared in a class body or assigned as ``self.<name>``."""
-    names: set[str] = set()
-    for tree in modules.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef):
-                names.update(
-                    item.target.id
-                    for item in node.body
-                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
-                )
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                names.update(_self_targets(node))
-    return names
-
-
 def _is_named_tuple(node: ast.ClassDef) -> bool:
     return any(isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases)
 
 
-def _class_fields(node: ast.ClassDef) -> list[str]:
+def _class_fields(node: ast.ClassDef) -> dict[str, ast.expr | None]:
     """The annotated fields of a ``NamedTuple`` class, or the attributes a
-    class sets on ``self`` in ``__init__``."""
+    class sets on ``self`` in ``__init__``, each with its annotation: the
+    field's own, or that of the ``__init__`` parameter assigned to it."""
     if _is_named_tuple(node):
-        return [
-            item.target.id
+        return {
+            item.target.id: item.annotation
             for item in node.body
             if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
-        ]
-    return [
-        name
-        for item in node.body
-        if isinstance(item, ast.FunctionDef) and item.name == "__init__"
-        for statement in ast.walk(item)
-        if isinstance(statement, (ast.Assign, ast.AnnAssign))
-        for name in _self_targets(statement)
-    ]
+        }
+    fields: dict[str, ast.expr | None] = {}
+    for item in node.body:
+        if not (isinstance(item, ast.FunctionDef) and item.name == "__init__"):
+            continue
+        params = {arg.arg: arg.annotation for arg in [*item.args.args, *item.args.kwonlyargs]}
+        for statement in ast.walk(item):
+            if isinstance(statement, (ast.Assign, ast.AnnAssign)):
+                value = statement.value
+                # ``x``, ``a if c else x`` or ``x or a``: the value is the parameter ``x``.
+                branches = [value, *getattr(value, "values", ()), getattr(value, "orelse", None)]
+                passed = [b.id for b in branches if isinstance(b, ast.Name) and b.id in params]
+                for name in _self_targets(statement):
+                    if isinstance(statement, ast.AnnAssign):
+                        fields[name] = statement.annotation
+                    else:
+                        fields[name] = params[passed[0]] if passed else None
+    return fields
+
+
+def _result_fields(modules: dict[str, ast.Module]) -> dict[str, ast.expr | None]:
+    """``AnalysisResult``'s fields, read from ``pipeline.py``: the names in
+    the ``RESULT_FIELDS`` literal, whose ``*STAGES`` stands for the
+    ``STAGES`` keys.  A stage value's annotation is the return annotation of
+    the function that ``STAGES`` names for it."""
+    assigned = {
+        target.id: node.value
+        for node in modules["pipeline.py"].body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    }
+    stages = {
+        key.value: value.elts[0].value
+        for key, value in zip(assigned["STAGES"].keys, assigned["STAGES"].values)
+    }
+    returns = {
+        f"{name[:-3]}.{node.name}": node.returns
+        for name, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    fields: dict[str, ast.expr | None] = {}
+    for element in assigned["RESULT_FIELDS"].args[0].elts:
+        if isinstance(element, ast.Starred):
+            assert isinstance(element.value, ast.Name) and element.value.id == "STAGES"
+            fields.update((name, returns[qualified]) for name, qualified in stages.items())
+        else:
+            fields[element.value] = None
+    return fields
+
+
+def _records(modules: dict[str, ast.Module]) -> dict[str, dict[str, ast.expr | None]]:
+    """Every class with fields -> its fields, each with its annotation."""
+    records = {
+        node.name: _class_fields(node)
+        for tree in modules.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+    records["AnalysisResult"] = _result_fields(modules)
+    return {name: fields for name, fields in records.items() if fields}
 
 
 def _stored_fields(modules: dict[str, ast.Module]) -> dict[str, str]:
     """``Class.field`` -> field name, for every field of every class."""
-    return {
-        f"{node.name}.{name}": name
-        for tree in modules.values()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ClassDef)
-        for name in _class_fields(node)
-    }
+    return {f"{cls}.{name}": name for cls, fields in _records(modules).items() for name in fields}
 
 
 # Methods that put values into a collection.  A load whose only use is to
@@ -195,20 +244,202 @@ def _filled_loads(tree: ast.AST) -> set[ast.Attribute]:
     return filled
 
 
-def _read_names(modules: dict[str, ast.Module]) -> set[str]:
-    """Attribute names loaded anywhere other than to be filled, plus every
-    string constant: ``_asdict`` keys and ``STAGES`` input names read a field
-    by its name."""
-    names: set[str] = set()
+# Annotations whose value holds many of their one argument.
+_SEQUENCES = {"list", "tuple", "set", "frozenset", "Sequence", "Iterable", "Iterator"}
+
+# A value's type as far as records go: a shape, ``"one"`` value, ``"many"``
+# (a sequence) or ``"map"`` (a dict's values), and the record classes that
+# the value, or each item, may be.  No class at all means a value known to
+# hold no record, such as a ``str``; None means an unknown value.
+_Type = tuple[str, frozenset[str]]
+_PLAIN: _Type = ("one", frozenset())
+
+
+def _merged(types) -> _Type | None:
+    """One type for a value that has any of these types: None if one of them
+    is unknown, or if the shapes of those that may hold records differ."""
+    types = list(types)
+    if None in types:
+        return None
+    records = [t for t in types if t[1]]
+    if len({shape for shape, _ in records}) > 1:
+        return None
+    return (records[0][0], frozenset().union(*(c for _, c in records))) if records else _PLAIN
+
+
+class _Types:
+    """The record type of an expression, where annotations say it: a
+    parameter's, a field's, or the return annotation of a function, method
+    or property that is called or read."""
+
+    def __init__(self, modules: dict[str, ast.Module]):
+        self.records = _records(modules)
+        self.returns: dict[str, ast.expr | None] = {}
+        self.methods: dict[str, dict[str, ast.expr | None]] = {}
+        # Module-level type aliases that name record classes, such as
+        # ``Node = Union[Gate, BasicEvent]``.
+        self.aliases: dict[str, ast.expr] = {}
+        for tree in modules.values():
+            for node in tree.body:
+                if isinstance(node, ast.Assign) and isinstance(node.value, (ast.Subscript, ast.BinOp)):
+                    if self._mentions_record(node.value):
+                        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                        self.aliases.update(dict.fromkeys(names, node.value))
+                elif isinstance(node, ast.FunctionDef):
+                    self.returns[node.name] = node.returns
+                elif isinstance(node, ast.ClassDef):
+                    self.methods[node.name] = {
+                        item.name: item.returns for item in node.body if isinstance(item, ast.FunctionDef)
+                    }
+
+    def _mentions_record(self, annotation: ast.expr) -> bool:
+        names = {n.id for n in ast.walk(annotation) if isinstance(n, ast.Name)}
+        return any(name in self.records or name in self.aliases for name in names)
+
+    def annotated(self, annotation: ast.expr | None) -> _Type | None:
+        if annotation is None:
+            return None
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            annotation = ast.parse(annotation.value, mode="eval").body
+        if not self._mentions_record(annotation):
+            return _PLAIN
+        if isinstance(annotation, ast.Name):
+            if annotation.id in self.aliases:
+                return self.annotated(self.aliases[annotation.id])
+            return ("one", frozenset([annotation.id]))
+        if isinstance(annotation, ast.BinOp):  # ``A | B``, where ``None`` is plain
+            return _merged([self.annotated(annotation.left), self.annotated(annotation.right)])
+        if isinstance(annotation, ast.Subscript) and isinstance(annotation.value, ast.Name):
+            args = annotation.slice.elts if isinstance(annotation.slice, ast.Tuple) else [annotation.slice]
+            base = annotation.value.id
+            if base == "Union":
+                return _merged(self.annotated(arg) for arg in args)
+            if base == "tuple" and not (len(args) == 2 and isinstance(args[1], ast.Constant)):
+                return None  # a fixed-length tuple, whose items differ
+            inner = self.annotated(args[-1] if base == "dict" else args[0])
+            if inner and inner[0] == "one" and (base == "dict" or base in _SEQUENCES):
+                return ("map" if base == "dict" else "many", inner[1])
+        return None
+
+    def member(self, held: _Type | None, name: str) -> _Type | None:
+        """The type of field or property ``name`` of a ``held`` value, or of
+        what its method ``name`` returns."""
+        if held is None:
+            return None
+        if not held[1]:
+            return _PLAIN
+        if held[0] != "one":
+            return None
+        return _merged(
+            self.annotated(self.records[cls][name] if name in self.records[cls] else self.methods[cls][name])
+            for cls in held[1]
+            if name in self.records[cls] or name in self.methods.get(cls, {})
+        )
+
+    def of(self, expr: ast.expr, scope: dict[str, _Type | None]) -> _Type | None:
+        if isinstance(expr, ast.Name):
+            return scope.get(expr.id)
+        if isinstance(expr, ast.Attribute):
+            return self.member(self.of(expr.value, scope), expr.attr)
+        if isinstance(expr, ast.Subscript):
+            held = self.of(expr.value, scope)
+            return ("one", held[1]) if held and (held[0] != "one" or not held[1]) else None
+        if isinstance(expr, ast.DictComp):
+            held = self.of(expr.value, scope)
+            return ("map", held[1]) if held and held[0] == "one" else None
+        if not isinstance(expr, ast.Call):
+            return None
+        func = expr.func
+        if isinstance(func, ast.Name):
+            if func.id in self.records:
+                return ("one", frozenset([func.id]))
+            return self.annotated(self.returns.get(func.id))
+        if isinstance(func, ast.Attribute):
+            held = self.of(func.value, scope)
+            if held and held[0] == "map" and func.attr in ("get", "values"):
+                return ("one" if func.attr == "get" else "many", held[1])
+            return self.member(held, func.attr)
+        return None
+
+    def item(self, iterable: ast.expr, scope: dict[str, _Type | None]) -> _Type | None:
+        held = self.of(iterable, scope)
+        return ("one", held[1]) if held and (held[0] == "many" or not held[1]) else None
+
+    def scope(self, function: ast.AST, cls: str | None) -> dict[str, _Type | None]:
+        """Each local name of a function, nested functions included, or of
+        module code, with one type for every value it is bound to."""
+        bindings: list[tuple[tuple[int, int], str, Callable[[dict], _Type | None]]] = []
+        if isinstance(function, ast.FunctionDef) and cls is not None and function.args.args:
+            bindings.append(((0, 0), function.args.args[0].arg, lambda _: ("one", frozenset([cls]))))
+        for node in ast.walk(function):
+            if isinstance(node, ast.arg) and node.annotation is not None:
+                bindings.append((_at(node), node.arg, lambda _, a=node.annotation: self.annotated(a)))
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                bindings.append((_at(node.type), node.name, lambda _, a=node.type: self.annotated(a)))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.NamedExpr)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name) and node.value is not None:
+                        bindings.append((_at(node), target.id, lambda s, v=node.value: self.of(v, s)))
+            elif isinstance(node, (ast.For, ast.comprehension)) and isinstance(node.target, ast.Name):
+                bindings.append((_at(node.iter), node.target.id, lambda s, i=node.iter: self.item(i, s)))
+        # In source order, so that a binding reads the names bound before it.
+        scope: dict[str, _Type | None] = {}
+        for _, name, bound in sorted(bindings, key=lambda binding: binding[0]):
+            found = bound(scope)
+            scope[name] = _merged([scope[name], found]) if name in scope else found
+        return scope
+
+
+def _at(node: ast.AST) -> tuple[int, int]:
+    """Where a binding takes effect: after the code that computes its value."""
+    return (node.end_lineno, node.end_col_offset)
+
+
+def _scopes(tree: ast.Module):
+    """Each function of a module with the class it is a method of, and then
+    the rest of the module, class bodies included, as one more scope."""
+    rest: list[ast.stmt] = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node, None
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield item, node.name
+                else:
+                    rest.append(item)
+        else:
+            rest.append(node)
+    yield ast.Module(body=rest, type_ignores=[]), None
+
+
+def _field_reads(modules: dict[str, ast.Module]) -> tuple[set[str], set[str]]:
+    """``Class.field`` for each field loaded from a value whose class is
+    known, and the name of each field loaded from a value of unknown class.
+    A load whose only use is to be filled reads nothing, and ``x._asdict()``
+    loads every field of ``x``'s class."""
+    types = _Types(modules)
+    known: set[str] = set()
+    unknown: set[str] = set()
     for tree in modules.values():
         filled = _filled_loads(tree)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                if node not in filled:
-                    names.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                names.add(node.value)
-    return names
+        for function, cls in _scopes(tree):
+            scope = types.scope(function, cls)
+            for node in ast.walk(function):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node not in filled:
+                    held, names = types.of(node.value, scope), [node.attr]
+                elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_asdict":
+                    held, names = types.of(node.func.value, scope), None
+                else:
+                    continue
+                if held is None:
+                    unknown.update(names or ())
+                elif held[0] == "one":
+                    for cls in held[1]:
+                        fields = types.records[cls]
+                        known.update(f"{cls}.{name}" for name in names or fields if name in fields)
+    return known, unknown
 
 
 def _is_property(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
@@ -239,11 +470,13 @@ def test_every_import_is_used():
 def test_every_record_class_has_a_docstring():
     # A class with fields is a record, and its docstring is where they are
     # described.
+    modules = _modules()
+    fields = _records(modules)
     records = [
         (name, node)
-        for name, tree in _modules().items()
+        for name, tree in modules.items()
         for node in ast.walk(tree)
-        if isinstance(node, ast.ClassDef) and _class_fields(node)
+        if isinstance(node, ast.ClassDef) and node.name in fields
     ]
     assert len(records) >= 27
     missing = [f"{name}:{node.lineno}: {node.name}" for name, node in records if ast.get_docstring(node) is None]
@@ -338,7 +571,7 @@ def test_every_function_has_a_runtime_caller():
     calls: Counter[str] = Counter()
     for tree in modules.values():
         calls.update(_calls(tree))
-    fields = _field_names(modules)
+    fields = set(_stored_fields(modules).values())
     uncalled = []
     for name, tree in modules.items():
         for node in ast.walk(tree):
@@ -373,15 +606,49 @@ def test_keep_entries_are_defined_and_uncalled():
     assert sorted(name for name in KEEP if everywhere[name]) == []
 
 
+def _unread_fields(modules: dict[str, ast.Module]) -> list[str]:
+    """``Class.field`` for each field that is neither loaded from a value
+    of its class nor, where no other record class has a field of its name or
+    ``AMBIGUOUS_FIELDS`` lists it, loaded from a value of unknown class."""
+    fields = _stored_fields(modules)
+    known, unknown = _field_reads(modules)
+    shared = Counter(fields.values())
+    return sorted(
+        key
+        for key, name in fields.items()
+        if key not in known and not (name in unknown and (shared[name] == 1 or key in AMBIGUOUS_FIELDS))
+    )
+
+
 def test_every_record_field_is_read():
-    # ``NamedTuple`` fields and ``__init__`` attributes alike; a value that is
-    # only filled, never read back, counts as unread.
+    # ``NamedTuple`` fields, ``__init__`` attributes and the ``AnalysisResult``
+    # values alike; a value that is only filled, never read back, counts as unread.
     modules = _modules()
-    read = _read_names(modules)
     fields = _stored_fields(modules)
     assert len(fields) >= 144
     # A kept entry that is read, or is no longer a field, fails here too.
-    assert sorted(key for key, name in fields.items() if name not in read) == sorted(KEEP_FIELDS)
+    assert _unread_fields(modules) == sorted(KEEP_FIELDS)
+    # So does an ambiguous entry that is not a shared field read from a value
+    # of unknown class, or that a read from a value of its class makes needless.
+    known, unknown = _field_reads(modules)
+    shared = Counter(fields.values())
+    needless = [
+        key
+        for key in AMBIGUOUS_FIELDS
+        if key in known or shared[fields.get(key)] < 2 or fields[key] not in unknown
+    ]
+    assert needless == []
+
+
+def test_a_field_is_read_only_through_its_own_class():
+    # ``CcfGroup.members`` and ``RedundancyGroup.members`` are read; a
+    # ``GuidanceReport.members`` that is written and never read is unread all
+    # the same.
+    modules = _modules()
+    text = (SRC / "report.py").read_text(encoding="utf-8")
+    written = "        self.members: list[str] = []\n        self.diversity_findings"
+    modules["report.py"] = ast.parse(text.replace("        self.diversity_findings", written, 1))
+    assert _unread_fields(modules) == sorted([*KEEP_FIELDS, "GuidanceReport.members"])
 
 
 def test_a_value_that_is_only_filled_is_unread():
