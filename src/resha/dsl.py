@@ -77,12 +77,10 @@ _LINK_KINDS = {"control_action": "control_action", "info_flow": "information_flo
 
 
 class ParseError(Exception):
-    """Syntax error, located by a source span."""
+    """Syntax error, whose text is ``file:line:column: message``."""
 
     def __init__(self, message: str, span: SourceSpan):
         super().__init__(f"{span}: {message}")
-        self.message = message
-        self.span = span
 
 
 # kind (word, string, end, or the mark itself for punctuation and ``->``), text

@@ -240,37 +240,26 @@ def _group_children(
 ) -> tuple[list[str], list[Step]]:
     """A dependency-style gate's child ids, and the steps that build them.
 
-    Each redundancy group that binds among the sources becomes an AND
-    (all_must_fail) or OR (any_misleads) sub-gate over the matched sources;
-    the other sources attach directly.  Groups are tried in declared order,
-    only those that list a source, and each matches the sources it lists
-    that no earlier group took.  The steps are, in build order, each group's
-    matched source ids and then its sub-gate, and after them the ungrouped
-    source ids.
+    Each redundancy group that ``idx.bound_groups`` binds over the sources
+    becomes an AND (all_must_fail) or OR (any_misleads) sub-gate over the
+    sources it took; the loose sources attach directly.  The steps are, in
+    build order, each group's source ids and then its sub-gate, and after
+    them the loose source ids.
     """
-    if len(source_ids) < 2:
-        # No group binds over fewer than two sources.
-        return [f"fail:{s}" for s in source_ids], list(source_ids)
+    bound, loose = idx.bound_groups(source_ids)
     children: list[str] = []
     steps: list[Step] = []
-    taken: set[str] = set()
-    for position, listed in idx.grouped_sources(source_ids).items():
-        group = idx.redundancy_groups[position]
-        matched = [s for s in listed if s not in taken]
-        if not idx.binds(group, matched):
-            continue
+    for group, taken in bound:
         sub = Gate(
             id=f"{gate_id}:{group.id}",
             op=GateOp.AND if group.logic == "all_must_fail" else GateOp.OR,
-            children=[f"fail:{s}" for s in matched],
+            children=[f"fail:{s}" for s in taken],
             label=f"{group.id} redundancy defeated ({group.logic})",
         )
-        steps += [*matched, sub]
+        steps += [*taken, sub]
         children.append(sub.id)
-        taken.update(matched)
-    remaining = [s for s in source_ids if s not in taken]
-    steps += remaining
-    children += [f"fail:{s}" for s in remaining]
+    steps += loose
+    children += [f"fail:{s}" for s in loose]
     return children, steps
 
 

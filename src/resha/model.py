@@ -5,10 +5,10 @@ dependency inputs and by explicit control-action / information-flow links,
 plus the loss and hazard taxonomy the analysis traces back to.  The module
 also provides structural validation, replication expansion, and one answer
 to each graph question: ``ModelIndex.dependency_sources`` (what a component
-depends on), ``ModelIndex.grouped_sources`` and ``ModelIndex.binds``
-(which redundancy groups list which sources, and whether a group binds over
-them) and ``depth_first`` (children-first order and cycles, for models and
-trees).
+depends on), ``ModelIndex.bound_groups`` (which redundancy groups bind over
+which of a consumer's sources: the one partition that the fault tree's
+group gates and validation's ``any_misleads`` check both read) and
+``depth_first`` (children-first order and cycles, for models and trees).
 Each model has one index, ``SystemModel.index``, which validation builds
 over the expanded model and every later stage reads.  The index builds all
 its tables when it is constructed, among them one map from each component
@@ -352,22 +352,35 @@ class ModelIndex:
                 ):
                     yield nxt
 
-    def grouped_sources(self, source_ids: Iterable[str]) -> dict[int, list[str]]:
-        """Group position -> the sources that group lists, in source order,
-        for each redundancy group that lists any of them, in group order."""
-        grouped: dict[int, list[str]] = {}
+    def bound_groups(
+        self, source_ids: Sequence[str]
+    ) -> tuple[list[tuple[RedundancyGroup, list[str]]], list[str]]:
+        """Each redundancy group that binds over some of distinct ``source_ids``
+        with the sources it takes, and then the untaken sources, in source order.
+
+        Groups are tried in declared order, only those that list a source.
+        Each takes the sources it lists, in source order, that no earlier
+        group took, and binds when it takes at least two (a division-level
+        group: from at least two distinct member divisions).  So fewer than
+        two sources bind no group, and a source listed by two groups joins
+        the first declared group that binds over it.
+        """
+        bound: list[tuple[RedundancyGroup, list[str]]] = []
+        if len(source_ids) < 2:
+            return bound, list(source_ids)
+        taken: set[str] = set()
+        listed: dict[int, list[str]] = {}
         for source in source_ids:
             for position in self.groups_of.get(source, ()):
-                grouped.setdefault(position, []).append(source)
-        return dict(sorted(grouped.items())) if len(grouped) > 1 else grouped
-
-    def binds(self, group: RedundancyGroup, listed: Sequence[str]) -> bool:
-        """Whether ``group`` binds over sources it lists: a division-level
-        group when they span at least two distinct member divisions, any
-        other group when at least two are listed."""
-        if group.level == "division":
-            return len({self.division_of.get(s) for s in listed}) >= 2
-        return len(listed) >= 2
+                listed.setdefault(position, []).append(source)
+        for position in sorted(listed):
+            group = self.redundancy_groups[position]
+            matched = [s for s in listed[position] if s not in taken]
+            spread = {self.division_of[s] for s in matched} if group.level == "division" else matched
+            if len(spread) >= 2:
+                bound.append((group, matched))
+                taken.update(matched)
+        return bound, [s for s in source_ids if s not in taken]
 
 
 def expand_replication(model: SystemModel) -> SystemModel:
@@ -727,19 +740,16 @@ def _validate_references(model: SystemModel, report: ValidationReport) -> None:
                             app.span or link.span,
                         )
 
-    groups = model.redundancy_groups
-    # Group position -> the consumers that are not human-tech and at which
-    # that any_misleads group binds, in component order.
-    misled: dict[int, list[Component]] = {}
-    if any(group.logic == "any_misleads" for group in groups):
+    # Each any_misleads group -> the consumers that are not human-tech and
+    # at which it binds, in component order.
+    misled: dict[RedundancyGroup, list[Component]] = {}
+    if any(group.logic == "any_misleads" for group in model.redundancy_groups):
         for consumer in model.components():
-            if consumer.tech == "human":
-                continue
-            for position, listed in idx.grouped_sources(idx.dependency_sources(consumer)).items():
-                group = groups[position]
-                if group.logic == "any_misleads" and idx.binds(group, listed):
-                    misled.setdefault(position, []).append(consumer)
-    for position, group in enumerate(groups):
+            if consumer.tech != "human":
+                for group, _ in idx.bound_groups(idx.dependency_sources(consumer))[0]:
+                    if group.logic == "any_misleads":
+                        misled.setdefault(group, []).append(consumer)
+    for group in model.redundancy_groups:
         if len(group.members) < 2:
             bad("group-size", f"redundancy_group '{group.id}' needs at least 2 members", group.span)
         for member in group.members:
@@ -756,7 +766,7 @@ def _validate_references(model: SystemModel, report: ValidationReport) -> None:
                     f"redundancy_group '{group.id}' references unknown component '{member}'",
                     group.span,
                 )
-        for consumer in misled.get(position, ()):
+        for consumer in misled.get(group, ()):
             bad(
                 "any-misleads-consumer",
                 f"any_misleads group '{group.id}' converges at '{consumer.id}', "

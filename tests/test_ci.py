@@ -11,7 +11,10 @@ WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 # Workflow step name -> the command its ``run:`` is.
 SCRIPTED_STEPS = {
+    "Compile every Python file with warnings as errors": "bash ci/compile.sh",
     "Installed resha console script": "bash ci/console_script.sh",
+    "Benchmark run on every workload, each required to report correct": "bash ci/benchmark.sh",
+    "Artifact bytes agree under 3.10, 3.12 and 3.13": "bash ci/other_interpreters.sh",
 }
 
 

@@ -126,10 +126,9 @@ def test_replicates_form():
 def test_parse_errors_carry_spans(text, line, column, fragment):
     with pytest.raises(ParseError) as err:
         parse_model(text, "doc.resha")
-    assert fragment in err.value.message
-    assert err.value.span.file == "doc.resha"
-    assert err.value.span.line == line
-    assert err.value.span.column == column
+    where, message = str(err.value).split(": ", 1)
+    assert fragment in message
+    assert where == f"doc.resha:{line}:{column}"
 
 
 def test_string_escapes_round_trip():
@@ -322,7 +321,8 @@ def _parse_outcome(text: str) -> str:
     try:
         model = parse_model(text, "m.resha")
     except ParseError as err:
-        return f"error {err.message!r} at {err.span.file}:{err.span.line}:{err.span.column}"
+        where, message = str(err).split(": ", 1)
+        return f"error {message!r} at {where}"
     shown = _CATEGORICAL_FIELD_RE.sub(lambda field: _MEMBER_REPRS[field[0]], _record_repr(model))
     return f"model {shown} spans {_spans(model)}"
 

@@ -24,7 +24,7 @@ from conftest import (
     unwired_resource_dependent_text,
 )
 from resha.dsl import ParseError, parse_model
-from resha.ftree import export_ft
+from resha.ftree import GateOp, export_ft, synthesize_hardware_ft
 from resha.golden import compute_metrics
 from resha.model import (
     COMPONENT_KINDS,
@@ -653,12 +653,99 @@ def test_group_binding_division_level(qiasp_text):
     expanded = expand_replication(parse_model(qiasp_text))
     idx = ModelIndex(expanded)
     group = expanded.redundancy_groups[0]
-    both = idx.grouped_sources(["display_interface", "display_interface__B"])
-    assert both == {0: ["display_interface", "display_interface__B"]}
-    assert idx.binds(group, both[0])
+    both = ["display_interface", "display_interface__B"]
+    assert idx.bound_groups(both) == ([(group, both)], [])
     # A single member division does not bind.
-    one = idx.grouped_sources(["display_interface", "power_supply"])
-    assert one == {0: ["display_interface", "power_supply"]}
-    assert not idx.binds(group, one[0])
-    # A component outside every group's divisions is listed by none.
-    assert idx.grouped_sources(["nowhere"]) == {}
+    one = ["display_interface", "power_supply"]
+    assert idx.bound_groups(one) == ([], one)
+    # Nor does one source, or sources outside every group's divisions.
+    assert idx.bound_groups(["display_interface"]) == ([], ["display_interface"])
+    assert idx.bound_groups(["nowhere", "elsewhere"]) == ([], ["nowhere", "elsewhere"])
+
+
+# ``g1`` takes s2 before ``g2`` can, so ``g2`` keeps one source at ``calc``
+# and binds nowhere: the tree has no g2 gate, and validation agrees.
+OVERLAPPING_GROUPS = """\
+system "overlap"
+top_event "t"
+loss L-1 "l"
+hazard H-1 "h" losses: L-1
+design_class DC "d"
+division D {
+  component s1 kind: sensor tech: analog class: DC
+  component s2 kind: sensor tech: analog class: DC
+  component s3 kind: sensor tech: analog class: DC
+  component calc kind: calculator tech: digital class: DC {
+    inputs: s1, s2, s3
+  }
+  component op kind: operator tech: human class: DC {
+    inputs: calc
+  }
+}
+redundancy_group g1 level: module logic: all_must_fail members: s1, s2
+redundancy_group g2 level: module logic: any_misleads members: s2, s3
+"""
+
+
+def test_a_group_that_an_earlier_group_leaves_one_source_binds_nowhere():
+    assert validate_model(parse_model(OVERLAPPING_GROUPS)).ok
+    result = analyze_text(OVERLAPPING_GROUPS)
+    assert result.hardware_tree.gate("dep:calc").children == ["dep:calc:g1", "fail:s3"]
+    assert result.hardware_tree.gate("dep:calc:g1").children == ["fail:s1", "fail:s2"]
+
+
+def test_the_first_declared_group_takes_a_shared_source():
+    g1, g2 = OVERLAPPING_GROUPS.strip().splitlines()[-2:]
+    text = OVERLAPPING_GROUPS.replace(f"{g1}\n{g2}", f"{g2}\n{g1}")
+    report = validate_model(parse_model(text))
+    g2_line = text.splitlines().index(g2) + 1
+    assert [(v.code, v.span.line) for v in report.violations] == [("any-misleads-consumer", g2_line)]
+    assert "'g2' converges at 'calc'" in report.violations[0].message
+
+
+def _contended_groups_model(rng: random.Random) -> SystemModel:
+    """Layers of components, each reading some of the layers before it, and
+    module-level groups of random logic, the second and any later one
+    listing a member of an earlier group."""
+    earlier = [f"s{i}" for i in range(rng.randint(3, 5))]
+    components = [_plain(cid) for cid in earlier]
+    for depth in range(1, rng.randint(2, 4)):
+        layer = [f"c{depth}_{k}" for k in range(rng.randint(1, 3))]
+        for cid in layer:
+            inputs = rng.sample(earlier, rng.randint(1, min(4, len(earlier))))
+            components.append(_plain(cid, inputs, tech=rng.choice(TECHNOLOGIES)))
+        earlier += layer
+    components.append(_operator(inputs=layer))
+    model = _shell(*components)
+    for k in range(rng.randint(2, 4)):
+        members = rng.sample(earlier, rng.randint(2, 4))
+        if model.redundancy_groups:
+            shared = rng.choice(rng.choice(model.redundancy_groups).members)
+            members = list(dict.fromkeys([shared, *members]))
+        model.redundancy_groups.append(RedundancyGroup(f"g{k}", "module", rng.choice(GROUP_LOGICS), members))
+    return model
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_validation_flags_an_any_misleads_group_where_the_tree_has_its_gate(seed):
+    model = _contended_groups_model(random.Random(seed))
+    report = validate_model(model)
+    assert {v.code for v in report.violations} <= {"any-misleads-consumer"}
+    flagged = {
+        (group.id, consumer.id)
+        for group in model.redundancy_groups
+        for consumer in model.components()
+        for v in report.violations
+        if v.message.startswith(f"any_misleads group '{group.id}' converges at '{consumer.id}',")
+    }
+    assert len(flagged) == len(report.violations)
+    tree = synthesize_hardware_ft(model)
+    idx = model.index
+    for cid, component in idx.components.items():
+        if component.tech == "human" or f"fail:{cid}" not in tree.nodes:
+            continue
+        for group in model.redundancy_groups:
+            gate = tree.nodes.get(f"dep:{cid}:{group.id}")
+            has_or_gate = gate is not None and gate.op is GateOp.OR
+            assert ((group.id, cid) in flagged) == has_or_gate

@@ -97,25 +97,34 @@ def naive_transitive_digital_dependents(
     return sorted(collected)
 
 
-def naive_grouped_sources(model: SystemModel, source_ids: list[str]) -> dict[int, list[str]]:
-    """Scan every group: a division-level group lists a component whose
-    first-listed division it names, any other group lists the ids it names."""
+def naive_bound_groups(
+    model: SystemModel, source_ids: list[str]
+) -> tuple[list[tuple[RedundancyGroup, list[str]]], list[str]]:
+    """Scan every group in declared order: a division-level group lists a
+    component whose first-listed division it names, any other group lists the
+    ids it names.  A group takes the listed sources still loose and binds
+    when they are two or more, a division-level group when they come from two
+    or more divisions; then they are loose no more."""
     division_of: dict[str, str] = {}
     for division in model.divisions:
         for component in division.components:
             division_of.setdefault(component.id, division.id)
-    grouped: dict[int, list[str]] = {}
-    for position, group in enumerate(model.redundancy_groups):
+    bound: list[tuple[RedundancyGroup, list[str]]] = []
+    loose = list(source_ids)
+    for group in model.redundancy_groups:
         if group.level == "division":
-            listed = [s for s in source_ids if s in division_of and division_of[s] in group.members]
+            takes = [s for s in loose if s in division_of and division_of[s] in group.members]
+            spread = {division_of[s] for s in takes}
         else:
-            listed = [s for s in source_ids if s in group.members]
-        if listed:
-            grouped[position] = listed
-    return grouped
+            takes = [s for s in loose if s in group.members]
+            spread = set(takes)
+        if len(spread) >= 2:
+            bound.append((group, takes))
+            loose = [s for s in loose if s not in takes]
+    return bound, loose
 
 
-def assert_index_matches_naive(model: SystemModel) -> None:
+def assert_index_matches_naive(model: SystemModel) -> int:
     idx = ModelIndex(model)
     targets = {t for link in model.links() for t in link.targets}
     ids = sorted({c.id for c in model.components()} | targets | {"no-such-component"})
@@ -131,16 +140,23 @@ def assert_index_matches_naive(model: SystemModel) -> None:
     pool = ids + [member for group in model.redundancy_groups for member in group.members]
     draws = [[source] for source in pool]
     draws += [[rng.choice(pool) for _ in range(rng.randint(0, 6))] for _ in range(20)]
+    # Draws that hold every id two or more groups list, in a random order,
+    # among random others, so that groups contend for a source.
+    twice = [cid for cid, positions in idx.groups_of.items() if len(positions) >= 2]
+    if twice:
+        draws += [rng.sample(twice, len(twice)) + rng.sample(pool, min(4, len(pool))) for _ in range(5)]
+    listed_twice = 0
     for sources in draws:
-        assert list(idx.grouped_sources(sources).items()) == (
-            list(naive_grouped_sources(model, sources).items())
-        )
+        sources = list(dict.fromkeys(sources))
+        assert idx.bound_groups(sources) == naive_bound_groups(model, sources)
+        listed_twice += any(len(idx.groups_of.get(s, ())) >= 2 for s in sources)
+    return listed_twice
 
 
 def _rewire(model: SystemModel, rng: random.Random) -> SystemModel:
     """Add repeated and extra link targets, which may close cycles, and
     redundancy groups of both levels that name components, divisions and
-    unknown ids, some more than once."""
+    unknown ids, some more than once, and some that an earlier group names."""
     component_ids = [c.id for c in model.components()]
     for link in model.links():
         if link.targets and rng.random() < 0.5:
@@ -151,6 +167,9 @@ def _rewire(model: SystemModel, rng: random.Random) -> SystemModel:
     names = [*component_ids, *(d.id for d in model.divisions), "no-such-component"]
     for k in range(rng.randint(0, 3)):
         members = [rng.choice(names) for _ in range(rng.randint(1, 4))]
+        if model.redundancy_groups and rng.random() < 0.5:
+            # A member that an earlier group lists too.
+            members.append(rng.choice(rng.choice(model.redundancy_groups).members))
         level = rng.choice(REDUNDANCY_LEVELS)
         model.redundancy_groups.append(
             RedundancyGroup(f"extra{k}", level, rng.choice(GROUP_LOGICS), members)
@@ -226,6 +245,12 @@ def test_two_digital_dependents_agrees_with_the_full_walk(seed):
         for component_id in [*idx.components, "no-such-component"]:
             first_two = list(islice(idx.digital_dependents(component_id), 2))
             assert (len(first_two) == 2) == (len(list(idx.digital_dependents(component_id))) >= 2)
+
+
+def test_random_draws_hold_sources_that_two_groups_list():
+    # The take rule decides only where two groups list one source.
+    listed_twice = [assert_index_matches_naive(m) for seed in range(10) for m in _random_models(seed)]
+    assert sum(count > 0 for count in listed_twice) >= 5
 
 
 @pytest.mark.parametrize("divisions", [3, 8])

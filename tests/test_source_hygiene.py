@@ -42,15 +42,12 @@ REEXPORTS = {
 # stay, with the reader.
 _AUTHORED_TEXT = "authored model text: the parser stores it and the test-side serializer reads it"
 _LIBRARY_VALUE = "an intermediate product that the README's library section lists"
-_PARSE_DIGEST = "tests/test_dsl.py reads it into the parse-outcome digest"
 KEEP_FIELDS = {
     "AnalysisResult.validation": "benchmark/worker.py constructs AnalysisResult with it",
     "AnalysisResult.model": f"{_LIBRARY_VALUE}; tests/test_model.py reads it",
     "AnalysisResult.structure": f"{_LIBRARY_VALUE}; tests/test_stpa.py reads it",
     "AnalysisResult.hardware_tree": f"{_LIBRARY_VALUE}; tests/test_ftree.py and tests/test_ccf.py read it",
     "AnalysisResult.integrated_tree": f"{_LIBRARY_VALUE}; tests/test_ftree.py and tests/test_ccf.py read it",
-    "ParseError.message": _PARSE_DIGEST,
-    "ParseError.span": _PARSE_DIGEST,
     "Loss.description": _AUTHORED_TEXT,
     "Hazard.description": _AUTHORED_TEXT,
     "DesignClass.description": _AUTHORED_TEXT,
@@ -112,18 +109,6 @@ def _references(tree: ast.AST) -> Counter[str]:
         for node in ast.walk(annotation):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 found.update(_references(ast.parse(node.value, mode="eval")))
-    return found
-
-
-def _calls(tree: ast.AST) -> Counter[str]:
-    """Names and attribute names a tree calls."""
-    found: Counter[str] = Counter()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            if isinstance(node.func, ast.Name):
-                found[node.func.id] += 1
-            elif isinstance(node.func, ast.Attribute):
-                found[node.func.attr] += 1
     return found
 
 
@@ -247,6 +232,9 @@ def _filled_loads(tree: ast.AST) -> set[ast.Attribute]:
 # Annotations whose value holds many of their one argument.
 _SEQUENCES = {"list", "tuple", "set", "frozenset", "Sequence", "Iterable", "Iterator"}
 
+# Builtins that return the items of their first argument, in some order.
+_REORDERS = {"sorted", "list", "tuple", "reversed"}
+
 # A value's type as far as records go: a shape, ``"one"`` value, ``"many"``
 # (a sequence) or ``"map"`` (a dict's values), and the record classes that
 # the value, or each item, may be.  No class at all means a value known to
@@ -293,7 +281,12 @@ class _Types:
                     }
 
     def _mentions_record(self, annotation: ast.expr) -> bool:
+        """Whether an annotation names a record class or alias, also in
+        quotes, as in ``list["UcaUifInstance"]``."""
         names = {n.id for n in ast.walk(annotation) if isinstance(n, ast.Name)}
+        names.update(
+            n.value for n in ast.walk(annotation) if isinstance(n, ast.Constant) and isinstance(n.value, str)
+        )
         return any(name in self.records or name in self.aliases for name in names)
 
     def annotated(self, annotation: ast.expr | None) -> _Type | None:
@@ -351,6 +344,9 @@ class _Types:
             return None
         func = expr.func
         if isinstance(func, ast.Name):
+            if func.id in _REORDERS and expr.args:
+                held = self.of(expr.args[0], scope)
+                return held if held and held[0] == "many" else None
             if func.id in self.records:
                 return ("one", frozenset([func.id]))
             return self.annotated(self.returns.get(func.id))
@@ -440,10 +436,6 @@ def _field_reads(modules: dict[str, ast.Module]) -> tuple[set[str], set[str]]:
                         fields = types.records[cls]
                         known.update(f"{cls}.{name}" for name in names or fields if name in fields)
     return known, unknown
-
-
-def _is_property(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
-    return any(isinstance(d, ast.Name) and d.id == "property" for d in node.decorator_list)
 
 
 def _imported_names(tree: ast.Module) -> list[str]:
@@ -565,31 +557,95 @@ def test_every_defaulted_parameter_is_passed():
     assert unpassed == []
 
 
-def test_every_function_has_a_runtime_caller():
-    modules = _modules()
-    everywhere = _package_references(modules)
-    calls: Counter[str] = Counter()
+def _method_references(modules: dict[str, ast.Module]) -> Counter[str]:
+    """``Class.method`` for each load of a method or property outside its
+    own body: for the class of the receiver where its type is known or the
+    receiver is the class itself, and for an unknown receiver only where one
+    class alone has a method or field of that name.  A name loaded in a class
+    body outside its methods, such as a table of handlers, is that class's."""
+    types = _Types(modules)
+    owners: dict[str, set[str]] = {}
+    for cls, names in [*types.methods.items(), *types.records.items()]:
+        for name in names:
+            owners.setdefault(name, set()).add(cls)
+    found: Counter[str] = Counter()
     for tree in modules.values():
-        calls.update(_calls(tree))
-    fields = set(_stored_fields(modules).values())
+        for function, own in _scopes(tree):
+            scope = types.scope(function, own)
+            for node in ast.walk(function):
+                if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
+                    continue
+                receiver = node.value
+                if isinstance(receiver, ast.Name) and receiver.id in types.methods:
+                    classes = {receiver.id}
+                elif (held := types.of(receiver, scope)) is not None:
+                    classes = held[1] if held[0] == "one" else set()
+                else:
+                    classes = owners.get(node.attr, set())
+                    classes = classes if len(classes) == 1 else set()
+                found.update(
+                    f"{cls}.{node.attr}"
+                    for cls in classes
+                    if node.attr in types.methods.get(cls, {})
+                    and not (cls == own and getattr(function, "name", None) == node.attr)
+                )
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                found.update(
+                    f"{cls.name}.{node.id}"
+                    for item in cls.body
+                    if not isinstance(item, ast.FunctionDef)
+                    for node in ast.walk(item)
+                    if isinstance(node, ast.Name) and node.id in types.methods[cls.name]
+                )
+    return found
+
+
+def _uncalled_functions(modules: dict[str, ast.Module]) -> list[str]:
+    """Each function or method, ``KEEP`` and dunders aside, that nothing
+    under src/resha refers to outside its own body: a method through a
+    value of its class (``_method_references``), any other function by name
+    or as a stage that ``pipeline.py`` names."""
+    everywhere = _package_references(modules)
+    methods = _method_references(modules)
     uncalled = []
     for name, tree in modules.items():
+        in_class = {
+            item: cls.name
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for item in cls.body
+            if isinstance(item, ast.FunctionDef)
+        }
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             fn = node.name
             if fn in KEEP or (fn.startswith("__") and fn.endswith("__")):
                 continue
-            # A read of a field with the method's name is no call, so such a
-            # method (a property aside) needs a call site.  A function that
-            # only calls itself has no caller.
-            if fn in fields and not _is_property(node):
-                callers = calls[fn] - _calls(node)[fn]
+            if node in in_class:
+                callers = methods[f"{in_class[node]}.{fn}"]
             else:
                 callers = everywhere[fn] - _references(node)[fn]
             if callers <= 0:
                 uncalled.append(f"{name}: {fn}")
-    assert uncalled == []
+    return uncalled
+
+
+def test_every_function_has_a_runtime_caller():
+    assert _uncalled_functions(_modules()) == []
+
+
+def test_a_method_is_called_only_through_its_own_class():
+    # ``CcfGroup.describe`` and ``UcaUifInstance.describe`` are called; a
+    # ``ControlStructure.describe`` that nothing calls is uncalled all the same.
+    modules = _modules()
+    text = (SRC / "stpa.py").read_text(encoding="utf-8")
+    anchor = "        self.division_of = division_of\n"
+    added = anchor + '\n    def describe(self) -> str:\n        return "control structure"\n'
+    assert text.count(anchor) == 1
+    modules["stpa.py"] = ast.parse(text.replace(anchor, added, 1))
+    assert _uncalled_functions(modules) == ["stpa.py: describe"]
 
 
 def test_keep_entries_are_defined_and_uncalled():
