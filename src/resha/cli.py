@@ -35,9 +35,8 @@ error, ``--flag=value``, an abbreviation, ``--``, a value such as ``-1``,
 a wrong positional count) goes to ``build_parser``, the one place that
 imports ``argparse``, so every help text and usage message is argparse's.
 A plain command thus loads neither ``argparse`` nor the ``gettext`` and
-``locale`` it brings, about 3.5 ms per process on the host above.
-``build_parser`` builds the named command's parser alone, and every parser
-only for top-level help and for a missing or unknown command.
+``locale`` it brings, about 3.5 ms per process on the host above; only a
+help line or a usage error builds the parser, with every subcommand.
 
 A ``resha`` process (``python -m resha.cli`` or the installed ``resha``)
 enters through ``entry``, which runs ``main`` and then, whether ``main``
@@ -303,24 +302,21 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with every subcommand, or with ``command``'s alone (argparse
-    passes each help string through ``gettext``); its usage names them all."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser with every subcommand."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="resha",
         description="Model-driven hazard analysis for redundant control architectures",
     )
-    names = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=names)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, help_, arguments) in COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=help_)
-            p.set_defaults(func=func)
-            p.add_argument("model", help="model document (.resha)")
-            for flag, options in arguments:
-                p.add_argument(flag, **options)
+        p = sub.add_parser(name, help=help_)
+        p.set_defaults(func=func)
+        p.add_argument("model", help="model document (.resha)")
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -376,8 +372,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = read_plain(argv)
     if args is None:
-        # Help and errors about the command itself list every subparser.
-        args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValidationFailed as exc:

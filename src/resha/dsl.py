@@ -21,11 +21,13 @@ line.  The tokens are:
 - word: ``[A-Za-z]`` then letters, digits, ``_`` and any ``-`` that does not
   open an arrow.
 
-Any other character is an error.  Ids are words.  The parser reads syntax
-only: a reused id, a repeated ``applicable:`` letter or a missing ``system``
-line parses, and ``validate_model`` reports it, as it does every rule of the
-model.  A second ``system`` or ``top_event`` line is a syntax error, since it
-would overwrite the first.
+Any other character is an error.  Ids are words, and so is each
+categorical value (a kind, tech, failure letter, level, logic or scope),
+which the parser stores as written.  The parser reads syntax only: a
+reused id, a misspelt categorical word, a repeated ``applicable:`` letter
+or a missing ``system`` line parses, and ``validate_model`` reports it, as
+it does every rule of the model.  A second ``system`` or ``top_event``
+line is a syntax error, since it would overwrite the first.
 
 Replica components produced by division replication carry a ``__<division>``
 suffix; documents may reference them (for example ``display_interface__B``)
@@ -38,12 +40,6 @@ import re
 from collections.abc import Callable
 
 from .model import (
-    COMPONENT_KINDS,
-    FAILURE_TYPES,
-    GROUP_LOGICS,
-    REDUNDANCY_LEVELS,
-    RESOURCE_SCOPES,
-    TECHNOLOGIES,
     Applicability,
     Component,
     DesignClass,
@@ -214,14 +210,6 @@ class _Parser:
             if not self.opt(","):
                 return refs
 
-    def word_of(self, words: tuple[str, ...], token: Token, what: str) -> str:
-        """The token's word as ``words`` holds it; any other word is an error that lists them."""
-        try:
-            return words[words.index(token[1])]
-        except ValueError:
-            choices = ", ".join(words)
-            raise ParseError(f"unknown {what} '{token[1]}' (one of: {choices})", self.span(token)) from None
-
     def keyed(self, ident: Token, statement: str, readers: dict[str, Callable[[], object]]) -> dict[str, object]:
         """Read ``key: value`` pairs to the line's end, each key once and all required, by its reader."""
         names = [f"'{key}'" for key in readers]
@@ -307,8 +295,8 @@ class _Parser:
             fields[key[1]] = self.expect("word", f"{key[1]} value")
         component = Component(
             id=ident[1],
-            kind=self.word_of(COMPONENT_KINDS, fields["kind"], "component kind"),
-            tech=self.word_of(TECHNOLOGIES, fields["tech"], "technology"),
+            kind=fields["kind"][1],
+            tech=fields["tech"][1],
             design_class=fields["class"][1],
             span=self.span(ident),
         )
@@ -336,12 +324,11 @@ class _Parser:
                 self.keyword("applicable")
                 self.expect(":")
                 letter = self.expect("word", "failure type letter")
-                type_ = self.word_of(FAILURE_TYPES, letter, "failure type")
                 self.keyword("hazards")
                 self.expect(":")
                 hazards = self.id_list("hazard id")
                 self.expect_end()
-                link.applicability.append(Applicability(type_, tuple(hazards), span=self.span(letter)))
+                link.applicability.append(Applicability(letter[1], tuple(hazards), span=self.span(letter)))
         return link
 
     def _redundancy_group(self) -> None:
@@ -350,8 +337,8 @@ class _Parser:
             ident,
             "redundancy_group",
             {
-                "level": lambda: self.word_of(REDUNDANCY_LEVELS, self.expect("word", "level"), "redundancy level"),
-                "logic": lambda: self.word_of(GROUP_LOGICS, self.expect("word", "logic"), "group logic"),
+                "level": lambda: self.expect("word", "level")[1],
+                "logic": lambda: self.expect("word", "logic")[1],
                 "members": lambda: self.id_list("member id"),
             },
         )
@@ -363,7 +350,7 @@ class _Parser:
             ident,
             "shared_resource",
             {
-                "scope": lambda: self.word_of(RESOURCE_SCOPES, self.expect("word", "scope"), "resource scope"),
+                "scope": lambda: self.expect("word", "scope")[1],
                 "dependents": lambda: self.id_list("component id"),
             },
         )

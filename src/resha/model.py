@@ -17,9 +17,9 @@ to the redundancy groups that list it, for both group levels.
 A categorical value is the plain string that documents and artifacts
 use: a component kind, technology, failure-mode letter, redundancy level
 or logic, resource scope, or link kind (``control_action`` or
-``information_flow``).  The tuples below list, in order, the words the
-parser accepts for each but the link kind, and validation reports any
-other word, so a model built in code is held to them too;
+``information_flow``).  The tuples below list, in order, the words each
+but the link kind takes; the parser stores a word as written, and
+validation alone reports any other word, parsed or built in code.
 ``STPA_CATEGORY_NAMES`` gives each failure-mode letter its STPA category.
 
 A record takes one of two stdlib forms, both cheap to define when a

@@ -18,6 +18,7 @@ from conftest import (
     random_analyzable_model,
     replace,
     scaled_qiasp,
+    serialize_model,
 )
 from resha.ccf import (
     CcfGroup,
@@ -35,8 +36,8 @@ from resha.ftree import (
     integrate_software,
     synthesize_hardware_ft,
 )
-from resha.model import ModelError, SystemModel, expand_replication
-from resha.pipeline import PipelineOptions, analyze_text
+from resha.model import DesignClass, Division, ModelError, SystemModel, expand_replication
+from resha.pipeline import PipelineOptions, analyze_text, bundled_model_path
 from resha.stpa import apply_applicability, enumerate_candidates, extract_control_structure
 
 MULTI_TARGET = """\
@@ -161,6 +162,65 @@ def test_type2_triggers_and_merge(qiasp_result):
         # Same-class replicas merge into one group spanning both divisions.
         divisions = {m.rsplit(":", 1)[1] for m in group.members}
         assert divisions == {"A", "B"}
+
+
+def _diversified(text: str, classes: set[str]) -> str:
+    """The model with each replica division written out in full, where the
+    components of ``classes`` take a new class ``<class>-<division>`` that
+    is its own diversity tag."""
+    model = expand_replication(parse_model(text))
+    diverse: set[str] = set()
+    for at, division in enumerate(model.divisions):
+        if division.replicated_from is None:
+            continue
+        for component in division.components:
+            if component.design_class in classes:
+                component.design_class += f"-{division.id}"
+                diverse.add(component.design_class)
+        model.divisions[at] = Division(division.id, division.components, span=division.span)
+    model.design_classes.extend(DesignClass(class_id, "diverse", class_id) for class_id in sorted(diverse))
+    return serialize_model(model)
+
+
+def _by_division(groups: list[CcfGroup]) -> list[tuple[str, list[str]]]:
+    """Each Type 2 group's letter and members, one entry per division it spans."""
+    split: list[tuple[str, list[str]]] = []
+    for group in groups:
+        if group.type == 2:
+            divisions = sorted({member.rsplit(":", 1)[1] for member in group.members})
+            for division in divisions:
+                split.append((group.failure_type, [m for m in group.members if m.endswith(f":{division}")]))
+    return sorted(split)
+
+
+@pytest.mark.parametrize(
+    "divisions, index_before, groups, index",
+    [
+        (2, {1: 44, 2: 2304}, {2: 30}, {1: 1, 2: 3969}),
+        (3, {1: 44, 3: 110592}, {2: 45}, {1: 1, 3: 250047}),
+    ],
+)
+def test_diversity_defeats_the_software_single_points_of_failure(divisions, index_before, groups, index):
+    """Apply the diversity finding: give each replica's components of the
+    named classes a diverse class.  No Type 4 group is left, each Type 2
+    group merged across divisions splits into one group per division, and no
+    software event is a single point of failure any more."""
+    text = scaled_qiasp(bundled_model_path().read_text(encoding="utf-8"), divisions)
+    before = analyze_text(text)
+    named = {g.trigger for g in before.groups if g.type == 4}
+    [finding] = before.guidance.diversity_findings
+    assert len(named) == 11
+    assert f"({', '.join(sorted(named))})" in finding
+    assert count_by_type(before.groups) == {1: 0, 2: 15, 3: 0, 4: 28}
+    assert before.collection.order_index() == index_before
+    assert before.first_order.software
+    after = analyze_text(_diversified(text, named))
+    assert {kind: n for kind, n in count_by_type(after.groups).items() if n} == groups
+    assert _by_division(after.groups) == _by_division(before.groups)
+    assert all(len({m.rsplit(":", 1)[1] for m in g.members}) == 1 for g in after.groups)
+    assert after.guidance.diversity_findings == []
+    assert after.first_order.software == []
+    assert after.collection.order_index() == index
 
 
 def test_icc_calculator_not_a_type2_trigger(qiasp_result):

@@ -37,3 +37,17 @@ def test_scripted_steps_call_their_script():
         runs = [line.strip() for line in _step(text, name) if line.strip().startswith("run:")]
         assert runs == [f"run: {command}"]
         assert (ROOT / command.split()[-1]).is_file()
+
+
+def test_every_script_is_a_step_and_stops_on_failure():
+    scripts = {command.split()[-1] for command in SCRIPTED_STEPS.values()}
+    for path in sorted((ROOT / "ci").glob("*.sh")):
+        assert f"ci/{path.name}" in scripts, path.name
+        flags, options = "", []
+        for line in path.read_text(encoding="utf-8").splitlines():
+            words = line.split()
+            if words[:1] == ["set"]:
+                flags += "".join(word[1:] for word in words if word.startswith("-"))
+                # ``-o`` or a flag cluster ending in it, such as ``-eo``, names an option.
+                options += [name for flag, name in zip(words, words[1:]) if flag.startswith("-") and flag.endswith("o")]
+        assert "e" in flags and "pipefail" in options, path.name

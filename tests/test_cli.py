@@ -178,6 +178,28 @@ def test_validate_and_pipeline_print_a_failed_model_alike(tmp_path, capsys):
     assert lines[-1] == "3 violation(s)"
 
 
+def test_misspelt_words_are_all_reported_as_violations(model_path, tmp_path, capsys):
+    # The parser stores each word as written; validation lists every misspelt one.
+    text = Path(model_path).read_text(encoding="utf-8")
+    text = text.replace("tech: analog", "tech: analg", 1).replace("kind: calculator", "kind: calculatr", 1)
+    doc = tmp_path / "misspelt.resha"
+    doc.write_text(text, encoding="utf-8")
+    rows = text.splitlines()
+    sensor = next(n for n, row in enumerate(rows, 1) if "tech: analg" in row)
+    calculator = next(n for n, row in enumerate(rows, 1) if "kind: calculatr" in row)
+    kinds = ", ".join(resha.model.COMPONENT_KINDS)
+    assert main(["validate", str(doc)]) == 1
+    assert capsys.readouterr().err == (
+        f"{doc}:{sensor}:13: unknown-word: component 'hjtc_sensor_array' has unknown tech 'analg' "
+        "(one of: digital, analog, human)\n"
+        f"{doc}:{calculator}:13: unknown-word: component 'hjtc_calculator' has unknown kind 'calculatr' "
+        f"(one of: {kinds})\n"
+        "2 violation(s)\n"
+    )
+    assert main(["pipeline", str(doc), "--out-dir", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "command, tree_from, message",
     [

@@ -54,7 +54,7 @@ def _flatten(command: str, pieces: list[list[str]]) -> list[str]:
 
 
 def _argparse_vars(argv: list[str]) -> dict:
-    return vars(build_parser(argv[0]).parse_args(argv))
+    return vars(build_parser().parse_args(argv))
 
 
 @settings(max_examples=40, deadline=None)

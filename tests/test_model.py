@@ -124,6 +124,8 @@ _REPEATED_A = (
     "      applicable: A hazards: H-2\n    }\n  }\n}\n"
 )
 
+_COMPONENT = 'system "s"\ndivision A {{\n  component c kind: {kind} tech: {tech} class: DC\n}}\n'
+
 
 @pytest.mark.parametrize(
     "text,code,line,column",
@@ -131,8 +133,24 @@ _REPEATED_A = (
         ('system "s"\nloss L-1 "x"\nloss L-1 "y"\n', "duplicate-id", 3, 6),
         ('loss L-1 "x"\n', "missing-name", 1, 1),
         (_REPEATED_A, "duplicate-applicability", 6, 19),
+        # A misspelt word is reported at the record that holds it; a failure
+        # letter has its own span.
+        (_COMPONENT.format(kind="widget", tech="digital"), "unknown-word", 3, 13),
+        (_COMPONENT.format(kind="sensor", tech="steam"), "unknown-word", 3, 13),
+        (_REPEATED_A.replace("applicable: A hazards: H-2", "applicable: Z hazards: H-2"), "unknown-word", 6, 19),
+        ('system "s"\nredundancy_group g level: tower logic: all_must_fail members: a, b\n', "unknown-word", 2, 18),
+        ('system "s"\nshared_resource r scope: sideways dependents: a, b\n', "unknown-word", 2, 17),
     ],
-    ids=["duplicate-id", "missing-name", "duplicate-applicability"],
+    ids=[
+        "duplicate-id",
+        "missing-name",
+        "duplicate-applicability",
+        "unknown-kind",
+        "unknown-tech",
+        "unknown-type",
+        "unknown-level",
+        "unknown-scope",
+    ],
 )
 def test_documents_that_parse_break_a_rule_at_its_span(text, code, line, column):
     # The parser reads syntax only; validation reports each broken rule.
@@ -499,8 +517,8 @@ _WORDS = [
 
 @pytest.mark.parametrize("what, name, words", _WORDS, ids=[f"{what}-{name}" for what, name, _ in _WORDS])
 def test_a_misspelt_word_is_a_violation_listing_the_words(qiasp_text, what, name, words):
-    """A model built in code bypasses the parser's word check; validation
-    reports the misspelt word once, at its declaration."""
+    """Validation is the one judge of a word, for a model built in code as
+    for a parsed one: it reports the misspelt word once, at its declaration."""
     model = parse_model(qiasp_text + "shared_resource ext_pwr scope: external dependents: power_supply\n")
     owner = {
         "component": next(model.components()),
